@@ -27,8 +27,9 @@ void BM_EventQueue(benchmark::State& state) {
     Rng rng(1);
     std::size_t fired = 0;
     for (std::size_t i = 0; i < n; ++i)
-      q.schedule(rng.uniform(0.0, 1e6), [&fired] { ++fired; });
-    q.run();
+      q.schedule(rng.uniform(0.0, 1e6),
+                 EventDesc{EventDesc::Kind::kCompletion, i, 0});
+    q.run([&fired](const EventDesc& e) { fired += e.a; });
     benchmark::DoNotOptimize(fired);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -1,9 +1,12 @@
 #include "service/checkpoint.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <utility>
 
+#include "common/serial.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 
@@ -20,37 +23,157 @@ constexpr std::uint64_t kNoneWire = ~std::uint64_t{0};
 /// but finite: a corrupt count fails in Reader::count, never in a resize.
 constexpr std::size_t kMaxElems = std::size_t{1} << 28;
 
-std::uint64_t put_index(std::size_t v) { return v == kNone ? kNoneWire : v; }
-
-std::size_t get_index(std::uint64_t v, std::size_t limit, const char* what) {
-  if (v == kNoneWire) return kNone;
-  if (v >= limit) throw CheckpointError(std::string("checkpoint: ") + what +
-                                        " index out of range");
-  return static_cast<std::size_t>(v);
+[[noreturn]] void reject(const std::string& what) {
+  throw CheckpointError("checkpoint: " + what);
 }
 
-void save_proc_vector(serial::Writer& w, const std::vector<std::size_t>& v) {
-  w.u64(v.size());
-  for (const std::size_t p : v) w.u64(p);
-}
+// A visit calls the adapter once per field, in wire order:
+//   io(v)                     plain field
+//   io.same(v, what)          identity: written, only compared on load
+//   io.in(v, lo, hi, what)    loaded value must lie in [lo, hi]
+//   io.index(v, limit, what)  index below `limit`
+//   io.index_or_none(...)     the same, or kNone
+//   io.counter(v, recount, what)  duplicate of other state: loaded value
+//                             must equal recount()
+//   io.vec(v, cap, each)      length-prefixed; loaded length <= cap
+//   io.fixed(v, n, each)      exactly n elements, length not written
+// Integral fields travel as u64, bytes and enums as u8, bools as b, and
+// doubles and quantities (watts, joules, seconds) as f64.
 
-std::vector<std::size_t> load_proc_vector(serial::Reader& r, std::size_t nprocs,
-                                          const char* what) {
-  const std::size_t n = r.count(nprocs);
-  std::vector<std::size_t> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    v.push_back(get_index(r.u64(), nprocs, what));
-  return v;
-}
+/// Writer adapter: every call emits its field.
+class Save {
+ public:
+  static constexpr bool kLoading = false;
+  explicit Save(serial::Writer& w) : w_(w) {}
 
-void check_identity(bool ok, const char* what) {
-  if (!ok)
-    throw CheckpointError(
-        std::string("checkpoint: identity mismatch -- the restoring "
-                    "simulator was built with a different ") +
-        what);
-}
+  template <class T>
+  void operator()(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      w_.b(v);
+    } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, std::uint8_t>) {
+      static_assert(sizeof(T) == 1, "enums travel as one byte");
+      w_.u8(static_cast<std::uint8_t>(v));
+    } else if constexpr (std::is_same_v<T, double>) {
+      w_.f64(v);
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+      w_.i64(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      w_.str(v);
+    } else if constexpr (std::is_unsigned_v<T>) {
+      w_.u64(v);
+    } else if constexpr (std::is_same_v<T, Watts>) {
+      w_.f64(v.watts());
+    } else if constexpr (std::is_same_v<T, Joules>) {
+      w_.f64(v.joules());
+    } else {
+      static_assert(std::is_same_v<T, Seconds>, "no wire encoding for T");
+      w_.f64(v.seconds());
+    }
+  }
+  template <class T>
+  void same(const T& v, const char*) {
+    (*this)(v);
+  }
+  template <class T>
+  void in(const T& v, T, T, const char*) {
+    (*this)(v);
+  }
+  void index(std::size_t v, std::size_t, const char*) { w_.u64(v); }
+  void index_or_none(std::size_t v, std::size_t, const char*) {
+    w_.u64(v == kNone ? kNoneWire : v);
+  }
+  template <class Recount>
+  void counter(std::size_t v, Recount&&, const char*) {
+    w_.u64(v);
+  }
+  template <class V, class Each>
+  void vec(const V& v, std::size_t, Each&& each) {
+    w_.u64(v.size());
+    for (const auto& e : v) each(e);
+  }
+  template <class V, class Each>
+  void fixed(const V& v, std::size_t, Each&& each) {
+    for (const auto& e : v) each(e);
+  }
+
+ private:
+  serial::Writer& w_;
+};
+
+/// Reader adapter: every call reads its field and applies its check.
+class Load {
+ public:
+  static constexpr bool kLoading = true;
+  explicit Load(serial::Reader& r) : r_(r) {}
+
+  template <class T>
+  void operator()(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = r_.b();
+    } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, std::uint8_t>) {
+      v = static_cast<T>(r_.u8());
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = r_.f64();
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+      v = r_.i64();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = r_.str();
+    } else if constexpr (std::is_unsigned_v<T>) {
+      v = static_cast<T>(r_.u64());
+    } else {
+      v = T{r_.f64()};  // a dimensioned quantity
+    }
+  }
+  template <class T>
+  void same(const T& v, const char* what) {
+    T got{};
+    (*this)(got);
+    if (got != v)
+      reject(std::string("identity mismatch -- the restoring simulator was "
+                         "built with a different ") +
+             what);
+  }
+  template <class T>
+  void in(T& v, T lo, T hi, const char* what) {
+    (*this)(v);
+    if (v < lo || v > hi) reject(std::string(what) + " out of range");
+  }
+  void index(std::size_t& v, std::size_t limit, const char* what) {
+    (*this)(v);
+    if (v >= limit) reject(std::string(what) + " index out of range");
+  }
+  void index_or_none(std::size_t& v, std::size_t limit, const char* what) {
+    const std::uint64_t raw = r_.u64();
+    if (raw == kNoneWire) {
+      v = kNone;
+      return;
+    }
+    if (raw >= limit) reject(std::string(what) + " index out of range");
+    v = static_cast<std::size_t>(raw);
+  }
+  template <class Recount>
+  void counter(std::size_t& v, Recount&& recount, const char* what) {
+    (*this)(v);
+    if (v != recount())
+      reject(std::string(what) + " does not match the state it counts");
+  }
+  template <class V, class Each>
+  void vec(V& v, std::size_t cap, Each&& each) {
+    // Every element takes at least one byte, so the unread payload bounds
+    // the length before anything is allocated.
+    v.clear();
+    v.resize(r_.count(std::min(cap, r_.remaining())));
+    for (auto& e : v) each(e);
+  }
+  template <class V, class Each>
+  void fixed(V& v, std::size_t n, Each&& each) {
+    v.assign(n, typename V::value_type{});
+    for (auto& e : v) each(e);
+  }
+
+ private:
+  serial::Reader& r_;
+};
 
 }  // namespace
 
@@ -58,680 +181,283 @@ void check_identity(bool ok, const char* what) {
 // DatacenterSim
 // ---------------------------------------------------------------------------
 
-void CheckpointAccess::save(const DatacenterSim& s, serial::Writer& w) {
+template <class Io, class Sim>
+  requires std::same_as<std::remove_const_t<Sim>, DatacenterSim>
+void CheckpointAccess::visit(Io& io, Sim& s) {
+  using State = DatacenterSim::TaskState;
   const std::size_t nprocs = s.knowledge_->procs();
   const std::size_t levels = s.knowledge_->levels();
+  const SimConfig& cfg = s.config_;
+  const auto flags = [&](auto& v, const char* what) {
+    io.fixed(v, nprocs, [&](auto& f) {
+      io.in(f, std::uint8_t{0}, std::uint8_t{1}, what);
+    });
+  };
+  const auto proc_list = [&](auto& v, const char* what) {
+    io.vec(v, nprocs, [&](auto& p) { io.index(p, nprocs, what); });
+  };
+  const auto tasks_in = [&s](State state) {
+    return static_cast<std::size_t>(
+        std::count_if(s.tasks_.begin(), s.tasks_.end(),
+                      [state](const auto& t) { return t.state == state; }));
+  };
 
-  // Identity block: not restored, only compared. The full construction
-  // config is the restoring caller's responsibility; these catch the
-  // mismatches that would otherwise corrupt silently.
-  w.u64(nprocs);
-  w.u64(levels);
-  w.u8(static_cast<std::uint8_t>(s.policy_.rule()));
-  w.u64(s.config_.seed);
-  w.b(s.faults_active_);
-  w.b(s.config_.use_reference_matcher);
-  w.b(s.config_.incremental_rematch);
-  w.b(s.config_.record_trace);
-  w.b(s.config_.record_timeline);
-  w.f64(s.config_.epoch_s);
-  w.f64(s.config_.sample_interval_s);
-
-  // Thermal + sleep identity (format v2). The configs shape event
-  // semantics (COP curve, wake latencies), so a restore under different
-  // knobs would diverge silently; all-defaults when both are off.
-  w.b(s.config_.thermal.enabled);
-  w.f64(s.config_.thermal.red_line_c);
-  w.f64(s.config_.thermal.min_supply_c);
-  w.f64(s.config_.thermal.max_supply_c);
-  w.f64(s.config_.thermal.self_coupling_k_per_w);
-  w.f64(s.config_.thermal.row_decay_racks);
-  w.f64(s.config_.thermal.cross_row_coupling);
-  w.f64(s.config_.thermal.cross_row_decay_rows);
-  w.u8(static_cast<std::uint8_t>(s.config_.sleep.policy));
-  w.f64(s.config_.sleep.timeout_s);
-  w.f64(s.config_.sleep.active_idle_frac);
-  for (const SleepState& st : s.config_.sleep.states) {
-    w.f64(st.idle_frac);
-    w.f64(st.wake_s);
+  // Identity block. The full construction config is the restoring caller's
+  // responsibility; these catch the mismatches that would otherwise
+  // corrupt silently. The thermal and sleep knobs (format v2) shape event
+  // semantics -- COP curve, wake latencies -- and are all defaults when
+  // both subsystems are off.
+  io.same(nprocs, "processor count");
+  io.same(levels, "DVFS level count");
+  io.same(s.policy_.rule(), "placement rule");
+  io.same(cfg.seed, "seed");
+  io.same(s.faults_active_, "fault plan");
+  io.same(cfg.use_reference_matcher, "matcher path");
+  io.same(cfg.incremental_rematch, "rematch mode");
+  io.same(cfg.record_trace, "trace recording");
+  io.same(cfg.record_timeline, "timeline recording");
+  io.same(cfg.epoch_s, "epoch period");
+  io.same(cfg.sample_interval_s, "sample period");
+  io.same(cfg.thermal.enabled, "thermal mode");
+  io.same(cfg.thermal.red_line_c, "thermal red line");
+  io.same(cfg.thermal.min_supply_c, "thermal supply floor");
+  io.same(cfg.thermal.max_supply_c, "thermal supply ceiling");
+  io.same(cfg.thermal.self_coupling_k_per_w, "recirculation self-coupling");
+  io.same(cfg.thermal.row_decay_racks, "recirculation row decay");
+  io.same(cfg.thermal.cross_row_coupling, "recirculation cross-row coupling");
+  io.same(cfg.thermal.cross_row_decay_rows, "recirculation cross-row decay");
+  io.same(cfg.sleep.policy, "sleep policy");
+  io.same(cfg.sleep.timeout_s, "sleep timeout");
+  io.same(cfg.sleep.active_idle_frac, "active-idle power fraction");
+  for (const SleepState& st : cfg.sleep.states) {
+    io.same(st.idle_frac, "sleep-state residency power");
+    io.same(st.wake_s, "sleep-state wake latency");
   }
-  w.b(s.thermal_external_);
+  io.same(s.thermal_external_, "thermal coordination mode");
 
-  // Event queue: raw heap-vector order (EventQueue::save_events throws if
-  // any pending event is untagged).
-  const std::vector<SavedEvent> events = s.queue_.save_events();
-  w.f64(s.queue_.now());
-  w.u64(s.queue_.next_seq());
-  w.u64(s.queue_.high_water());
-  w.u64(events.size());
-  for (const SavedEvent& e : events) {
-    w.f64(e.time);
-    w.u64(e.seq);
-    w.u8(static_cast<std::uint8_t>(e.desc.kind));
-    w.u64(e.desc.a);
-    w.u64(e.desc.b);
-    w.f64(e.desc.t);
-  }
+  // Event queue, in the heap's raw vector order. A load stages it and
+  // reinstalls it last, once the state its payloads index is in place.
+  double now = s.queue_.now();
+  std::uint64_t next_seq = s.queue_.next_seq();
+  std::size_t high_water = s.queue_.high_water();
+  std::vector<SavedEvent> events;
+  if constexpr (!Io::kLoading) events = s.queue_.save_events();
+  io(now);
+  io(next_seq);
+  io(high_water);
+  io.vec(events, kMaxElems, [&](auto& e) {
+    io(e.time);
+    io(e.seq);
+    io.in(e.desc.kind, EventDesc::Kind::kArrival, EventDesc::Kind::kWake,
+          "event kind");
+    io(e.desc.a);
+    io(e.desc.b);
+    io(e.desc.t);
+  });
 
-  // Tasks. `col` and `latest_start_s` are derived (SoA rebuild / pure
-  // function of the spec) and not written.
-  w.u64(s.tasks_.size());
-  for (const DatacenterSim::SimTask& t : s.tasks_) {
-    w.i64(t.spec.id);
-    w.f64(t.spec.submit_s);
-    w.u64(t.spec.cpus);
-    w.f64(t.spec.runtime_s);
-    w.f64(t.spec.gamma);
-    w.f64(t.spec.deadline_s);
-    w.u8(static_cast<std::uint8_t>(t.spec.urgency));
-    save_proc_vector(w, t.procs);
-    w.f64(t.remaining_work_s);
-    w.f64(t.last_update_s);
-    w.u64(t.level);
-    w.f64(t.start_s);
-    w.u64(t.version);
-    w.b(t.completion_scheduled);
-    w.u64(put_index(t.run_prev));
-    w.u64(put_index(t.run_next));
-    w.u8(static_cast<std::uint8_t>(t.state));
-    w.u64(t.retries);
-  }
+  // Tasks. `col` and `latest_start_s` are derived and not written.
+  io.vec(s.tasks_, kMaxElems, [&](auto& t) {
+    io(t.spec.id);
+    io(t.spec.submit_s);
+    io.in(t.spec.cpus, std::size_t{1}, nprocs, "task width");
+    io(t.spec.runtime_s);
+    io(t.spec.gamma);
+    io(t.spec.deadline_s);
+    io.in(t.spec.urgency, Urgency::kHigh, Urgency::kLow, "task urgency");
+    proc_list(t.procs, "task processor");
+    io(t.remaining_work_s);
+    io(t.last_update_s);
+    io.in(t.level, std::size_t{0}, levels - 1, "task level");
+    io(t.start_s);
+    io(t.version);
+    io(t.completion_scheduled);
+    io.index_or_none(t.run_prev, s.tasks_.size(), "run-list");
+    io.index_or_none(t.run_next, s.tasks_.size(), "run-list");
+    io.in(t.state, State::kPending, State::kWaking, "task state");
+    io(t.retries);
+  });
 
-  save_proc_vector(w, s.waiting_);
-  w.u64(s.waiting_cpus_);
-  for (const std::size_t v : s.proc_running_) w.u64(put_index(v));
-  for (const double v : s.busy_time_s_) w.f64(v);
-  for (const std::uint8_t v : s.idle_flags_) w.u8(v);
-  w.u64(s.idle_count_);
-  w.u64(put_index(s.run_head_));
-  w.u64(put_index(s.run_tail_));
-  w.u64(s.run_count_);
+  io.vec(s.waiting_, s.tasks_.size(), [&](auto& i) {
+    io.index(i, s.tasks_.size(), "waiting task");
+  });
+  io.counter(s.waiting_cpus_, [&s] {
+    std::size_t cpus = 0;
+    for (const std::size_t i : s.waiting_) cpus += s.tasks_[i].spec.cpus;
+    return cpus;
+  }, "waiting width");
+  io.fixed(s.proc_running_, nprocs, [&](auto& i) {
+    io.index_or_none(i, s.tasks_.size(), "running task");
+  });
+  io.fixed(s.busy_time_s_, nprocs, io);
+  flags(s.idle_flags_, "idle flag");
+  io.counter(s.idle_count_, [&s] {
+    return static_cast<std::size_t>(std::count(s.idle_flags_.begin(),
+                                               s.idle_flags_.end(), 1));
+  }, "idle count");
+  io.index_or_none(s.run_head_, s.tasks_.size(), "run-list head");
+  io.index_or_none(s.run_tail_, s.tasks_.size(), "run-list tail");
+  io.counter(s.run_count_, [&s] {
+    // Walk the list as rebuild_derived() will: bounded (a cycle is
+    // corrupt), running tasks only, links consistent in both directions.
+    std::size_t walked = 0;
+    std::size_t prev = kNone;
+    for (std::size_t idx = s.run_head_; idx != kNone;
+         idx = s.tasks_[idx].run_next) {
+      if (++walked > s.tasks_.size()) reject("running list is cyclic");
+      if (s.tasks_[idx].state != State::kRunning)
+        reject("run list holds a non-running task");
+      if (s.tasks_[idx].run_prev != prev) reject("run-list links disagree");
+      prev = idx;
+    }
+    if (prev != s.run_tail_) reject("run-list tail disagrees with the walk");
+    return walked;
+  }, "running count");
 
   // Profiling: the plan, the live-scan slots, and the counters.
-  for (std::size_t p = 0; p < nprocs; ++p) w.b(s.reserved_[p]);
-  w.f64(s.reserved_power_.watts());
-  w.f64(s.profiling_proc_seconds_);
-  w.u64(s.profiling_procs_scanned_);
-  w.u64(s.profiling_procs_skipped_);
-  w.u64(s.profiling_.size());
-  for (const ProfilingWindow& win : s.profiling_) {
-    w.f64(win.start_s);
-    w.f64(win.duration_s);
-    save_proc_vector(w, win.proc_ids);
-  }
-  w.u64(s.scans_.size());
-  for (const DatacenterSim::ActiveScan& scan : s.scans_) {
-    save_proc_vector(w, scan.procs);
-    w.f64(scan.started_s);
-    w.b(scan.live);
-  }
-  w.b(s.epoch_chain_live_);
-  w.b(s.sample_chain_live_);
+  flags(s.reserved_, "reserved flag");
+  io(s.reserved_power_);
+  io(s.profiling_proc_seconds_);
+  io(s.profiling_procs_scanned_);
+  io(s.profiling_procs_skipped_);
+  io.vec(s.profiling_, kMaxElems, [&](auto& win) {
+    io(win.start_s);
+    io(win.duration_s);
+    proc_list(win.proc_ids, "profiling processor");
+  });
+  io.vec(s.scans_, kMaxElems, [&](auto& scan) {
+    proc_list(scan.procs, "scan processor");
+    io(scan.started_s);
+    io(scan.live);
+  });
+  io(s.epoch_chain_live_);
+  io(s.sample_chain_live_);
 
-  // Energy accounting.
-  w.f64(s.meter_.total().wind.joules());
-  w.f64(s.meter_.total().utility.joules());
-  w.f64(s.meter_.wind_curtailed().joules());
-  w.u64(s.meter_.trace().size());
-  for (const PowerSample& p : s.meter_.trace()) {
-    w.f64(p.time.seconds());
-    w.f64(p.demand.watts());
-    w.f64(p.wind.watts());
-    w.f64(p.utility.watts());
-    w.f64(p.wind_avail.watts());
-    w.f64(p.battery.watts());
-  }
-  w.f64(s.battery_.stored().joules());
-  w.f64(s.battery_.delivered().joules());
-  w.f64(s.battery_.absorbed().joules());
-  w.f64(s.demand_.watts());
-  w.f64(s.last_accrual_s_);
-  w.f64(s.segment_wind_.watts());
+  // Energy accounting. The meter and battery keep their accumulators
+  // private: they cross through the accessors and restore_state().
+  EnergySplit total = s.meter_.total();
+  Joules curtailed = s.meter_.wind_curtailed();
+  std::vector<PowerSample> trace = s.meter_.trace();
+  io(total.wind);
+  io(total.utility);
+  io(curtailed);
+  io.vec(trace, kMaxElems, [&](auto& p) {
+    io(p.time);
+    io(p.demand);
+    io(p.wind);
+    io(p.utility);
+    io(p.wind_avail);
+    io(p.battery);
+  });
+  Joules stored = s.battery_.stored();
+  Joules delivered = s.battery_.delivered();
+  Joules absorbed = s.battery_.absorbed();
+  io(stored);
+  io(delivered);
+  io(absorbed);
+  io(s.demand_);
+  io(s.last_accrual_s_);
+  io(s.segment_wind_);
 
   // Run metrics.
-  w.u64(s.done_count_);
-  w.u64(s.events_run_);
-  w.u64(s.rematch_count_);
-  w.f64(s.total_wait_s_);
-  w.u64(s.miss_count_);
-  w.f64(s.makespan_s_);
-  w.b(s.rush_mode_);
-  w.u64(s.timeline_.size());
-  for (const TimelineEvent& e : s.timeline_) {
-    w.f64(e.time_s);
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.i64(e.task_id);
-    w.f64(e.value);
-  }
+  io.counter(s.done_count_, [&] { return tasks_in(State::kDone); },
+             "completed-task count");
+  io(s.events_run_);
+  io(s.rematch_count_);
+  io(s.total_wait_s_);
+  io(s.miss_count_);
+  io(s.makespan_s_);
+  io(s.rush_mode_);
+  io.vec(s.timeline_, kMaxElems, [&](auto& e) {
+    io(e.time_s);
+    io.in(e.kind, TimelineKind::kArrival, TimelineKind::kTaskWaking,
+          "timeline kind");
+    io(e.task_id);
+    io(e.value);
+  });
 
   // Fault state. The plan itself is identity (rebuilt from the config);
   // the pending kFault event carries the cursor.
-  for (std::size_t p = 0; p < nprocs; ++p) w.u8(s.failed_[p]);
-  for (std::size_t p = 0; p < nprocs; ++p) w.u8(s.misprofile_armed_[p]);
-  for (std::size_t p = 0; p < nprocs; ++p) w.u64(s.misprofile_token_[p]);
-  w.u64(s.failed_count_);
-  w.u64(s.fault_counters_.cpu_failures);
-  w.u64(s.fault_counters_.cpu_repairs);
-  w.u64(s.fault_counters_.misprofile_failures);
-  w.u64(s.fault_counters_.task_requeues);
-  w.u64(s.fault_counters_.tasks_failed);
-  w.f64(s.fault_counters_.lost_cpu_seconds);
-  w.u64(s.fault_counters_.fault_deadline_misses);
+  flags(s.failed_, "failed flag");
+  flags(s.misprofile_armed_, "misprofile flag");
+  io.fixed(s.misprofile_token_, nprocs, io);
+  io.counter(s.failed_count_, [&] { return tasks_in(State::kFailed); },
+             "failed-task count");
+  io(s.fault_counters_.cpu_failures);
+  io(s.fault_counters_.cpu_repairs);
+  io(s.fault_counters_.misprofile_failures);
+  io(s.fault_counters_.task_requeues);
+  io(s.fault_counters_.tasks_failed);
+  io(s.fault_counters_.lost_cpu_seconds);
+  io(s.fault_counters_.fault_deadline_misses);
 
-  // Thermal + sleep state (format v2). Written unconditionally -- all
-  // zeros when both subsystems are off -- so the frame layout never
-  // depends on the config.
-  w.b(s.thermal_chain_live_);
-  w.f64(s.cop_now_);
-  w.f64(s.supply_c_now_);
-  w.f64(s.peak_inlet_c_);
-  w.b(s.thermal_pending_);
-  w.f64(s.pending_cop_);
-  w.f64(s.pending_supply_c_);
-  w.f64(s.pending_peak_c_);
-  w.f64(s.last_compute_.watts());
-  w.f64(s.cooling_power_.watts());
-  w.f64(s.cooling_joules_);
-  w.f64(s.idle_joules_);
-  w.f64(s.idle_power_w_);
-  for (std::size_t p = 0; p < nprocs; ++p)
-    w.u8(p < s.sleep_state_.size() ? s.sleep_state_[p] : std::uint8_t{0});
-  for (std::size_t p = 0; p < nprocs; ++p)
-    w.u64(p < s.sleep_token_.size() ? s.sleep_token_[p] : 0);
-  w.u64(s.sleeping_count_);
-  w.u64(s.sleep_enters_);
-  w.u64(s.sleep_wakes_);
+  // Thermal + sleep state (format v2), written whether or not either
+  // subsystem is on, so the frame layout never depends on the config.
+  io(s.thermal_chain_live_);
+  io(s.cop_now_);
+  io(s.supply_c_now_);
+  io(s.peak_inlet_c_);
+  io(s.thermal_pending_);
+  io(s.pending_cop_);
+  io(s.pending_supply_c_);
+  io(s.pending_peak_c_);
+  io(s.last_compute_);
+  io(s.cooling_power_);
+  io(s.cooling_joules_);
+  io(s.idle_joules_);
+  io(s.idle_power_w_);
+  const auto ladder = static_cast<std::uint8_t>(cfg.sleep.states.size());
+  io.fixed(s.sleep_state_, nprocs, [&](auto& depth) {
+    io.in(depth, std::uint8_t{0}, ladder, "sleep depth");
+  });
+  io.fixed(s.sleep_token_, nprocs, io);
+  io(s.sleeping_count_);
+  io(s.sleep_enters_);
+  io(s.sleep_wakes_);
 
   // The placement RNG stream (only kRandom ever draws from it, but saving
   // it unconditionally keeps the format scheme-independent).
-  w.str(s.policy_.rng_state());
-}
+  std::string rng = s.policy_.rng_state();
+  io(rng);
 
-void CheckpointAccess::load(DatacenterSim& s, serial::Reader& r) {
-  const std::size_t nprocs = s.knowledge_->procs();
-  const std::size_t levels = s.knowledge_->levels();
-
-  check_identity(r.u64() == nprocs, "processor count");
-  check_identity(r.u64() == levels, "DVFS level count");
-  check_identity(r.u8() == static_cast<std::uint8_t>(s.policy_.rule()),
-                 "placement rule");
-  check_identity(r.u64() == s.config_.seed, "seed");
-  check_identity(r.b() == s.faults_active_, "fault plan");
-  check_identity(r.b() == s.config_.use_reference_matcher, "matcher path");
-  check_identity(r.b() == s.config_.incremental_rematch, "rematch mode");
-  check_identity(r.b() == s.config_.record_trace, "trace recording");
-  check_identity(r.b() == s.config_.record_timeline, "timeline recording");
-  check_identity(r.f64() == s.config_.epoch_s, "epoch period");
-  check_identity(r.f64() == s.config_.sample_interval_s, "sample period");
-  check_identity(r.b() == s.config_.thermal.enabled, "thermal mode");
-  check_identity(r.f64() == s.config_.thermal.red_line_c,
-                 "thermal red line");
-  check_identity(r.f64() == s.config_.thermal.min_supply_c,
-                 "thermal supply floor");
-  check_identity(r.f64() == s.config_.thermal.max_supply_c,
-                 "thermal supply ceiling");
-  check_identity(r.f64() == s.config_.thermal.self_coupling_k_per_w,
-                 "recirculation self-coupling");
-  check_identity(r.f64() == s.config_.thermal.row_decay_racks,
-                 "recirculation row decay");
-  check_identity(r.f64() == s.config_.thermal.cross_row_coupling,
-                 "recirculation cross-row coupling");
-  check_identity(r.f64() == s.config_.thermal.cross_row_decay_rows,
-                 "recirculation cross-row decay");
-  check_identity(r.u8() == static_cast<std::uint8_t>(s.config_.sleep.policy),
-                 "sleep policy");
-  check_identity(r.f64() == s.config_.sleep.timeout_s, "sleep timeout");
-  check_identity(r.f64() == s.config_.sleep.active_idle_frac,
-                 "active-idle power fraction");
-  for (const SleepState& st : s.config_.sleep.states) {
-    check_identity(r.f64() == st.idle_frac, "sleep-state residency power");
-    check_identity(r.f64() == st.wake_s, "sleep-state wake latency");
-  }
-  check_identity(r.b() == s.thermal_external_, "thermal coordination mode");
-
-  // Stage the event snapshot; the queue is rebuilt last, once the state the
-  // handlers index into is in place.
-  const double now = r.f64();
-  const std::uint64_t next_seq = r.u64();
-  const std::uint64_t high_water = r.u64();
-  const std::size_t n_events = r.count(kMaxElems);
-  std::vector<SavedEvent> events;
-  events.reserve(n_events);
-  for (std::size_t i = 0; i < n_events; ++i) {
-    SavedEvent e;
-    e.time = r.f64();
-    e.seq = r.u64();
-    const std::uint8_t kind = r.u8();
-    if (kind == 0 || kind > static_cast<std::uint8_t>(EventDesc::Kind::kWake))
-      throw CheckpointError("checkpoint: unknown event kind");
-    e.desc.kind = static_cast<EventDesc::Kind>(kind);
-    e.desc.a = r.u64();
-    e.desc.b = r.u64();
-    e.desc.t = r.f64();
-    events.push_back(e);
-  }
-
-  const std::size_t n_tasks = r.count(kMaxElems);
-  const double fmax = s.fmax_ghz();
-  s.tasks_.clear();
-  s.tasks_.reserve(n_tasks);
-  for (std::size_t i = 0; i < n_tasks; ++i) {
-    DatacenterSim::SimTask t;
-    t.spec.id = r.i64();
-    t.spec.submit_s = r.f64();
-    t.spec.cpus = static_cast<std::size_t>(r.u64());
-    t.spec.runtime_s = r.f64();
-    t.spec.gamma = r.f64();
-    t.spec.deadline_s = r.f64();
-    const std::uint8_t urgency = r.u8();
-    if (urgency > static_cast<std::uint8_t>(Urgency::kLow))
-      throw CheckpointError("checkpoint: bad task urgency");
-    t.spec.urgency = static_cast<Urgency>(urgency);
-    if (t.spec.cpus < 1 || t.spec.cpus > nprocs)
-      throw CheckpointError("checkpoint: task width does not fit the cluster");
-    t.procs = load_proc_vector(r, nprocs, "task processor");
-    t.remaining_work_s = r.f64();
-    t.last_update_s = r.f64();
-    t.level = static_cast<std::size_t>(r.u64());
-    if (t.level >= levels) throw CheckpointError("checkpoint: bad task level");
-    t.start_s = r.f64();
-    t.version = r.u64();
-    t.completion_scheduled = r.b();
-    t.run_prev = get_index(r.u64(), n_tasks, "run-list");
-    t.run_next = get_index(r.u64(), n_tasks, "run-list");
-    const std::uint8_t state = r.u8();
-    if (state > static_cast<std::uint8_t>(DatacenterSim::TaskState::kWaking))
-      throw CheckpointError("checkpoint: bad task state");
-    t.state = static_cast<DatacenterSim::TaskState>(state);
-    t.retries = static_cast<std::size_t>(r.u64());
-    t.col = kNone;  // rebuilt below
-    t.latest_start_s = t.spec.latest_start_s(fmax, fmax);
-    s.tasks_.push_back(std::move(t));
-  }
-
-  {
-    const std::size_t n = r.count(n_tasks);
-    s.waiting_.clear();
-    s.waiting_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      s.waiting_.push_back(get_index(r.u64(), n_tasks, "waiting task"));
-  }
-  s.waiting_cpus_ = static_cast<std::size_t>(r.u64());
-  s.proc_running_.assign(nprocs, kNone);
-  for (std::size_t p = 0; p < nprocs; ++p)
-    s.proc_running_[p] = get_index(r.u64(), n_tasks, "running task");
-  s.busy_time_s_.assign(nprocs, 0.0);
-  for (std::size_t p = 0; p < nprocs; ++p) s.busy_time_s_[p] = r.f64();
-  s.idle_flags_.assign(nprocs, 0);
-  for (std::size_t p = 0; p < nprocs; ++p) {
-    const std::uint8_t f = r.u8();
-    if (f > 1) throw CheckpointError("checkpoint: bad idle flag");
-    s.idle_flags_[p] = f;
-  }
-  s.idle_count_ = static_cast<std::size_t>(r.u64());
-  s.run_head_ = get_index(r.u64(), n_tasks, "run-list head");
-  s.run_tail_ = get_index(r.u64(), n_tasks, "run-list tail");
-  s.run_count_ = static_cast<std::size_t>(r.u64());
-  if (s.run_count_ > n_tasks)
-    throw CheckpointError("checkpoint: running count exceeds task count");
-
-  s.reserved_.assign(nprocs, false);
-  for (std::size_t p = 0; p < nprocs; ++p) s.reserved_[p] = r.b();
-  s.reserved_power_ = Watts{r.f64()};
-  s.profiling_proc_seconds_ = r.f64();
-  s.profiling_procs_scanned_ = static_cast<std::size_t>(r.u64());
-  s.profiling_procs_skipped_ = static_cast<std::size_t>(r.u64());
-  {
-    const std::size_t n = r.count(kMaxElems);
-    s.profiling_.clear();
-    s.profiling_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ProfilingWindow win;
-      win.start_s = r.f64();
-      win.duration_s = r.f64();
-      win.proc_ids = load_proc_vector(r, nprocs, "profiling processor");
-      s.profiling_.push_back(std::move(win));
-    }
-  }
-  {
-    const std::size_t n = r.count(kMaxElems);
-    s.scans_.clear();
-    s.scans_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      DatacenterSim::ActiveScan scan;
-      scan.procs = load_proc_vector(r, nprocs, "scan processor");
-      scan.started_s = r.f64();
-      scan.live = r.b();
-      s.scans_.push_back(std::move(scan));
-    }
-  }
-  s.epoch_chain_live_ = r.b();
-  s.sample_chain_live_ = r.b();
-
-  s.meter_.reset();
-  {
-    EnergySplit total;
-    total.wind = Joules{r.f64()};
-    total.utility = Joules{r.f64()};
-    const Joules curtailed{r.f64()};
-    const std::size_t n = r.count(kMaxElems);
-    std::vector<PowerSample> trace;
-    trace.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      PowerSample p;
-      p.time = Seconds{r.f64()};
-      p.demand = Watts{r.f64()};
-      p.wind = Watts{r.f64()};
-      p.utility = Watts{r.f64()};
-      p.wind_avail = Watts{r.f64()};
-      p.battery = Watts{r.f64()};
-      trace.push_back(p);
-    }
+  if constexpr (Io::kLoading) {
     s.meter_.restore_state(total, curtailed, std::move(trace));
-  }
-  s.battery_ = BatteryBank(s.config_.battery);
-  {
-    const Joules stored{r.f64()};
-    const Joules delivered{r.f64()};
-    const Joules absorbed{r.f64()};
+    s.battery_ = BatteryBank(cfg.battery);
     s.battery_.restore_state(stored, delivered, absorbed);
+    s.policy_.set_rng_state(rng);
+    s.in_pass_ = false;
+    s.rebuild_derived();
+    // Events go back last: their payloads index the state restored above.
+    // The heap layout is reinstalled verbatim, so the resumed pop order is
+    // the uninterrupted run's.
+    for (const SavedEvent& e : events)
+      if (!s.event_in_range(e.desc)) reject("event payload out of range");
+    s.queue_.restore(now, next_seq, high_water, events);
   }
-  s.demand_ = Watts{r.f64()};
-  s.last_accrual_s_ = r.f64();
-  s.segment_wind_ = Watts{r.f64()};
-
-  s.done_count_ = static_cast<std::size_t>(r.u64());
-  s.events_run_ = static_cast<std::size_t>(r.u64());
-  s.rematch_count_ = static_cast<std::size_t>(r.u64());
-  s.total_wait_s_ = r.f64();
-  s.miss_count_ = static_cast<std::size_t>(r.u64());
-  s.makespan_s_ = r.f64();
-  s.in_pass_ = false;
-  s.rush_mode_ = r.b();
-  {
-    const std::size_t n = r.count(kMaxElems);
-    s.timeline_.clear();
-    s.timeline_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      TimelineEvent e;
-      e.time_s = r.f64();
-      const std::uint8_t kind = r.u8();
-      if (kind > static_cast<std::uint8_t>(TimelineKind::kTaskWaking))
-        throw CheckpointError("checkpoint: bad timeline kind");
-      e.kind = static_cast<TimelineKind>(kind);
-      e.task_id = r.i64();
-      e.value = r.f64();
-      s.timeline_.push_back(e);
-    }
-  }
-
-  s.failed_.assign(nprocs, 0);
-  for (std::size_t p = 0; p < nprocs; ++p) {
-    const std::uint8_t f = r.u8();
-    if (f > 1) throw CheckpointError("checkpoint: bad failed flag");
-    s.failed_[p] = f;
-  }
-  s.misprofile_armed_.assign(nprocs, 0);
-  for (std::size_t p = 0; p < nprocs; ++p) {
-    const std::uint8_t f = r.u8();
-    if (f > 1) throw CheckpointError("checkpoint: bad misprofile flag");
-    s.misprofile_armed_[p] = f;
-  }
-  s.misprofile_token_.assign(nprocs, 0);
-  for (std::size_t p = 0; p < nprocs; ++p) s.misprofile_token_[p] = r.u64();
-  s.failed_count_ = static_cast<std::size_t>(r.u64());
-  s.fault_counters_ = FaultCounters{};
-  s.fault_counters_.cpu_failures = static_cast<std::size_t>(r.u64());
-  s.fault_counters_.cpu_repairs = static_cast<std::size_t>(r.u64());
-  s.fault_counters_.misprofile_failures = static_cast<std::size_t>(r.u64());
-  s.fault_counters_.task_requeues = static_cast<std::size_t>(r.u64());
-  s.fault_counters_.tasks_failed = static_cast<std::size_t>(r.u64());
-  s.fault_counters_.lost_cpu_seconds = r.f64();
-  s.fault_counters_.fault_deadline_misses = static_cast<std::size_t>(r.u64());
-
-  s.thermal_chain_live_ = r.b();
-  s.cop_now_ = r.f64();
-  s.supply_c_now_ = r.f64();
-  s.peak_inlet_c_ = r.f64();
-  s.thermal_pending_ = r.b();
-  s.pending_cop_ = r.f64();
-  s.pending_supply_c_ = r.f64();
-  s.pending_peak_c_ = r.f64();
-  s.last_compute_ = Watts{r.f64()};
-  s.cooling_power_ = Watts{r.f64()};
-  s.cooling_joules_ = r.f64();
-  s.idle_joules_ = r.f64();
-  s.idle_power_w_ = r.f64();
-  s.sleep_state_.assign(nprocs, 0);
-  for (std::size_t p = 0; p < nprocs; ++p) {
-    const std::uint8_t depth = r.u8();
-    if (depth > s.config_.sleep.states.size())
-      throw CheckpointError("checkpoint: sleep depth beyond the ladder");
-    s.sleep_state_[p] = depth;
-  }
-  s.sleep_token_.assign(nprocs, 0);
-  for (std::size_t p = 0; p < nprocs; ++p) s.sleep_token_[p] = r.u64();
-  s.sleeping_count_ = static_cast<std::size_t>(r.u64());
-  s.sleep_enters_ = static_cast<std::size_t>(r.u64());
-  s.sleep_wakes_ = static_cast<std::size_t>(r.u64());
-
-  s.policy_.set_rng_state(r.str());
-
-  // ---- derived-state rebuild --------------------------------------------
-
-  // Quarantine mirrors failed_ exactly (fail_proc quarantines, repair_proc
-  // releases), so replaying it restores the Knowledge view; the generation
-  // after replay becomes the one the rebuilt power tables match. (The saved
-  // run's knowledge_gen_ may have *lagged* its view when no rematch ran
-  // after a quarantine -- unobservable, because stale power rows are only
-  // ever read after the generation-refresh at the top of rematch(), which
-  // rewrites them with exactly the values rebuilt here.)
-  if (s.faults_active_) {
-    if (s.knowledge_mut_ == nullptr)
-      throw CheckpointError(
-          "checkpoint: fault state needs the mutable-Knowledge constructor");
-    s.knowledge_mut_->clear_quarantine();
-    for (std::size_t p = 0; p < nprocs; ++p)
-      if (s.failed_[p] != 0) s.knowledge_mut_->quarantine(p);
-  }
-  s.knowledge_gen_ = s.knowledge_->generation();
-
-  // Thermal + sleep derived state (mirrors the prepare() staging block;
-  // load skips prepare, so it must rebuild the same pure functions of the
-  // config). ScanTherm's order must be installed before the rank tables
-  // below derive from the policy.
-  s.sleep_active_ = s.config_.sleep.enabled();
-  s.extras_active_ = s.config_.thermal.enabled || s.sleep_active_;
-  if (s.config_.thermal.enabled && !s.thermal_external_ &&
-      s.thermal_model_ == nullptr) {
-    const std::size_t per_rack = s.config_.topology.cpus_per_rack;
-    const std::size_t racks = (nprocs + per_rack - 1) / per_rack;
-    s.thermal_model_ = std::make_unique<ThermalModel>(s.config_.thermal,
-                                                      s.config_.topology,
-                                                      racks);
-  }
-  if (s.policy_.rule() == PlacementRule::kTherm && s.config_.thermal.enabled &&
-      !s.therm_order_installed_ && s.thermal_model_ != nullptr)
-    s.install_thermal_order(s.thermal_model_->matrix());
-  if (s.sleep_active_ && s.sleep_stock_w_.size() != nprocs) {
-    const std::size_t top = levels - 1;
-    s.sleep_stock_w_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p)
-      s.sleep_stock_w_[p] =
-          s.knowledge_->cluster()
-              .power(s.knowledge_->global_proc(p), top,
-                     Volts{s.knowledge_->cluster().levels().vdd_nom[top]})
-              .watts();
-  }
-
-  // Placement bookkeeping flags are a pure function of config + rule
-  // (mirrors prepare()).
-  s.fast_placement_ = !s.config_.use_reference_matcher &&
-                      s.policy_.rule() != PlacementRule::kRandom;
-  s.maintain_idle_sorted_ = !s.fast_placement_;
-  s.maintain_idle_by_busy_ =
-      s.fast_placement_ && s.policy_.rule() == PlacementRule::kFair;
-  s.idle_sorted_.clear();
-  s.idle_by_busy_.clear();
-  if (s.maintain_idle_sorted_) {
-    for (std::size_t p = 0; p < nprocs; ++p)
-      if (s.idle_flags_[p] != 0) s.idle_sorted_.push_back(p);
-  }
-  if (s.maintain_idle_by_busy_) {
-    for (std::size_t p = 0; p < nprocs; ++p)
-      if (s.idle_flags_[p] != 0) s.idle_by_busy_.push_back(p);
-    const double* busy = s.busy_time_s_.data();
-    std::sort(s.idle_by_busy_.begin(), s.idle_by_busy_.end(),
-              [busy](std::size_t a, std::size_t b) {
-                if (busy[a] != busy[b]) return busy[a] < busy[b];
-                return a < b;
-              });
-  }
-  s.rank_of_proc_.clear();
-  s.idle_rank_bits_.clear();
-  if (s.fast_placement_) {
-    s.rank_of_proc_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p)
-      s.rank_of_proc_[p] = s.policy_.efficiency_rank(p);
-    s.idle_rank_bits_.assign((nprocs + 63) / 64, 0);
-    for (std::size_t p = 0; p < nprocs; ++p) {
-      if (s.idle_flags_[p] == 0) continue;
-      const std::size_t rank = s.rank_of_proc_[p];
-      s.idle_rank_bits_[rank >> 6] |= std::uint64_t{1} << (rank & 63);
-    }
-  }
-  s.pick_scratch_.clear();
-  s.pick_scratch_.reserve(nprocs);
-  s.idle_scratch_.clear();
-  s.views_.clear();
-  s.views_.reserve(nprocs);
-  s.match_scratch_.floor.reserve(nprocs);
-  s.match_scratch_.heap.reserve(nprocs);
-
-  // Per-task power tables for the running set, then the SoA columns in
-  // running-list order (the matcher's sums are order-sensitive). The
-  // incremental cache starts invalid: the next rematch does a full solve,
-  // which is bit-identical to the incremental replay it displaces.
-  s.power_table_.assign(s.tasks_.size() * levels, 0.0);
-  s.cols_.reset(levels, nprocs);
-  std::size_t walked = 0;
-  for (std::size_t idx = s.run_head_; idx != kNone;
-       idx = s.tasks_[idx].run_next) {
-    if (++walked > s.tasks_.size())
-      throw CheckpointError("checkpoint: running list is cyclic");
-    DatacenterSim::SimTask& t = s.tasks_[idx];
-    if (t.state != DatacenterSim::TaskState::kRunning)
-      throw CheckpointError("checkpoint: run list holds a non-running task");
-    s.fill_power_table(idx);
-    if (!s.config_.use_reference_matcher) {
-      t.col = s.cols_.append(idx, t.remaining_work_s, t.spec.deadline_s);
-      s.cols_.fill_row(t.col, t.spec.gamma, s.slowdown_ratio_.data(),
-                       s.power_table_.data() + idx * levels);
-      s.cols_.level[t.col] = t.level;
-    }
-  }
-  if (walked != s.run_count_)
-    throw CheckpointError("checkpoint: run-list walk does not match count");
-  s.inc_.invalidate();
-  s.inc_.log.reserve(nprocs * levels);
-  s.inc_.heap.reserve(nprocs);
-
-  // Rebuild the event heap last: handlers index into the state above. The
-  // heap layout is restored verbatim (no re-heapify), so the resumed pop
-  // order is the uninterrupted run's.
-  DatacenterSim* sim = &s;
-  const std::size_t task_count = s.tasks_.size();
-  const std::size_t scan_count = s.scans_.size();
-  const std::size_t window_count = s.profiling_.size();
-  const std::size_t fault_count = s.plan_->events().size();
-  s.queue_.restore(
-      now, next_seq, static_cast<std::size_t>(high_water), events,
-      [sim, nprocs, task_count, scan_count, window_count,
-       fault_count](const SavedEvent& e) -> EventQueue::Handler {
-        using Kind = EventDesc::Kind;
-        const std::uint64_t a = e.desc.a;
-        const std::uint64_t b = e.desc.b;
-        const double t = e.desc.t;
-        switch (e.desc.kind) {
-          case Kind::kArrival: {
-            const std::size_t i = get_index(a, task_count, "arrival task");
-            return [sim, i] { sim->on_arrival(i); };
-          }
-          case Kind::kPass:
-            return [sim] { sim->schedule_pass(); };
-          case Kind::kCompletion: {
-            const std::size_t i = get_index(a, task_count, "completion task");
-            return [sim, i, b] { sim->on_completion(i, b); };
-          }
-          case Kind::kEpoch:
-            return [sim, t] { sim->on_epoch(t); };
-          case Kind::kSample:
-            return [sim, t] { sim->on_sample(t); };
-          case Kind::kProfilingBegin: {
-            const std::size_t i =
-                get_index(a, window_count, "profiling window");
-            return [sim, i] { sim->begin_profiling_window(i); };
-          }
-          case Kind::kProfilingEnd: {
-            const std::size_t i = get_index(a, scan_count, "scan slot");
-            return [sim, i] { sim->end_profiling_window(i); };
-          }
-          case Kind::kFault: {
-            const std::size_t i = get_index(a, fault_count, "fault cursor");
-            return [sim, i] { sim->on_fault_event(i); };
-          }
-          case Kind::kMisprofileTimer: {
-            const std::size_t p = get_index(a, nprocs, "misprofile proc");
-            return [sim, p, b] { sim->on_misprofile_timer(p, b); };
-          }
-          case Kind::kMisprofileRepair: {
-            const std::size_t p = get_index(a, nprocs, "repair proc");
-            return [sim, p] { sim->repair_proc(p); };
-          }
-          case Kind::kThermal:
-            return [sim, t] { sim->on_thermal(t); };
-          case Kind::kSleepEnter: {
-            const std::size_t p = get_index(a, nprocs, "sleeping proc");
-            return [sim, p, b] { sim->on_sleep_enter(p, b); };
-          }
-          case Kind::kWake: {
-            const std::size_t i = get_index(a, task_count, "waking task");
-            return [sim, i, b] { sim->on_wake(i, b); };
-          }
-          case Kind::kOpaque:
-            break;
-        }
-        throw CheckpointError("checkpoint: unknown event kind");
-      });
 }
 
 // ---------------------------------------------------------------------------
 // ShardedSim
 // ---------------------------------------------------------------------------
 
-void CheckpointAccess::save(const ShardedSim& s, serial::Writer& w) {
-  w.u64(s.shards_.size());
-  w.u64(s.cluster_->size());
-  w.u64(s.config_.seed);
-  w.f64(s.barrier_);
-  for (const ShardedSim::Shard& shard : s.shards_) {
-    w.u64(shard.tasks_assigned);
-    w.f64(shard.supply->fraction());
-    save(*shard.sim, w);
+template <class Io, class Sim>
+  requires std::same_as<std::remove_const_t<Sim>, ShardedSim>
+void CheckpointAccess::visit(Io& io, Sim& s) {
+  io.same(s.shards_.size(), "shard count");
+  io.same(s.cluster_->size(), "cluster size");
+  io.same(s.config_.seed, "seed");
+  io(s.barrier_);
+  for (auto& shard : s.shards_) {
+    io(shard.tasks_assigned);
+    double fraction = shard.supply->fraction();
+    io(fraction);
+    if constexpr (Io::kLoading) {
+      shard.supply->set_fraction(fraction);
+      visit(io, *shard.sim);
+    } else {
+      visit(io, std::as_const(*shard.sim));
+    }
   }
-}
-
-void CheckpointAccess::load(ShardedSim& s, serial::Reader& r) {
-  check_identity(r.u64() == s.shards_.size(), "shard count");
-  check_identity(r.u64() == s.cluster_->size(), "cluster size");
-  check_identity(r.u64() == s.config_.seed, "seed");
-  s.barrier_ = r.f64();
-  for (ShardedSim::Shard& shard : s.shards_) {
-    shard.tasks_assigned = static_cast<std::size_t>(r.u64());
-    shard.supply->set_fraction(r.f64());
-    load(*shard.sim, r);
-  }
-  s.ensure_pool();
+  if constexpr (Io::kLoading) s.ensure_pool();
 }
 
 // ---------------------------------------------------------------------------
@@ -749,7 +475,8 @@ std::vector<std::uint8_t> envelope(const Sim& sim, std::uint8_t kind) {
   w.u32(kCheckpointMagic);
   w.u32(kCheckpointVersion);
   w.u8(kind);
-  CheckpointAccess::save(sim, w);
+  Save io(w);
+  CheckpointAccess::visit(io, sim);
   return w.take();
 }
 
@@ -769,15 +496,17 @@ void restore_envelope(Sim& sim, const std::uint8_t* data, std::size_t size,
     if (r.u8() != kind)
       throw CheckpointError(
           "checkpoint: simulator kind mismatch (single vs sharded)");
-    CheckpointAccess::load(sim, r);
+    Load io(r);
+    CheckpointAccess::visit(io, sim);
     r.expect_done();
   } catch (const CheckpointError&) {
     throw;
   } catch (const Error& e) {
     // Truncation and lying length prefixes surface as serial over-reads
     // (ParseError); corrupt-but-well-framed values can also trip deeper
-    // invariant checks (e.g. Rng rejecting a mangled engine state). Fold
-    // them all into the checkpoint failure type callers handle.
+    // invariant checks (e.g. Rng rejecting a mangled engine state, or the
+    // event queue a non-heap layout). Fold them all into the checkpoint
+    // failure type callers handle.
     throw CheckpointError(std::string("checkpoint: corrupt payload -- ") +
                           e.what());
   }
@@ -808,30 +537,33 @@ void write_checkpoint(const std::string& path,
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   ISCOPE_CHECK_ARG(f != nullptr, "checkpoint: cannot open " + tmp);
-  const std::size_t written = std::fwrite(blob.data(), 1, blob.size(), f);
+  const bool written =
+      std::fwrite(blob.data(), 1, blob.size(), f) == blob.size();
   const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != blob.size() || !flushed) {
+  // A failed close can lose buffered bytes: it is a short write too.
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !flushed || !closed) {
     std::remove(tmp.c_str());
     throw Error("checkpoint: short write to " + tmp);
   }
   // Atomic replace: a crash mid-write leaves the previous checkpoint.
-  ISCOPE_CHECK_ARG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                   "checkpoint: cannot rename " + tmp + " to " + path);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw InvalidArgument("checkpoint: cannot rename " + tmp + " to " + path);
+  }
 }
 
 std::vector<std::uint8_t> read_checkpoint(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    throw CheckpointError("checkpoint: cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long end = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (end < 0) {
+  if (f == nullptr) throw CheckpointError("checkpoint: cannot open " + path);
+  // Size from fstat, not fseek/ftell: opening a directory succeeds on
+  // Linux, and its "size" must be refused, not allocated.
+  struct stat st {};
+  if (::fstat(::fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
     std::fclose(f);
-    throw CheckpointError("checkpoint: cannot size " + path);
+    throw CheckpointError("checkpoint: not a regular file: " + path);
   }
-  std::vector<std::uint8_t> blob(static_cast<std::size_t>(end));
+  std::vector<std::uint8_t> blob(static_cast<std::size_t>(st.st_size));
   const std::size_t got = std::fread(blob.data(), 1, blob.size(), f);
   std::fclose(f);
   if (got != blob.size())

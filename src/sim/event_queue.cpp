@@ -1,67 +1,25 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/error.hpp"
 
 namespace iscope {
 
-void EventQueue::push_item(double time_s, const EventDesc& desc, Handler fn) {
+void EventQueue::schedule(double time_s, const EventDesc& desc) {
   ISCOPE_CHECK_ARG(time_s >= now_ - 1e-9,
                    "EventQueue: cannot schedule into the past");
-  ISCOPE_CHECK_ARG(static_cast<bool>(fn), "EventQueue: null handler");
-  heap_.push_back(Item{std::max(time_s, now_), seq_++, tie_class(desc), desc,
-                       std::move(fn)});
+  heap_.push_back(Item{std::max(time_s, now_), seq_++, tie_class(desc), desc});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   hwm_ = std::max(hwm_, heap_.size());
 }
 
-void EventQueue::schedule(double time_s, Handler fn) {
-  push_item(time_s, EventDesc{}, std::move(fn));
-}
-
-void EventQueue::schedule(double time_s, const EventDesc& desc, Handler fn) {
-  push_item(time_s, desc, std::move(fn));
-}
-
-bool EventQueue::step() {
-  if (heap_.empty()) return false;
+EventDesc EventQueue::pop() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Item item = std::move(heap_.back());
+  const Item item = heap_.back();
   heap_.pop_back();
   now_ = item.time;
-  item.fn();
-  return true;
-}
-
-std::size_t EventQueue::run(std::size_t max_events) {
-  std::size_t n = 0;
-  while (n < max_events && step()) ++n;
-  return n;
-}
-
-std::size_t EventQueue::run_until(double until_s, std::size_t max_events) {
-  std::size_t n = 0;
-  while (!heap_.empty() && heap_.front().time <= until_s) {
-    // Budget exhausted mid-slice: events at or before until_s remain, so
-    // the clock must stay at the last processed event -- advancing it past
-    // unprocessed events would make the next step() run time backwards.
-    if (n >= max_events) return n;
-    step();
-    ++n;
-  }
-  now_ = std::max(now_, until_s);
-  return n;
-}
-
-std::size_t EventQueue::run_before(double t_limit, std::size_t max_events) {
-  std::size_t n = 0;
-  while (n < max_events && !heap_.empty() && heap_.front().time < t_limit) {
-    step();
-    ++n;
-  }
-  return n;
+  return item.desc;
 }
 
 double EventQueue::peek_time() const {
@@ -72,36 +30,25 @@ double EventQueue::peek_time() const {
 std::vector<SavedEvent> EventQueue::save_events() const {
   std::vector<SavedEvent> out;
   out.reserve(heap_.size());
-  for (const Item& item : heap_) {
-    ISCOPE_CHECK_ARG(item.desc.kind != EventDesc::Kind::kOpaque,
-                     "EventQueue: cannot checkpoint an untagged (opaque) "
-                     "pending event");
+  for (const Item& item : heap_)
     out.push_back(SavedEvent{item.time, item.seq, item.desc});
-  }
   return out;
 }
 
-void EventQueue::restore(
-    double now, std::uint64_t next_seq, std::size_t high_water,
-    const std::vector<SavedEvent>& events,
-    const std::function<Handler(const SavedEvent&)>& factory) {
+void EventQueue::restore(double now, std::uint64_t next_seq,
+                         std::size_t high_water,
+                         const std::vector<SavedEvent>& events) {
   heap_.clear();
   heap_.reserve(events.size());
   for (const SavedEvent& e : events) {
-    ISCOPE_CHECK_ARG(e.desc.kind != EventDesc::Kind::kOpaque,
-                     "EventQueue: cannot restore an opaque event");
     ISCOPE_CHECK_ARG(e.time >= now - 1e-9,
                      "EventQueue: restored event precedes the clock");
     ISCOPE_CHECK_ARG(e.seq < next_seq,
                      "EventQueue: restored sequence number from the future");
-    Handler fn = factory(e);
-    ISCOPE_CHECK_ARG(static_cast<bool>(fn),
-                     "EventQueue: factory returned a null handler");
     // No push_heap: the snapshot is the raw layout of a valid heap, and
     // reinstalling it verbatim reproduces the uninterrupted run's exact
     // comparison/sift sequence.
-    heap_.push_back(Item{e.time, e.seq, tie_class(e.desc), e.desc,
-                         std::move(fn)});
+    heap_.push_back(Item{e.time, e.seq, tie_class(e.desc), e.desc});
   }
   ISCOPE_CHECK_ARG(
       std::is_heap(heap_.begin(), heap_.end(), Later{}),

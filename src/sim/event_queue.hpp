@@ -1,46 +1,42 @@
 // Discrete-event simulation engine.
 //
-// A minimal, deterministic DES core: events are (time, handler) pairs; ties
-// run in insertion order (a monotone sequence number breaks them), which
-// keeps whole-simulation results bit-reproducible. Handlers may schedule
-// further events. Cancellation is by design left to the caller (version
-// counters on the payload) -- cheaper and simpler than tombstoning the heap.
+// A minimal, deterministic DES core: events are plain data -- a time and an
+// EventDesc naming the simulator action plus its small payload. Ties run in
+// insertion order (a monotone sequence number breaks them), which keeps
+// whole-simulation results bit-reproducible. The queue never calls into
+// the simulator itself: step()/run()/run_until()/run_before() hand each
+// popped descriptor to a dispatcher the caller passes in, and the caller
+// maps kinds to handlers (DatacenterSim::dispatch, one switch). Handlers
+// may schedule further events. Cancellation is by design left to the
+// caller (version counters on the payload) -- cheaper and simpler than
+// tombstoning the heap.
 //
-// Hot-path notes: the heap is a plain vector driven by std::push_heap /
-// std::pop_heap (the exact call sequence std::priority_queue makes, so pop
-// order is bit-identical to the old priority_queue implementation), which
-// lets `step()` extract the top item by moving from `back()` after
-// pop_heap -- no const_cast -- and lets `clear()` retain capacity across
-// simulator runs. Handlers are SmallFn (common/small_fn.hpp): every
-// closure the simulator schedules is stored inline, so steady-state
-// scheduling performs no heap allocation once the heap vector has grown
-// to its high-water mark.
+// Hot-path notes: the heap is a plain vector of trivially copyable items
+// driven by std::push_heap / std::pop_heap (the exact call sequence
+// std::priority_queue makes, so pop order is bit-identical to the old
+// priority_queue implementation), and `clear()` retains capacity across
+// simulator runs, so steady-state scheduling performs no heap allocation
+// once the vector has grown to its high-water mark.
 //
-// Checkpointing (src/service/checkpoint.cpp): closures cannot be
-// serialized, so every simulator schedule site tags its event with a small
-// POD EventDesc (kind + payload). save_events() emits the heap's raw
-// vector layout -- a valid heap is restored verbatim, no re-heapify, so
-// the resumed pop order is bit-identical -- and restore() rebuilds each
-// handler from its descriptor through a caller-supplied factory.
+// Checkpointing (src/service/checkpoint.cpp): because an event *is* its
+// descriptor, save_events() emits the heap's raw vector layout and
+// restore() reinstalls it verbatim -- a valid heap is not re-heapified, so
+// the resumed pop order is bit-identical.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <vector>
-
-#include "common/small_fn.hpp"
 
 namespace iscope {
 
 /// Serializable identity of a scheduled event: which simulator action it
-/// performs and the small payload that action needs. `kOpaque` marks an
-/// untagged event (tests, ad-hoc callers) -- it runs fine but cannot be
-/// checkpointed.
+/// performs and the small payload that action needs. The kinds' values are
+/// their checkpoint wire values; 0 is no kind, and restore rejects it.
 struct EventDesc {
   enum class Kind : std::uint8_t {
-    kOpaque = 0,
-    kArrival,          ///< a = task index
+    kArrival = 1,      ///< a = task index
     kPass,             ///< deadline-pressure scheduling-pass wakeup
     kCompletion,       ///< a = task index, b = task version
     kEpoch,            ///< t = epoch time (self-rechaining)
@@ -54,7 +50,7 @@ struct EventDesc {
     kSleepEnter,       ///< a = processor, b = idle token
     kWake,             ///< a = task index, b = task version
   };
-  Kind kind = Kind::kOpaque;
+  Kind kind{};
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   double t = 0.0;
@@ -69,33 +65,53 @@ struct SavedEvent {
 
 class EventQueue {
  public:
-  using Handler = SmallFn<64>;
+  /// Schedule `desc` at absolute time `time_s` (>= now). Arrival events
+  /// occupy a dedicated tie class that runs before every other same-time
+  /// event: batch runs schedule all arrivals first (smallest sequence
+  /// numbers), so their tie order is unchanged, while a streamed
+  /// admission's arrival -- scheduled after epoch/sample chains already
+  /// exist -- still ties exactly where the batch schedule would have put it.
+  void schedule(double time_s, const EventDesc& desc);
 
-  /// Schedule `fn` at absolute time `time_s` (>= now). Untagged: the event
-  /// is kOpaque and blocks checkpointing while pending.
-  void schedule(double time_s, Handler fn);
-
-  /// Schedule with a serializable descriptor. Arrival events occupy a
-  /// dedicated tie class that runs before every other same-time event:
-  /// batch runs schedule all arrivals first (smallest sequence numbers), so
-  /// their tie order is unchanged, while a streamed admission's arrival --
-  /// scheduled after epoch/sample chains already exist -- still ties
-  /// exactly where the batch schedule would have put it.
-  void schedule(double time_s, const EventDesc& desc, Handler fn);
-
-  /// Run the earliest event. Returns false if the queue is empty.
-  bool step();
+  /// Run the earliest event: advance the clock to it and pass its
+  /// descriptor to `dispatch`. Returns false if the queue is empty.
+  template <class Dispatch>
+  bool step(Dispatch&& dispatch) {
+    if (heap_.empty()) return false;
+    dispatch(pop());
+    return true;
+  }
 
   /// Run events until the queue drains or `max_events` were processed.
   /// Returns the number of events run.
-  std::size_t run(std::size_t max_events = SIZE_MAX);
+  template <class Dispatch>
+  std::size_t run(Dispatch&& dispatch, std::size_t max_events = SIZE_MAX) {
+    std::size_t n = 0;
+    while (n < max_events && step(dispatch)) ++n;
+    return n;
+  }
 
   /// Run events with time <= `until_s` (at most `max_events`). The clock
   /// advances to `until_s` only when the slice completed (queue drained or
   /// next event past `until_s`); when the event budget stopped the loop
   /// the clock stays at the last processed event, so the remaining
   /// events are still ahead of it. Returns the number of events run.
-  std::size_t run_until(double until_s, std::size_t max_events = SIZE_MAX);
+  template <class Dispatch>
+  std::size_t run_until(double until_s, Dispatch&& dispatch,
+                        std::size_t max_events = SIZE_MAX) {
+    std::size_t n = 0;
+    while (!heap_.empty() && heap_.front().time <= until_s) {
+      // Budget exhausted mid-slice: events at or before until_s remain, so
+      // the clock must stay at the last processed event -- advancing it
+      // past unprocessed events would make the next step() run time
+      // backwards.
+      if (n >= max_events) return n;
+      dispatch(pop());
+      ++n;
+    }
+    if (now_ < until_s) now_ = until_s;
+    return n;
+  }
 
   /// Run events with time strictly < `t_limit` (at most `max_events`).
   /// Unlike run_until, the clock is left at the last processed event --
@@ -103,7 +119,16 @@ class EventQueue {
   /// later (the sharded epoch-barrier loop) observes the same event-time
   /// sequence a single uninterrupted run() would. Returns the number of
   /// events run.
-  std::size_t run_before(double t_limit, std::size_t max_events = SIZE_MAX);
+  template <class Dispatch>
+  std::size_t run_before(double t_limit, Dispatch&& dispatch,
+                         std::size_t max_events = SIZE_MAX) {
+    std::size_t n = 0;
+    while (n < max_events && !heap_.empty() && heap_.front().time < t_limit) {
+      dispatch(pop());
+      ++n;
+    }
+    return n;
+  }
 
   double now() const { return now_; }
   bool empty() const { return heap_.empty(); }
@@ -118,19 +143,17 @@ class EventQueue {
   /// keeps numbering ties exactly where the uninterrupted run would).
   std::uint64_t next_seq() const { return seq_; }
 
-  /// Snapshot every pending event in the heap's raw vector order. Throws
-  /// InvalidArgument if any pending event is untagged (kOpaque) -- such a
-  /// queue cannot be checkpointed.
+  /// Snapshot every pending event in the heap's raw vector order.
   std::vector<SavedEvent> save_events() const;
 
-  /// Rebuild the queue from a snapshot: `factory` maps each SavedEvent to
-  /// its handler. The items are installed in the given order *without*
-  /// re-heapifying -- save_events() emitted a valid heap layout, and
-  /// restoring it verbatim reproduces the exact pop (and sift) sequence of
-  /// the uninterrupted run. Cold path; allocation here is fine.
+  /// Reinstall a snapshot. The items are installed in the given order
+  /// *without* re-heapifying -- save_events() emitted a valid heap layout,
+  /// and restoring it verbatim reproduces the exact pop (and sift) sequence
+  /// of the uninterrupted run. Throws InvalidArgument when an event
+  /// precedes `now`, carries a sequence number >= `next_seq`, or the items
+  /// do not form a valid heap. Cold path; allocation here is fine.
   void restore(double now, std::uint64_t next_seq, std::size_t high_water,
-               const std::vector<SavedEvent>& events,
-               const std::function<Handler(const SavedEvent&)>& factory);
+               const std::vector<SavedEvent>& events);
 
   /// Drop all pending events and rewind the clock to 0, keeping the heap's
   /// allocated capacity (so a reused queue schedules allocation-free up to
@@ -146,8 +169,9 @@ class EventQueue {
     std::uint64_t seq;
     std::uint8_t cls;  ///< tie class: 0 thermal, 1 arrival, 2 the rest
     EventDesc desc;
-    Handler fn;
   };
+  static_assert(std::is_trivially_copyable_v<Item>,
+                "heap sifts move events by plain copies");
   struct Later {
     bool operator()(const Item& a, const Item& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -166,7 +190,9 @@ class EventQueue {
     if (desc.kind == EventDesc::Kind::kThermal) return 0;
     return desc.kind == EventDesc::Kind::kArrival ? 1 : 2;
   }
-  void push_item(double time_s, const EventDesc& desc, Handler fn);
+  /// Remove the earliest event, advance the clock to it, return its
+  /// descriptor. The heap must be non-empty.
+  EventDesc pop();
 
   std::vector<Item> heap_;  ///< binary max-heap under Later
   double now_ = 0.0;

@@ -362,10 +362,8 @@ void DatacenterSim::rematch() {
       ++t.version;
       const double slowdown = level_slowdown(t);
       const double completion = now + t.remaining_work_s * slowdown;
-      const std::uint64_t version = t.version;
       queue_.schedule(completion,
-                      EventDesc{EventDesc::Kind::kCompletion, idx, version},
-                      [this, idx, version] { on_completion(idx, version); });
+                      EventDesc{EventDesc::Kind::kCompletion, idx, t.version});
     }
   }
   if (rematch_probe != nullptr) rematch_probe(false);
@@ -381,8 +379,7 @@ void DatacenterSim::on_arrival(std::size_t idx) {
   // Wake up when deadline pressure forces this task onto whatever is idle.
   const double force_at =
       std::max(queue_.now(), latest_start(t) - config_.deadline_patience_s);
-  queue_.schedule(force_at, EventDesc{EventDesc::Kind::kPass},
-                  [this] { schedule_pass(); });
+  queue_.schedule(force_at, EventDesc{EventDesc::Kind::kPass});
   schedule_pass();
 }
 
@@ -534,8 +531,7 @@ void DatacenterSim::start_task(std::size_t idx, std::vector<std::size_t> procs) 
     ++sleep_wakes_;
     log_event(TimelineKind::kTaskWaking, t.spec.id, wake_s);
     queue_.schedule(now + wake_s,
-                    EventDesc{EventDesc::Kind::kWake, idx, version},
-                    [this, idx, version] { on_wake(idx, version); });
+                    EventDesc{EventDesc::Kind::kWake, idx, version});
     accrue_to_now();
     recompute_demand();
     return;
@@ -571,8 +567,7 @@ void DatacenterSim::activate_task(std::size_t idx) {
       if (misprofile_armed_[p] == 0) continue;
       const std::uint64_t token = ++misprofile_token_[p];
       queue_.schedule(now + plan_->misprofile_latency_s(p),
-                      EventDesc{EventDesc::Kind::kMisprofileTimer, p, token},
-                      [this, p, token] { on_misprofile_timer(p, token); });
+                      EventDesc{EventDesc::Kind::kMisprofileTimer, p, token});
     }
   }
   fill_power_table(idx);
@@ -657,8 +652,7 @@ void DatacenterSim::begin_profiling_window(std::size_t window_idx) {
     const std::size_t slot = scans_.size();
     scans_.push_back(ActiveScan{std::move(taken), started, true});
     queue_.schedule(started + window.duration_s,
-                    EventDesc{EventDesc::Kind::kProfilingEnd, slot},
-                    [this, slot] { end_profiling_window(slot); });
+                    EventDesc{EventDesc::Kind::kProfilingEnd, slot});
   }
 }
 
@@ -686,8 +680,7 @@ void DatacenterSim::end_profiling_window(std::size_t slot) {
 void DatacenterSim::schedule_fault_event(std::size_t i) {
   if (i >= plan_->events().size()) return;
   const double at = plan_->events()[i].time_s;
-  queue_.schedule(at, EventDesc{EventDesc::Kind::kFault, i},
-                  [this, i] { on_fault_event(i); });
+  queue_.schedule(at, EventDesc{EventDesc::Kind::kFault, i});
 }
 
 void DatacenterSim::on_fault_event(std::size_t i) {
@@ -788,8 +781,7 @@ void DatacenterSim::requeue_task(std::size_t idx) {
   // Same deadline-pressure wakeup an arrival gets (likely already due).
   const double force_at =
       std::max(now, latest_start(t) - config_.deadline_patience_s);
-  queue_.schedule(force_at, EventDesc{EventDesc::Kind::kPass},
-                  [this] { schedule_pass(); });
+  queue_.schedule(force_at, EventDesc{EventDesc::Kind::kPass});
 }
 
 void DatacenterSim::on_misprofile_timer(std::size_t p, std::uint64_t token) {
@@ -799,8 +791,7 @@ void DatacenterSim::on_misprofile_timer(std::size_t p, std::uint64_t token) {
   misprofile_armed_[p] = 0;
   fail_proc(p, /*misprofile=*/true);
   const double repair_at = queue_.now() + plan_->misprofile_repair_s(p);
-  queue_.schedule(repair_at, EventDesc{EventDesc::Kind::kMisprofileRepair, p},
-                  [this, p] { repair_proc(p); });
+  queue_.schedule(repair_at, EventDesc{EventDesc::Kind::kMisprofileRepair, p});
 }
 
 void DatacenterSim::sleep_on_idle(std::size_t p) {
@@ -819,10 +810,9 @@ void DatacenterSim::sleep_on_idle(std::size_t p) {
       (depth == 0 ? sc.active_idle_frac : sc.states[depth - 1].idle_frac) *
       sleep_stock_w_[p];
   if (sc.policy == SleepPolicy::kTimeout) {
-    const std::uint64_t token = sleep_token_[p];
-    queue_.schedule(queue_.now() + sc.timeout_s,
-                    EventDesc{EventDesc::Kind::kSleepEnter, p, token},
-                    [this, p, token] { on_sleep_enter(p, token); });
+    queue_.schedule(
+        queue_.now() + sc.timeout_s,
+        EventDesc{EventDesc::Kind::kSleepEnter, p, sleep_token_[p]});
   }
 }
 
@@ -854,8 +844,7 @@ void DatacenterSim::on_sleep_enter(std::size_t p, std::uint64_t token) {
   recompute_demand();
   if (depth + std::size_t{1} < sc.states.size())
     queue_.schedule(queue_.now() + sc.timeout_s,
-                    EventDesc{EventDesc::Kind::kSleepEnter, p, token},
-                    [this, p, token] { on_sleep_enter(p, token); });
+                    EventDesc{EventDesc::Kind::kSleepEnter, p, token});
 }
 
 void DatacenterSim::recompute_demand() {
@@ -877,8 +866,7 @@ void DatacenterSim::recompute_demand() {
 
 void DatacenterSim::schedule_thermal(double t) {
   thermal_chain_live_ = true;
-  queue_.schedule(t, EventDesc{EventDesc::Kind::kThermal, 0, 0, t},
-                  [this, t] { on_thermal(t); });
+  queue_.schedule(t, EventDesc{EventDesc::Kind::kThermal, 0, 0, t});
 }
 
 void DatacenterSim::on_thermal(double t) {
@@ -994,8 +982,7 @@ void DatacenterSim::install_thermal_order(const RecirculationMatrix& matrix) {
 
 void DatacenterSim::schedule_epoch(double t) {
   epoch_chain_live_ = true;
-  queue_.schedule(t, EventDesc{EventDesc::Kind::kEpoch, 0, 0, t},
-                  [this, t] { on_epoch(t); });
+  queue_.schedule(t, EventDesc{EventDesc::Kind::kEpoch, 0, 0, t});
 }
 
 void DatacenterSim::on_epoch(double t) {
@@ -1013,8 +1000,7 @@ void DatacenterSim::on_epoch(double t) {
 
 void DatacenterSim::schedule_sample(double t) {
   sample_chain_live_ = true;
-  queue_.schedule(t, EventDesc{EventDesc::Kind::kSample, 0, 0, t},
-                  [this, t] { on_sample(t); });
+  queue_.schedule(t, EventDesc{EventDesc::Kind::kSample, 0, 0, t});
 }
 
 void DatacenterSim::on_sample(double t) {
@@ -1156,6 +1142,52 @@ void DatacenterSim::publish_run_telemetry(std::size_t events) {
   losses_family.with(labels).add_concurrent(battery_.losses().raw());
 }
 
+void DatacenterSim::dispatch(const EventDesc& e) {
+  using Kind = EventDesc::Kind;
+  // No default: -Wswitch flags a kind added without a handler.
+  switch (e.kind) {
+    case Kind::kArrival: on_arrival(e.a); return;
+    case Kind::kPass: schedule_pass(); return;
+    case Kind::kCompletion: on_completion(e.a, e.b); return;
+    case Kind::kEpoch: on_epoch(e.t); return;
+    case Kind::kSample: on_sample(e.t); return;
+    case Kind::kProfilingBegin: begin_profiling_window(e.a); return;
+    case Kind::kProfilingEnd: end_profiling_window(e.a); return;
+    case Kind::kFault: on_fault_event(e.a); return;
+    case Kind::kMisprofileTimer: on_misprofile_timer(e.a, e.b); return;
+    case Kind::kMisprofileRepair: repair_proc(e.a); return;
+    case Kind::kThermal: on_thermal(e.t); return;
+    case Kind::kSleepEnter: on_sleep_enter(e.a, e.b); return;
+    case Kind::kWake: on_wake(e.a, e.b); return;
+  }
+}
+
+bool DatacenterSim::event_in_range(const EventDesc& e) const {
+  using Kind = EventDesc::Kind;
+  switch (e.kind) {
+    case Kind::kArrival:
+    case Kind::kCompletion:
+    case Kind::kWake:
+      return e.a < tasks_.size();
+    case Kind::kPass:
+    case Kind::kEpoch:
+    case Kind::kSample:
+    case Kind::kThermal:
+      return true;
+    case Kind::kProfilingBegin:
+      return e.a < profiling_.size();
+    case Kind::kProfilingEnd:
+      return e.a < scans_.size() && scans_[e.a].live;
+    case Kind::kFault:
+      return e.a < plan_->events().size();
+    case Kind::kMisprofileTimer:
+    case Kind::kMisprofileRepair:
+    case Kind::kSleepEnter:
+      return e.a < knowledge_->procs();
+  }
+  return false;  // not a kind at all
+}
+
 SimResult DatacenterSim::run(std::vector<Task> tasks) {
   return run(std::move(tasks), {});
 }
@@ -1180,101 +1212,29 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
                      "DatacenterSim: task wider than the cluster");
   sort_by_submit(tasks);
 
-  // Thermal/sleep staging. The model is built once (flat runs only; a
-  // shard's thermal_external_ flag is set by the coordinator before
-  // prepare, and the coordinator owns the facility-wide model). ScanTherm
-  // installs its recirculation-aware order before the rank tables below
-  // are derived from the policy.
-  sleep_active_ = config_.sleep.enabled();
-  extras_active_ = config_.thermal.enabled || sleep_active_;
-  if (config_.thermal.enabled && !thermal_external_ &&
-      thermal_model_ == nullptr) {
-    const std::size_t per_rack = config_.topology.cpus_per_rack;
-    const std::size_t racks = (nprocs + per_rack - 1) / per_rack;
-    thermal_model_ = std::make_unique<ThermalModel>(config_.thermal,
-                                                    config_.topology, racks);
-  }
-  if (policy_.rule() == PlacementRule::kTherm && config_.thermal.enabled &&
-      !therm_order_installed_ && thermal_model_ != nullptr)
-    install_thermal_order(thermal_model_->matrix());
-
-  // Reset state. clear() (not reassignment) keeps warmed-up capacities, so
-  // a reused simulator reaches steady state with no further allocations.
+  // Reset the primary state. clear() (not reassignment) keeps warmed-up
+  // capacities, so a reused simulator reaches steady state with no further
+  // allocations.
   queue_.clear();
   queue_.reserve(tasks.size() + profiling.size() + 8);
   meter_.reset();
   battery_ = BatteryBank(config_.battery);
   tasks_.clear();
   tasks_.reserve(tasks.size());
-  const double fmax = fmax_ghz();
   for (Task& t : tasks) {
     SimTask st;
     st.spec = std::move(t);
-    // Cached once: latest_start is a pure function of the immutable spec
-    // (the hot scheduling pass reads it per waiting task).
-    st.latest_start_s = st.spec.latest_start_s(fmax, fmax);
     tasks_.push_back(std::move(st));
   }
   waiting_.clear();
   waiting_cpus_ = 0;
   proc_running_.assign(nprocs, kNone);
   busy_time_s_.assign(nprocs, 0.0);
-  // Idle bookkeeping: flags + count always; the ordered lists only where
-  // a consumer needs them (see the member comments).
-  fast_placement_ = !config_.use_reference_matcher &&
-                    policy_.rule() != PlacementRule::kRandom;
-  maintain_idle_sorted_ = !fast_placement_;
-  maintain_idle_by_busy_ =
-      fast_placement_ && policy_.rule() == PlacementRule::kFair;
-  idle_flags_.assign(nprocs, 1);
+  idle_flags_.assign(nprocs, 1);  // the whole facility starts idle
   idle_count_ = nprocs;
-  if (maintain_idle_sorted_) {
-    idle_sorted_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p) idle_sorted_[p] = p;
-  } else {
-    idle_sorted_.clear();
-  }
-  if (maintain_idle_by_busy_) {
-    // All busy times are zero, so (busy, id) order is id order.
-    idle_by_busy_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p) idle_by_busy_[p] = p;
-  } else {
-    idle_by_busy_.clear();
-  }
-  if (fast_placement_) {
-    // Every processor starts idle: all nprocs rank bits set, the tail of
-    // the last word clear (choose_soa trusts unset bits past the end).
-    rank_of_proc_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p)
-      rank_of_proc_[p] = policy_.efficiency_rank(p);
-    const std::size_t words = (nprocs + 63) / 64;
-    idle_rank_bits_.assign(words, ~std::uint64_t{0});
-    if (nprocs % 64 != 0)
-      idle_rank_bits_.back() = (std::uint64_t{1} << (nprocs % 64)) - 1;
-  } else {
-    idle_rank_bits_.clear();
-    rank_of_proc_.clear();
-  }
-  pick_scratch_.clear();
-  pick_scratch_.reserve(nprocs);
   run_head_ = kNone;
   run_tail_ = kNone;
   run_count_ = 0;
-  // At most nprocs tasks run at once (every task needs >= 1 CPU), so these
-  // reservations are the true high-water marks.
-  power_table_.assign(tasks_.size() * knowledge_->levels(), 0.0);
-  knowledge_gen_ = knowledge_->generation();
-  views_.clear();
-  views_.reserve(nprocs);
-  match_scratch_.floor.reserve(nprocs);
-  match_scratch_.heap.reserve(nprocs);
-  // SoA columns + incremental cache: reserved to their high-water marks
-  // (at most nprocs rows; the trajectory log can hold every task stepping
-  // through every level), so steady-state rematches stay allocation-free.
-  cols_.reset(knowledge_->levels(), nprocs);
-  inc_.invalidate();
-  inc_.log.reserve(nprocs * knowledge_->levels());
-  inc_.heap.reserve(nprocs);
   demand_ = Watts{};
   last_accrual_s_ = 0.0;
   segment_wind_ = supply_->wind_available(Seconds{});
@@ -1287,7 +1247,7 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   in_pass_ = false;
   rush_mode_ = false;
   timeline_.clear();
-  reserved_.assign(nprocs, false);
+  reserved_.assign(nprocs, 0);
   reserved_power_ = Watts{};
   profiling_proc_seconds_ = 0.0;
   profiling_procs_scanned_ = 0;
@@ -1298,22 +1258,14 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   sample_chain_live_ = false;
   failed_.assign(nprocs, 0);
   misprofile_token_.assign(nprocs, 0);
+  // A latent mis-profile only bites a chip actually running at its own
+  // scanned point; under the Bin view the plan's mis-profiles are inert.
   misprofile_armed_.assign(nprocs, 0);
-  failed_count_ = 0;
-  fault_counters_ = FaultCounters{};
-  if (faults_active_) {
-    ISCOPE_CHECK_ARG(knowledge_mut_ != nullptr,
-                     "DatacenterSim: a fault plan with CPU faults needs the "
-                     "mutable-Knowledge constructor (quarantine)");
-    knowledge_mut_->clear_quarantine();
-    knowledge_gen_ = knowledge_->generation();
-    // A latent mis-profile only bites a chip actually running at its own
-    // scanned point; under the Bin view the plan's mis-profiles are inert.
+  if (faults_active_)
     for (std::size_t p = 0; p < nprocs; ++p)
       misprofile_armed_[p] = plan_->misprofiled(p) && knowledge_->scanned(p);
-    schedule_fault_event(0);
-  }
-
+  failed_count_ = 0;
+  fault_counters_ = FaultCounters{};
   // Thermal & sleep state. cop/supply start at the idle-facility point
   // (no rack rise => the CRAC runs at its warmest, most efficient supply).
   cop_now_ = crac_cop(config_.thermal.max_supply_c);
@@ -1334,8 +1286,68 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   sleeping_count_ = 0;
   sleep_enters_ = 0;
   sleep_wakes_ = 0;
+
+  rebuild_derived();
+
+  // The initial events, in the order that numbers their ties.
+  if (faults_active_) schedule_fault_event(0);
   if (sleep_active_) {
-    const std::size_t top = knowledge_->levels() - 1;
+    // The whole facility starts idle: same entry path as a runtime idle
+    // insert (timeout descents get scheduled, immediate goes deep now).
+    for (std::size_t p = 0; p < nprocs; ++p) sleep_on_idle(p);
+  }
+  if (extras_active_) recompute_demand();
+  for (std::size_t i = 0; i < tasks_.size(); ++i)
+    queue_.schedule(tasks_[i].spec.submit_s,
+                    EventDesc{EventDesc::Kind::kArrival, i});
+  for (std::size_t wi = 0; wi < profiling_.size(); ++wi) {
+    const ProfilingWindow& w = profiling_[wi];
+    ISCOPE_CHECK_ARG(w.start_s >= 0.0 && w.duration_s > 0.0,
+                     "profiling window: bad timing");
+    queue_.schedule(w.start_s, EventDesc{EventDesc::Kind::kProfilingBegin, wi});
+  }
+  if (!tasks_.empty() || !profiling_.empty()) {
+    schedule_epoch(0.0);
+    if (config_.record_trace) schedule_sample(0.0);
+    if (config_.thermal.enabled) schedule_thermal(0.0);
+  }
+}
+
+void DatacenterSim::rebuild_derived() {
+  const std::size_t nprocs = knowledge_->procs();
+  const std::size_t levels = knowledge_->levels();
+
+  // Quarantine mirrors failed_ exactly (fail_proc quarantines, repair_proc
+  // releases), so replaying it restores the Knowledge view; the power rows
+  // below match the generation after the replay.
+  if (faults_active_) {
+    ISCOPE_CHECK_ARG(knowledge_mut_ != nullptr,
+                     "DatacenterSim: a fault plan with CPU faults needs the "
+                     "mutable-Knowledge constructor (quarantine)");
+    knowledge_mut_->clear_quarantine();
+    for (std::size_t p = 0; p < nprocs; ++p)
+      if (failed_[p] != 0) knowledge_mut_->quarantine(p);
+  }
+  knowledge_gen_ = knowledge_->generation();
+
+  // Thermal/sleep staging. The model is built once (flat runs only; a
+  // shard's thermal_external_ flag is set by the coordinator, which owns
+  // the facility-wide model). ScanTherm installs its recirculation-aware
+  // order before the rank tables below are derived from the policy.
+  sleep_active_ = config_.sleep.enabled();
+  extras_active_ = config_.thermal.enabled || sleep_active_;
+  if (config_.thermal.enabled && !thermal_external_ &&
+      thermal_model_ == nullptr) {
+    const std::size_t per_rack = config_.topology.cpus_per_rack;
+    const std::size_t racks = (nprocs + per_rack - 1) / per_rack;
+    thermal_model_ = std::make_unique<ThermalModel>(config_.thermal,
+                                                    config_.topology, racks);
+  }
+  if (policy_.rule() == PlacementRule::kTherm && config_.thermal.enabled &&
+      !therm_order_installed_ && thermal_model_ != nullptr)
+    install_thermal_order(thermal_model_->matrix());
+  if (sleep_active_ && sleep_stock_w_.size() != nprocs) {
+    const std::size_t top = levels - 1;
     sleep_stock_w_.resize(nprocs);
     for (std::size_t p = 0; p < nprocs; ++p)
       sleep_stock_w_[p] =
@@ -1343,29 +1355,78 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
               .power(knowledge_->global_proc(p), top,
                      Volts{knowledge_->cluster().levels().vdd_nom[top]})
               .raw();
-    // The whole facility starts idle: same entry path as a runtime idle
-    // insert (timeout descents get scheduled, immediate goes deep now).
-    for (std::size_t p = 0; p < nprocs; ++p) sleep_on_idle(p);
   }
-  if (extras_active_) recompute_demand();
 
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    const double at = tasks_[i].spec.submit_s;
-    queue_.schedule(at, EventDesc{EventDesc::Kind::kArrival, i},
-                    [this, i] { on_arrival(i); });
+  // latest_start is a pure function of the immutable spec, cached because
+  // the hot scheduling pass reads it per waiting task.
+  const double fmax = fmax_ghz();
+  for (SimTask& t : tasks_)
+    t.latest_start_s = t.spec.latest_start_s(fmax, fmax);
+
+  // Idle bookkeeping: flags + count are primary; the ordered lists and the
+  // rank bitset exist only where a consumer needs them (see the member
+  // comments). Bits past nprocs stay clear: choose_soa trusts them.
+  fast_placement_ = !config_.use_reference_matcher &&
+                    policy_.rule() != PlacementRule::kRandom;
+  maintain_idle_sorted_ = !fast_placement_;
+  maintain_idle_by_busy_ =
+      fast_placement_ && policy_.rule() == PlacementRule::kFair;
+  idle_sorted_.clear();
+  idle_by_busy_.clear();
+  rank_of_proc_.clear();
+  idle_rank_bits_.clear();
+  if (fast_placement_) {
+    rank_of_proc_.resize(nprocs);
+    for (std::size_t p = 0; p < nprocs; ++p)
+      rank_of_proc_[p] = policy_.efficiency_rank(p);
+    idle_rank_bits_.resize((nprocs + 63) / 64);
   }
-  for (std::size_t wi = 0; wi < profiling_.size(); ++wi) {
-    const ProfilingWindow& w = profiling_[wi];
-    ISCOPE_CHECK_ARG(w.start_s >= 0.0 && w.duration_s > 0.0,
-                     "profiling window: bad timing");
-    queue_.schedule(w.start_s, EventDesc{EventDesc::Kind::kProfilingBegin, wi},
-                    [this, wi] { begin_profiling_window(wi); });
+  for (std::size_t p = 0; p < nprocs; ++p) {
+    if (idle_flags_[p] == 0) continue;
+    if (fast_placement_) {
+      const std::size_t r = rank_of_proc_[p];
+      idle_rank_bits_[r >> 6] |= std::uint64_t{1} << (r & 63);
+    }
+    if (maintain_idle_sorted_) idle_sorted_.push_back(p);
+    if (maintain_idle_by_busy_) idle_by_busy_.push_back(p);
   }
-  if (!tasks_.empty() || !profiling_.empty()) {
-    schedule_epoch(0.0);
-    if (config_.record_trace) schedule_sample(0.0);
-    if (config_.thermal.enabled) schedule_thermal(0.0);
+  const double* busy = busy_time_s_.data();
+  std::sort(idle_by_busy_.begin(), idle_by_busy_.end(),
+            [busy](std::size_t a, std::size_t b) {
+              if (busy[a] != busy[b]) return busy[a] < busy[b];
+              return a < b;
+            });
+  // At most nprocs tasks run at once (every task needs >= 1 CPU), so these
+  // reservations are the true high-water marks.
+  pick_scratch_.clear();
+  pick_scratch_.reserve(nprocs);
+  idle_scratch_.clear();
+  views_.clear();
+  views_.reserve(nprocs);
+  match_scratch_.floor.reserve(nprocs);
+  match_scratch_.heap.reserve(nprocs);
+
+  // Per-task power rows for the running set, then its SoA columns in
+  // running-list order (the matcher's sums are order-sensitive). The
+  // incremental cache starts invalid: the next rematch does a full solve,
+  // which is bit-identical to the replay it displaces. Reserving the
+  // trajectory log for every task stepping through every level keeps
+  // steady-state rematches allocation-free.
+  power_table_.assign(tasks_.size() * levels, 0.0);
+  cols_.reset(levels, nprocs);
+  for (std::size_t idx = run_head_; idx != kNone; idx = tasks_[idx].run_next) {
+    SimTask& t = tasks_[idx];
+    fill_power_table(idx);
+    if (!config_.use_reference_matcher) {
+      t.col = cols_.append(idx, t.remaining_work_s, t.spec.deadline_s);
+      cols_.fill_row(t.col, t.spec.gamma, slowdown_ratio_.data(),
+                     power_table_.data() + idx * levels);
+      cols_.level[t.col] = t.level;
+    }
   }
+  inc_.invalidate();
+  inc_.log.reserve(nprocs * levels);
+  inc_.heap.reserve(nprocs);
 }
 
 std::size_t DatacenterSim::admit(Task task) {
@@ -1389,8 +1450,8 @@ std::size_t DatacenterSim::admit(Task task) {
   tasks_.push_back(std::move(st));
   // Grow the per-task power table; the new row is filled at task start.
   power_table_.resize(tasks_.size() * knowledge_->levels(), 0.0);
-  queue_.schedule(tasks_[i].spec.submit_s, EventDesc{EventDesc::Kind::kArrival, i},
-                  [this, i] { on_arrival(i); });
+  queue_.schedule(tasks_[i].spec.submit_s,
+                  EventDesc{EventDesc::Kind::kArrival, i});
   // A drained run stopped the self-rechaining epoch/sample events; restart
   // them at the next boundary. (From a freshly-prepared empty simulation
   // this schedules the chains from t = 0, exactly where prepare() with a
@@ -1411,8 +1472,9 @@ std::size_t DatacenterSim::admit(Task task) {
 }
 
 std::size_t DatacenterSim::step_until(double t_limit) {
-  const std::size_t n =
-      queue_.run_until(t_limit, config_.max_events - events_run_);
+  const std::size_t n = queue_.run_until(
+      t_limit, [this](const EventDesc& e) { dispatch(e); },
+      config_.max_events - events_run_);
   events_run_ += n;
   if (events_run_ >= config_.max_events)
     ISCOPE_CHECK(all_done(), "DatacenterSim: event budget exhausted before "
@@ -1437,8 +1499,9 @@ DecisionSnapshot DatacenterSim::decision_snapshot() const {
 }
 
 std::size_t DatacenterSim::advance_before(double t_limit) {
-  const std::size_t n =
-      queue_.run_before(t_limit, config_.max_events - events_run_);
+  const std::size_t n = queue_.run_before(
+      t_limit, [this](const EventDesc& e) { dispatch(e); },
+      config_.max_events - events_run_);
   events_run_ += n;
   // Legacy run() stops at max_events and fails the all-done check; chunked
   // execution must fail here, or a drained budget would spin the

@@ -16,6 +16,13 @@
 // Determinism: same cluster, knowledge, tasks, supply, and seed => same
 // result, bit for bit.
 //
+// Events are plain descriptors (sim/event_queue.hpp): each schedule site
+// names a kind and its payload, and dispatch() maps every kind to its
+// handler in one switch. State splits into primary fields, which
+// prepare() resets and checkpoint restore (service/checkpoint.cpp)
+// reads, and derived caches, which both rebuild through one member,
+// rebuild_derived().
+//
 // Hot-path design (DESIGN.md Secs. 9 and 14): `rematch()` performs zero
 // heap allocations at steady state. Per-task per-level power tables are
 // filled once at task start (power only changes when the Knowledge view
@@ -287,6 +294,21 @@ class DatacenterSim {
     std::size_t retries = 0;         ///< fault-forced restarts so far
   };
 
+  /// Run one popped event: the single place each event kind is mapped to
+  /// its handler (a switch without a default, so -Wswitch flags a kind
+  /// added without one).
+  void dispatch(const EventDesc& e);
+  /// True when `e` is a kind dispatch() handles and its payload indexes
+  /// live state (task, processor, profiling window, scan slot or fault
+  /// cursor). Checkpoint restore screens every saved event with it.
+  bool event_in_range(const EventDesc& e) const;
+  /// Derive every cache from the primary state: quarantine replay from
+  /// failed_, the thermal model and ScanTherm order, sleep stock watts,
+  /// placement flags, idle lists and rank bits from idle_flags_ and
+  /// busy_time_s_, power rows and SoA columns for the running list, and a
+  /// reset incremental cache. prepare() and checkpoint restore both end
+  /// their state setup here, so the two cannot drift apart.
+  void rebuild_derived();
   void on_arrival(std::size_t idx);
   /// Try to start waiting tasks on idle processors (with backfill past
   /// voluntarily-waiting tasks; a *forced* task that cannot fit blocks the
@@ -310,8 +332,7 @@ class DatacenterSim {
   void on_epoch(double t);
   void on_sample(double t);
   /// Profiling windows live in `profiling_` and active scans in `scans_`
-  /// slots, so the scheduled closures capture only indices -- the shape
-  /// the checkpoint codec can serialize and rebuild.
+  /// slots, so their events carry only indices.
   void begin_profiling_window(std::size_t window_idx);
   void end_profiling_window(std::size_t slot);
   /// Fault machinery (src/fault/): the plan's crash/repair events run as a
@@ -446,13 +467,13 @@ class DatacenterSim {
   std::size_t run_tail_ = kNone;
   std::size_t run_count_ = 0;
   std::vector<std::size_t> idle_scratch_;
-  std::vector<bool> reserved_;             ///< isolated for profiling
+  std::vector<std::uint8_t> reserved_;     ///< isolated for profiling
   Watts reserved_power_;                   ///< IT power of active scans
   double profiling_proc_seconds_ = 0.0;
   std::size_t profiling_procs_scanned_ = 0;
   std::size_t profiling_procs_skipped_ = 0;
-  /// The run's profiling plan (copied at prepare; scheduled closures refer
-  /// to windows by index).
+  /// The run's profiling plan (copied at prepare; events refer to windows
+  /// by index).
   std::vector<ProfilingWindow> profiling_;
   /// One slot per scan that ever went live; `live` scans own reserved
   /// processors and have a pending kProfilingEnd event carrying the slot

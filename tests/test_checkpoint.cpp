@@ -13,7 +13,9 @@
 //    prepare(tasks) (the daemon's equivalence contract).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -418,6 +420,103 @@ TEST(Checkpoint, StreamedAdmissionMatchesBatch) {
   expect_identical(batch, sim.finish());
 }
 
+// --- golden v2 blobs: the format pinned across commits --------------------
+
+std::vector<std::uint8_t> golden_blob(const std::string& name) {
+  const std::string path =
+      std::string(ISCOPE_TEST_DATA_DIR) + "/checkpoint/" + name;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  std::vector<std::uint8_t> blob;
+  if (f == nullptr) return blob;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f))
+    blob.push_back(static_cast<std::uint8_t>(c));
+  std::fclose(f);
+  return blob;
+}
+
+/// Byte equality with the first differing offset in the failure message
+/// (EXPECT_EQ would print both multi-kilobyte vectors).
+void expect_same_bytes(const std::vector<std::uint8_t>& got,
+                       const std::vector<std::uint8_t>& want) {
+  const auto diff = std::mismatch(got.begin(), got.end(), want.begin(),
+                                  want.end());
+  EXPECT_TRUE(got == want)
+      << "sizes " << got.size() << " vs " << want.size()
+      << ", first difference at byte " << (diff.first - got.begin());
+}
+
+/// Every subsystem the format carries is live at the golden cut: battery,
+/// an in-flight profiling scan, the fault stream with a degraded CRAC and
+/// armed mis-profile timers, thermal epochs, timeout sleep descents and a
+/// gang still waking -- all thirteen event kinds are pending.
+SimConfig golden_config() {
+  SimConfig cfg = base_config();
+  cfg.battery = BatteryConfig::make(2.0, 1.0);
+  cfg.faults = parse_fault_spec(
+      "mtbf=40000,repair=900,misprofile=0.4,crac=0.4,crac-start=3000,"
+      "crac-duration=9000");
+  cfg.fault_seed = 99;
+  cfg.topology.cpus_per_rack = 2;
+  cfg.thermal.enabled = true;
+  cfg.sleep.policy = SleepPolicy::kTimeout;
+  cfg.sleep.timeout_s = 120.0;
+  return cfg;
+}
+
+TEST(GoldenCheckpoint, SingleSimulatorV2) {
+  // tests/data/checkpoint/v2_single.bin: ScanFair on 24 CPUs cut at
+  // t = 3400, inside the second profiling window.
+  const Scenario sc(24, 45);
+  const std::vector<Task> tasks = sc.make_tasks(40, 6, 55);
+  const HybridSupply supply = sc.make_supply(65);
+  const SimConfig cfg = golden_config();
+  const std::vector<ProfilingWindow> windows = spread_windows(24);
+  const std::vector<std::uint8_t> golden = golden_blob("v2_single.bin");
+
+  Knowledge k1(&sc.cluster, scheme_knowledge(Scheme::kScanFair), &sc.db);
+  DatacenterSim sim1(&k1, scheme_rule(Scheme::kScanFair), &supply, cfg);
+  sim1.prepare(tasks, windows);
+  sim1.step_until(3400.0);
+  expect_same_bytes(checkpoint_bytes(sim1), golden);
+
+  Knowledge k2(&sc.cluster, scheme_knowledge(Scheme::kScanFair), &sc.db);
+  DatacenterSim sim2(&k2, scheme_rule(Scheme::kScanFair), &supply, cfg);
+  sim2.prepare({}, {});
+  restore_from_bytes(sim2, golden.data(), golden.size());
+  expect_same_bytes(checkpoint_bytes(sim2), golden);
+
+  sim1.advance_before(kInf);
+  sim2.advance_before(kInf);
+  expect_identical(sim1.finish(), sim2.finish());
+}
+
+TEST(GoldenCheckpoint, ShardedV2) {
+  // tests/data/checkpoint/v2_sharded.bin: the same subsystems over two
+  // rack-aligned shards, cut after eight epoch-barrier rounds.
+  const Scenario sc(24, 46);
+  const std::vector<Task> tasks = sc.make_tasks(40, 3, 56);
+  const HybridSupply supply = sc.make_supply(66);
+  SimConfig cfg = golden_config();
+  cfg.topology.shards = 2;
+  const std::vector<ProfilingWindow> windows = spread_windows(24);
+  const std::vector<std::uint8_t> golden = golden_blob("v2_sharded.bin");
+
+  ShardedSim sim1(sc.cluster, Scheme::kScanFair, &sc.db, supply, cfg);
+  sim1.prepare(tasks, windows);
+  for (int round = 0; round < 8; ++round) sim1.advance_round();
+  expect_same_bytes(checkpoint_bytes(sim1), golden);
+
+  ShardedSim sim2(sc.cluster, Scheme::kScanFair, &sc.db, supply, cfg);
+  sim2.prepare({}, {});
+  restore_from_bytes(sim2, golden.data(), golden.size());
+  expect_same_bytes(checkpoint_bytes(sim2), golden);
+
+  while (!sim1.drained()) sim1.advance_round();
+  while (!sim2.drained()) sim2.advance_round();
+  expect_identical(sim1.collect(), sim2.collect());
+}
+
 // --- rejection paths ------------------------------------------------------
 
 struct Rejection : ::testing::Test {
@@ -573,6 +672,26 @@ TEST_F(Rejection, FileRoundtripAndMissingFile) {
   EXPECT_EQ(read_checkpoint(path), blob);
   std::remove(path.c_str());
   EXPECT_THROW(read_checkpoint(path), CheckpointError);
+}
+
+TEST(CheckpointFile, ReadingADirectoryIsACheckpointError) {
+  // fopen(dir, "rb") succeeds on Linux, so only the regular-file check
+  // keeps a directory from being sized as a (huge) checkpoint.
+  const std::string dir = ::testing::TempDir() + "iscope_ckpt_read_dir";
+  std::filesystem::create_directories(dir);
+  EXPECT_THROW(read_checkpoint(dir), CheckpointError);
+  std::filesystem::remove(dir);
+}
+
+TEST(CheckpointFile, FailedRenameRemovesTheTempFile) {
+  // Renaming a file over a directory fails after the temp file is
+  // written; the failed write must not leave `<path>.tmp` behind.
+  const std::string dir = ::testing::TempDir() + "iscope_ckpt_write_dir";
+  std::filesystem::create_directories(dir);
+  EXPECT_THROW(write_checkpoint(dir, {1, 2, 3}), Error);
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  std::filesystem::remove(dir + ".tmp");
+  std::filesystem::remove(dir);
 }
 
 }  // namespace

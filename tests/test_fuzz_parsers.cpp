@@ -305,7 +305,11 @@ TEST(FuzzCorpusService, HostileCheckpointsAreRejected) {
         // version error, never misparse them as v2.
         "service_ckpt_v1_version.bin",
         // v2 blob cut inside the thermal/sleep identity section.
-        "service_ckpt_truncated_thermal.bin"}) {
+        "service_ckpt_truncated_thermal.bin",
+        // Well-framed blobs with one duplicated counter off by one: each
+        // must disagree with the primary state it counts.
+        "service_ckpt_idle_count.bin", "service_ckpt_waiting_cpus.bin",
+        "service_ckpt_done_count.bin", "service_ckpt_failed_count.bin"}) {
     SCOPED_TRACE(name);
     const auto blob = slurp_bytes(data_path(name));
     EXPECT_THROW(

@@ -219,10 +219,13 @@ stage_ubsan() {
 }
 
 stage_asan() {
-  stage "ASan fault-injection + parser-fuzz tests"
+  stage "ASan fault-injection + parser-fuzz + checkpoint tests"
   # Targeted: the suites that stress failure paths, requeue bookkeeping,
-  # and hostile parser inputs -- where lifetime bugs would hide.
-  ASAN_TESTS="test_fault test_fuzz_parsers test_properties"
+  # and hostile parser inputs -- where lifetime bugs would hide. The
+  # checkpoint and event-queue suites push truncated and bit-flipped
+  # blobs through the codec's reader and the queue's restore.
+  ASAN_TESTS="test_fault test_fuzz_parsers test_properties test_checkpoint
+              test_event_queue"
   cmake -B build-check/asan -S . \
         -DISCOPE_SANITIZE=address -DISCOPE_AUDIT=ON > /dev/null
   # shellcheck disable=SC2086
