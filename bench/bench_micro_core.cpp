@@ -72,30 +72,6 @@ void BM_ScanChip(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanChip);
 
-void BM_PowerMatcher(benchmark::State& state) {
-  ClusterConfig cfg;
-  cfg.num_processors = 256;
-  const Cluster cluster = build_cluster(cfg);
-  const Knowledge knowledge(&cluster, KnowledgeSource::kBin);
-  const PowerMatcher matcher(&knowledge, 1.4);
-  Rng rng(4);
-  std::vector<ActiveTask> tasks(static_cast<std::size_t>(state.range(0)));
-  std::size_t next_proc = 0;
-  for (auto& t : tasks) {
-    t.remaining_work_s = rng.uniform(100.0, 5000.0);
-    t.deadline_s = t.remaining_work_s * rng.uniform(2.0, 12.0);
-    t.gamma = rng.uniform(0.5, 1.0);
-    for (int k = 0; k < 4; ++k)
-      t.procs.push_back(next_proc++ % cluster.size());
-  }
-  for (auto _ : state) {
-    auto copy = tasks;
-    const MatchResult r = matcher.match(copy, Watts{5e3}, 0.0);
-    benchmark::DoNotOptimize(r.demand.watts());
-  }
-}
-BENCHMARK(BM_PowerMatcher)->Arg(16)->Arg(64);
-
 void BM_WindTraceDay(benchmark::State& state) {
   WindFarmConfig cfg;
   for (auto _ : state) {
@@ -157,14 +133,9 @@ BENCHMARK(BM_OracleForecast);
 
 // --- SoA matcher kernels (DESIGN.md Sec. 14) -----------------------------
 //
-// The scalar-vs-SIMD story spans two *builds*: the committed
-// BENCH_micro_core.scalar.json capture comes from the default build and
-// BENCH_micro_core.simd.json from -DISCOPE_SIMD=ON. Within either build,
-// BM_FloorScanRowsScalar pins the portable kernel while BM_FloorScanRows
-// takes the dispatched one, so the SIMD capture carries its own in-build
-// baseline. Every bench exports a result checksum counter; equal checksums
-// across the two captures are the bit-identity evidence at kernel scope
-// (tests/test_match_equivalence.cpp proves it at schedule scope).
+// Every bench exports a result checksum counter, so two captures of the
+// same bench can be checked for identical results as well as compared
+// for time.
 
 /// One synthetic running-task population as MatcherColumns rows, sized and
 /// distributed like the fig8 steady state (4-CPU tasks, loose-to-tight
@@ -180,9 +151,6 @@ struct SoaFixture {
     knowledge.emplace(&cluster, KnowledgeSource::kBin);
     matcher.emplace(&*knowledge, 1.4);
     const std::size_t levels = knowledge->levels();
-    const double fmax = cluster.levels().freq_ghz.back();
-    for (const double f : cluster.levels().freq_ghz)
-      slowdown_ratio.push_back(fmax / f - 1.0);
     cols.reset(levels, rows);
     Rng rng(5);
     std::vector<double> power_row(levels);
@@ -200,7 +168,7 @@ struct SoaFixture {
         power_row[l] = p.raw();
       }
       next_proc += 4;
-      cols.fill_row(row, rng.uniform(0.5, 1.0), slowdown_ratio.data(),
+      cols.fill_row(row, rng.uniform(0.5, 1.0), matcher->slowdown_ratio(),
                     power_row.data());
     }
   }
@@ -208,8 +176,9 @@ struct SoaFixture {
   /// Mid-range wind budget: phase 2 is live (the budget binds) but
   /// feasible, so full solves walk the greedy loop and incremental solves
   /// land mid-trajectory -- the regime the per-epoch rematch lives in.
-  Watts binding_wind(MatchScratch& scratch) {
-    const MatchResult top = matcher->match_columns(cols, Watts{}, 0.0, scratch);
+  Watts binding_wind() {
+    IncrementalMatchState state;
+    const MatchResult top = matcher->match(cols, Watts{}, 0.0, state);
     const std::size_t levels = cols.levels;
     Watts floor_compute;
     for (std::size_t r = 0; r < cols.count; ++r)
@@ -220,30 +189,8 @@ struct SoaFixture {
   Cluster cluster;
   std::optional<Knowledge> knowledge;
   std::optional<PowerMatcher> matcher;
-  std::vector<double> slowdown_ratio;
   MatcherColumns cols;
 };
-
-void BM_FloorScanRowsScalar(benchmark::State& state) {
-  SoaFixture fx(static_cast<std::size_t>(state.range(0)));
-  const MatcherColumns& c = fx.cols;
-  std::vector<std::size_t> floor(c.count);
-  std::size_t checksum = 0;
-  for (auto _ : state) {
-    for (std::size_t r = 0; r < c.count; ++r) {
-      floor[r] = soa::floor_scan_scalar(c.slowdown.data() + r * c.levels,
-                                        c.levels, c.remaining[r],
-                                        c.deadline[r]);
-    }
-    checksum = 0;
-    for (const std::size_t f : floor) checksum += f;
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.counters["floor_checksum"] = static_cast<double>(checksum);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_FloorScanRowsScalar)->Arg(64)->Arg(512);
 
 void BM_FloorScanRows(benchmark::State& state) {
   SoaFixture fx(static_cast<std::size_t>(state.range(0)));
@@ -289,8 +236,8 @@ BENCHMARK(BM_BestFromFill)->Arg(64)->Arg(512);
 // Full solve vs incremental delta-rematch over the same wind-budget walk.
 // Arg is the per-epoch wind delta in percent of the binding budget: small
 // deltas re-position the cached trajectory cursor by a step or two, large
-// ones rewind/replay long stretches -- the incremental path must win in
-// both regimes, and its demand checksum must equal the full solve's (the
+// ones rewind/replay long stretches -- the replay must win in both
+// regimes, and its demand checksum must equal the full solve's (the
 // captures' counters prove the replay exact at bench scope too).
 std::vector<Watts> wind_walk(Watts base, double delta_pct) {
   Rng rng(6);
@@ -302,15 +249,16 @@ std::vector<Watts> wind_walk(Watts base, double delta_pct) {
 
 void BM_RematchFull(benchmark::State& state) {
   SoaFixture fx(128);
-  MatchScratch scratch;
   const std::vector<Watts> winds =
-      wind_walk(fx.binding_wind(scratch), static_cast<double>(state.range(0)));
+      wind_walk(fx.binding_wind(), static_cast<double>(state.range(0)));
+  IncrementalMatchState match_state;
   double checksum = 0.0;
   for (auto _ : state) {
     checksum = 0.0;
     for (const Watts wind : winds) {
+      match_state.invalidate();  // forces the full solve
       const MatchResult r =
-          fx.matcher->match_columns(fx.cols, wind, 0.0, scratch);
+          fx.matcher->match(fx.cols, wind, 0.0, match_state);
       checksum += r.demand.raw();
     }
     benchmark::DoNotOptimize(checksum);
@@ -323,22 +271,18 @@ BENCHMARK(BM_RematchFull)->Arg(1)->Arg(10)->Arg(50);
 
 void BM_RematchIncremental(benchmark::State& state) {
   SoaFixture fx(128);
-  MatchScratch scratch;
   const std::vector<Watts> winds =
-      wind_walk(fx.binding_wind(scratch), static_cast<double>(state.range(0)));
-  IncrementalMatchState inc;
-  fx.matcher->match_columns(fx.cols, winds.back(), 0.0, scratch, &inc);
+      wind_walk(fx.binding_wind(), static_cast<double>(state.range(0)));
+  IncrementalMatchState match_state;
+  fx.matcher->match(fx.cols, winds.back(), 0.0, match_state);
   std::int64_t fallbacks = 0;
   double checksum = 0.0;
   for (auto _ : state) {
     checksum = 0.0;
     for (const Watts wind : winds) {
-      MatchResult r;
-      if (!fx.matcher->match_incremental(fx.cols, wind, 0.0, scratch, inc,
-                                         r)) {
-        ++fallbacks;
-        r = fx.matcher->match_columns(fx.cols, wind, 0.0, scratch, &inc);
-      }
+      const MatchResult r =
+          fx.matcher->match(fx.cols, wind, 0.0, match_state);
+      if (!r.replayed) ++fallbacks;
       checksum += r.demand.raw();
     }
     benchmark::DoNotOptimize(checksum);

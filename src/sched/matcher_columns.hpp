@@ -1,16 +1,14 @@
 // Structure-of-arrays state for the matcher hot path (DESIGN.md Sec. 14).
 //
-// The AoS matcher view (`std::vector<ActiveTask>`) scatters each task's
-// remaining work, deadline and per-level power behind a pointer chase; the
-// per-epoch rematch walks all of it twice (floor scan + energy argmin).
-// MatcherColumns keeps the same data as contiguous columns, one row per
-// running task, in *running-list order* -- the matcher's floating-point
-// sums and equal-saving heap tiebreaks are order-sensitive, so row order
-// mirroring the intrusive run list is what keeps the SoA path bit-identical
-// to the AoS one.
+// One row per running task, in *running-list order*: each task's remaining
+// work, deadline and per-level tables sit in contiguous columns instead of
+// behind a pointer chase. The matcher's floating-point sums and
+// equal-saving heap tiebreaks are order-sensitive, so row order mirroring
+// the intrusive run list is what keeps PowerMatcher::match bit-identical to
+// the reference matcher over ActiveTask views.
 //
 // Row lifecycle: `append` at task start (link_running order), compacting
-// order-preserving `remove` at completion/requeue, `refresh_derived` when
+// order-preserving `remove` at completion/requeue, `refresh_power` when
 // the Knowledge generation moves (power rows changed under the task).
 // Derived per-row tables:
 //
@@ -37,8 +35,6 @@
 namespace iscope {
 
 struct MatcherColumns {
-  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
-
   std::size_t levels = 0;  ///< DVFS level count (row stride)
   std::size_t count = 0;   ///< live rows
 
@@ -96,9 +92,9 @@ struct MatcherColumns {
   }
 
   /// Compute the derived blocks of one row: the Eq-3 slowdown per level
-  /// (identical expression to PowerMatcher::slowdown), the power row
-  /// (copied from the sim's generation-tracked table), and the
-  /// energy-optimal-per-floor table.
+  /// (identical expression to PowerMatcher::slowdown, over its
+  /// slowdown_ratio() table), the power row (copied from the sim's
+  /// generation-tracked table), and the energy-optimal-per-floor table.
   void fill_row(std::size_t row, double gamma, const double* slowdown_ratio,
                 const double* power_row) {
     double* srow = slowdown.data() + row * levels;

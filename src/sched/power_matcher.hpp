@@ -23,14 +23,13 @@
 // there is no budget to fit under, and stretching execution would only burn
 // more (expensive) static energy.
 //
-// Hot-path notes (DESIGN.md Sec. 9): a task's per-level power is invariant
-// for its whole residency, so callers precompute it once at task start and
-// hand it to the matcher via `ActiveTask::power_by_level` -- `task_power`
-// is then O(1) instead of O(procs), and `match` with a caller-owned
-// `MatchScratch` performs zero steady-state heap allocations. The
-// pre-optimization path is retained verbatim as `match_reference` /
-// `task_power_reference`; tests/test_match_equivalence.cpp asserts the two
-// produce bit-identical schedules.
+// The production entry point is `match`, over the simulator's SoA rows
+// (matcher_columns.hpp): it replays the cached greedy trajectory when only
+// the wind budget moved since the last solve, and otherwise solves from
+// scratch and re-caches (DESIGN.md Sec. 14). `match_reference` is the
+// independent oracle over `ActiveTask` views (O(procs) power sums, its own
+// priority_queue descent); tests/test_match_equivalence.cpp holds the two
+// bit-identical, and committed golden digests pin both.
 #pragma once
 
 #include <cstddef>
@@ -41,17 +40,12 @@
 
 namespace iscope {
 
-/// A running task as the matcher sees it.
+/// A running task as the reference matcher sees it.
 struct ActiveTask {
   double remaining_work_s = 0.0;  ///< work left, in seconds-at-Fmax
   double deadline_s = 0.0;
   double gamma = 1.0;             ///< CPU-boundness (Eq-3)
   std::vector<std::size_t> procs; ///< processors it occupies
-  /// Optional O(1) power table: entry l is the task's total IT power at
-  /// level l in raw watts (sum over its processors, precomputed at task
-  /// start). When set, `procs` may be left empty; when null, the matcher
-  /// falls back to summing `procs` against the Knowledge view.
-  const double* power_by_level = nullptr;
   std::size_t level = 0;          ///< matcher output: assigned DVFS level
 };
 
@@ -59,44 +53,37 @@ struct MatchResult {
   Watts compute;           ///< IT power after matching
   Watts demand;            ///< facility power (IT * cooling factor)
   std::size_t steps = 0;   ///< phase-2 DVFS down-steps taken
+  bool replayed = false;   ///< `match` reused the cached trajectory
 };
 
-/// Reusable buffers for PowerMatcher::match. A caller that keeps one
-/// MatchScratch across calls allocates only until the buffers reach their
-/// high-water marks; after that, matching is allocation-free.
-struct MatchScratch {
-  struct Step {
-    Watts saving;
-    std::size_t task;
-    std::size_t to_level;
-  };
-  std::vector<std::size_t> floor;  ///< per-task deadline floor level
-  std::vector<Step> heap;          ///< phase-2 down-step candidate heap
+/// One phase-2 candidate: step `task` down to `to_level`, releasing
+/// `saving` of IT power.
+struct DownStep {
+  Watts saving;
+  std::size_t task;
+  std::size_t to_level;
 };
 
-/// Cached greedy trajectory for the incremental delta-rematch
-/// (DESIGN.md Sec. 14). Key fact: phase 2's pop/push/stale-skip sequence
-/// never reads the wind budget -- the budget only decides where along that
-/// canonical sequence the greedy STOPS. So one materialized solve caches
-/// the whole trajectory (`log`, with the running compute after each
-/// applied step), and a later epoch whose only change is the wind budget
-/// re-positions a cursor on it instead of re-solving: binary search for
-/// the stop prefix (the fit predicate is monotone along the log), rewind
-/// or replay the touched tasks, done. The replay is *exact* -- bit-equal
-/// levels and compute to a from-scratch solve, cost gap zero -- because
-/// every stored value was produced by the identical operation sequence a
-/// fresh solve would run (tests/test_match_equivalence.cpp, the
-/// IncrementalIdentity suite and the 50-seed property test).
+/// What `match` keeps between calls: the cached greedy trajectory and the
+/// solve's reusable buffers (DESIGN.md Sec. 14). Key fact: phase 2's
+/// pop/push/stale-skip sequence never reads the wind budget -- the budget
+/// only decides where along that canonical sequence the greedy STOPS. So
+/// one solve caches the whole trajectory (`log`, with the running compute
+/// after each applied step), and a later call whose only change is the
+/// wind budget re-positions a cursor on it instead of re-solving: binary
+/// search for the stop prefix (the fit predicate is monotone along the
+/// log), rewind or replay the touched rows, done. The replay is *exact* --
+/// bit-equal levels and compute to a from-scratch solve -- because every
+/// stored value was produced by the identical operation sequence a fresh
+/// solve would run.
 ///
 /// Validity: the cache assumes the row set, the per-row power/slowdown
 /// tables and the deadline floors are those of the cached solve. The
 /// simulator invalidates on task start/completion/requeue, Knowledge
-/// generation bumps and rush-mode flips; match_incremental re-checks the
-/// floors itself (the vectorized scan is cheap) and refuses when they
-/// moved.
+/// generation bumps and rush-mode flips; `match` re-checks the floors
+/// itself and re-solves when they moved. A fresh state always solves.
 struct IncrementalMatchState {
   struct AppliedStep {
-    Watts saving;         ///< power released by this down-step
     Watts compute_after;  ///< running compute after applying it
     std::size_t task;     ///< column row index
     std::size_t to_level; ///< level the task stepped down to
@@ -106,19 +93,19 @@ struct IncrementalMatchState {
   /// phase 2 (no wind, or floors alone over budget) skips heap
   /// construction entirely -- most structural rematches never see a
   /// fitting epoch before the next invalidation, so building the heap
-  /// eagerly would be pure waste. A later epoch that *does* need to
-  /// extend past the (empty) log with no heap falls back to a full
-  /// solve, which then caches with a real heap.
+  /// eagerly would be pure waste. A later call that *does* need to extend
+  /// past the (empty) log with no heap re-solves, which then caches with
+  /// a real heap.
   bool heap_built = false;
   Watts compute0;       ///< phase-1 compute (the cursor-0 state)
   Watts floor_compute;  ///< all-floors compute (the phase-2 gate)
   std::vector<AppliedStep> log;  ///< applied down-steps, in greedy order
   std::size_t cursor = 0;        ///< applied prefix length = current state
   /// Down-step heap as of state log.size(); extending the trajectory past
-  /// the deepest materialized point keeps popping from here. The caching
-  /// solve builds and drives this vector in place (no copy): after its
-  /// greedy loop the heap is exactly the state the extension path needs.
-  std::vector<MatchScratch::Step> heap;
+  /// the deepest materialized point keeps popping from here.
+  std::vector<DownStep> heap;
+  /// Floor-scan buffer for the replay's frontier check.
+  std::vector<std::size_t> floor;
 
   void invalidate() {
     valid = false;
@@ -134,6 +121,22 @@ class PowerMatcher {
   /// `cooling_factor` is (1 + 1/COP) from Eq-2.
   PowerMatcher(const Knowledge* knowledge, double cooling_factor);
 
+  /// Assign levels to every MatcherColumns row (fills cols.floor and
+  /// cols.level); see the file comment for the algorithm. Rows must be in
+  /// running-list order (ordered FP sums and equal-saving tiebreaks; see
+  /// matcher_columns.hpp). Replays `state`'s cached trajectory when only
+  /// the wind budget moved since the solve that filled it, otherwise
+  /// solves from scratch and re-caches. Allocation-free once `state` has
+  /// warmed up.
+  MatchResult match(MatcherColumns& cols, Watts wind_avail, double now_s,
+                    IncrementalMatchState& state) const;
+
+  /// The independent oracle: the same two phases over ActiveTask views,
+  /// with O(procs) power sums and a priority_queue descent. Reference for
+  /// the scheduler-equivalence suite; not a hot path.
+  MatchResult match_reference(std::vector<ActiveTask>& tasks,
+                              Watts wind_avail, double now_s) const;
+
   /// Lowest level at which `task` still meets its deadline starting `now_s`;
   /// returns the top level if even that misses (run flat out, QoS best
   /// effort).
@@ -143,55 +146,19 @@ class PowerMatcher {
   std::size_t energy_optimal_level(const ActiveTask& task,
                                    std::size_t floor) const;
 
-  /// Assign levels to all tasks; see file comment for the algorithm.
-  /// Allocation-free once `scratch` has warmed up.
-  MatchResult match(std::vector<ActiveTask>& tasks, Watts wind_avail,
-                    double now_s, MatchScratch& scratch) const;
-
-  /// Convenience overload with throwaway scratch (tests, one-off callers).
-  MatchResult match(std::vector<ActiveTask>& tasks, Watts wind_avail,
-                    double now_s) const;
-
-  /// SoA full solve over MatcherColumns rows: the same two phases as
-  /// `match`, with the floor scan batched through the vectorized kernel
-  /// and the energy argmin collapsed to the precomputed best_from table.
-  /// Rows must be in running-list order (ordered FP sums and equal-saving
-  /// tiebreaks; see matcher_columns.hpp). Fills cols.floor/cols.level.
-  /// When `inc` is non-null the greedy trajectory is cached there for
-  /// match_incremental; the phase-2 heap is built directly in `inc->heap`
-  /// (and only when phase 2 is live -- see heap_built).
-  MatchResult match_columns(MatcherColumns& cols, Watts wind_avail,
-                            double now_s, MatchScratch& scratch,
-                            IncrementalMatchState* inc = nullptr) const;
-
-  /// Incremental delta-rematch: re-solve assuming only the wind budget
-  /// moved since the solve that filled `inc`. Returns false (caller falls
-  /// back to match_columns) when the cache is invalid or any deadline
-  /// floor moved; on true, `out` and cols.level are bit-identical to what
-  /// a full solve would produce.
-  bool match_incremental(MatcherColumns& cols, Watts wind_avail,
-                         double now_s, MatchScratch& scratch,
-                         IncrementalMatchState& inc, MatchResult& out) const;
-
-  /// Retained pre-optimization implementation (priority_queue, O(procs)
-  /// power sums). Reference for the scheduler-equivalence suite; not a hot
-  /// path.
-  MatchResult match_reference(std::vector<ActiveTask>& tasks,
-                              Watts wind_avail, double now_s) const;
-
-  /// IT power of one task at one level: `power_by_level` lookup when the
-  /// task carries a table, else the O(procs) sum.
-  Watts task_power(const ActiveTask& task, std::size_t level) const {
-    if (task.power_by_level != nullptr)
-      return Watts{task.power_by_level[level]};
-    return task_power_reference(task, level);
-  }
-
-  /// The original O(procs) power sum over the Knowledge view.
-  Watts task_power_reference(const ActiveTask& task, std::size_t level) const;
+  /// IT power of one task at one level: the sum over its processors.
+  Watts task_power(const ActiveTask& task, std::size_t level) const;
 
   /// Eq-3 slowdown of a task at a level.
-  double slowdown(const ActiveTask& task, std::size_t level) const;
+  double slowdown(const ActiveTask& task, std::size_t level) const {
+    return slowdown(task.gamma, level);
+  }
+  double slowdown(double gamma, std::size_t level) const {
+    return gamma * slowdown_ratio_[level] + 1.0;
+  }
+  /// (fmax / f_l - 1) per level, the table behind slowdown(); feeds
+  /// MatcherColumns::fill_row.
+  const double* slowdown_ratio() const { return slowdown_ratio_.data(); }
 
   double cooling_factor() const { return cooling_factor_; }
 
@@ -199,8 +166,8 @@ class PowerMatcher {
   const Knowledge* knowledge_;  // non-owning
   double cooling_factor_;
   /// Precomputed (fmax / f_l - 1.0) per level; slowdown() is then one
-  /// fma instead of a division (bit-identical: same operation sequence,
-  /// the division is just hoisted to construction).
+  /// multiply-add instead of a division (bit-identical: same operation
+  /// sequence, the division is just hoisted to construction).
   std::vector<double> slowdown_ratio_;
 };
 

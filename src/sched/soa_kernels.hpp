@@ -1,25 +1,16 @@
-// Vectorizable kernels over MatcherColumns rows (DESIGN.md Sec. 14).
+// Kernels over MatcherColumns rows (DESIGN.md Sec. 14).
 //
 // Two primitives cover the matcher's per-level work:
 //
-//  * floor_scan  -- first level l with remaining * slowdown[l] <= slack
-//    (PowerMatcher::min_feasible_level over one SoA row);
-//  * energy_row  -- elementwise power[l] * slowdown[l], feeding the
-//    energy-optimal-per-floor suffix scan (best_from_fill).
+//  * floor_scan_rows -- per row, the first level l with
+//    remaining * slowdown[l] <= slack (PowerMatcher::min_feasible_level
+//    over each SoA row);
+//  * best_from_fill  -- the energy-optimal level for every possible
+//    deadline floor, by one suffix scan over power[l] * slowdown[l].
 //
-// Dispatch policy: compile-time only. The portable `*_scalar` kernels are
-// the default; `-DISCOPE_SIMD=ON` swaps in explicit AVX2 kernels
-// (soa_kernels.cpp, built `-mavx2 -ffp-contract=off`). There is no runtime
-// CPUID probe: a binary either always takes the SIMD path or never does,
-// so a run's arithmetic is a property of the build, not the host.
-//
-// Bit-identity across the two paths is by construction, not by tolerance:
-// both kernels are pure independent multiply + ordered-compare per lane --
-// no reassociated sums, no FMA contraction (the SIMD TU pins
-// -ffp-contract=off, and neither path uses a fused intrinsic) -- so every
-// lane computes the exact scalar double result and the first-match index
-// is the scalar one. tests/test_match_equivalence.cpp holds both builds to
-// the same bit-exact schedules.
+// Both are plain scalar loops of independent multiplies and ordered
+// compares, so each reproduces its reference function bit for bit
+// (tests/test_power_matcher.cpp checks both on randomized rows).
 #pragma once
 
 #include <cstddef>
@@ -30,48 +21,13 @@ namespace iscope::soa {
 /// First level whose slowed-down remaining work still meets the slack;
 /// top level (levels - 1) when even that misses. Exact port of
 /// PowerMatcher::min_feasible_level against a precomputed slowdown row.
-inline std::size_t floor_scan_scalar(const double* slowdown_row,
-                                     std::size_t levels, double remaining,
-                                     double slack) {
+inline std::size_t floor_scan(const double* slowdown_row, std::size_t levels,
+                              double remaining, double slack) {
   for (std::size_t l = 0; l < levels; ++l) {
     if (remaining * slowdown_row[l] <= slack) return l;
   }
   return levels - 1;
 }
-
-/// Elementwise energy-to-finish per level: out[l] = power[l] * slowdown[l].
-inline void energy_row_scalar(const double* power_row,
-                              const double* slowdown_row, std::size_t levels,
-                              double* out) {
-  for (std::size_t l = 0; l < levels; ++l)
-    out[l] = power_row[l] * slowdown_row[l];
-}
-
-#if defined(ISCOPE_SIMD)
-// Explicit width-4/8 AVX2 kernels (soa_kernels.cpp).
-std::size_t floor_scan_simd(const double* slowdown_row, std::size_t levels,
-                            double remaining, double slack);
-void energy_row_simd(const double* power_row, const double* slowdown_row,
-                     std::size_t levels, double* out);
-
-inline std::size_t floor_scan(const double* slowdown_row, std::size_t levels,
-                              double remaining, double slack) {
-  return floor_scan_simd(slowdown_row, levels, remaining, slack);
-}
-inline void energy_row(const double* power_row, const double* slowdown_row,
-                       std::size_t levels, double* out) {
-  energy_row_simd(power_row, slowdown_row, levels, out);
-}
-#else
-inline std::size_t floor_scan(const double* slowdown_row, std::size_t levels,
-                              double remaining, double slack) {
-  return floor_scan_scalar(slowdown_row, levels, remaining, slack);
-}
-inline void energy_row(const double* power_row, const double* slowdown_row,
-                       std::size_t levels, double* out) {
-  energy_row_scalar(power_row, slowdown_row, levels, out);
-}
-#endif
 
 /// Batched deadline-floor scan over all rows: the hot per-rematch kernel.
 /// `slowdown` is row-major [rows * levels]; slack is deadline[r] - now_s.
@@ -86,21 +42,21 @@ inline void floor_scan_rows(const double* slowdown, std::size_t levels,
 }
 
 /// Energy-optimal level for every possible deadline floor f, by one
-/// descending pass: out[f] = argmin over l in [f, top] of energy[l], ties
-/// to the higher level. The running best accumulates exactly the strict
-/// `<` comparisons PowerMatcher::energy_optimal_level(floor=f) performs,
-/// so out[f] reproduces its answer bit for bit. `levels` must fit the
-/// uint8 row (checked by MatcherColumns::reset).
+/// descending pass: out[f] = argmin over l in [f, top] of
+/// power[l] * slowdown[l], ties to the higher level. The running best
+/// accumulates exactly the strict `<` comparisons
+/// PowerMatcher::energy_optimal_level(floor=f) performs, so out[f]
+/// reproduces its answer bit for bit. `levels` must fit the uint8 row
+/// (checked by MatcherColumns::reset).
 inline void best_from_fill(const double* power_row, const double* slowdown_row,
                            std::size_t levels, std::uint8_t* out) {
-  double energy[256];
-  energy_row(power_row, slowdown_row, levels, energy);
   std::size_t best = levels - 1;
-  double best_energy = energy[best];
+  double best_energy = power_row[best] * slowdown_row[best];
   out[best] = static_cast<std::uint8_t>(best);
   for (std::size_t l = levels - 1; l-- > 0;) {
-    if (energy[l] < best_energy) {
-      best_energy = energy[l];
+    const double energy = power_row[l] * slowdown_row[l];
+    if (energy < best_energy) {
+      best_energy = energy;
       best = l;
     }
     out[l] = static_cast<std::uint8_t>(best);

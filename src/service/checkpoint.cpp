@@ -213,7 +213,8 @@ void CheckpointAccess::visit(Io& io, Sim& s) {
   io.same(cfg.seed, "seed");
   io.same(s.faults_active_, "fault plan");
   io.same(cfg.use_reference_matcher, "matcher path");
-  io.same(cfg.incremental_rematch, "rematch mode");
+  // Always 1: the byte keeps v2 checkpoints byte-identical.
+  io.same(true, "rematch mode");
   io.same(cfg.record_trace, "trace recording");
   io.same(cfg.record_timeline, "timeline recording");
   io.same(cfg.epoch_s, "epoch period");

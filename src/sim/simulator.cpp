@@ -47,11 +47,6 @@ DatacenterSim::DatacenterSim(const Knowledge* knowledge, PlacementRule rule,
   ISCOPE_CHECK_ARG(knowledge != nullptr, "DatacenterSim: null knowledge");
   ISCOPE_CHECK_ARG(supply != nullptr, "DatacenterSim: null supply");
   config_.validate();
-  const FreqLevels& levels = knowledge_->cluster().levels();
-  const double fmax = levels.freq_ghz.back();
-  slowdown_ratio_.reserve(levels.freq_ghz.size());
-  for (const double f : levels.freq_ghz)
-    slowdown_ratio_.push_back(fmax / f - 1.0);
 
   // Resolve the fault plan: explicit override > built from the spec > the
   // empty plan (whose run takes no fault branch at all).
@@ -304,15 +299,8 @@ void DatacenterSim::rematch() {
       match.compute = compute;
       match.demand = compute * matcher_.cooling_factor();
       inc_.invalidate();
-    } else if (config_.incremental_rematch &&
-               matcher_.match_incremental(cols_, wind, now, match_scratch_,
-                                          inc_, match)) {
-      // Only the wind budget moved: the cached greedy trajectory replayed
-      // exactly (bit-identical to the full solve below).
     } else {
-      match = matcher_.match_columns(cols_, wind, now, match_scratch_,
-                                     config_.incremental_rematch ? &inc_
-                                                                 : nullptr);
+      match = matcher_.match(cols_, wind, now, inc_);
     }
   } else {
     // Reference path (tests): deep-copy the views and let the matcher
@@ -577,7 +565,7 @@ void DatacenterSim::activate_task(std::size_t idx) {
     // and derive its slowdown/power/best_from blocks. A new row means a
     // new greedy trajectory, so the incremental cache dies here.
     t.col = cols_.append(idx, t.remaining_work_s, t.spec.deadline_s);
-    cols_.fill_row(t.col, t.spec.gamma, slowdown_ratio_.data(),
+    cols_.fill_row(t.col, t.spec.gamma, matcher_.slowdown_ratio(),
                    power_table_.data() + idx * knowledge_->levels());
     inc_.invalidate();
   }
@@ -1403,8 +1391,6 @@ void DatacenterSim::rebuild_derived() {
   idle_scratch_.clear();
   views_.clear();
   views_.reserve(nprocs);
-  match_scratch_.floor.reserve(nprocs);
-  match_scratch_.heap.reserve(nprocs);
 
   // Per-task power rows for the running set, then its SoA columns in
   // running-list order (the matcher's sums are order-sensitive). The
@@ -1419,7 +1405,7 @@ void DatacenterSim::rebuild_derived() {
     fill_power_table(idx);
     if (!config_.use_reference_matcher) {
       t.col = cols_.append(idx, t.remaining_work_s, t.spec.deadline_s);
-      cols_.fill_row(t.col, t.spec.gamma, slowdown_ratio_.data(),
+      cols_.fill_row(t.col, t.spec.gamma, matcher_.slowdown_ratio(),
                      power_table_.data() + idx * levels);
       cols_.level[t.col] = t.level;
     }
@@ -1427,6 +1413,7 @@ void DatacenterSim::rebuild_derived() {
   inc_.invalidate();
   inc_.log.reserve(nprocs * levels);
   inc_.heap.reserve(nprocs);
+  inc_.floor.reserve(nprocs);
 }
 
 std::size_t DatacenterSim::admit(Task task) {

@@ -30,13 +30,13 @@
 // intrusive doubly-linked list through SimTask (O(1) removal that --
 // unlike swap-and-pop -- preserves start order, which the matcher's
 // floating-point sums and equal-saving tiebreaks depend on for
-// bit-reproducibility). The default matcher path mirrors the running set
-// into SoA columns in the same order (matcher_columns.hpp) so the
-// deadline-floor scan vectorizes, caches the greedy down-step trajectory
-// for the incremental delta-rematch (power_matcher.hpp), and places tasks
-// by rank scan instead of per-task partial_sorts. The pre-optimization
-// path is retained behind SimConfig::use_reference_matcher and is held
-// bit-identical by tests/test_match_equivalence.cpp.
+// bit-reproducibility). The running set is mirrored into SoA columns in
+// the same order (matcher_columns.hpp), which PowerMatcher::match solves
+// over, replaying its cached greedy trajectory when only the wind moved;
+// placement picks by rank scan instead of per-task partial_sorts. The
+// reference matcher and placement (match_reference, choose()) run behind
+// SimConfig::use_reference_matcher as the oracle
+// tests/test_match_equivalence.cpp holds the default path to, bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -93,19 +93,12 @@ struct SimConfig {
   /// it before the utility grid steps in. Default: absent. Wind energy is
   /// paid at absorption, so round-trip losses are on the wind bill.
   BatteryConfig battery;
-  /// Test-only: drive rematch through the retained pre-optimization
-  /// matcher path (deep-copied views, O(procs) power sums, per-task
-  /// partial-sort placement). The scheduler-equivalence suite asserts this
-  /// produces bit-identical results to the default optimized path (SoA
-  /// columns + rank-scan placement).
+  /// Test-only: drive rematch through the reference oracle
+  /// (PowerMatcher::match_reference over deep-copied views, O(procs) power
+  /// sums, per-task partial-sort placement via PlacementPolicy::choose).
+  /// The scheduler-equivalence suite asserts this produces bit-identical
+  /// results to the default path (SoA columns + rank-scan placement).
   bool use_reference_matcher = false;
-  /// Reuse the previous solve's greedy down-step trajectory when only the
-  /// wind budget moved between rematches (delta-rematch, DESIGN.md
-  /// Sec. 14). The replay is exact -- results are bit-identical either
-  /// way, cost gap zero -- so this is purely a work-avoidance knob; false
-  /// forces a full re-solve every time (A/B benchmarking, the
-  /// IncrementalIdentity property suite).
-  bool incremental_rematch = true;
   /// Fault injection (src/fault/). The default `FaultSpec{}` injects
   /// nothing and is guaranteed bit-identical to a fault-free build. CPU
   /// faults (crashes / mis-profiling) additionally need the mutable-
@@ -411,7 +404,7 @@ class DatacenterSim {
   void idle_remove(std::size_t p);
   /// Eq-3 slowdown of a running task at its current level.
   double level_slowdown(const SimTask& t) const {
-    return t.spec.gamma * slowdown_ratio_[t.level] + 1.0;
+    return matcher_.slowdown(t.spec.gamma, t.level);
   }
 
   const Knowledge* knowledge_;
@@ -496,13 +489,11 @@ class DatacenterSim {
   std::vector<double> power_table_;
   std::uint64_t knowledge_gen_ = 0;        ///< generation the table matches
   std::vector<ActiveTask> views_;          ///< reference-path view scratch
-  MatchScratch match_scratch_;             ///< matcher floor/heap scratch
   /// SoA mirror of the running set in running-list order (the default
-  /// matcher path; see matcher_columns.hpp) plus the cached greedy
-  /// trajectory for the incremental delta-rematch.
+  /// matcher path; see matcher_columns.hpp) plus the matcher's cached
+  /// greedy trajectory and solve buffers.
   MatcherColumns cols_;
   IncrementalMatchState inc_;
-  std::vector<double> slowdown_ratio_;     ///< (fmax / f_l - 1) per level
 
   std::vector<TimelineEvent> timeline_;
   Watts demand_;

@@ -100,9 +100,9 @@ TEST(LintLexer, MultiCharPunctuatorsSurvive) {
 
 // --- catalog -------------------------------------------------------------
 
-TEST(LintCatalog, SixChecksAndKnownCheckAgree) {
+TEST(LintCatalog, FiveChecksAndKnownCheckAgree) {
   const auto& cat = check_catalog();
-  ASSERT_EQ(cat.size(), 6u);
+  ASSERT_EQ(cat.size(), 5u);
   for (const CheckInfo& c : cat) EXPECT_TRUE(known_check(c.name));
   EXPECT_FALSE(known_check("entropy"));
   EXPECT_FALSE(known_check(""));
@@ -257,76 +257,6 @@ TEST(LintQuantity, RawAllowlistedHotLoopFileIsQuiet) {
   EXPECT_TRUE(hot.findings.empty());
   const auto cold = analyze_source("src/energy/other.cpp", snippet);
   EXPECT_EQ(count_check(cold, "quantity"), 1);
-}
-
-// --- simd ----------------------------------------------------------------
-
-TEST(LintSimd, DispatchHeaderWithFallbackIsQuiet) {
-  const auto r = lint_as("src/sched/simd_clean.hpp", "simd_clean.hpp");
-  EXPECT_TRUE(r.findings.empty())
-      << r.findings[0].message << " at line " << r.findings[0].line;
-}
-
-TEST(LintSimd, HeaderConditionalWithoutElseFires) {
-  const auto r =
-      lint_as("src/sched/simd_missing_else.hpp", "simd_missing_else.hpp");
-  EXPECT_EQ(count_check(r, "simd"), 1);
-  EXPECT_EQ(lines_of(r), (std::vector<int>{9}));
-  EXPECT_NE(r.findings[0].message.find("#else"), std::string::npos);
-}
-
-TEST(LintSimd, MissingElseRuleIsHeadersOnly) {
-  // The same content as a .cpp is a SIMD-only implementation TU (empty in
-  // scalar builds, like soa_kernels.cpp) -- sanctioned.
-  const auto r =
-      lint_as("src/sched/simd_missing_else.cpp", "simd_missing_else.hpp");
-  EXPECT_EQ(count_check(r, "simd"), 0);
-}
-
-TEST(LintSimd, UnguardedSimdUseWithoutScalarTwinFires) {
-  // Both the declaration and the call sit outside any ISCOPE_SIMD region
-  // with no *_scalar sibling in the file.
-  const auto r =
-      lint_as("src/sched/simd_unguarded_use.cpp", "simd_unguarded_use.cpp");
-  EXPECT_EQ(count_check(r, "simd"), 2);
-  EXPECT_EQ(lines_of(r), (std::vector<int>{8, 11}));
-  EXPECT_NE(r.findings[0].message.find("sum_scalar"), std::string::npos);
-}
-
-TEST(LintSimd, ScalarTwinInFileSilencesUnguardedUse) {
-  const auto r = analyze_source(
-      "src/sched/x.cpp",
-      "double sum_simd(const double* v, int n);\n"
-      "double sum_scalar(const double* v, int n);\n"
-      "double total(const double* v, int n) { return sum_simd(v, n); }\n");
-  EXPECT_TRUE(r.findings.empty());
-}
-
-TEST(LintSimd, GuardedUseNeedsNoTwin) {
-  const auto r = analyze_source(
-      "src/sched/x.cpp",
-      "#if defined(ISCOPE_SIMD)\n"
-      "double sum_simd(const double* v, int n);\n"
-      "double total(const double* v, int n) { return sum_simd(v, n); }\n"
-      "#endif\n");
-  EXPECT_TRUE(r.findings.empty());
-}
-
-TEST(LintSimd, InverseGuardNeedsNoElse) {
-  // #ifndef ISCOPE_SIMD opens the *scalar* branch first; no #else means
-  // scalar-only code, which is always a complete path.
-  const auto r = analyze_source(
-      "src/sched/x.hpp",
-      "#ifndef ISCOPE_SIMD\n"
-      "inline double sum(const double* v, int n) { return v[0] + n; }\n"
-      "#endif\n");
-  EXPECT_EQ(count_check(r, "simd"), 0);
-}
-
-TEST(LintSimd, ScopeIsSrcOnly) {
-  const auto r = lint_as("bench/simd_unguarded_use.cpp",
-                         "simd_unguarded_use.cpp");
-  EXPECT_TRUE(r.findings.empty());
 }
 
 // --- telemetry -----------------------------------------------------------

@@ -1,19 +1,27 @@
 // Scheduler-equivalence suite (DESIGN.md Sec. 9).
 //
-// The allocation-free rematch path (per-task power tables, reusable
-// matcher scratch, intrusive running list, pool-rejection memo) must be a
-// pure performance change: the simulator's *decisions* have to match the
-// retained pre-optimization matcher path bit for bit. These tests run the
-// same scenario through both paths (SimConfig::use_reference_matcher) and
-// compare every SimResult field, every trace sample, and every timeline
-// event with exact floating-point equality -- across all five schemes,
-// with and without wind, a battery, and in-band profiling windows, on
-// randomized clusters and workloads.
+// The production rematch path (SoA columns, the cached greedy trajectory
+// PowerMatcher::match replays when only the wind moved, rank-scan
+// placement) must be a pure performance change: the simulator's
+// *decisions* have to match the reference oracle (match_reference over
+// ActiveTask views plus PlacementPolicy::choose) bit for bit. These tests
+// run the same scenario through both paths
+// (SimConfig::use_reference_matcher) and compare every SimResult field,
+// every trace sample, and every timeline event bitwise (sim_identity.hpp)
+// -- across all five schemes, with and without wind, a battery, in-band
+// profiling windows, active faults and two shards, on randomized clusters
+// and workloads. GoldenResults.Matrix pins both paths to committed
+// digests, and the matcher-scope property test walks random wind deltas
+// against from-scratch solves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -21,62 +29,12 @@
 #include "sched/power_matcher.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
+#include "sim_identity.hpp"
 #include "telemetry/sink.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace iscope {
 namespace {
-
-void expect_identical(const SimResult& a, const SimResult& b) {
-  // Exact equality everywhere: EXPECT_EQ on doubles is bitwise-meaningful
-  // here because both runs must execute the same arithmetic.
-  EXPECT_EQ(a.energy.wind.joules(), b.energy.wind.joules());
-  EXPECT_EQ(a.energy.utility.joules(), b.energy.utility.joules());
-  EXPECT_EQ(a.cost.raw(), b.cost.raw());
-  EXPECT_EQ(a.wind_curtailed.joules(), b.wind_curtailed.joules());
-  EXPECT_EQ(a.battery_delivered.joules(), b.battery_delivered.joules());
-  EXPECT_EQ(a.battery_losses.joules(), b.battery_losses.joules());
-  EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-  EXPECT_EQ(a.mean_wait.seconds(), b.mean_wait.seconds());
-  EXPECT_EQ(a.makespan.seconds(), b.makespan.seconds());
-  EXPECT_EQ(a.busy_variance_h2, b.busy_variance_h2);
-  EXPECT_EQ(a.procs_used_fraction, b.procs_used_fraction);
-  EXPECT_EQ(a.dvfs_rematch_count, b.dvfs_rematch_count);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.profiling_procs_scanned, b.profiling_procs_scanned);
-  EXPECT_EQ(a.profiling_procs_skipped, b.profiling_procs_skipped);
-  EXPECT_EQ(a.profiling_proc_seconds, b.profiling_proc_seconds);
-  EXPECT_EQ(a.faults.cpu_failures, b.faults.cpu_failures);
-  EXPECT_EQ(a.faults.cpu_repairs, b.faults.cpu_repairs);
-  EXPECT_EQ(a.faults.misprofile_failures, b.faults.misprofile_failures);
-  EXPECT_EQ(a.faults.task_requeues, b.faults.task_requeues);
-  EXPECT_EQ(a.faults.tasks_failed, b.faults.tasks_failed);
-  EXPECT_EQ(a.faults.lost_cpu_seconds, b.faults.lost_cpu_seconds);
-  EXPECT_EQ(a.faults.fault_deadline_misses, b.faults.fault_deadline_misses);
-
-  ASSERT_EQ(a.busy_time_s.size(), b.busy_time_s.size());
-  for (std::size_t i = 0; i < a.busy_time_s.size(); ++i)
-    EXPECT_EQ(a.busy_time_s[i], b.busy_time_s[i]) << "proc " << i;
-
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace[i].time.seconds(), b.trace[i].time.seconds());
-    EXPECT_EQ(a.trace[i].demand.watts(), b.trace[i].demand.watts());
-    EXPECT_EQ(a.trace[i].wind.watts(), b.trace[i].wind.watts());
-    EXPECT_EQ(a.trace[i].utility.watts(), b.trace[i].utility.watts());
-    EXPECT_EQ(a.trace[i].wind_avail.watts(), b.trace[i].wind_avail.watts());
-    EXPECT_EQ(a.trace[i].battery.watts(), b.trace[i].battery.watts());
-  }
-
-  ASSERT_EQ(a.timeline.size(), b.timeline.size());
-  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-    EXPECT_EQ(a.timeline[i].time_s, b.timeline[i].time_s) << "event " << i;
-    EXPECT_EQ(a.timeline[i].kind, b.timeline[i].kind) << "event " << i;
-    EXPECT_EQ(a.timeline[i].task_id, b.timeline[i].task_id) << "event " << i;
-    EXPECT_EQ(a.timeline[i].value, b.timeline[i].value) << "event " << i;
-  }
-}
 
 struct Scenario {
   Cluster cluster;
@@ -162,44 +120,91 @@ struct Scenario {
     const SimResult reference = run(scheme, tasks, supply, cfg, profiling);
     expect_identical(optimized, reference);
   }
-
-  /// The delta-rematch identity (DESIGN.md Sec. 14): a run that replays
-  /// cached greedy trajectories on wind-only epochs must be bit-identical
-  /// both to a run that full-solves every rematch and to the reference
-  /// matcher. Zero cost gap -- the declared bound is exact equality.
-  void check_incremental_identity(
-      Scheme scheme, const std::vector<Task>& tasks,
-      const HybridSupply& supply, SimConfig cfg,
-      const std::vector<ProfilingWindow>& profiling = {}) const {
-    cfg.use_reference_matcher = false;
-    cfg.incremental_rematch = true;
-    const SimResult incremental = run(scheme, tasks, supply, cfg, profiling);
-    cfg.incremental_rematch = false;
-    const SimResult full = run(scheme, tasks, supply, cfg, profiling);
-    expect_identical(incremental, full);
-    cfg.use_reference_matcher = true;
-    const SimResult reference = run(scheme, tasks, supply, cfg, profiling);
-    expect_identical(incremental, reference);
-  }
 };
 
-TEST(MatchEquivalence, AllSchemesUtilityOnly) {
-  const Scenario s(16, 11);
-  const auto tasks = s.make_tasks(40, 21);
+/// Seeds of one scenario draw: cluster, workload, wind trace and fault
+/// plan.
+struct Draw {
+  std::uint64_t cluster;
+  std::uint64_t tasks;
+  std::uint64_t supply;
+  std::uint64_t faults = 0;
+};
+
+// Each scenario below is written once and run on two draws, one under
+// MatchEquivalence and one under IncrementalIdentity. Both hold the
+// default path, which replays the cached greedy trajectory whenever only
+// the wind moved (DESIGN.md Sec. 14), to the reference.
+
+void all_schemes_utility_only(const Draw& d) {
+  const Scenario s(16, d.cluster);
+  const auto tasks = s.make_tasks(40, d.tasks);
   for (const Scheme scheme : kAllSchemes) {
     SCOPED_TRACE(scheme_name(scheme));
     s.check_equivalence(scheme, tasks, HybridSupply{}, SimConfig{});
   }
 }
 
-TEST(MatchEquivalence, AllSchemesWithWind) {
-  const Scenario s(16, 13);
-  const auto tasks = s.make_tasks(40, 23);
-  const HybridSupply supply = s.make_supply(31);
+void all_schemes_with_wind(const Draw& d) {
+  const Scenario s(16, d.cluster);
+  const auto tasks = s.make_tasks(40, d.tasks);
+  const HybridSupply supply = s.make_supply(d.supply);
   for (const Scheme scheme : kAllSchemes) {
     SCOPED_TRACE(scheme_name(scheme));
     s.check_equivalence(scheme, tasks, supply, SimConfig{});
   }
+}
+
+void with_battery(const Draw& d) {
+  SimConfig cfg;
+  cfg.battery = BatteryConfig::make(/*capacity_kwh=*/2.0, /*power_kw=*/1.0);
+  const Scenario s(16, d.cluster);
+  const auto tasks = s.make_tasks(35, d.tasks);
+  const HybridSupply supply = s.make_supply(d.supply);
+  for (const Scheme scheme : {Scheme::kScanFair, Scheme::kBinEffi}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    s.check_equivalence(scheme, tasks, supply, cfg);
+  }
+}
+
+void with_profiling_windows(const Draw& d) {
+  std::vector<ProfilingWindow> windows;
+  for (std::size_t w = 0; w < 4; ++w) {
+    ProfilingWindow win;
+    win.start_s = 500.0 + 2500.0 * static_cast<double>(w);
+    win.duration_s = 900.0;
+    win.proc_ids = {w, w + 4, w + 8};
+    windows.push_back(win);
+  }
+  const Scenario s(16, d.cluster);
+  const auto tasks = s.make_tasks(35, d.tasks);
+  const HybridSupply supply = s.make_supply(d.supply);
+  s.check_equivalence(Scheme::kScanEffi, tasks, supply, SimConfig{}, windows);
+  s.check_equivalence(Scheme::kScanRan, tasks, supply, SimConfig{}, windows);
+}
+
+void with_faults_active(const Draw& d) {
+  const Scenario s(16, d.cluster);
+  const auto tasks = s.make_tasks(40, d.tasks);
+  const HybridSupply supply = s.make_supply(d.supply);
+  SimConfig cfg;
+  cfg.faults.crash_mtbf_s = 6.0 * 3600.0;
+  cfg.faults.repair_mean_s = 900.0;
+  cfg.faults.misprofile_prob = 0.2;
+  cfg.fault_seed = d.faults;
+  for (const Scheme scheme : {Scheme::kScanEffi, Scheme::kScanFair,
+                              Scheme::kBinEffi}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    s.check_equivalence(scheme, tasks, supply, cfg);
+  }
+}
+
+TEST(MatchEquivalence, AllSchemesUtilityOnly) {
+  all_schemes_utility_only(Draw{11, 21, 0});
+}
+
+TEST(MatchEquivalence, AllSchemesWithWind) {
+  all_schemes_with_wind(Draw{13, 23, 31});
 }
 
 TEST(MatchEquivalence, RandomizedClustersAndWorkloads) {
@@ -215,116 +220,48 @@ TEST(MatchEquivalence, RandomizedClustersAndWorkloads) {
   }
 }
 
-TEST(MatchEquivalence, WithBattery) {
-  const Scenario s(16, 17);
-  const auto tasks = s.make_tasks(35, 27);
-  const HybridSupply supply = s.make_supply(37);
-  SimConfig cfg;
-  cfg.battery = BatteryConfig::make(/*capacity_kwh=*/2.0, /*power_kw=*/1.0);
-  for (const Scheme scheme : {Scheme::kScanFair, Scheme::kBinEffi}) {
-    SCOPED_TRACE(scheme_name(scheme));
-    s.check_equivalence(scheme, tasks, supply, cfg);
-  }
-}
+TEST(MatchEquivalence, WithBattery) { with_battery(Draw{17, 27, 37}); }
 
 TEST(MatchEquivalence, WithProfilingWindows) {
-  const Scenario s(16, 19);
-  const auto tasks = s.make_tasks(35, 29);
-  const HybridSupply supply = s.make_supply(39);
-  std::vector<ProfilingWindow> windows;
-  for (std::size_t w = 0; w < 4; ++w) {
-    ProfilingWindow win;
-    win.start_s = 500.0 + 2500.0 * static_cast<double>(w);
-    win.duration_s = 900.0;
-    win.proc_ids = {w, w + 4, w + 8};
-    windows.push_back(win);
-  }
-  s.check_equivalence(Scheme::kScanEffi, tasks, supply, SimConfig{}, windows);
-  s.check_equivalence(Scheme::kScanRan, tasks, supply, SimConfig{}, windows);
+  with_profiling_windows(Draw{19, 29, 39});
 }
 
-// ----------------------------------------------- incremental identity
-//
-// ISSUE 8's delta-rematch contract: SimConfig::incremental_rematch is a
-// pure performance switch. Every scenario axis the optimized matcher is
-// held to (schemes, wind, battery, profiling windows, active faults,
-// sharding) must come out bit-identical with the cache on, with it off,
-// and against the reference matcher.
+TEST(MatchEquivalence, FaultsActiveOptimizedMatchesReference) {
+  // The production path must stay bit-equivalent to the reference even
+  // while CPUs crash, tasks requeue, and the knowledge view's quarantine
+  // generation churns under it -- each of which invalidates the cached
+  // trajectory mid-flight.
+  with_faults_active(Draw{51, 59, 71, 13});
+}
 
 TEST(IncrementalIdentity, AllSchemesWithWind) {
-  const Scenario s(16, 111);
-  const auto tasks = s.make_tasks(40, 113);
-  const HybridSupply supply = s.make_supply(117);
-  for (const Scheme scheme : kAllSchemes) {
-    SCOPED_TRACE(scheme_name(scheme));
-    s.check_incremental_identity(scheme, tasks, supply, SimConfig{});
-  }
+  all_schemes_with_wind(Draw{111, 113, 117});
 }
 
 TEST(IncrementalIdentity, AllSchemesUtilityOnly) {
   // No wind: phase 2 never fires and the cached trajectories stay empty,
-  // but the cursor machinery still runs on every epoch -- it must be
+  // but the replay machinery still runs on every epoch -- it must be
   // inert.
-  const Scenario s(16, 121);
-  const auto tasks = s.make_tasks(40, 123);
-  for (const Scheme scheme : kAllSchemes) {
-    SCOPED_TRACE(scheme_name(scheme));
-    s.check_incremental_identity(scheme, tasks, HybridSupply{}, SimConfig{});
-  }
+  all_schemes_utility_only(Draw{121, 123, 0});
 }
 
-TEST(IncrementalIdentity, WithBattery) {
-  const Scenario s(16, 131);
-  const auto tasks = s.make_tasks(35, 133);
-  const HybridSupply supply = s.make_supply(137);
-  SimConfig cfg;
-  cfg.battery = BatteryConfig::make(/*capacity_kwh=*/2.0, /*power_kw=*/1.0);
-  for (const Scheme scheme : {Scheme::kScanFair, Scheme::kBinEffi}) {
-    SCOPED_TRACE(scheme_name(scheme));
-    s.check_incremental_identity(scheme, tasks, supply, cfg);
-  }
-}
+TEST(IncrementalIdentity, WithBattery) { with_battery(Draw{131, 133, 137}); }
 
 TEST(IncrementalIdentity, WithProfilingWindows) {
-  const Scenario s(16, 141);
-  const auto tasks = s.make_tasks(35, 143);
-  const HybridSupply supply = s.make_supply(147);
-  std::vector<ProfilingWindow> windows;
-  for (std::size_t w = 0; w < 4; ++w) {
-    ProfilingWindow win;
-    win.start_s = 500.0 + 2500.0 * static_cast<double>(w);
-    win.duration_s = 900.0;
-    win.proc_ids = {w, w + 4, w + 8};
-    windows.push_back(win);
-  }
-  s.check_incremental_identity(Scheme::kScanEffi, tasks, supply, SimConfig{},
-                               windows);
-  s.check_incremental_identity(Scheme::kScanRan, tasks, supply, SimConfig{},
-                               windows);
+  with_profiling_windows(Draw{141, 143, 147});
 }
 
 TEST(IncrementalIdentity, WithFaultsActive) {
   // Crashes, requeues and quarantine generation bumps all invalidate the
   // cache mid-flight; the fallback full solves must leave no trace.
-  const Scenario s(16, 151);
-  const auto tasks = s.make_tasks(40, 153);
-  const HybridSupply supply = s.make_supply(157);
-  SimConfig cfg;
-  cfg.faults.crash_mtbf_s = 6.0 * 3600.0;
-  cfg.faults.repair_mean_s = 900.0;
-  cfg.faults.misprofile_prob = 0.2;
-  cfg.fault_seed = 19;
-  for (const Scheme scheme : {Scheme::kScanEffi, Scheme::kScanFair,
-                              Scheme::kBinEffi}) {
-    SCOPED_TRACE(scheme_name(scheme));
-    s.check_incremental_identity(scheme, tasks, supply, cfg);
-  }
+  with_faults_active(Draw{151, 153, 157, 19});
 }
 
-TEST(IncrementalIdentity, TwoShards) {
-  // Each shard owns its own MatcherColumns and IncrementalMatchState; the
+TEST(MatchEquivalence, TwoShards) {
+  // Each shard owns its own MatcherColumns and IncrementalMatchState, and
+  // ShardedSim copies use_reference_matcher into every shard; the
   // epoch-barrier wind reconciliation must see identical per-shard demand
-  // whichever way each shard solved.
+  // on both paths.
   const Scenario s(16, 161);
   const auto tasks = s.make_tasks(40, 163);
   const HybridSupply supply = s.make_supply(167);
@@ -336,27 +273,158 @@ TEST(IncrementalIdentity, TwoShards) {
   for (const Scheme scheme : {Scheme::kScanEffi, Scheme::kScanFair}) {
     SCOPED_TRACE(scheme_name(scheme));
     const ProfileDb* db = scheme_uses_scan(scheme) ? &s.db : nullptr;
-    SimConfig on = cfg;
-    on.incremental_rematch = true;
-    SimConfig off = cfg;
-    off.incremental_rematch = false;
-    ShardedSim sim_on(s.cluster, scheme, db, supply, on);
-    ShardedSim sim_off(s.cluster, scheme, db, supply, off);
-    const SimResult a = sim_on.run(tasks);
-    const SimResult b = sim_off.run(tasks);
-    expect_identical(a, b);
+    SimConfig reference = cfg;
+    reference.use_reference_matcher = true;
+    ShardedSim sim_default(s.cluster, scheme, db, supply, cfg);
+    ShardedSim sim_reference(s.cluster, scheme, db, supply, reference);
+    expect_identical(sim_default.run(tasks), sim_reference.run(tasks));
   }
+}
+
+// ----------------------------------------------- golden result digests
+//
+// tests/data/golden/sim_digests.txt pins one result digest
+// (sim_identity.hpp) per row of the full scenario product: the five paper
+// schemes and ScanTherm x utility-only/wind x battery x profiling windows
+// x faults x thermal with timeout sleep x flat/2-shard simulator. Both
+// matcher paths must reach the committed digest. The default-vs-reference
+// suites above cannot see a change in code both paths share (kRandom
+// placement, the Eq-3 slowdown the simulator applies); the pins can.
+
+struct GoldenAxes {
+  bool wind = false;
+  bool battery = false;
+  bool profiling = false;
+  bool faults = false;
+  bool thermal = false;
+  bool sharded = false;
+};
+
+std::string golden_row_name(Scheme scheme, const GoldenAxes& ax) {
+  auto on = [](bool b) { return b ? "on" : "off"; };
+  std::ostringstream name;
+  name << scheme_name(scheme) << "/supply=" << (ax.wind ? "wind" : "utility")
+       << "/battery=" << on(ax.battery) << "/profiling=" << on(ax.profiling)
+       << "/faults=" << on(ax.faults) << "/thermal=" << on(ax.thermal)
+       << "/sim=" << (ax.sharded ? "2shard" : "flat");
+  return name.str();
+}
+
+TEST(GoldenResults, Matrix) {
+  // The committed rows: `<row> <digest>` per line, blank lines ignored.
+  const std::string path =
+      std::string(ISCOPE_TEST_DATA_DIR) + "/golden/sim_digests.txt";
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "cannot read " << path;
+  std::map<std::string, std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty()) continue;
+    std::istringstream fields(line);
+    std::string row;
+    std::string digest;
+    std::string extra;
+    fields >> row >> digest;
+    EXPECT_TRUE(digest.size() == 16 && !(fields >> extra))
+        << "malformed golden line: " << line;
+    EXPECT_TRUE(golden.emplace(row, digest).second) << "duplicate row " << row;
+  }
+
+  std::vector<Scheme> schemes(kAllSchemes.begin(), kAllSchemes.end());
+  schemes.push_back(ensure_extended_schemes_registered());
+
+  const Scenario s(16, 211);
+  const auto tasks = s.make_tasks(30, 213);
+  const HybridSupply windy = s.make_supply(217);
+  const HybridSupply utility_only;
+  std::vector<ProfilingWindow> windows;
+  for (std::size_t w = 0; w < 3; ++w) {
+    ProfilingWindow win;
+    win.start_s = 600.0 + 2700.0 * static_cast<double>(w);
+    win.duration_s = 800.0;
+    win.proc_ids = {w, w + 5, w + 11};
+    windows.push_back(win);
+  }
+  const std::vector<ProfilingWindow> no_windows;
+
+  auto run_row = [&](Scheme scheme, const GoldenAxes& ax, bool reference) {
+    SimConfig cfg;
+    cfg.record_trace = true;
+    cfg.record_timeline = true;
+    cfg.topology.cpus_per_rack = 2;
+    cfg.use_reference_matcher = reference;
+    if (ax.battery)
+      cfg.battery = BatteryConfig::make(/*capacity_kwh=*/2.0,
+                                        /*power_kw=*/1.0);
+    if (ax.faults) {
+      cfg.faults.crash_mtbf_s = 6.0 * 3600.0;
+      cfg.faults.repair_mean_s = 900.0;
+      cfg.faults.misprofile_prob = 0.2;
+      cfg.fault_seed = 29;
+    }
+    if (ax.thermal) {
+      cfg.thermal.enabled = true;
+      cfg.sleep.policy = SleepPolicy::kTimeout;
+    }
+    const HybridSupply& supply = ax.wind ? windy : utility_only;
+    const std::vector<ProfilingWindow>& profiling =
+        ax.profiling ? windows : no_windows;
+    const ProfileDb* db = scheme_uses_scan(scheme) ? &s.db : nullptr;
+    if (ax.sharded) {
+      cfg.topology.shards = 2;
+      ShardedSim sim(s.cluster, scheme, db, supply, cfg);
+      return sim.run(tasks, profiling);
+    }
+    Knowledge knowledge(&s.cluster, scheme_knowledge(scheme), db);
+    DatacenterSim sim(&knowledge, scheme_rule(scheme), &supply, cfg);
+    return sim.run(tasks, profiling);
+  };
+
+  std::size_t produced = 0;
+  for (const Scheme scheme : schemes) {
+    for (unsigned bits = 0; bits < 64; ++bits) {
+      GoldenAxes ax;
+      ax.wind = (bits & 1u) != 0;
+      ax.battery = (bits & 2u) != 0;
+      ax.profiling = (bits & 4u) != 0;
+      ax.faults = (bits & 8u) != 0;
+      ax.thermal = (bits & 16u) != 0;
+      ax.sharded = (bits & 32u) != 0;
+      const std::string row = golden_row_name(scheme, ax);
+      ++produced;
+      const std::string fast =
+          digest_hex(result_digest(run_row(scheme, ax, false)));
+      const std::string ref =
+          digest_hex(result_digest(run_row(scheme, ax, true)));
+      EXPECT_EQ(fast, ref) << row << ": default and reference matcher differ";
+      const auto it = golden.find(row);
+      if (it == golden.end()) {
+        ADD_FAILURE() << "row missing from " << path << "; ready to paste:\n"
+                      << row << " " << fast;
+        continue;
+      }
+      if (fast != it->second || ref != it->second) {
+        ADD_FAILURE() << row << ": digest " << fast << " (reference " << ref
+                      << ") != committed " << it->second
+                      << "; ready to paste:\n"
+                      << row << " " << fast;
+      }
+      golden.erase(it);
+    }
+  }
+  EXPECT_EQ(produced, 384u);
+  for (const auto& [row, digest] : golden)
+    ADD_FAILURE() << "extra row in " << path << ": " << row;
 }
 
 // ----------------------------------------------- 50-seed delta property
 //
 // Matcher-scope property test: whatever wind-budget walk an epoch
-// sequence throws at it, a match_incremental hit must reproduce the
-// from-scratch match_columns solve exactly -- compute, demand, step
-// count, and every per-row level, to the bit. The walk also perturbs
-// task progress and the clock between epochs; when that moves a deadline
-// floor the incremental path must *refuse* (return false) rather than
-// replay a stale trajectory.
+// sequence throws at it, a `match` call that replays its cached trajectory
+// must reproduce the from-scratch solve (`match` with a fresh state)
+// exactly -- compute, demand, step count, and every per-row level, to the
+// bit. The walk also perturbs task progress and the clock between epochs;
+// when that moves a deadline floor the replay must be *refused* (the call
+// re-solves) rather than replay a stale trajectory.
 
 TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
   ClusterConfig ccfg;
@@ -366,10 +434,6 @@ TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
   const Knowledge knowledge(&cluster, KnowledgeSource::kBin);
   const PowerMatcher matcher(&knowledge, 1.4);
   const std::size_t levels = knowledge.levels();
-  const double fmax = cluster.levels().freq_ghz.back();
-  std::vector<double> ratio;
-  for (const double f : cluster.levels().freq_ghz)
-    ratio.push_back(fmax / f - 1.0);
 
   std::size_t hits = 0;
   std::size_t total = 0;
@@ -396,16 +460,16 @@ TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
         power_row[l] = p.raw();
       }
       next_proc += 4;
-      cols.fill_row(r, rng.uniform(0.3, 1.0), ratio.data(), power_row.data());
+      cols.fill_row(r, rng.uniform(0.3, 1.0), matcher.slowdown_ratio(),
+                    power_row.data());
     }
 
-    MatchScratch scratch;
     IncrementalMatchState inc;
     // Zero-wind solve: phase 2 gated off, so the cache starts with an
     // empty trajectory AND no heap -- the first fitting epoch must take
-    // the heap_built escape hatch and full-solve.
-    const MatchResult cached =
-        matcher.match_columns(cols, Watts{}, now, scratch, &inc);
+    // the heap_built escape hatch and re-solve.
+    const MatchResult cached = matcher.match(cols, Watts{}, now, inc);
+    EXPECT_FALSE(cached.replayed);
     const double top_demand = cached.demand.raw();
 
     for (int step = 0; step < 40; ++step) {
@@ -420,16 +484,12 @@ TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
       }
       const Watts wind{rng.uniform(0.0, 1.3 * top_demand)};
       MatcherColumns fresh = cols;
-      MatchScratch fresh_scratch;
-      const MatchResult full =
-          matcher.match_columns(fresh, wind, now, fresh_scratch);
-      MatchResult out;
+      IncrementalMatchState fresh_state;
+      const MatchResult full = matcher.match(fresh, wind, now, fresh_state);
+      EXPECT_FALSE(full.replayed);
+      const MatchResult out = matcher.match(cols, wind, now, inc);
       ++total;
-      if (matcher.match_incremental(cols, wind, now, scratch, inc, out)) {
-        ++hits;
-      } else {
-        out = matcher.match_columns(cols, wind, now, scratch, &inc);
-      }
+      if (out.replayed) ++hits;
       ASSERT_EQ(out.compute.raw(), full.compute.raw()) << "step " << step;
       ASSERT_EQ(out.demand.raw(), full.demand.raw()) << "step " << step;
       ASSERT_EQ(out.steps, full.steps) << "step " << step;
@@ -491,25 +551,6 @@ TEST(ZeroFaultIdentity, WithBatteryAndProfilingWindows) {
     const SimResult b = s.run(scheme, tasks, supply, with_empty_plan,
                               windows);
     expect_identical(a, b);
-  }
-}
-
-TEST(MatchEquivalence, FaultsActiveOptimizedMatchesReference) {
-  // The allocation-free rematch path must stay bit-equivalent to the
-  // reference matcher even while CPUs crash, tasks requeue, and the
-  // knowledge view's quarantine generation churns under it.
-  const Scenario s(16, 51);
-  const auto tasks = s.make_tasks(40, 59);
-  const HybridSupply supply = s.make_supply(71);
-  SimConfig cfg;
-  cfg.faults.crash_mtbf_s = 6.0 * 3600.0;
-  cfg.faults.repair_mean_s = 900.0;
-  cfg.faults.misprofile_prob = 0.2;
-  cfg.fault_seed = 13;
-  for (const Scheme scheme : {Scheme::kScanEffi, Scheme::kScanFair,
-                              Scheme::kBinEffi}) {
-    SCOPED_TRACE(scheme_name(scheme));
-    s.check_equivalence(scheme, tasks, supply, cfg);
   }
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "hardware/cluster.hpp"
+#include "matcher_rows.hpp"
 
 namespace iscope {
 namespace {
@@ -25,13 +27,40 @@ struct Fixture {
 
   ActiveTask task(double work = 1000.0, double deadline = 1e9,
                   double gamma = 1.0,
-                  std::vector<std::size_t> procs = {0, 1}) {
+                  std::vector<std::size_t> procs = {0, 1}) const {
     ActiveTask t;
     t.remaining_work_s = work;
     t.deadline_s = deadline;
     t.gamma = gamma;
     t.procs = std::move(procs);
     return t;
+  }
+
+  MatcherColumns rows(const std::vector<ActiveTask>& tasks) const {
+    return matcher_rows(knowledge, matcher, tasks);
+  }
+
+  /// The production matcher with a fresh state, i.e. a full solve.
+  MatchResult match(MatcherColumns& cols, Watts wind, double now = 0.0) const {
+    IncrementalMatchState state;
+    return matcher.match(cols, wind, now, state);
+  }
+
+  /// `count` random tasks on random processor sets, with deadlines from
+  /// loose to infeasible so floors cover every level.
+  std::vector<ActiveTask> random_tasks(Rng& rng, std::size_t count) const {
+    std::vector<ActiveTask> tasks;
+    for (std::size_t i = 0; i < count; ++i) {
+      std::vector<std::size_t> procs;
+      const auto width = static_cast<std::size_t>(rng.uniform_int(1, 4));
+      for (std::size_t k = 0; k < width; ++k)
+        procs.push_back(static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(cluster.size()) - 1)));
+      const double work = rng.uniform(50.0, 5000.0);
+      tasks.push_back(task(work, work * rng.uniform(0.8, 4.0),
+                           rng.uniform(0.0, 1.0), std::move(procs)));
+    }
+    return tasks;
   }
 };
 
@@ -106,28 +135,30 @@ TEST(EnergyOptimal, IoBoundPrefersLowerFrequency) {
 
 TEST(Match, EmptyTaskListIsZero) {
   Fixture f;
-  std::vector<ActiveTask> tasks;
-  const MatchResult r = f.matcher.match(tasks, Watts{1000.0}, 0.0);
+  MatcherColumns cols = f.rows({});
+  const MatchResult r = f.match(cols, Watts{1000.0});
   EXPECT_DOUBLE_EQ(r.demand.watts(), 0.0);
   EXPECT_EQ(r.steps, 0u);
 }
 
 TEST(Match, NoWindRunsEnergyOptimalBaseline) {
   Fixture f;
-  std::vector<ActiveTask> tasks = {f.task(), f.task(500.0, 1e9, 0.9, {2, 3})};
-  const MatchResult r = f.matcher.match(tasks, Watts{0.0}, 0.0);
+  const std::vector<ActiveTask> tasks = {f.task(),
+                                         f.task(500.0, 1e9, 0.9, {2, 3})};
+  MatcherColumns cols = f.rows(tasks);
+  const MatchResult r = f.match(cols, Watts{0.0});
   EXPECT_EQ(r.steps, 0u);
-  for (const auto& t : tasks) {
-    const std::size_t expect = f.matcher.energy_optimal_level(
-        t, f.matcher.min_feasible_level(t, 0.0));
-    EXPECT_EQ(t.level, expect);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const std::size_t floor = f.matcher.min_feasible_level(tasks[i], 0.0);
+    EXPECT_EQ(cols.floor[i], floor);
+    EXPECT_EQ(cols.level[i], f.matcher.energy_optimal_level(tasks[i], floor));
   }
 }
 
 TEST(Match, AbundantWindKeepsBaseline) {
   Fixture f;
-  std::vector<ActiveTask> tasks = {f.task()};
-  const MatchResult r = f.matcher.match(tasks, Watts{1e9}, 0.0);
+  MatcherColumns cols = f.rows({f.task()});
+  const MatchResult r = f.match(cols, Watts{1e9});
   EXPECT_EQ(r.steps, 0u);
   EXPECT_LE(r.demand.watts(), 1e9);
 }
@@ -140,17 +171,16 @@ TEST(Match, MidWindStepsDownToFit) {
                            {static_cast<std::size_t>(2 * i),
                             static_cast<std::size_t>(2 * i + 1)}));
   // Baseline demand:
-  std::vector<ActiveTask> probe = tasks;
-  const double baseline = f.matcher.match(probe, Watts{0.0}, 0.0).demand.watts();
+  MatcherColumns probe = f.rows(tasks);
+  const double baseline = f.match(probe, Watts{0.0}).demand.watts();
   // All-floor demand:
-  std::vector<ActiveTask> floors = tasks;
   double floor_w = 0.0;
-  for (auto& t : floors)
-    floor_w += f.matcher.task_power(t, 0).watts();
+  for (const auto& t : tasks) floor_w += f.matcher.task_power(t, 0).watts();
   floor_w *= f.matcher.cooling_factor();
   // A budget between floor and baseline is reachable by stepping down.
   const double budget = 0.5 * (floor_w + baseline);
-  const MatchResult r = f.matcher.match(tasks, Watts{budget}, 0.0);
+  MatcherColumns cols = f.rows(tasks);
+  const MatchResult r = f.match(cols, Watts{budget});
   EXPECT_GT(r.steps, 0u);
   EXPECT_LE(r.demand.watts(), budget + 1e-9);
 }
@@ -160,10 +190,12 @@ TEST(Match, UnreachableWindSkipsStretching) {
   // burn, so the matcher keeps the energy-optimal baseline (DESIGN.md /
   // Sec. V-C refinement).
   Fixture f;
-  std::vector<ActiveTask> tasks = {f.task(), f.task(800.0, 1e9, 1.0, {4, 5})};
-  const MatchResult no_wind = f.matcher.match(tasks, Watts{0.0}, 0.0);
-  std::vector<ActiveTask> again = {f.task(), f.task(800.0, 1e9, 1.0, {4, 5})};
-  const MatchResult tiny_wind = f.matcher.match(again, Watts{1.0}, 0.0);
+  const std::vector<ActiveTask> tasks = {f.task(),
+                                         f.task(800.0, 1e9, 1.0, {4, 5})};
+  MatcherColumns calm = f.rows(tasks);
+  const MatchResult no_wind = f.match(calm, Watts{0.0});
+  MatcherColumns breeze = f.rows(tasks);
+  const MatchResult tiny_wind = f.match(breeze, Watts{1.0});
   EXPECT_EQ(tiny_wind.steps, 0u);
   EXPECT_DOUBLE_EQ(tiny_wind.demand.watts(), no_wind.demand.watts());
 }
@@ -172,28 +204,85 @@ TEST(Match, DeadlineFloorsAreRespected) {
   Fixture f;
   // Tight deadline: floor at the top level; wind pressure must not push it
   // below.
-  std::vector<ActiveTask> tasks = {f.task(1000.0, 1000.0)};
-  const MatchResult r = f.matcher.match(tasks, Watts{10.0}, 0.0);
-  EXPECT_EQ(tasks[0].level, f.knowledge.levels() - 1);
+  MatcherColumns cols = f.rows({f.task(1000.0, 1000.0)});
+  const MatchResult r = f.match(cols, Watts{10.0});
+  EXPECT_EQ(cols.level[0], f.knowledge.levels() - 1);
   EXPECT_GT(r.demand.watts(), 10.0);  // utility will supplement
 }
 
 TEST(Match, DemandIncludesCoolingFactor) {
   Fixture f;
-  std::vector<ActiveTask> tasks = {f.task()};
-  const MatchResult r = f.matcher.match(tasks, Watts{0.0}, 0.0);
+  MatcherColumns cols = f.rows({f.task()});
+  const MatchResult r = f.match(cols, Watts{0.0});
   EXPECT_NEAR(r.demand.watts(), r.compute.watts() * 1.4, 1e-9);
 }
 
 TEST(Match, Deterministic) {
   Fixture f;
-  std::vector<ActiveTask> a = {f.task(), f.task(500.0, 5000.0, 0.7, {2, 3})};
-  std::vector<ActiveTask> b = a;
-  const MatchResult ra = f.matcher.match(a, Watts{300.0}, 0.0);
-  const MatchResult rb = f.matcher.match(b, Watts{300.0}, 0.0);
+  const std::vector<ActiveTask> tasks = {f.task(),
+                                         f.task(500.0, 5000.0, 0.7, {2, 3})};
+  MatcherColumns a = f.rows(tasks);
+  MatcherColumns b = f.rows(tasks);
+  const MatchResult ra = f.match(a, Watts{300.0});
+  const MatchResult rb = f.match(b, Watts{300.0});
   EXPECT_EQ(ra.demand.watts(), rb.demand.watts());
-  EXPECT_EQ(a[0].level, b[0].level);
-  EXPECT_EQ(a[1].level, b[1].level);
+  EXPECT_EQ(a.level[0], b.level[0]);
+  EXPECT_EQ(a.level[1], b.level[1]);
+}
+
+TEST(Match, AgreesWithReferenceOnRandomRows) {
+  // One state per seed across a walk of wind budgets, so later calls
+  // replay the cached trajectory; every call must equal the reference
+  // oracle's independent solve bit for bit.
+  Fixture f;
+  std::size_t replays = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const std::vector<ActiveTask> tasks =
+        f.random_tasks(rng, static_cast<std::size_t>(rng.uniform_int(1, 8)));
+    MatcherColumns cols = f.rows(tasks);
+    IncrementalMatchState state;
+    for (int call = 0; call < 10; ++call) {
+      const Watts wind{rng.uniform(0.0, 600.0)};
+      const MatchResult r = f.matcher.match(cols, wind, 0.0, state);
+      replays += r.replayed ? 1 : 0;
+      std::vector<ActiveTask> ref = tasks;
+      const MatchResult want = f.matcher.match_reference(ref, wind, 0.0);
+      ASSERT_EQ(r.compute.watts(), want.compute.watts()) << "call " << call;
+      ASSERT_EQ(r.demand.watts(), want.demand.watts()) << "call " << call;
+      ASSERT_EQ(r.steps, want.steps) << "call " << call;
+      for (std::size_t i = 0; i < tasks.size(); ++i)
+        ASSERT_EQ(cols.level[i], ref[i].level) << "call " << call;
+    }
+  }
+  EXPECT_GT(replays, 0u);
+}
+
+TEST(MatchKernels, FloorScanAndBestFromAgreeWithReference) {
+  // The SoA kernels replace two reference functions: floor_scan_rows must
+  // equal min_feasible_level, and best_from[f] must equal
+  // energy_optimal_level(f) for every floor f.
+  Fixture f;
+  Rng rng(41);
+  const std::size_t levels = f.knowledge.levels();
+  for (int trial = 0; trial < 100; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::vector<ActiveTask> tasks = f.random_tasks(rng, 8);
+    const MatcherColumns cols = f.rows(tasks);
+    const double now = rng.uniform(0.0, 2000.0);
+    std::vector<std::size_t> floor(cols.count);
+    soa::floor_scan_rows(cols.slowdown.data(), levels, cols.remaining.data(),
+                         cols.deadline.data(), now, cols.count, floor.data());
+    for (std::size_t r = 0; r < cols.count; ++r) {
+      EXPECT_EQ(floor[r], f.matcher.min_feasible_level(tasks[r], now))
+          << "row " << r;
+      for (std::size_t fl = 0; fl < levels; ++fl)
+        EXPECT_EQ(cols.best_from_row(r)[fl],
+                  f.matcher.energy_optimal_level(tasks[r], fl))
+            << "row " << r << " floor " << fl;
+    }
+  }
 }
 
 TEST(Match, TaskPowerSumsProcessors) {
@@ -210,8 +299,13 @@ TEST(Match, Validation) {
   Fixture f;
   EXPECT_THROW(PowerMatcher(nullptr, 1.4), InvalidArgument);
   EXPECT_THROW(PowerMatcher(&f.knowledge, 0.9), InvalidArgument);
+  MatcherColumns cols = f.rows({f.task()});
+  IncrementalMatchState state;
+  EXPECT_THROW(f.matcher.match(cols, Watts{-1.0}, 0.0, state),
+               InvalidArgument);
   std::vector<ActiveTask> tasks = {f.task()};
-  EXPECT_THROW(f.matcher.match(tasks, Watts{-1.0}, 0.0), InvalidArgument);
+  EXPECT_THROW(f.matcher.match_reference(tasks, Watts{-1.0}, 0.0),
+               InvalidArgument);
 }
 
 }  // namespace

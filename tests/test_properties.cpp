@@ -7,6 +7,7 @@
 #include <numeric>
 #include <tuple>
 
+#include "matcher_rows.hpp"
 #include "profiling/scanner.hpp"
 #include "sim/simulator.hpp"
 #include "variation/binning.hpp"
@@ -80,21 +81,26 @@ TEST_P(MatcherWindProperty, DemandMonotoneInBudgetAndSafe) {
     return tasks;
   };
 
-  auto tasks = make_tasks();
-  const MatchResult r = matcher.match(tasks, Watts{wind_w}, 0.0);
+  const auto tasks = make_tasks();
+  MatcherColumns cols = matcher_rows(knowledge, matcher, tasks);
+  IncrementalMatchState state;
+  const MatchResult r = matcher.match(cols, Watts{wind_w}, 0.0, state);
 
   // Levels never violate deadline floors.
-  for (const auto& t : tasks)
-    EXPECT_GE(t.level, matcher.min_feasible_level(t, 0.0));
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    EXPECT_GE(cols.level[i], matcher.min_feasible_level(tasks[i], 0.0));
 
   // More wind never increases demand... (fitting relaxes monotonically)
-  auto tasks_more = make_tasks();
-  const MatchResult more = matcher.match(tasks_more, Watts{wind_w * 2.0 + 10.0}, 0.0);
+  MatcherColumns cols_more = matcher_rows(knowledge, matcher, tasks);
+  IncrementalMatchState state_more;
+  const MatchResult more = matcher.match(
+      cols_more, Watts{wind_w * 2.0 + 10.0}, 0.0, state_more);
   EXPECT_GE(more.demand.watts(), r.demand.watts() - 1e-9);
 
   // Demand equals the sum of the assigned task powers times cooling.
   double sum = 0.0;
-  for (const auto& t : tasks) sum += matcher.task_power(t, t.level).watts();
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    sum += matcher.task_power(tasks[i], cols.level[i]).watts();
   EXPECT_NEAR(r.demand.watts(), sum * 1.4, 1e-6);
 }
 

@@ -21,63 +21,11 @@
 #include "profiling/scanner.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
+#include "sim_identity.hpp"
 
 namespace iscope {
 namespace {
 
-void expect_identical(const SimResult& a, const SimResult& b) {
-  // Exact equality everywhere: EXPECT_EQ on doubles is bitwise-meaningful
-  // because both runs must execute the same arithmetic in the same order.
-  EXPECT_EQ(a.energy.wind.joules(), b.energy.wind.joules());
-  EXPECT_EQ(a.energy.utility.joules(), b.energy.utility.joules());
-  EXPECT_EQ(a.cost.raw(), b.cost.raw());
-  EXPECT_EQ(a.wind_curtailed.joules(), b.wind_curtailed.joules());
-  EXPECT_EQ(a.battery_delivered.joules(), b.battery_delivered.joules());
-  EXPECT_EQ(a.battery_losses.joules(), b.battery_losses.joules());
-  EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-  EXPECT_EQ(a.mean_wait.seconds(), b.mean_wait.seconds());
-  EXPECT_EQ(a.makespan.seconds(), b.makespan.seconds());
-  EXPECT_EQ(a.busy_variance_h2, b.busy_variance_h2);
-  EXPECT_EQ(a.procs_used_fraction, b.procs_used_fraction);
-  EXPECT_EQ(a.dvfs_rematch_count, b.dvfs_rematch_count);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.profiling_procs_scanned, b.profiling_procs_scanned);
-  EXPECT_EQ(a.profiling_procs_skipped, b.profiling_procs_skipped);
-  EXPECT_EQ(a.profiling_proc_seconds, b.profiling_proc_seconds);
-  EXPECT_EQ(a.faults.cpu_failures, b.faults.cpu_failures);
-  EXPECT_EQ(a.faults.cpu_repairs, b.faults.cpu_repairs);
-  EXPECT_EQ(a.faults.misprofile_failures, b.faults.misprofile_failures);
-  EXPECT_EQ(a.faults.task_requeues, b.faults.task_requeues);
-  EXPECT_EQ(a.faults.tasks_failed, b.faults.tasks_failed);
-  EXPECT_EQ(a.faults.lost_cpu_seconds, b.faults.lost_cpu_seconds);
-  EXPECT_EQ(a.faults.fault_deadline_misses, b.faults.fault_deadline_misses);
-
-  ASSERT_EQ(a.busy_time_s.size(), b.busy_time_s.size());
-  for (std::size_t i = 0; i < a.busy_time_s.size(); ++i)
-    EXPECT_EQ(a.busy_time_s[i], b.busy_time_s[i]) << "proc " << i;
-
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace[i].time.seconds(), b.trace[i].time.seconds());
-    EXPECT_EQ(a.trace[i].demand.watts(), b.trace[i].demand.watts());
-    EXPECT_EQ(a.trace[i].wind.watts(), b.trace[i].wind.watts());
-    EXPECT_EQ(a.trace[i].utility.watts(), b.trace[i].utility.watts());
-    EXPECT_EQ(a.trace[i].wind_avail.watts(), b.trace[i].wind_avail.watts());
-    EXPECT_EQ(a.trace[i].battery.watts(), b.trace[i].battery.watts());
-  }
-
-  ASSERT_EQ(a.timeline.size(), b.timeline.size());
-  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-    EXPECT_EQ(a.timeline[i].time_s, b.timeline[i].time_s) << "event " << i;
-    EXPECT_EQ(a.timeline[i].kind, b.timeline[i].kind) << "event " << i;
-    EXPECT_EQ(a.timeline[i].task_id, b.timeline[i].task_id) << "event " << i;
-    EXPECT_EQ(a.timeline[i].value, b.timeline[i].value) << "event " << i;
-  }
-}
-
-/// Small facility with a fine rack grain (2 CPUs/rack) so a couple dozen
-/// processors still split into several rack-aligned shards.
 struct Scenario {
   Cluster cluster;
   ProfileDb db;

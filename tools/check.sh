@@ -273,7 +273,7 @@ stage_tsan() {
 stage_coverage() {
   stage "coverage floor (src/fault + src/sched >= ${COVERAGE_MIN}% lines)"
   COV_TESTS="test_fault test_knowledge test_policy test_simulator \
-             test_match_equivalence test_properties"
+             test_match_equivalence test_properties test_power_matcher"
   cmake -B build-check/coverage -S . -DISCOPE_COVERAGE=ON > /dev/null
   # shellcheck disable=SC2086
   cmake --build build-check/coverage -j "$JOBS" --target $COV_TESTS

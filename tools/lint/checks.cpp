@@ -407,109 +407,6 @@ void check_telemetry(const PathInfo& info, const LexResult& lx,
   }
 }
 
-// --- simd ----------------------------------------------------------------
-
-/// Directive keyword after '#' and whitespace: "#  ifdef X" -> "ifdef".
-std::string directive_keyword(const std::string& text) {
-  std::size_t p = text.find('#');
-  if (p == std::string::npos) return "";
-  ++p;
-  while (p < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[p])) != 0)
-    ++p;
-  std::size_t e = p;
-  while (e < text.size() &&
-         std::isalpha(static_cast<unsigned char>(text[e])) != 0)
-    ++e;
-  return text.substr(p, e - p);
-}
-
-// The scalar-fallback invariant behind -DISCOPE_SIMD (DESIGN.md Sec. 14):
-// compile-time dispatch means a scalar build must find a complete scalar
-// path in the same file that gates the SIMD one.
-//
-//  (a) In a header, an `#if defined(ISCOPE_SIMD)` / `#ifdef ISCOPE_SIMD`
-//      conditional needs an `#else` branch -- headers are the dispatch
-//      sites, and a missing #else is a scalar build with no code path. A
-//      SIMD-only implementation TU (like soa_kernels.cpp, empty in scalar
-//      builds) is fine, so .cpp files are exempt from (a).
-//  (b) Anywhere in src/, a `*_simd` identifier OUTSIDE an ISCOPE_SIMD
-//      conditional must have its `*_scalar` sibling somewhere in the same
-//      file: an unguarded SIMD call with no scalar twin is exactly the
-//      untested-fallback hole the equivalence suite cannot catch in a
-//      scalar-only CI run.
-void check_simd(const PathInfo& info, const LexResult& lx,
-                std::vector<Finding>& out) {
-  if (!info.in_src) return;
-  const auto& toks = lx.tokens;
-
-  struct Cond {
-    bool mentions_simd = false;  ///< any branch of it is SIMD-conditional
-    bool simd_first = false;     ///< #if/#ifdef form (SIMD branch first)
-    bool has_else = false;
-    int line = 0;
-  };
-  std::vector<Cond> stack;
-  struct Region {
-    int begin = 0;
-    int end = 0;
-  };
-  std::vector<Region> regions;  ///< line spans of SIMD conditionals
-
-  auto close = [&](int end_line) {
-    const Cond c = stack.back();
-    stack.pop_back();
-    if (!c.mentions_simd) return;
-    regions.push_back(Region{c.line, end_line});
-    if (info.is_header && c.simd_first && !c.has_else) {
-      add(out, "simd", info, c.line,
-          "ISCOPE_SIMD conditional without an #else scalar fallback; "
-          "compile-time dispatch headers must give scalar builds a "
-          "complete code path");
-    }
-  };
-
-  int last_line = 0;
-  for (const Token& t : toks) {
-    last_line = t.line;
-    if (t.kind != Tok::kDirective) continue;
-    const std::string kw = directive_keyword(t.text);
-    if (kw == "if" || kw == "ifdef" || kw == "ifndef") {
-      Cond c;
-      c.mentions_simd = t.text.find("ISCOPE_SIMD") != std::string::npos;
-      c.simd_first = c.mentions_simd && kw != "ifndef" &&
-                     t.text.find('!') == std::string::npos;
-      c.line = t.line;
-      stack.push_back(c);
-    } else if ((kw == "else" || kw == "elif") && !stack.empty()) {
-      stack.back().has_else = true;
-    } else if (kw == "endif" && !stack.empty()) {
-      close(t.line);
-    }
-  }
-  while (!stack.empty()) close(last_line);  // unterminated: span to EOF
-
-  const auto in_region = [&](int line) {
-    for (const Region& r : regions)
-      if (line >= r.begin && line <= r.end) return true;
-    return false;
-  };
-  std::set<std::string> idents;
-  for (const Token& t : toks)
-    if (t.kind == Tok::kIdent) idents.insert(t.text);
-  for (const Token& t : toks) {
-    if (t.kind != Tok::kIdent || !t.text.ends_with("_simd")) continue;
-    if (in_region(t.line)) continue;
-    const std::string stem = t.text.substr(0, t.text.size() - 5);
-    if (idents.count(stem + "_scalar") == 0) {
-      add(out, "simd", info, t.line,
-          "'" + t.text + "' outside an ISCOPE_SIMD conditional with no '" +
-              stem + "_scalar' fallback in this file; scalar builds need "
-              "a tested twin of every SIMD kernel");
-    }
-  }
-}
-
 // --- suppressions --------------------------------------------------------
 
 struct Suppression {
@@ -582,9 +479,6 @@ const std::vector<CheckInfo>& check_catalog() {
        "doubles in power/energy headers"},
       {"telemetry",
        "spans via ISCOPE_SPAN macros; no registry lookups in loops"},
-      {"simd",
-       "ISCOPE_SIMD headers carry an #else scalar fallback; unguarded "
-       "*_simd uses need an in-file *_scalar twin"},
       {"suppression",
        "allow() markers must be known, justified, and actually used"},
   };
@@ -608,7 +502,6 @@ AnalysisResult analyze_source(const std::string& path,
   check_layering(info, lx, raw);
   check_quantity(info, lx, raw);
   check_telemetry(info, lx, raw);
-  check_simd(info, lx, raw);
 
   std::vector<Suppression> sups = parse_suppressions(lx);
 
@@ -633,7 +526,7 @@ AnalysisResult analyze_source(const std::string& path,
     for (const std::string& name : s.unknown) {
       add(result.findings, "suppression", info, s.comment_line,
           "allow(" + name + ") names an unknown check; catalog: "
-          "determinism, layering, quantity, telemetry, simd, suppression");
+          "determinism, layering, quantity, telemetry, suppression");
     }
     if (!s.checks.empty() && !s.has_justification) {
       add(result.findings, "suppression", info, s.comment_line,

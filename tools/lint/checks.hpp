@@ -27,11 +27,6 @@
 //                the enabled() gate), and no registry name lookups
 //                (`.counter/.gauge/.histogram`) inside loop bodies --
 //                lookups hash the name; loops must use cached cells.
-//   simd         Compile-time SIMD dispatch stays falsifiable in scalar
-//                builds: ISCOPE_SIMD conditionals in headers carry an
-//                #else scalar fallback, and a `*_simd` identifier used
-//                outside an ISCOPE_SIMD region needs its `*_scalar` twin
-//                in the same file.
 //   suppression  Meta-check keeping the escape hatch honest: every
 //                `iscope-lint: allow(<check>)` needs a justification and
 //                must actually suppress something; unknown check names are
