@@ -1,6 +1,8 @@
 #include "service/checkpoint.hpp"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -27,7 +29,8 @@ constexpr std::size_t kMaxElems = std::size_t{1} << 28;
   throw CheckpointError("checkpoint: " + what);
 }
 
-// A visit calls the adapter once per field, in wire order:
+// An io() member (DatacenterSim, ShardedSim and the simulator's drivers)
+// calls the adapter once per field, in wire order:
 //   io(v)                     plain field
 //   io.same(v, what)          identity: written, only compared on load
 //   io.in(v, lo, hi, what)    loaded value must lie in [lo, hi]
@@ -36,7 +39,9 @@ constexpr std::size_t kMaxElems = std::size_t{1} << 28;
 //   io.counter(v, recount, what)  duplicate of other state: loaded value
 //                             must equal recount()
 //   io.vec(v, cap, each)      length-prefixed; loaded length <= cap
+//   io.vec(v, each)           the same, capped at kMaxElems
 //   io.fixed(v, n, each)      exactly n elements, length not written
+//   io.check(ok, what)        a load fails unless `ok` (writes nothing)
 // Integral fields travel as u64, bytes and enums as u8, bools as b, and
 // doubles and quantities (watts, joules, seconds) as f64.
 
@@ -92,9 +97,14 @@ class Save {
     for (const auto& e : v) each(e);
   }
   template <class V, class Each>
+  void vec(const V& v, Each&& each) {
+    vec(v, kMaxElems, each);
+  }
+  template <class V, class Each>
   void fixed(const V& v, std::size_t, Each&& each) {
     for (const auto& e : v) each(e);
   }
+  void check(bool, const char*) {}
 
  private:
   serial::Writer& w_;
@@ -166,9 +176,16 @@ class Load {
     for (auto& e : v) each(e);
   }
   template <class V, class Each>
+  void vec(V& v, Each&& each) {
+    vec(v, kMaxElems, each);
+  }
+  template <class V, class Each>
   void fixed(V& v, std::size_t n, Each&& each) {
     v.assign(n, typename V::value_type{});
     for (auto& e : v) each(e);
+  }
+  void check(bool ok, const char* what) {
+    if (!ok) reject(what);
   }
 
  private:
@@ -176,290 +193,6 @@ class Load {
 };
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// DatacenterSim
-// ---------------------------------------------------------------------------
-
-template <class Io, class Sim>
-  requires std::same_as<std::remove_const_t<Sim>, DatacenterSim>
-void CheckpointAccess::visit(Io& io, Sim& s) {
-  using State = DatacenterSim::TaskState;
-  const std::size_t nprocs = s.knowledge_->procs();
-  const std::size_t levels = s.knowledge_->levels();
-  const SimConfig& cfg = s.config_;
-  const auto flags = [&](auto& v, const char* what) {
-    io.fixed(v, nprocs, [&](auto& f) {
-      io.in(f, std::uint8_t{0}, std::uint8_t{1}, what);
-    });
-  };
-  const auto proc_list = [&](auto& v, const char* what) {
-    io.vec(v, nprocs, [&](auto& p) { io.index(p, nprocs, what); });
-  };
-  const auto tasks_in = [&s](State state) {
-    return static_cast<std::size_t>(
-        std::count_if(s.tasks_.begin(), s.tasks_.end(),
-                      [state](const auto& t) { return t.state == state; }));
-  };
-
-  // Identity block. The full construction config is the restoring caller's
-  // responsibility; these catch the mismatches that would otherwise
-  // corrupt silently. The thermal and sleep knobs (format v2) shape event
-  // semantics -- COP curve, wake latencies -- and are all defaults when
-  // both subsystems are off.
-  io.same(nprocs, "processor count");
-  io.same(levels, "DVFS level count");
-  io.same(s.policy_.rule(), "placement rule");
-  io.same(cfg.seed, "seed");
-  io.same(s.faults_active_, "fault plan");
-  io.same(cfg.use_reference_matcher, "matcher path");
-  // Always 1: the byte keeps v2 checkpoints byte-identical.
-  io.same(true, "rematch mode");
-  io.same(cfg.record_trace, "trace recording");
-  io.same(cfg.record_timeline, "timeline recording");
-  io.same(cfg.epoch_s, "epoch period");
-  io.same(cfg.sample_interval_s, "sample period");
-  io.same(cfg.thermal.enabled, "thermal mode");
-  io.same(cfg.thermal.red_line_c, "thermal red line");
-  io.same(cfg.thermal.min_supply_c, "thermal supply floor");
-  io.same(cfg.thermal.max_supply_c, "thermal supply ceiling");
-  io.same(cfg.thermal.self_coupling_k_per_w, "recirculation self-coupling");
-  io.same(cfg.thermal.row_decay_racks, "recirculation row decay");
-  io.same(cfg.thermal.cross_row_coupling, "recirculation cross-row coupling");
-  io.same(cfg.thermal.cross_row_decay_rows, "recirculation cross-row decay");
-  io.same(cfg.sleep.policy, "sleep policy");
-  io.same(cfg.sleep.timeout_s, "sleep timeout");
-  io.same(cfg.sleep.active_idle_frac, "active-idle power fraction");
-  for (const SleepState& st : cfg.sleep.states) {
-    io.same(st.idle_frac, "sleep-state residency power");
-    io.same(st.wake_s, "sleep-state wake latency");
-  }
-  io.same(s.thermal_external_, "thermal coordination mode");
-
-  // Event queue, in the heap's raw vector order. A load stages it and
-  // reinstalls it last, once the state its payloads index is in place.
-  double now = s.queue_.now();
-  std::uint64_t next_seq = s.queue_.next_seq();
-  std::size_t high_water = s.queue_.high_water();
-  std::vector<SavedEvent> events;
-  if constexpr (!Io::kLoading) events = s.queue_.save_events();
-  io(now);
-  io(next_seq);
-  io(high_water);
-  io.vec(events, kMaxElems, [&](auto& e) {
-    io(e.time);
-    io(e.seq);
-    io.in(e.desc.kind, EventDesc::Kind::kArrival, EventDesc::Kind::kWake,
-          "event kind");
-    io(e.desc.a);
-    io(e.desc.b);
-    io(e.desc.t);
-  });
-
-  // Tasks. `col` and `latest_start_s` are derived and not written.
-  io.vec(s.tasks_, kMaxElems, [&](auto& t) {
-    io(t.spec.id);
-    io(t.spec.submit_s);
-    io.in(t.spec.cpus, std::size_t{1}, nprocs, "task width");
-    io(t.spec.runtime_s);
-    io(t.spec.gamma);
-    io(t.spec.deadline_s);
-    io.in(t.spec.urgency, Urgency::kHigh, Urgency::kLow, "task urgency");
-    proc_list(t.procs, "task processor");
-    io(t.remaining_work_s);
-    io(t.last_update_s);
-    io.in(t.level, std::size_t{0}, levels - 1, "task level");
-    io(t.start_s);
-    io(t.version);
-    io(t.completion_scheduled);
-    io.index_or_none(t.run_prev, s.tasks_.size(), "run-list");
-    io.index_or_none(t.run_next, s.tasks_.size(), "run-list");
-    io.in(t.state, State::kPending, State::kWaking, "task state");
-    io(t.retries);
-  });
-
-  io.vec(s.waiting_, s.tasks_.size(), [&](auto& i) {
-    io.index(i, s.tasks_.size(), "waiting task");
-  });
-  io.counter(s.waiting_cpus_, [&s] {
-    std::size_t cpus = 0;
-    for (const std::size_t i : s.waiting_) cpus += s.tasks_[i].spec.cpus;
-    return cpus;
-  }, "waiting width");
-  io.fixed(s.proc_running_, nprocs, [&](auto& i) {
-    io.index_or_none(i, s.tasks_.size(), "running task");
-  });
-  io.fixed(s.busy_time_s_, nprocs, io);
-  flags(s.idle_flags_, "idle flag");
-  io.counter(s.idle_count_, [&s] {
-    return static_cast<std::size_t>(std::count(s.idle_flags_.begin(),
-                                               s.idle_flags_.end(), 1));
-  }, "idle count");
-  io.index_or_none(s.run_head_, s.tasks_.size(), "run-list head");
-  io.index_or_none(s.run_tail_, s.tasks_.size(), "run-list tail");
-  io.counter(s.run_count_, [&s] {
-    // Walk the list as rebuild_derived() will: bounded (a cycle is
-    // corrupt), running tasks only, links consistent in both directions.
-    std::size_t walked = 0;
-    std::size_t prev = kNone;
-    for (std::size_t idx = s.run_head_; idx != kNone;
-         idx = s.tasks_[idx].run_next) {
-      if (++walked > s.tasks_.size()) reject("running list is cyclic");
-      if (s.tasks_[idx].state != State::kRunning)
-        reject("run list holds a non-running task");
-      if (s.tasks_[idx].run_prev != prev) reject("run-list links disagree");
-      prev = idx;
-    }
-    if (prev != s.run_tail_) reject("run-list tail disagrees with the walk");
-    return walked;
-  }, "running count");
-
-  // Profiling: the plan, the live-scan slots, and the counters.
-  flags(s.reserved_, "reserved flag");
-  io(s.reserved_power_);
-  io(s.profiling_proc_seconds_);
-  io(s.profiling_procs_scanned_);
-  io(s.profiling_procs_skipped_);
-  io.vec(s.profiling_, kMaxElems, [&](auto& win) {
-    io(win.start_s);
-    io(win.duration_s);
-    proc_list(win.proc_ids, "profiling processor");
-  });
-  io.vec(s.scans_, kMaxElems, [&](auto& scan) {
-    proc_list(scan.procs, "scan processor");
-    io(scan.started_s);
-    io(scan.live);
-  });
-  io(s.epoch_chain_live_);
-  io(s.sample_chain_live_);
-
-  // Energy accounting. The meter and battery keep their accumulators
-  // private: they cross through the accessors and restore_state().
-  EnergySplit total = s.meter_.total();
-  Joules curtailed = s.meter_.wind_curtailed();
-  std::vector<PowerSample> trace = s.meter_.trace();
-  io(total.wind);
-  io(total.utility);
-  io(curtailed);
-  io.vec(trace, kMaxElems, [&](auto& p) {
-    io(p.time);
-    io(p.demand);
-    io(p.wind);
-    io(p.utility);
-    io(p.wind_avail);
-    io(p.battery);
-  });
-  Joules stored = s.battery_.stored();
-  Joules delivered = s.battery_.delivered();
-  Joules absorbed = s.battery_.absorbed();
-  io(stored);
-  io(delivered);
-  io(absorbed);
-  io(s.demand_);
-  io(s.last_accrual_s_);
-  io(s.segment_wind_);
-
-  // Run metrics.
-  io.counter(s.done_count_, [&] { return tasks_in(State::kDone); },
-             "completed-task count");
-  io(s.events_run_);
-  io(s.rematch_count_);
-  io(s.total_wait_s_);
-  io(s.miss_count_);
-  io(s.makespan_s_);
-  io(s.rush_mode_);
-  io.vec(s.timeline_, kMaxElems, [&](auto& e) {
-    io(e.time_s);
-    io.in(e.kind, TimelineKind::kArrival, TimelineKind::kTaskWaking,
-          "timeline kind");
-    io(e.task_id);
-    io(e.value);
-  });
-
-  // Fault state. The plan itself is identity (rebuilt from the config);
-  // the pending kFault event carries the cursor.
-  flags(s.failed_, "failed flag");
-  flags(s.misprofile_armed_, "misprofile flag");
-  io.fixed(s.misprofile_token_, nprocs, io);
-  io.counter(s.failed_count_, [&] { return tasks_in(State::kFailed); },
-             "failed-task count");
-  io(s.fault_counters_.cpu_failures);
-  io(s.fault_counters_.cpu_repairs);
-  io(s.fault_counters_.misprofile_failures);
-  io(s.fault_counters_.task_requeues);
-  io(s.fault_counters_.tasks_failed);
-  io(s.fault_counters_.lost_cpu_seconds);
-  io(s.fault_counters_.fault_deadline_misses);
-
-  // Thermal + sleep state (format v2), written whether or not either
-  // subsystem is on, so the frame layout never depends on the config.
-  io(s.thermal_chain_live_);
-  io(s.cop_now_);
-  io(s.supply_c_now_);
-  io(s.peak_inlet_c_);
-  io(s.thermal_pending_);
-  io(s.pending_cop_);
-  io(s.pending_supply_c_);
-  io(s.pending_peak_c_);
-  io(s.last_compute_);
-  io(s.cooling_power_);
-  io(s.cooling_joules_);
-  io(s.idle_joules_);
-  io(s.idle_power_w_);
-  const auto ladder = static_cast<std::uint8_t>(cfg.sleep.states.size());
-  io.fixed(s.sleep_state_, nprocs, [&](auto& depth) {
-    io.in(depth, std::uint8_t{0}, ladder, "sleep depth");
-  });
-  io.fixed(s.sleep_token_, nprocs, io);
-  io(s.sleeping_count_);
-  io(s.sleep_enters_);
-  io(s.sleep_wakes_);
-
-  // The placement RNG stream (only kRandom ever draws from it, but saving
-  // it unconditionally keeps the format scheme-independent).
-  std::string rng = s.policy_.rng_state();
-  io(rng);
-
-  if constexpr (Io::kLoading) {
-    s.meter_.restore_state(total, curtailed, std::move(trace));
-    s.battery_ = BatteryBank(cfg.battery);
-    s.battery_.restore_state(stored, delivered, absorbed);
-    s.policy_.set_rng_state(rng);
-    s.in_pass_ = false;
-    s.rebuild_derived();
-    // Events go back last: their payloads index the state restored above.
-    // The heap layout is reinstalled verbatim, so the resumed pop order is
-    // the uninterrupted run's.
-    for (const SavedEvent& e : events)
-      if (!s.event_in_range(e.desc)) reject("event payload out of range");
-    s.queue_.restore(now, next_seq, high_water, events);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ShardedSim
-// ---------------------------------------------------------------------------
-
-template <class Io, class Sim>
-  requires std::same_as<std::remove_const_t<Sim>, ShardedSim>
-void CheckpointAccess::visit(Io& io, Sim& s) {
-  io.same(s.shards_.size(), "shard count");
-  io.same(s.cluster_->size(), "cluster size");
-  io.same(s.config_.seed, "seed");
-  io(s.barrier_);
-  for (auto& shard : s.shards_) {
-    io(shard.tasks_assigned);
-    double fraction = shard.supply->fraction();
-    io(fraction);
-    if constexpr (Io::kLoading) {
-      shard.supply->set_fraction(fraction);
-      visit(io, *shard.sim);
-    } else {
-      visit(io, std::as_const(*shard.sim));
-    }
-  }
-  if constexpr (Io::kLoading) s.ensure_pool();
-}
 
 // ---------------------------------------------------------------------------
 // Envelope + file helpers
@@ -477,7 +210,9 @@ std::vector<std::uint8_t> envelope(const Sim& sim, std::uint8_t kind) {
   w.u32(kCheckpointVersion);
   w.u8(kind);
   Save io(w);
-  CheckpointAccess::visit(io, sim);
+  // One io() member serves both directions, so it is not const; the Save
+  // adapter only reads (cereal's convention for output archives).
+  const_cast<Sim&>(sim).io(io);
   return w.take();
 }
 
@@ -498,7 +233,7 @@ void restore_envelope(Sim& sim, const std::uint8_t* data, std::size_t size,
       throw CheckpointError(
           "checkpoint: simulator kind mismatch (single vs sharded)");
     Load io(r);
-    CheckpointAccess::visit(io, sim);
+    sim.io(io);
     r.expect_done();
   } catch (const CheckpointError&) {
     throw;
@@ -540,10 +275,12 @@ void write_checkpoint(const std::string& path,
   ISCOPE_CHECK_ARG(f != nullptr, "checkpoint: cannot open " + tmp);
   const bool written =
       std::fwrite(blob.data(), 1, blob.size(), f) == blob.size();
-  const bool flushed = std::fflush(f) == 0;
+  // The bytes must be on disk before the rename publishes them, or after a
+  // power loss the final name can point at an empty or partial file.
+  const bool synced = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
   // A failed close can lose buffered bytes: it is a short write too.
   const bool closed = std::fclose(f) == 0;
-  if (!written || !flushed || !closed) {
+  if (!written || !synced || !closed) {
     std::remove(tmp.c_str());
     throw Error("checkpoint: short write to " + tmp);
   }
@@ -552,6 +289,15 @@ void write_checkpoint(const std::string& path,
     std::remove(tmp.c_str());
     throw InvalidArgument("checkpoint: cannot rename " + tmp + " to " + path);
   }
+  // The rename is durable only once the directory entry is on disk.
+  const std::size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  const bool dir_synced = fd >= 0 && ::fsync(fd) == 0;
+  if (fd >= 0) ::close(fd);
+  if (!dir_synced) throw Error("checkpoint: cannot sync directory " + dir);
 }
 
 std::vector<std::uint8_t> read_checkpoint(const std::string& path) {

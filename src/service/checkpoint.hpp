@@ -6,16 +6,19 @@
 // progress, the waiting/running bookkeeping, energy meter + battery
 // accumulators, fault state, and the placement RNG stream.
 //
-// Each simulator's fields are listed once, in one visit
-// (CheckpointAccess::visit) that a writer adapter runs to save and a
-// reader adapter runs to load; the reader's checks -- identity
-// comparisons, index and enum ranges, count caps, counters recounted from
-// the state they duplicate, the run-list walk -- are arguments of the same
-// visit calls. Derived state (SoA matcher columns, idle orderings, rank
-// bitsets, per-task power tables, Knowledge quarantine) is not written:
-// restore ends in DatacenterSim::rebuild_derived(), the routine prepare()
-// also ends with, and the incremental-rematch cache starts invalid -- the
-// forced full re-solve is bit-identical to the replay it displaces.
+// The codec names no simulator field. Each type that owns checkpointed
+// state lists its fields once, in its one `template <class Io> void io(Io&)`
+// (ShardedSim, DatacenterSim, and the simulator's four subsystem drivers,
+// each called at its place in the wire order), which a writer adapter runs
+// to save and a reader adapter runs to load; the reader's checks --
+// identity comparisons, index and enum ranges, count caps, counters
+// recounted from the state they duplicate, the run-list walk -- are
+// arguments of the same calls. Derived state (SoA matcher columns, idle
+// orderings, rank bitsets, per-task power tables, Knowledge quarantine) is
+// not written: restore ends in DatacenterSim::rebuild_derived(), the
+// routine prepare() also ends with, and the incremental-rematch cache
+// starts invalid -- the forced full re-solve is bit-identical to the
+// replay it displaces.
 //
 // The restoring process must construct the simulator with the same
 // configuration (cluster, scheme, supply, seed, fault plan) it was
@@ -25,11 +28,9 @@
 // pins the v2 byte layout with committed golden blobs).
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -52,19 +53,6 @@ class CheckpointError : public Error {
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b435349u;
 inline constexpr std::uint32_t kCheckpointVersion = 2;  ///< v2: thermal + sleep
 
-/// The one sanctioned door into the simulators' private state. Only the
-/// checkpoint codec (checkpoint.cpp) defines and instantiates these: one
-/// visit per simulator, run with `Sim` const by the writer adapter and
-/// mutable by the reader adapter.
-struct CheckpointAccess {
-  template <class Io, class Sim>
-    requires std::same_as<std::remove_const_t<Sim>, DatacenterSim>
-  static void visit(Io& io, Sim& sim);
-  template <class Io, class Sim>
-    requires std::same_as<std::remove_const_t<Sim>, ShardedSim>
-  static void visit(Io& io, Sim& sim);
-};
-
 /// Serialize a full checkpoint (magic + version + body).
 std::vector<std::uint8_t> checkpoint_bytes(const DatacenterSim& sim);
 std::vector<std::uint8_t> checkpoint_bytes(const ShardedSim& sim);
@@ -78,9 +66,10 @@ void restore_from_bytes(DatacenterSim& sim, const std::uint8_t* data,
 void restore_from_bytes(ShardedSim& sim, const std::uint8_t* data,
                         std::size_t size);
 
-/// Atomic file write (temp file + rename; the temp file is removed on every
-/// failure) / whole-file read (CheckpointError for anything but a readable
-/// regular file).
+/// Durable atomic file write: temp file, fsync, rename, then fsync of the
+/// parent directory; the temp file is removed on every failure before the
+/// rename. Whole-file read: CheckpointError for anything but a readable
+/// regular file.
 void write_checkpoint(const std::string& path,
                       const std::vector<std::uint8_t>& blob);
 std::vector<std::uint8_t> read_checkpoint(const std::string& path);

@@ -138,15 +138,10 @@ ShardedSim::ShardedSim(const Cluster& cluster, Scheme scheme,
     shard.sim = std::make_unique<DatacenterSim>(
         shard.knowledge.get(), scheme_rule(scheme), shard.supply.get(),
         shard.config);
-    if (config_.thermal.enabled) {
-      // Shards never solve the model themselves: the coordinator resolves
-      // it at every barrier and pushes. ScanTherm's placement order is
-      // derived here from the facility-wide matrix so every shard ranks
-      // its slice against the same global heat weights.
-      shard.sim->thermal_external_ = true;
-      if (scheme_rule(scheme) == PlacementRule::kTherm)
-        shard.sim->install_thermal_order(thermal_model_->matrix());
-    }
+    // Shards never solve the thermal model themselves: the coordinator
+    // resolves it at every barrier and stages the solution.
+    if (config_.thermal.enabled)
+      shard.sim->feed_thermal_from_coordinator(thermal_model_->matrix());
     shards_.push_back(std::move(shard));
   }
 }
@@ -165,6 +160,7 @@ void ShardedSim::ensure_pool() {
 void ShardedSim::prepare(const std::vector<Task>& tasks,
                          const std::vector<ProfilingWindow>& profiling) {
   const std::size_t n = shards_.size();
+  ProfilingDriver::validate(profiling, cluster_->size());
   std::vector<std::vector<Task>> parts = partition_tasks(tasks, topology_);
   std::vector<std::vector<ProfilingWindow>> windows =
       partition_windows(profiling, topology_);
@@ -208,8 +204,7 @@ std::size_t ShardedSim::advance_round() {
     const double derate =
         global_plan_ != nullptr ? global_plan_->crac_factor(barrier_) : 1.0;
     const ThermalSolution sol = thermal_model_->solve(rack_w_, derate);
-    for (Shard& sh : shards_)
-      sh.sim->push_thermal(sol.cop, sol.supply_c, sol.peak_inlet_c);
+    for (Shard& sh : shards_) sh.sim->stage_thermal(sol);
   }
 
   const double next = barrier_ + config_.epoch_s;

@@ -9,7 +9,11 @@
 // coordinator reconciles their power demands against the global wind
 // budget (energy/reconcile.hpp) and re-sets each shard's supply fraction
 // for the next epoch. Shard advances between barriers fan out over a
-// ThreadPool when SimConfig::shard_workers allows.
+// ThreadPool when SimConfig::shard_workers allows. With the thermal model
+// on, the coordinator also owns the one facility-wide ThermalModel: at
+// every barrier it collects each shard's rack power, solves once, and
+// stages the solution in every shard (DatacenterSim's public thermal
+// coordination calls), whose own kThermal event applies it.
 //
 // Determinism contract (tests/test_shard.cpp):
 //  * a 1-shard ShardedSim is bit-identical to DatacenterSim::run() --
@@ -43,12 +47,12 @@ std::vector<std::vector<Task>> partition_tasks(const std::vector<Task>& tasks,
 
 /// Split global-id profiling windows into per-shard windows with
 /// slice-local processor ids. Windows that touch no processor of a shard
-/// are dropped for that shard.
+/// are dropped for that shard. The windows must already be validated
+/// against the facility (ShardedSim::prepare does).
 std::vector<std::vector<ProfilingWindow>> partition_windows(
     const std::vector<ProfilingWindow>& profiling, const Topology& topology);
 
 class ThreadPool;
-struct CheckpointAccess;
 
 class ShardedSim {
  public:
@@ -66,7 +70,8 @@ class ShardedSim {
                 const std::vector<ProfilingWindow>& profiling = {});
 
   /// --- resumable round API (service-mode checkpointing) ------------------
-  /// Partition the trace, stage every shard, rewind the barrier to t = 0.
+  /// Validate the windows against the facility, partition the trace, stage
+  /// every shard, rewind the barrier to t = 0.
   void prepare(const std::vector<Task>& tasks,
                const std::vector<ProfilingWindow>& profiling = {});
   /// One epoch-barrier round: reconcile the global wind budget at the
@@ -83,9 +88,12 @@ class ShardedSim {
 
   const Topology& topology() const { return topology_; }
 
- private:
-  friend struct CheckpointAccess;
+  /// The checkpointed state: identity, the barrier, and per shard its task
+  /// count, supply fraction and DatacenterSim::io(). Defined below.
+  template <class Io>
+  void io(Io& io);
 
+ private:
   struct Shard {
     std::unique_ptr<Knowledge> knowledge;
     std::unique_ptr<HybridSupply> supply;  ///< fraction re-set per epoch
@@ -108,7 +116,7 @@ class ShardedSim {
   double barrier_ = 0.0;                ///< next reconciliation instant
   /// Facility-wide thermal model (built only when config.thermal.enabled):
   /// the coordinator resolves it once per barrier over all shards' rack
-  /// power and pushes the solution into each shard, whose own kThermal
+  /// power and stages the solution in each shard, whose own kThermal
   /// event applies it -- reconcile_wind's pattern, so the result is
   /// independent of the shard/worker partition.
   std::unique_ptr<ThermalModel> thermal_model_;
@@ -118,5 +126,21 @@ class ShardedSim {
   std::shared_ptr<const FaultPlan> global_plan_;
   std::vector<double> rack_w_;          ///< per-barrier collection scratch
 };
+
+template <class Io>
+void ShardedSim::io(Io& io) {
+  io.same(shards_.size(), "shard count");
+  io.same(cluster_->size(), "cluster size");
+  io.same(config_.seed, "seed");
+  io(barrier_);
+  for (Shard& shard : shards_) {
+    io(shard.tasks_assigned);
+    double fraction = shard.supply->fraction();
+    io(fraction);
+    if constexpr (Io::kLoading) shard.supply->set_fraction(fraction);
+    shard.sim->io(io);
+  }
+  if constexpr (Io::kLoading) ensure_pool();
+}
 
 }  // namespace iscope

@@ -37,46 +37,42 @@ DatacenterSim::DatacenterSim(const Knowledge* knowledge, PlacementRule rule,
                              const HybridSupply* supply,
                              const SimConfig& config,
                              const WindForecaster* forecaster)
-    : knowledge_(knowledge),
-      supply_(supply),
-      forecaster_(forecaster),
-      config_(config),
-      policy_(knowledge, rule, config.seed, config.efficient_pool_fraction),
-      matcher_(knowledge, CoolingModel(config.cooling_cop).overhead_factor()),
-      cooling_(config.cooling_cop) {
-  ISCOPE_CHECK_ARG(knowledge != nullptr, "DatacenterSim: null knowledge");
-  ISCOPE_CHECK_ARG(supply != nullptr, "DatacenterSim: null supply");
-  config_.validate();
-
-  // Resolve the fault plan: explicit override > built from the spec > the
-  // empty plan (whose run takes no fault branch at all).
-  if (config_.fault_plan != nullptr) {
-    plan_ = config_.fault_plan.get();
-  } else {
-    if (config_.faults.any())
-      plan_local_ = FaultPlan::build(config_.faults, config_.fault_seed,
-                                     knowledge_->procs());
-    plan_ = &plan_local_;
-  }
-  faults_active_ = !plan_->sim_empty();
-  if (faults_active_)
-    ISCOPE_CHECK_ARG(plan_->procs_referenced() <= knowledge_->procs(),
-                     "DatacenterSim: fault plan references processors beyond "
-                     "the cluster");
-  if (plan_->forecast_error() > 0.0 && forecaster_ != nullptr) {
-    noisy_forecaster_ = std::make_unique<NoisyForecaster>(
-        forecaster_, plan_->forecast_error(), plan_->forecast_seed());
-    forecaster_ = noisy_forecaster_.get();
-  }
-}
+    : DatacenterSim(knowledge, nullptr, rule, supply, config, forecaster) {}
 
 DatacenterSim::DatacenterSim(Knowledge* knowledge, PlacementRule rule,
                              const HybridSupply* supply,
                              const SimConfig& config,
                              const WindForecaster* forecaster)
-    : DatacenterSim(static_cast<const Knowledge*>(knowledge), rule, supply,
-                    config, forecaster) {
-  knowledge_mut_ = knowledge;
+    : DatacenterSim(knowledge, knowledge, rule, supply, config, forecaster) {}
+
+DatacenterSim::DatacenterSim(const Knowledge* knowledge, Knowledge* quarantine,
+                             PlacementRule rule, const HybridSupply* supply,
+                             const SimConfig& config,
+                             const WindForecaster* forecaster)
+    : knowledge_(knowledge),
+      supply_(supply),
+      config_(config),
+      policy_(knowledge, rule, config.seed, config.efficient_pool_fraction),
+      matcher_(knowledge, CoolingModel(config.cooling_cop).overhead_factor()),
+      cooling_(config.cooling_cop),
+      extras_active_(config.thermal.enabled || config.sleep.enabled()),
+      fault_(config.fault_plan, config.faults, config.fault_seed, *knowledge,
+             quarantine, forecaster),
+      profiling_(knowledge->procs()),
+      thermal_(config.thermal, config.topology),
+      sleep_(config.sleep, knowledge->procs()) {
+  ISCOPE_CHECK_ARG(knowledge != nullptr, "DatacenterSim: null knowledge");
+  ISCOPE_CHECK_ARG(supply != nullptr, "DatacenterSim: null supply");
+  config_.validate();
+  // The cluster speaks global ids; `p` is view-local (identity for a full
+  // view, shard-relative under a slice).
+  const std::size_t top = knowledge_->levels() - 1;
+  const Volts vdd{knowledge_->cluster().levels().vdd_nom[top]};
+  stock_w_.reserve(knowledge_->procs());
+  for (std::size_t p = 0; p < knowledge_->procs(); ++p)
+    stock_w_.push_back(knowledge_->cluster()
+                           .power(knowledge_->global_proc(p), top, vdd)
+                           .raw());
 }
 
 double DatacenterSim::fmax_ghz() const {
@@ -122,7 +118,7 @@ void DatacenterSim::unlink_running(std::size_t idx) {
 void DatacenterSim::idle_insert(std::size_t p) {
   idle_flags_[p] = 1;
   ++idle_count_;
-  if (sleep_active_) sleep_on_idle(p);
+  if (sleep_.active()) sleep_on_idle(p);
   if (fast_placement_) {
     const std::size_t r = rank_of_proc_[p];
     idle_rank_bits_[r >> 6] |= std::uint64_t{1} << (r & 63);
@@ -152,7 +148,7 @@ void DatacenterSim::idle_remove(std::size_t p) {
   ISCOPE_CHECK(idle_flags_[p] != 0, "idle_remove: processor not idle");
   idle_flags_[p] = 0;
   --idle_count_;
-  if (sleep_active_) sleep_on_claim(p);
+  if (sleep_.active()) sleep_.on_claim(p, stock_w_[p]);
   if (fast_placement_) {
     const std::size_t r = rank_of_proc_[p];
     idle_rank_bits_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
@@ -212,7 +208,7 @@ void DatacenterSim::accrue_to_now() {
       // Breakdown accumulators (already inside demand_, so the meter's
       // totals are untouched): CRAC draw and idle/sleep residency burn.
       cooling_joules_ += cooling_power_.raw() * dt.raw();
-      idle_joules_ += std::max(0.0, idle_power_w_) * dt.raw();
+      sleep_.accrue(dt.raw());
     }
     if (!battery_.present()) {
       meter_.accrue(demand_, segment_wind_, dt);
@@ -334,7 +330,7 @@ void DatacenterSim::rematch() {
   if (extras_active_)
     recompute_demand();  // thermal COP billing and/or idle residency
   else
-    demand_ = match.demand + reserved_power_ * matcher_.cooling_factor();
+    demand_ = match.demand + profiling_.power() * matcher_.cooling_factor();
 
   // Apply levels; reschedule completion events where the level changed
   // (completion time is invariant when the level is unchanged).
@@ -447,8 +443,9 @@ void DatacenterSim::schedule_pass() {
       ctx.wind_abundant = wind_abundant_given(wind_now);
       ctx.current_demand = demand_;
       ctx.forecast_mean =
-          (forecaster_ != nullptr && ctx.slack_s > 0.0)
-              ? forecaster_->forecast_mean(Seconds{now}, Seconds{ctx.slack_s})
+          (fault_.forecaster() != nullptr && ctx.slack_s > 0.0)
+              ? fault_.forecaster()->forecast_mean(Seconds{now},
+                                                   Seconds{ctx.slack_s})
               : Watts{std::numeric_limits<double>::infinity()};
     }
     if (fast) {
@@ -504,9 +501,7 @@ void DatacenterSim::start_task(std::size_t idx, std::vector<std::size_t> procs) 
   for (const std::size_t p : t.procs) {
     ISCOPE_CHECK(proc_running_[p] == kNone, "start_task: processor busy");
     proc_running_[p] = idx;
-    if (sleep_active_ && sleep_state_[p] > 0)
-      wake_s = std::max(wake_s,
-                        config_.sleep.states[sleep_state_[p] - 1].wake_s);
+    if (sleep_.active()) wake_s = std::max(wake_s, sleep_.wake_s(p));
     idle_remove(p);
   }
   waiting_cpus_ -= t.spec.cpus;
@@ -516,7 +511,7 @@ void DatacenterSim::start_task(std::size_t idx, std::vector<std::size_t> procs) 
     // waits for activation.
     t.state = TaskState::kWaking;
     const std::uint64_t version = ++t.version;
-    ++sleep_wakes_;
+    sleep_.count_wake();
     log_event(TimelineKind::kTaskWaking, t.spec.id, wake_s);
     queue_.schedule(now + wake_s,
                     EventDesc{EventDesc::Kind::kWake, idx, version});
@@ -548,13 +543,13 @@ void DatacenterSim::activate_task(std::size_t idx) {
   // mean keeps its submit->first-start meaning under injection.
   if (t.retries == 0) total_wait_s_ += now - t.spec.submit_s;
   log_event(TimelineKind::kStart, t.spec.id, now - t.spec.submit_s);
-  if (faults_active_) {
+  if (fault_.active()) {
     // Arm latent mis-profile fail-stops: the chip must run continuously at
     // its (unsafe) scan point for the plan's latency before it fail-stops.
     for (const std::size_t p : t.procs) {
-      if (misprofile_armed_[p] == 0) continue;
-      const std::uint64_t token = ++misprofile_token_[p];
-      queue_.schedule(now + plan_->misprofile_latency_s(p),
+      if (!fault_.armed(p)) continue;
+      const std::uint64_t token = fault_.next_token(p);
+      queue_.schedule(now + fault_.plan().misprofile_latency_s(p),
                       EventDesc{EventDesc::Kind::kMisprofileTimer, p, token});
     }
   }
@@ -586,7 +581,7 @@ void DatacenterSim::on_completion(std::size_t idx, std::uint64_t version) {
     ++miss_count_;
     // A miss of a task that had to restart is attributed to fault
     // recovery, not to the scheduling policy.
-    if (t.retries > 0) ++fault_counters_.fault_deadline_misses;
+    if (t.retries > 0) ++fault_.counters().fault_deadline_misses;
     log_event(TimelineKind::kDeadlineMiss, t.spec.id,
               now - t.spec.deadline_s);
   }
@@ -595,8 +590,8 @@ void DatacenterSim::on_completion(std::size_t idx, std::uint64_t version) {
     ISCOPE_CHECK(proc_running_[p] == idx, "completion: processor mismatch");
     proc_running_[p] = kNone;
     busy_time_s_[p] += now - t.start_s;
-    if (faults_active_) ++misprofile_token_[p];  // stale any armed timer
-    if (!reserved_[p]) idle_insert(p);
+    if (fault_.active()) fault_.next_token(p);  // stale any armed timer
+    if (!profiling_.reserved(p)) idle_insert(p);
   }
   unlink_running(idx);
   cols_remove(idx);
@@ -606,68 +601,45 @@ void DatacenterSim::on_completion(std::size_t idx, std::uint64_t version) {
 }
 
 void DatacenterSim::begin_profiling_window(std::size_t window_idx) {
-  const ProfilingWindow& window = profiling_[window_idx];
+  const ProfilingWindow& window = profiling_.windows()[window_idx];
   // Isolate only processors that are idle right now: QoS comes first
   // (paper Sec. III-C), busy chips are skipped and left for a later pass.
   std::vector<std::size_t> taken;
-  const std::size_t top = knowledge_->levels() - 1;
   for (const std::size_t p : window.proc_ids) {
-    ISCOPE_CHECK_ARG(p < proc_running_.size(),
-                     "profiling window: processor out of range");
-    if (proc_running_[p] != kNone || reserved_[p] ||
-        (faults_active_ && failed_[p] != 0)) {
-      ++profiling_procs_skipped_;
+    if (proc_running_[p] != kNone || profiling_.reserved(p) ||
+        fault_.failed(p)) {
+      profiling_.skip();
       continue;
     }
-    reserved_[p] = true;
+    profiling_.reserve(p, Watts{stock_w_[p]});
     idle_remove(p);
     taken.push_back(p);
-    // Scan load: the chip under test runs at the top level's stock point.
-    // The cluster speaks global ids; `p` is view-local (identity for a
-    // full view, shard-relative under a slice).
-    reserved_power_ += knowledge_->cluster().power(
-        knowledge_->global_proc(p), top,
-        Volts{knowledge_->cluster().levels().vdd_nom[top]});
   }
-  profiling_procs_scanned_ += taken.size();
   log_event(TimelineKind::kProfilingBegin, -1,
             static_cast<double>(taken.size()));
   if (!taken.empty()) {
     rematch();  // demand changed
     const double started = queue_.now();
-    // Park the scan in a slot so the end event carries only the slot index
-    // (a serializable descriptor, unlike the moved vector it used to own).
-    const std::size_t slot = scans_.size();
-    scans_.push_back(ActiveScan{std::move(taken), started, true});
+    const std::size_t slot = profiling_.open(std::move(taken), started);
     queue_.schedule(started + window.duration_s,
                     EventDesc{EventDesc::Kind::kProfilingEnd, slot});
   }
 }
 
 void DatacenterSim::end_profiling_window(std::size_t slot) {
-  ActiveScan& scan = scans_[slot];
-  const std::size_t top = knowledge_->levels() - 1;
-  for (const std::size_t p : scan.procs) {
-    reserved_[p] = false;
-    if (proc_running_[p] == kNone && !(faults_active_ && failed_[p] != 0))
-      idle_insert(p);
-    reserved_power_ -= knowledge_->cluster().power(
-        knowledge_->global_proc(p), top,
-        Volts{knowledge_->cluster().levels().vdd_nom[top]});
-    profiling_proc_seconds_ += queue_.now() - scan.started_s;
-  }
-  reserved_power_ = std::max(Watts{}, reserved_power_);
+  const std::vector<std::size_t> freed =
+      profiling_.close(slot, queue_.now(), stock_w_);
+  for (const std::size_t p : freed)
+    if (proc_running_[p] == kNone && !fault_.failed(p)) idle_insert(p);
   log_event(TimelineKind::kProfilingEnd, -1,
-            static_cast<double>(scan.procs.size()));
-  scan.live = false;
-  scan.procs.clear();
+            static_cast<double>(freed.size()));
   rematch();
   schedule_pass();  // the freed processors may admit waiting tasks
 }
 
 void DatacenterSim::schedule_fault_event(std::size_t i) {
-  if (i >= plan_->events().size()) return;
-  const double at = plan_->events()[i].time_s;
+  if (i >= fault_.plan().events().size()) return;
+  const double at = fault_.plan().events()[i].time_s;
   queue_.schedule(at, EventDesc{EventDesc::Kind::kFault, i});
 }
 
@@ -675,7 +647,7 @@ void DatacenterSim::on_fault_event(std::size_t i) {
   // The plan's crash/repair stream runs as one lazily-chained event, so an
   // all-but-infinite horizon costs nothing once the workload has drained.
   if (all_done()) return;
-  const FaultEvent& e = plan_->events()[i];
+  const FaultEvent& e = fault_.plan().events()[i];
   if (e.kind == FaultKind::kCrash)
     fail_proc(e.proc, /*misprofile=*/false);
   else
@@ -684,21 +656,16 @@ void DatacenterSim::on_fault_event(std::size_t i) {
 }
 
 void DatacenterSim::fail_proc(std::size_t p, bool misprofile) {
-  if (failed_[p] != 0) return;  // double fault while already down
-  failed_[p] = 1;
-  ++fault_counters_.cpu_failures;
-  if (misprofile) ++fault_counters_.misprofile_failures;
-  knowledge_mut_->quarantine(p);
+  if (!fault_.fail(p, misprofile)) return;  // double fault while down
   log_event(TimelineKind::kCpuFail, -1, static_cast<double>(p));
-  ++misprofile_token_[p];
   const std::size_t idx = proc_running_[p];
   if (idx != kNone) {
     requeue_task(idx);
     rematch();  // the victim's load vanished; re-decide DVFS levels
     schedule_pass();
-  } else if (!reserved_[p]) {
+  } else if (!profiling_.reserved(p)) {
     idle_remove(p);
-    if (sleep_active_) {
+    if (sleep_.active()) {
       // No rematch follows on this branch, but the idle residency power
       // just changed; re-derive demand at this instant.
       accrue_to_now();
@@ -708,14 +675,11 @@ void DatacenterSim::fail_proc(std::size_t p, bool misprofile) {
 }
 
 void DatacenterSim::repair_proc(std::size_t p) {
-  if (failed_[p] == 0) return;  // already repaired (overlapping faults)
-  failed_[p] = 0;
-  ++fault_counters_.cpu_repairs;
-  knowledge_mut_->release(p);
+  if (!fault_.repair(p)) return;  // already repaired (overlapping faults)
   log_event(TimelineKind::kCpuRepair, -1, static_cast<double>(p));
-  if (proc_running_[p] == kNone && !reserved_[p]) {
+  if (proc_running_[p] == kNone && !profiling_.reserved(p)) {
     idle_insert(p);
-    if (sleep_active_) {
+    if (sleep_.active()) {
       // schedule_pass may start nothing; demand must still absorb the
       // repaired processor's idle residency now.
       accrue_to_now();
@@ -735,14 +699,14 @@ void DatacenterSim::requeue_task(std::size_t idx) {
   const double now = queue_.now();
   // All progress on the gang is discarded; the task restarts from scratch.
   if (was_running)
-    fault_counters_.lost_cpu_seconds +=
+    fault_.counters().lost_cpu_seconds +=
         static_cast<double>(t.spec.cpus) * (now - t.start_s);
   for (const std::size_t p : t.procs) {
     ISCOPE_CHECK(proc_running_[p] == idx, "requeue_task: processor mismatch");
     proc_running_[p] = kNone;
     if (was_running) busy_time_s_[p] += now - t.start_s;
-    ++misprofile_token_[p];
-    if (!reserved_[p] && failed_[p] == 0) idle_insert(p);
+    fault_.next_token(p);
+    if (!profiling_.reserved(p) && !fault_.failed(p)) idle_insert(p);
   }
   t.procs.clear();
   if (was_running) {
@@ -750,17 +714,16 @@ void DatacenterSim::requeue_task(std::size_t idx) {
     cols_remove(idx);
   }
   ++t.version;  // cancel the pending completion (or wake) event
-  if (t.retries >= plan_->max_retries()) {
+  if (t.retries >= fault_.plan().max_retries()) {
     t.state = TaskState::kFailed;
-    ++failed_count_;
-    ++fault_counters_.tasks_failed;
+    fault_.abandon();
     makespan_s_ = std::max(makespan_s_, now);
     log_event(TimelineKind::kTaskAbandon, t.spec.id,
               static_cast<double>(t.retries));
     return;
   }
   ++t.retries;
-  ++fault_counters_.task_requeues;
+  ++fault_.counters().task_requeues;
   t.state = TaskState::kWaiting;
   waiting_.push_back(idx);
   waiting_cpus_ += t.spec.cpus;
@@ -773,65 +736,30 @@ void DatacenterSim::requeue_task(std::size_t idx) {
 }
 
 void DatacenterSim::on_misprofile_timer(std::size_t p, std::uint64_t token) {
-  if (misprofile_token_[p] != token) return;  // occupancy ended; stale
-  if (failed_[p] != 0 || proc_running_[p] == kNone) return;
-  // The latent fault fires exactly once; repair re-profiles the chip.
-  misprofile_armed_[p] = 0;
+  // A stale token means the occupancy that armed the timer has ended.
+  if (proc_running_[p] == kNone || !fault_.misprofile_fires(p, token)) return;
   fail_proc(p, /*misprofile=*/true);
-  const double repair_at = queue_.now() + plan_->misprofile_repair_s(p);
+  const double repair_at = queue_.now() + fault_.plan().misprofile_repair_s(p);
   queue_.schedule(repair_at, EventDesc{EventDesc::Kind::kMisprofileRepair, p});
 }
 
 void DatacenterSim::sleep_on_idle(std::size_t p) {
-  const SleepConfig& sc = config_.sleep;
-  std::uint8_t depth = 0;
-  if (sc.policy == SleepPolicy::kImmediate) {
-    // One descent straight to the deepest state: the chip powers down the
-    // moment it idles (maximum residency savings, maximum wake latency).
-    depth = static_cast<std::uint8_t>(sc.states.size());
-    ++sleeping_count_;
-    ++sleep_enters_;
+  const std::size_t depth = sleep_.on_idle(p, stock_w_[p]);
+  if (depth > 0)
     log_event(TimelineKind::kSleepEnter, -1, static_cast<double>(depth));
-  }
-  sleep_state_[p] = depth;
-  idle_power_w_ +=
-      (depth == 0 ? sc.active_idle_frac : sc.states[depth - 1].idle_frac) *
-      sleep_stock_w_[p];
-  if (sc.policy == SleepPolicy::kTimeout) {
-    queue_.schedule(
-        queue_.now() + sc.timeout_s,
-        EventDesc{EventDesc::Kind::kSleepEnter, p, sleep_token_[p]});
-  }
-}
-
-void DatacenterSim::sleep_on_claim(std::size_t p) {
-  const SleepConfig& sc = config_.sleep;
-  const std::uint8_t depth = sleep_state_[p];
-  idle_power_w_ -=
-      (depth == 0 ? sc.active_idle_frac : sc.states[depth - 1].idle_frac) *
-      sleep_stock_w_[p];
-  if (depth > 0) --sleeping_count_;
-  ++sleep_token_[p];  // stale any pending descent from this idle stint
-  // sleep_state_[p] deliberately survives the claim: start_task reads the
-  // depth right after claiming to derive the gang's wake latency.
+  if (sleep_.descends_from(depth))
+    queue_.schedule(queue_.now() + sleep_.timeout_s(),
+                    EventDesc{EventDesc::Kind::kSleepEnter, p, sleep_.token(p)});
 }
 
 void DatacenterSim::on_sleep_enter(std::size_t p, std::uint64_t token) {
-  if (sleep_token_[p] != token || idle_flags_[p] == 0) return;  // stale
-  const SleepConfig& sc = config_.sleep;
-  const std::uint8_t depth = sleep_state_[p];
-  if (depth >= sc.states.size()) return;  // already deepest
+  if (idle_flags_[p] == 0 || !sleep_.can_descend(p, token)) return;  // stale
   accrue_to_now();
-  const double old_frac =
-      depth == 0 ? sc.active_idle_frac : sc.states[depth - 1].idle_frac;
-  idle_power_w_ += (sc.states[depth].idle_frac - old_frac) * sleep_stock_w_[p];
-  sleep_state_[p] = static_cast<std::uint8_t>(depth + 1);
-  if (depth == 0) ++sleeping_count_;
-  ++sleep_enters_;
-  log_event(TimelineKind::kSleepEnter, -1, static_cast<double>(depth + 1));
+  const std::size_t depth = sleep_.descend(p, stock_w_[p]);
+  log_event(TimelineKind::kSleepEnter, -1, static_cast<double>(depth));
   recompute_demand();
-  if (depth + std::size_t{1} < sc.states.size())
-    queue_.schedule(queue_.now() + sc.timeout_s,
+  if (sleep_.descends_from(depth))
+    queue_.schedule(queue_.now() + sleep_.timeout_s(),
                     EventDesc{EventDesc::Kind::kSleepEnter, p, token});
 }
 
@@ -839,12 +767,12 @@ void DatacenterSim::recompute_demand() {
   // IT power: matched compute + active scans + idle/sleep residency. Only
   // ever called with thermal or sleep active; the off path keeps the
   // legacy Eq-2 composition in rematch() verbatim.
-  const Watts it = last_compute_ + reserved_power_ +
-                   Watts{std::max(0.0, idle_power_w_)};
-  if (config_.thermal.enabled) {
+  const Watts it =
+      last_compute_ + profiling_.power() + Watts{sleep_.idle_power_w()};
+  if (thermal_.enabled()) {
     // CRAC billing at the operating COP the thermal epochs resolve against
     // the recirculation model (heat removed == IT heat dissipated).
-    cooling_power_ = Watts{it.raw() / cop_now_};
+    cooling_power_ = Watts{it.raw() / thermal_.cop()};
   } else {
     // Sleep-only runs keep the paper's flat Eq-2 cooling overhead.
     cooling_power_ = it * (matcher_.cooling_factor() - 1.0);
@@ -853,35 +781,26 @@ void DatacenterSim::recompute_demand() {
 }
 
 void DatacenterSim::schedule_thermal(double t) {
-  thermal_chain_live_ = true;
+  thermal_.set_chain_live(true);
   queue_.schedule(t, EventDesc{EventDesc::Kind::kThermal, 0, 0, t});
 }
 
 void DatacenterSim::on_thermal(double t) {
   accrue_to_now();
-  if (thermal_external_) {
+  if (thermal_.fed_from_coordinator()) {
     // Sharded run: apply the solution the coordinator resolved at this
     // barrier over every shard's rack power (reconcile_wind's pattern).
-    if (thermal_pending_) {
-      cop_now_ = pending_cop_;
-      supply_c_now_ = pending_supply_c_;
-      peak_inlet_c_ = std::max(peak_inlet_c_, pending_peak_c_);
-      thermal_pending_ = false;
-    }
+    thermal_.apply_staged();
   } else {
-    rack_w_scratch_.assign(thermal_model_->matrix().racks(), 0.0);
+    rack_w_scratch_.assign(thermal_.racks(), 0.0);
     collect_rack_power(rack_w_scratch_);
-    const ThermalSolution sol =
-        thermal_model_->solve(rack_w_scratch_, plan_->crac_factor(t));
-    cop_now_ = sol.cop;
-    supply_c_now_ = sol.supply_c;
-    peak_inlet_c_ = std::max(peak_inlet_c_, sol.peak_inlet_c);
+    thermal_.solve(rack_w_scratch_, fault_.plan().crac_factor(t));
   }
   recompute_demand();
   if (!all_done())
     schedule_thermal(t + config_.epoch_s);
   else
-    thermal_chain_live_ = false;
+    thermal_.set_chain_live(false);
 }
 
 void DatacenterSim::collect_rack_power(std::vector<double>& rack_w) const {
@@ -891,7 +810,6 @@ void DatacenterSim::collect_rack_power(std::vector<double>& rack_w) const {
   // this when it merges shard contributions).
   const std::size_t nprocs = knowledge_->procs();
   const std::size_t per_rack = config_.topology.cpus_per_rack;
-  const std::size_t top = knowledge_->levels() - 1;
   for (std::size_t p = 0; p < nprocs; ++p) {
     double w = 0.0;
     const std::size_t idx = proc_running_[p];
@@ -899,28 +817,19 @@ void DatacenterSim::collect_rack_power(std::vector<double>& rack_w) const {
       // Waking gangs draw nothing until activation.
       if (tasks_[idx].state == TaskState::kRunning)
         w = knowledge_->power(p, tasks_[idx].level).raw();
-    } else if (reserved_[p]) {
-      w = knowledge_->cluster()
-              .power(knowledge_->global_proc(p), top,
-                     Volts{knowledge_->cluster().levels().vdd_nom[top]})
-              .raw();
-    } else if (sleep_active_ && idle_flags_[p] != 0) {
-      const std::uint8_t depth = sleep_state_[p];
-      const double frac = depth == 0
-                              ? config_.sleep.active_idle_frac
-                              : config_.sleep.states[depth - 1].idle_frac;
-      w = frac * sleep_stock_w_[p];
+    } else if (profiling_.reserved(p)) {
+      w = stock_w_[p];
+    } else if (sleep_.active() && idle_flags_[p] != 0) {
+      w = sleep_.idle_w(p, stock_w_[p]);
     }
     if (w != 0.0) rack_w[knowledge_->global_proc(p) / per_rack] += w;
   }
 }
 
-void DatacenterSim::push_thermal(double cop, double supply_c,
-                                 double peak_inlet_c) {
-  pending_cop_ = cop;
-  pending_supply_c_ = supply_c;
-  pending_peak_c_ = peak_inlet_c;
-  thermal_pending_ = true;
+void DatacenterSim::feed_thermal_from_coordinator(
+    const RecirculationMatrix& matrix) {
+  thermal_.feed_from_coordinator();
+  if (policy_.rule() == PlacementRule::kTherm) install_thermal_order(matrix);
 }
 
 void DatacenterSim::install_thermal_order(const RecirculationMatrix& matrix) {
@@ -965,7 +874,6 @@ void DatacenterSim::install_thermal_order(const RecirculationMatrix& matrix) {
     for (const std::size_t j : rack_ids)
       if (depth < by_rack[j].size()) order.push_back(by_rack[j][depth]);
   policy_.override_order(std::move(order));
-  therm_order_installed_ = true;
 }
 
 void DatacenterSim::schedule_epoch(double t) {
@@ -1068,22 +976,23 @@ void DatacenterSim::telemetry_sample() {
   // Thermal/sleep gauges only exist when the subsystems are on, so a
   // default run's telemetry output is byte-identical to the pre-thermal
   // tree's.
-  if (config_.thermal.enabled) {
+  if (thermal_.enabled()) {
     static telemetry::GaugeFamily& thermal_family =
         telemetry::Registry::global().gauge(
             "iscope_thermal", "Thermal model state at the latest sample",
             {"run", "field"});
-    thermal_family.with({row.label, "supply_c"}).set(supply_c_now_);
-    thermal_family.with({row.label, "cop"}).set(cop_now_);
+    thermal_family.with({row.label, "supply_c"}).set(thermal_.supply_c());
+    thermal_family.with({row.label, "cop"}).set(thermal_.cop());
     thermal_family.with({row.label, "cooling_w"}).set(cooling_power_.raw());
-    thermal_family.with({row.label, "peak_inlet_c"}).set(peak_inlet_c_);
+    thermal_family.with({row.label, "peak_inlet_c"})
+        .set(thermal_.peak_inlet_c());
   }
-  if (sleep_active_) {
+  if (sleep_.active()) {
     static telemetry::GaugeFamily& sleep_family =
         telemetry::Registry::global().gauge(
             "iscope_sleeping_procs",
             "Processors in a C-state deeper than active idle", {"run"});
-    sleep_family.with({row.label}).set(static_cast<double>(sleeping_count_));
+    sleep_family.with({row.label}).set(static_cast<double>(sleep_.sleeping()));
   }
 }
 
@@ -1111,11 +1020,11 @@ void DatacenterSim::publish_run_telemetry(std::size_t events) {
   static telemetry::CounterFamily& requeue_family = reg.counter(
       "iscope_sim_task_requeues_total",
       "Task restarts forced by injected faults", {"run"});
-  requeue_family.with(labels).inc_concurrent(fault_counters_.task_requeues);
+  requeue_family.with(labels).inc_concurrent(fault_.counters().task_requeues);
   static telemetry::CounterFamily& fault_family = reg.counter(
       "iscope_sim_cpu_failures_total",
       "Processor fail-stops (crashes + mis-profiles)", {"run"});
-  fault_family.with(labels).inc_concurrent(fault_counters_.cpu_failures);
+  fault_family.with(labels).inc_concurrent(fault_.counters().cpu_failures);
   static telemetry::GaugeFamily& peak_family = reg.gauge(
       "iscope_sim_event_queue_peak",
       "Event-queue high-water mark over the run(s)", {"run"});
@@ -1163,11 +1072,11 @@ bool DatacenterSim::event_in_range(const EventDesc& e) const {
     case Kind::kThermal:
       return true;
     case Kind::kProfilingBegin:
-      return e.a < profiling_.size();
+      return e.a < profiling_.windows().size();
     case Kind::kProfilingEnd:
-      return e.a < scans_.size() && scans_[e.a].live;
+      return profiling_.live(e.a);
     case Kind::kFault:
-      return e.a < plan_->events().size();
+      return e.a < fault_.plan().events().size();
     case Kind::kMisprofileTimer:
     case Kind::kMisprofileRepair:
     case Kind::kSleepEnter:
@@ -1198,6 +1107,7 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   for (const Task& t : tasks)
     ISCOPE_CHECK_ARG(t.cpus <= nprocs,
                      "DatacenterSim: task wider than the cluster");
+  ProfilingDriver::validate(profiling, nprocs);
   sort_by_submit(tasks);
 
   // Reset the primary state. clear() (not reassignment) keeps warmed-up
@@ -1235,51 +1145,21 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   in_pass_ = false;
   rush_mode_ = false;
   timeline_.clear();
-  reserved_.assign(nprocs, 0);
-  reserved_power_ = Watts{};
-  profiling_proc_seconds_ = 0.0;
-  profiling_procs_scanned_ = 0;
-  profiling_procs_skipped_ = 0;
-  profiling_ = profiling;
-  scans_.clear();
   epoch_chain_live_ = false;
   sample_chain_live_ = false;
-  failed_.assign(nprocs, 0);
-  misprofile_token_.assign(nprocs, 0);
-  // A latent mis-profile only bites a chip actually running at its own
-  // scanned point; under the Bin view the plan's mis-profiles are inert.
-  misprofile_armed_.assign(nprocs, 0);
-  if (faults_active_)
-    for (std::size_t p = 0; p < nprocs; ++p)
-      misprofile_armed_[p] = plan_->misprofiled(p) && knowledge_->scanned(p);
-  failed_count_ = 0;
-  fault_counters_ = FaultCounters{};
-  // Thermal & sleep state. cop/supply start at the idle-facility point
-  // (no rack rise => the CRAC runs at its warmest, most efficient supply).
-  cop_now_ = crac_cop(config_.thermal.max_supply_c);
-  supply_c_now_ = config_.thermal.max_supply_c;
-  peak_inlet_c_ = 0.0;
-  thermal_pending_ = false;
-  pending_cop_ = 0.0;
-  pending_supply_c_ = 0.0;
-  pending_peak_c_ = 0.0;
   last_compute_ = Watts{};
   cooling_power_ = Watts{};
   cooling_joules_ = 0.0;
-  idle_joules_ = 0.0;
-  thermal_chain_live_ = false;
-  sleep_state_.assign(nprocs, 0);
-  sleep_token_.assign(nprocs, 0);
-  idle_power_w_ = 0.0;
-  sleeping_count_ = 0;
-  sleep_enters_ = 0;
-  sleep_wakes_ = 0;
+  profiling_.reset(profiling);
+  fault_.reset();
+  thermal_.reset();
+  sleep_.reset();
 
   rebuild_derived();
 
   // The initial events, in the order that numbers their ties.
-  if (faults_active_) schedule_fault_event(0);
-  if (sleep_active_) {
+  if (fault_.active()) schedule_fault_event(0);
+  if (sleep_.active()) {
     // The whole facility starts idle: same entry path as a runtime idle
     // insert (timeout descents get scheduled, immediate goes deep now).
     for (std::size_t p = 0; p < nprocs; ++p) sleep_on_idle(p);
@@ -1288,16 +1168,13 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   for (std::size_t i = 0; i < tasks_.size(); ++i)
     queue_.schedule(tasks_[i].spec.submit_s,
                     EventDesc{EventDesc::Kind::kArrival, i});
-  for (std::size_t wi = 0; wi < profiling_.size(); ++wi) {
-    const ProfilingWindow& w = profiling_[wi];
-    ISCOPE_CHECK_ARG(w.start_s >= 0.0 && w.duration_s > 0.0,
-                     "profiling window: bad timing");
-    queue_.schedule(w.start_s, EventDesc{EventDesc::Kind::kProfilingBegin, wi});
-  }
-  if (!tasks_.empty() || !profiling_.empty()) {
+  for (std::size_t wi = 0; wi < profiling.size(); ++wi)
+    queue_.schedule(profiling[wi].start_s,
+                    EventDesc{EventDesc::Kind::kProfilingBegin, wi});
+  if (!tasks_.empty() || !profiling.empty()) {
     schedule_epoch(0.0);
     if (config_.record_trace) schedule_sample(0.0);
-    if (config_.thermal.enabled) schedule_thermal(0.0);
+    if (thermal_.enabled()) schedule_thermal(0.0);
   }
 }
 
@@ -1305,45 +1182,19 @@ void DatacenterSim::rebuild_derived() {
   const std::size_t nprocs = knowledge_->procs();
   const std::size_t levels = knowledge_->levels();
 
-  // Quarantine mirrors failed_ exactly (fail_proc quarantines, repair_proc
-  // releases), so replaying it restores the Knowledge view; the power rows
-  // below match the generation after the replay.
-  if (faults_active_) {
-    ISCOPE_CHECK_ARG(knowledge_mut_ != nullptr,
-                     "DatacenterSim: a fault plan with CPU faults needs the "
-                     "mutable-Knowledge constructor (quarantine)");
-    knowledge_mut_->clear_quarantine();
-    for (std::size_t p = 0; p < nprocs; ++p)
-      if (failed_[p] != 0) knowledge_mut_->quarantine(p);
-  }
+  // Quarantine mirrors the failed flags exactly, so replaying it restores
+  // the Knowledge view; the power rows below match the generation after
+  // the replay.
+  fault_.replay_quarantine();
   knowledge_gen_ = knowledge_->generation();
 
-  // Thermal/sleep staging. The model is built once (flat runs only; a
-  // shard's thermal_external_ flag is set by the coordinator, which owns
-  // the facility-wide model). ScanTherm installs its recirculation-aware
-  // order before the rank tables below are derived from the policy.
-  sleep_active_ = config_.sleep.enabled();
-  extras_active_ = config_.thermal.enabled || sleep_active_;
-  if (config_.thermal.enabled && !thermal_external_ &&
-      thermal_model_ == nullptr) {
-    const std::size_t per_rack = config_.topology.cpus_per_rack;
-    const std::size_t racks = (nprocs + per_rack - 1) / per_rack;
-    thermal_model_ = std::make_unique<ThermalModel>(config_.thermal,
-                                                    config_.topology, racks);
-  }
-  if (policy_.rule() == PlacementRule::kTherm && config_.thermal.enabled &&
-      !therm_order_installed_ && thermal_model_ != nullptr)
-    install_thermal_order(thermal_model_->matrix());
-  if (sleep_active_ && sleep_stock_w_.size() != nprocs) {
-    const std::size_t top = levels - 1;
-    sleep_stock_w_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p)
-      sleep_stock_w_[p] =
-          knowledge_->cluster()
-              .power(knowledge_->global_proc(p), top,
-                     Volts{knowledge_->cluster().levels().vdd_nom[top]})
-              .raw();
-  }
+  // A flat run builds its thermal model once, here, and ScanTherm installs
+  // its recirculation-aware order from it before the rank tables below are
+  // derived from the policy. A coordinator-fed shard builds none: its order
+  // came from the facility-wide model (feed_thermal_from_coordinator).
+  if (const ThermalModel* built = thermal_.build_model(nprocs);
+      built != nullptr && policy_.rule() == PlacementRule::kTherm)
+    install_thermal_order(built->matrix());
 
   // latest_start is a pure function of the immutable spec, cached because
   // the hot scheduling pass reads it per waiting task.
@@ -1452,7 +1303,7 @@ std::size_t DatacenterSim::admit(Task task) {
   if (config_.record_trace && !sample_chain_live_)
     schedule_sample(std::ceil(queue_.now() / config_.sample_interval_s) *
                     config_.sample_interval_s);
-  if (config_.thermal.enabled && !thermal_chain_live_)
+  if (thermal_.enabled() && !thermal_.chain_live())
     schedule_thermal(std::ceil(queue_.now() / config_.epoch_s) *
                      config_.epoch_s);
   return i;
@@ -1475,7 +1326,7 @@ DecisionSnapshot DatacenterSim::decision_snapshot() const {
   s.demand = demand_;
   s.tasks_admitted = tasks_.size();
   s.tasks_completed = done_count_;
-  s.tasks_failed = failed_count_;
+  s.tasks_failed = fault_.failed_tasks();
   s.waiting = waiting_.size();
   s.running = run_count_;
   s.idle_procs = idle_count_;
@@ -1525,15 +1376,15 @@ SimResult DatacenterSim::finish() {
   result.finalize_busy_stats();
   result.trace = meter_.trace();
   result.timeline = timeline_;
-  result.profiling_procs_scanned = profiling_procs_scanned_;
-  result.profiling_procs_skipped = profiling_procs_skipped_;
-  result.profiling_proc_seconds = profiling_proc_seconds_;
-  result.faults = fault_counters_;
+  result.profiling_procs_scanned = profiling_.scanned();
+  result.profiling_procs_skipped = profiling_.skipped();
+  result.profiling_proc_seconds = profiling_.proc_seconds();
+  result.faults = fault_.counters();
   result.cooling_energy = Joules{cooling_joules_};
-  result.idle_energy = Joules{idle_joules_};
-  result.peak_inlet_c = peak_inlet_c_;
-  result.sleep_enters = sleep_enters_;
-  result.sleep_wakes = sleep_wakes_;
+  result.idle_energy = Joules{sleep_.idle_joules()};
+  result.peak_inlet_c = thermal_.peak_inlet_c();
+  result.sleep_enters = sleep_.enters();
+  result.sleep_wakes = sleep_.wakes();
   result.dvfs_rematch_count = rematch_count_;
   result.events_processed = events;
   return result;

@@ -18,10 +18,17 @@
 //
 // Events are plain descriptors (sim/event_queue.hpp): each schedule site
 // names a kind and its payload, and dispatch() maps every kind to its
-// handler in one switch. State splits into primary fields, which
-// prepare() resets and checkpoint restore (service/checkpoint.cpp)
-// reads, and derived caches, which both rebuild through one member,
-// rebuild_derived().
+// handler in one switch. The core owns the tasks, the event queue, the
+// meter and battery, the running list, the idle pool, placement, matching
+// and demand composition. Four optional subsystems each own their state
+// in one type the core holds by value and calls directly: FaultDriver,
+// ProfilingDriver, ThermalDriver and SleepGovernor (sim/*_driver.hpp,
+// sim/sleep_governor.hpp). Handlers that requeue tasks or move processors
+// between pools stay in the core and consult the drivers' state. The
+// simulator and each driver have one io() that lists their checkpointed
+// fields for both the writer and the reader (service/checkpoint.hpp);
+// prepare() resets each driver with one call, and prepare() and restore
+// share one derived-state rebuild, rebuild_derived().
 //
 // Hot-path design (DESIGN.md Secs. 9 and 14): `rematch()` performs zero
 // heap allocations at steady state. Per-task per-level power tables are
@@ -39,9 +46,11 @@
 // tests/test_match_equivalence.cpp holds the default path to, bit for bit.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "energy/battery.hpp"
@@ -50,7 +59,6 @@
 #include "fault/fault.hpp"
 #include "hardware/sleep.hpp"
 #include "hardware/topology.hpp"
-#include "fault/noisy_forecast.hpp"
 #include "power/cooling.hpp"
 #include "thermal/thermal.hpp"
 #include "profiling/opportunistic.hpp"
@@ -60,7 +68,11 @@
 #include "sched/power_matcher.hpp"
 #include "sched/scheme.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fault_driver.hpp"
 #include "sim/metrics.hpp"
+#include "sim/profiling_driver.hpp"
+#include "sim/sleep_governor.hpp"
+#include "sim/thermal_driver.hpp"
 #include "workload/task.hpp"
 
 namespace iscope {
@@ -152,10 +164,6 @@ struct DecisionSnapshot {
   bool rush_mode = false;
 };
 
-/// Checkpoint codec (src/service/checkpoint.cpp): the one sanctioned door
-/// into the simulator's private state for snapshot/restore.
-struct CheckpointAccess;
-
 class DatacenterSim {
  public:
   /// All pointers are non-owning and must outlive the simulator.
@@ -194,6 +202,8 @@ class DatacenterSim {
 
   /// Stage a run: reset state, sort and admit the tasks, schedule the
   /// arrival/epoch/sample/fault events. Does not process any event.
+  /// Windows are validated first (ProfilingDriver::validate): a rejected
+  /// plan throws InvalidArgument and leaves the simulator untouched.
   void prepare(std::vector<Task> tasks,
                const std::vector<ProfilingWindow>& profiling = {});
   /// Process staged events with time strictly < `t_limit` (bounded by the
@@ -236,6 +246,30 @@ class DatacenterSim {
   DecisionSnapshot decision_snapshot() const;
   const SimConfig& config() const { return config_; }
 
+  /// --- thermal coordination (sim/sharded.hpp) ---------------------------
+  /// Make this simulator a shard the coordinator feeds: it never solves a
+  /// thermal model; its kThermal events apply the solution the coordinator
+  /// stages at each barrier. ScanTherm installs its placement order from
+  /// the facility-wide `matrix`, so every shard ranks its slice against
+  /// the same heat weights. Call before prepare().
+  void feed_thermal_from_coordinator(const RecirculationMatrix& matrix);
+  /// Accumulate per-rack IT power (running + reserved + idle/sleep
+  /// residency) into `rack_w`, indexed by *global* rack id. The caller
+  /// zeroes the vector; racks never straddle shards, so per-rack sums are
+  /// identical however the facility is partitioned.
+  void collect_rack_power(std::vector<double>& rack_w) const;
+  /// Stage the coordinator's solution for this shard's next kThermal event.
+  void stage_thermal(const ThermalSolution& solution) {
+    thermal_.stage(solution);
+  }
+
+  /// The checkpointed state, listed once for both directions: `Io` is the
+  /// codec's writer adapter (which only reads) or its reader adapter
+  /// (which checks each field as it loads, then rebuilds derived state).
+  /// Defined below; instantiated by service/checkpoint.cpp.
+  template <class Io>
+  void io(Io& io);
+
   /// Test-only hook: when set, called with `true` on entry to every
   /// rematch() and `false` on exit. tests/test_rematch_alloc.cpp counts
   /// heap allocations in between to assert the steady-state hot path is
@@ -243,11 +277,10 @@ class DatacenterSim {
   static void (*rematch_probe)(bool entering);
 
  private:
-  friend struct CheckpointAccess;
-  /// The sharded coordinator (sim/sharded.hpp) resolves the thermal model
-  /// once per epoch barrier across all shards and pushes the solution into
-  /// each shard (push_thermal), exactly like reconcile_wind.
-  friend class ShardedSim;
+  /// Both public constructors: `quarantine` is the mutable view, or null.
+  DatacenterSim(const Knowledge* knowledge, Knowledge* quarantine,
+                PlacementRule rule, const HybridSupply* supply,
+                const SimConfig& config, const WindForecaster* forecaster);
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
@@ -295,12 +328,12 @@ class DatacenterSim {
   /// live state (task, processor, profiling window, scan slot or fault
   /// cursor). Checkpoint restore screens every saved event with it.
   bool event_in_range(const EventDesc& e) const;
-  /// Derive every cache from the primary state: quarantine replay from
-  /// failed_, the thermal model and ScanTherm order, sleep stock watts,
-  /// placement flags, idle lists and rank bits from idle_flags_ and
-  /// busy_time_s_, power rows and SoA columns for the running list, and a
-  /// reset incremental cache. prepare() and checkpoint restore both end
-  /// their state setup here, so the two cannot drift apart.
+  /// Derive every cache from the primary state: the fault quarantine, a
+  /// flat run's thermal model with the ScanTherm order, placement flags,
+  /// idle lists and rank bits from idle_flags_ and busy_time_s_, power
+  /// rows and SoA columns for the running list, and a reset incremental
+  /// cache. prepare() and checkpoint restore both end their state setup
+  /// here, so the two cannot drift apart.
   void rebuild_derived();
   void on_arrival(std::size_t idx);
   /// Try to start waiting tasks on idle processors (with backfill past
@@ -324,8 +357,8 @@ class DatacenterSim {
   void schedule_sample(double t);
   void on_epoch(double t);
   void on_sample(double t);
-  /// Profiling windows live in `profiling_` and active scans in `scans_`
-  /// slots, so their events carry only indices.
+  /// Windows and scan slots live in profiling_, so their events carry
+  /// only indices.
   void begin_profiling_window(std::size_t window_idx);
   void end_profiling_window(std::size_t slot);
   /// Fault machinery (src/fault/): the plan's crash/repair events run as a
@@ -347,14 +380,6 @@ class DatacenterSim {
   /// sharded coordinator sees at its barrier -- the two stay bit-identical.
   void schedule_thermal(double t);
   void on_thermal(double t);
-  /// Accumulate per-rack IT power (running + reserved + idle/sleep
-  /// residency) into `rack_w`, indexed by *global* rack id. The caller
-  /// zeroes the vector; racks never straddle shards, so per-rack sums are
-  /// identical however the facility is partitioned.
-  void collect_rack_power(std::vector<double>& rack_w) const;
-  /// Coordinator-push half of the sharded thermal step: stage a solution
-  /// for this shard's next kThermal event to apply.
-  void push_thermal(double cop, double supply_c, double peak_inlet_c);
   /// Install the recirculation-aware placement order (ScanTherm): a
   /// round-robin stripe over racks (ascending heat weight) of each
   /// rack's chips (ascending believed efficiency) -- min-max inlet rise
@@ -365,9 +390,10 @@ class DatacenterSim {
   /// model. Only ever called when thermal or sleep is active; the off path
   /// keeps the legacy Eq-2 composition in rematch() verbatim.
   void recompute_demand();
-  /// --- sleep management (hardware/sleep.hpp) ----------------------------
-  void sleep_on_idle(std::size_t p);    ///< processor entered the idle pool
-  void sleep_on_claim(std::size_t p);   ///< processor left the idle pool
+  /// --- sleep management (sim/sleep_governor.hpp) ------------------------
+  /// Processor entered the idle pool: the governor picks its depth; this
+  /// logs an immediate descent and schedules a timeout one.
+  void sleep_on_idle(std::size_t p);
   void on_sleep_enter(std::size_t p, std::uint64_t token);
   /// Instantaneous wind -> battery -> utility waterfall (previews only;
   /// shared by the Fig. 7 trace recorder and the telemetry sampler).
@@ -386,7 +412,7 @@ class DatacenterSim {
   /// Latest deadline-feasible start of a task at the top frequency.
   double latest_start(const SimTask& t) const;
   bool all_done() const {
-    return done_count_ + failed_count_ == tasks_.size();
+    return done_count_ + fault_.failed_tasks() == tasks_.size();
   }
 
   /// Append / remove a task on the intrusive running list (order-
@@ -408,11 +434,7 @@ class DatacenterSim {
   }
 
   const Knowledge* knowledge_;
-  /// Non-null only via the mutable-knowledge constructor; needed to
-  /// quarantine/release failed processors.
-  Knowledge* knowledge_mut_ = nullptr;
   const HybridSupply* supply_;
-  const WindForecaster* forecaster_;  // may be null
   SimConfig config_;
   PlacementPolicy policy_;
   PowerMatcher matcher_;
@@ -460,23 +482,11 @@ class DatacenterSim {
   std::size_t run_tail_ = kNone;
   std::size_t run_count_ = 0;
   std::vector<std::size_t> idle_scratch_;
-  std::vector<std::uint8_t> reserved_;     ///< isolated for profiling
-  Watts reserved_power_;                   ///< IT power of active scans
-  double profiling_proc_seconds_ = 0.0;
-  std::size_t profiling_procs_scanned_ = 0;
-  std::size_t profiling_procs_skipped_ = 0;
-  /// The run's profiling plan (copied at prepare; events refer to windows
-  /// by index).
-  std::vector<ProfilingWindow> profiling_;
-  /// One slot per scan that ever went live; `live` scans own reserved
-  /// processors and have a pending kProfilingEnd event carrying the slot
-  /// index. Slots are never reused (their count is bounded by the plan).
-  struct ActiveScan {
-    std::vector<std::size_t> procs;
-    double started_s = 0.0;
-    bool live = false;
-  };
-  std::vector<ActiveScan> scans_;
+  /// Stock power per processor (top DVFS level at nominal Vdd), raw watts:
+  /// what a chip under scan draws, and the base of its idle residency.
+  /// The cluster never changes, so the table is built once, at
+  /// construction.
+  std::vector<double> stock_w_;
   /// True while a self-rechaining epoch/sample event is pending. A drain
   /// stops the chains (all_done); admit() restarts them at the next
   /// boundary so a long-running service keeps re-evaluating the supply.
@@ -512,67 +522,20 @@ class DatacenterSim {
   /// of their deadlines" -- paper Sec. V-C).
   bool rush_mode_ = false;
 
-  /// --- fault injection ---------------------------------------------------
-  /// The resolved plan (config override, built from the spec, or the empty
-  /// plan). `faults_active_` is false for the empty plan, in which case the
-  /// run takes no fault branch, schedules no fault event and stays
-  /// bit-identical to a fault-free build.
-  FaultPlan plan_local_;
-  const FaultPlan* plan_ = nullptr;
-  bool faults_active_ = false;
-  std::unique_ptr<NoisyForecaster> noisy_forecaster_;
-  std::vector<std::uint8_t> failed_;   ///< per-proc: currently fail-stopped
-  /// Per-proc: latent mis-profile still live (cleared once it fires).
-  std::vector<std::uint8_t> misprofile_armed_;
-  /// Per-proc token; bumped whenever the processor stops running, so a
-  /// pending mis-profile timer from an earlier occupancy is stale.
-  std::vector<std::uint64_t> misprofile_token_;
-  std::size_t failed_count_ = 0;       ///< terminally failed tasks
-  FaultCounters fault_counters_;
-
-  /// --- thermal model state (src/thermal/) --------------------------------
-  /// All of it is inert when config_.thermal.enabled is false: the model is
-  /// never built, no kThermal event is scheduled, and demand keeps the
-  /// legacy composition (ThermalOffIdentity pins this).
-  std::unique_ptr<ThermalModel> thermal_model_;  ///< flat runs only
-  /// Sharded: the coordinator owns the model and pushes solutions; this
-  /// shard's kThermal events apply them instead of solving.
-  bool thermal_external_ = false;
-  bool thermal_chain_live_ = false;
-  bool therm_order_installed_ = false;
-  double cop_now_ = 0.0;        ///< CRAC COP billing applies right now
-  double supply_c_now_ = 0.0;   ///< current CRAC supply temperature
-  double peak_inlet_c_ = 0.0;   ///< hottest rack inlet seen this run
-  bool thermal_pending_ = false;  ///< a pushed solution awaits application
-  double pending_cop_ = 0.0;
-  double pending_supply_c_ = 0.0;
-  double pending_peak_c_ = 0.0;
+  /// --- demand composition with thermal or sleep --------------------------
+  /// config_.thermal.enabled || config_.sleep.enabled(): demand is composed
+  /// by recompute_demand() instead of the legacy rematch() line.
+  bool extras_active_;
   Watts last_compute_;          ///< IT compute power of the latest match
   Watts cooling_power_;         ///< current CRAC (or Eq-2) draw
   double cooling_joules_ = 0.0;
-  double idle_joules_ = 0.0;
   std::vector<double> rack_w_scratch_;
-  /// config_.thermal.enabled || config_.sleep.enabled(): demand is composed
-  /// by recompute_demand() instead of the legacy rematch() line.
-  bool extras_active_ = false;
 
-  /// --- sleep management state (hardware/sleep.hpp) -----------------------
-  bool sleep_active_ = false;   ///< cached config_.sleep.enabled()
-  /// Current C-state depth of each *idle* processor (0 = active idle,
-  /// d > 0 = config_.sleep.states[d - 1]). Stale while the processor runs;
-  /// start_task reads it right after claiming to derive the wake latency.
-  std::vector<std::uint8_t> sleep_state_;
-  /// Bumped whenever the processor leaves the idle pool; stales any
-  /// pending kSleepEnter descent scheduled for the previous idle stint.
-  std::vector<std::uint64_t> sleep_token_;
-  std::vector<double> sleep_stock_w_;  ///< stock top-level watts per proc
-  /// Sum of (residency fraction x stock watts) over idle processors. Raw
-  /// accumulator: additions/removals replay exactly, so its FP history is
-  /// deterministic; clamped at >= 0 where it feeds demand.
-  double idle_power_w_ = 0.0;
-  std::size_t sleeping_count_ = 0;  ///< processors at depth > 0
-  std::size_t sleep_enters_ = 0;    ///< C-state descents taken
-  std::size_t sleep_wakes_ = 0;     ///< task starts delayed by a wake
+  /// --- subsystem drivers (after policy_, which rejects a null view) -------
+  FaultDriver fault_;
+  ProfilingDriver profiling_;
+  ThermalDriver thermal_;
+  SleepGovernor sleep_;
 };
 
 /// Convenience wrapper: build knowledge for `scheme`, run the simulation,
@@ -580,5 +543,210 @@ class DatacenterSim {
 SimResult run_scheme(const Cluster& cluster, Scheme scheme,
                      const ProfileDb* db, const HybridSupply& supply,
                      const std::vector<Task>& tasks, const SimConfig& config);
+
+template <class Io>
+void DatacenterSim::io(Io& io) {
+  const std::size_t nprocs = knowledge_->procs();
+  const std::size_t levels = knowledge_->levels();
+  const SimConfig& cfg = config_;
+  const auto tasks_in = [this](TaskState state) {
+    return static_cast<std::size_t>(
+        std::count_if(tasks_.begin(), tasks_.end(),
+                      [state](const SimTask& t) { return t.state == state; }));
+  };
+
+  // Identity block. The full construction config is the restoring caller's
+  // responsibility; these catch the mismatches that would otherwise
+  // corrupt silently. The thermal and sleep knobs (format v2) shape event
+  // semantics -- COP curve, wake latencies -- and are all defaults when
+  // both subsystems are off.
+  io.same(nprocs, "processor count");
+  io.same(levels, "DVFS level count");
+  io.same(policy_.rule(), "placement rule");
+  io.same(cfg.seed, "seed");
+  io.same(fault_.active(), "fault plan");
+  io.same(cfg.use_reference_matcher, "matcher path");
+  // Always 1: the byte keeps v2 checkpoints byte-identical.
+  io.same(true, "rematch mode");
+  io.same(cfg.record_trace, "trace recording");
+  io.same(cfg.record_timeline, "timeline recording");
+  io.same(cfg.epoch_s, "epoch period");
+  io.same(cfg.sample_interval_s, "sample period");
+  io.same(cfg.thermal.enabled, "thermal mode");
+  io.same(cfg.thermal.red_line_c, "thermal red line");
+  io.same(cfg.thermal.min_supply_c, "thermal supply floor");
+  io.same(cfg.thermal.max_supply_c, "thermal supply ceiling");
+  io.same(cfg.thermal.self_coupling_k_per_w, "recirculation self-coupling");
+  io.same(cfg.thermal.row_decay_racks, "recirculation row decay");
+  io.same(cfg.thermal.cross_row_coupling, "recirculation cross-row coupling");
+  io.same(cfg.thermal.cross_row_decay_rows, "recirculation cross-row decay");
+  io.same(cfg.sleep.policy, "sleep policy");
+  io.same(cfg.sleep.timeout_s, "sleep timeout");
+  io.same(cfg.sleep.active_idle_frac, "active-idle power fraction");
+  for (const SleepState& st : cfg.sleep.states) {
+    io.same(st.idle_frac, "sleep-state residency power");
+    io.same(st.wake_s, "sleep-state wake latency");
+  }
+  io.same(thermal_.fed_from_coordinator(), "thermal coordination mode");
+
+  // Event queue, in the heap's raw vector order. A load stages it and
+  // reinstalls it last, once the state its payloads index is in place.
+  double now = queue_.now();
+  std::uint64_t next_seq = queue_.next_seq();
+  std::size_t high_water = queue_.high_water();
+  std::vector<SavedEvent> events;
+  if constexpr (!Io::kLoading) events = queue_.save_events();
+  io(now);
+  io(next_seq);
+  io(high_water);
+  io.vec(events, [&](auto& e) {
+    io(e.time);
+    io(e.seq);
+    io.in(e.desc.kind, EventDesc::Kind::kArrival, EventDesc::Kind::kWake,
+          "event kind");
+    io(e.desc.a);
+    io(e.desc.b);
+    io(e.desc.t);
+  });
+
+  // Tasks. `col` and `latest_start_s` are derived and not written.
+  io.vec(tasks_, [&](auto& t) {
+    io(t.spec.id);
+    io(t.spec.submit_s);
+    io.in(t.spec.cpus, std::size_t{1}, nprocs, "task width");
+    io(t.spec.runtime_s);
+    io(t.spec.gamma);
+    io(t.spec.deadline_s);
+    io.in(t.spec.urgency, Urgency::kHigh, Urgency::kLow, "task urgency");
+    io.vec(t.procs, nprocs,
+           [&](auto& p) { io.index(p, nprocs, "task processor"); });
+    io(t.remaining_work_s);
+    io(t.last_update_s);
+    io.in(t.level, std::size_t{0}, levels - 1, "task level");
+    io(t.start_s);
+    io(t.version);
+    io(t.completion_scheduled);
+    io.index_or_none(t.run_prev, tasks_.size(), "run-list");
+    io.index_or_none(t.run_next, tasks_.size(), "run-list");
+    io.in(t.state, TaskState::kPending, TaskState::kWaking, "task state");
+    io(t.retries);
+  });
+
+  io.vec(waiting_, tasks_.size(),
+         [&](auto& i) { io.index(i, tasks_.size(), "waiting task"); });
+  io.counter(waiting_cpus_, [this] {
+    std::size_t cpus = 0;
+    for (const std::size_t i : waiting_) cpus += tasks_[i].spec.cpus;
+    return cpus;
+  }, "waiting width");
+  io.fixed(proc_running_, nprocs, [&](auto& i) {
+    io.index_or_none(i, tasks_.size(), "running task");
+  });
+  io.fixed(busy_time_s_, nprocs, io);
+  io.fixed(idle_flags_, nprocs, [&](auto& f) {
+    io.in(f, std::uint8_t{0}, std::uint8_t{1}, "idle flag");
+  });
+  io.counter(idle_count_, [this] {
+    return static_cast<std::size_t>(
+        std::count(idle_flags_.begin(), idle_flags_.end(), 1));
+  }, "idle count");
+  io.index_or_none(run_head_, tasks_.size(), "run-list head");
+  io.index_or_none(run_tail_, tasks_.size(), "run-list tail");
+  io.counter(run_count_, [&] {
+    // Walk the list as rebuild_derived() will: bounded (a cycle is
+    // corrupt), running tasks only, links consistent in both directions.
+    std::size_t walked = 0;
+    std::size_t prev = kNone;
+    for (std::size_t idx = run_head_; idx != kNone;
+         idx = tasks_[idx].run_next) {
+      ++walked;
+      io.check(walked <= tasks_.size(), "running list is cyclic");
+      io.check(tasks_[idx].state == TaskState::kRunning,
+               "run list holds a non-running task");
+      io.check(tasks_[idx].run_prev == prev, "run-list links disagree");
+      prev = idx;
+    }
+    io.check(prev == run_tail_, "run-list tail disagrees with the walk");
+    return walked;
+  }, "running count");
+
+  profiling_.io(io);
+  io(epoch_chain_live_);
+  io(sample_chain_live_);
+
+  // Energy accounting. The meter and battery keep their accumulators
+  // private: they cross through the accessors and restore_state().
+  EnergySplit total = meter_.total();
+  Joules curtailed = meter_.wind_curtailed();
+  std::vector<PowerSample> trace = meter_.trace();
+  io(total.wind);
+  io(total.utility);
+  io(curtailed);
+  io.vec(trace, [&](auto& p) {
+    io(p.time);
+    io(p.demand);
+    io(p.wind);
+    io(p.utility);
+    io(p.wind_avail);
+    io(p.battery);
+  });
+  Joules stored = battery_.stored();
+  Joules delivered = battery_.delivered();
+  Joules absorbed = battery_.absorbed();
+  io(stored);
+  io(delivered);
+  io(absorbed);
+  io(demand_);
+  io(last_accrual_s_);
+  io(segment_wind_);
+
+  // Run metrics.
+  io.counter(done_count_, [&] { return tasks_in(TaskState::kDone); },
+             "completed-task count");
+  io(events_run_);
+  io(rematch_count_);
+  io(total_wait_s_);
+  io(miss_count_);
+  io(makespan_s_);
+  io(rush_mode_);
+  io.vec(timeline_, [&](auto& e) {
+    io(e.time_s);
+    io.in(e.kind, TimelineKind::kArrival, TimelineKind::kTaskWaking,
+          "timeline kind");
+    io(e.task_id);
+    io(e.value);
+  });
+
+  fault_.io(io);
+  io.check(fault_.failed_tasks() == tasks_in(TaskState::kFailed),
+           "failed-task count does not match the state it counts");
+  // Thermal and sleep state (format v2) travel whether or not either
+  // subsystem is on, so the frame layout never depends on the config.
+  thermal_.io(io);
+  io(last_compute_);
+  io(cooling_power_);
+  io(cooling_joules_);
+  sleep_.io(io);
+
+  // The placement RNG stream (only kRandom ever draws from it, but saving
+  // it unconditionally keeps the format scheme-independent).
+  std::string rng = policy_.rng_state();
+  io(rng);
+
+  if constexpr (Io::kLoading) {
+    meter_.restore_state(total, curtailed, std::move(trace));
+    battery_ = BatteryBank(cfg.battery);
+    battery_.restore_state(stored, delivered, absorbed);
+    policy_.set_rng_state(rng);
+    in_pass_ = false;
+    rebuild_derived();
+    // Events go back last: their payloads index the state restored above.
+    // The heap layout is reinstalled verbatim, so the resumed pop order is
+    // the uninterrupted run's.
+    for (const SavedEvent& e : events)
+      io.check(event_in_range(e.desc), "event payload out of range");
+    queue_.restore(now, next_seq, high_water, events);
+  }
+}
 
 }  // namespace iscope

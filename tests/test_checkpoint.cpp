@@ -639,5 +639,16 @@ TEST(CheckpointFile, FailedRenameRemovesTheTempFile) {
   std::filesystem::remove(dir);
 }
 
+TEST(CheckpointFile, BareFileNameRoundTrips) {
+  // With no directory in the path, the directory fsync'd after the rename
+  // is the working directory; deriving it must not fail the write.
+  const std::string path = "iscope_ckpt_bare_name.bin";
+  const std::vector<std::uint8_t> blob = {4, 5, 6};
+  write_checkpoint(path, blob);
+  EXPECT_EQ(read_checkpoint(path), blob);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
+}
+
 }  // namespace
 }  // namespace iscope

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -286,17 +287,34 @@ TEST(MatchEquivalence, TwoShards) {
 // tests/data/golden/sim_digests.txt pins one result digest
 // (sim_identity.hpp) per row of the full scenario product: the five paper
 // schemes and ScanTherm x utility-only/wind x battery x profiling windows
-// x faults x thermal with timeout sleep x flat/2-shard simulator. Both
-// matcher paths must reach the committed digest. The default-vs-reference
-// suites above cannot see a change in code both paths share (kRandom
-// placement, the Eq-3 slowdown the simulator applies); the pins can.
+// x faults x cooling/sleep mode x flat/2-shard simulator. Both matcher
+// paths must reach the committed digest. The default-vs-reference suites
+// above cannot see a change in code both paths share (kRandom placement,
+// the Eq-3 slowdown the simulator applies); the pins can.
+
+/// The cooling/sleep axis, written as the row's `thermal=` value: the
+/// thermal model with or without the timeout governor, and each sleep
+/// policy on the flat Eq-2 cooling path (the *Sleep schemes' setting).
+struct CoolingMode {
+  const char* name;
+  bool thermal;
+  SleepPolicy sleep;
+};
+constexpr std::array<CoolingMode, 6> kCoolingModes = {{
+    {"off", false, SleepPolicy::kNone},
+    {"on", true, SleepPolicy::kTimeout},
+    {"only", true, SleepPolicy::kNone},
+    {"off+active-idle", false, SleepPolicy::kActiveIdle},
+    {"off+immediate", false, SleepPolicy::kImmediate},
+    {"off+timeout", false, SleepPolicy::kTimeout},
+}};
 
 struct GoldenAxes {
   bool wind = false;
   bool battery = false;
   bool profiling = false;
   bool faults = false;
-  bool thermal = false;
+  CoolingMode cooling = kCoolingModes[0];
   bool sharded = false;
 };
 
@@ -305,7 +323,7 @@ std::string golden_row_name(Scheme scheme, const GoldenAxes& ax) {
   std::ostringstream name;
   name << scheme_name(scheme) << "/supply=" << (ax.wind ? "wind" : "utility")
        << "/battery=" << on(ax.battery) << "/profiling=" << on(ax.profiling)
-       << "/faults=" << on(ax.faults) << "/thermal=" << on(ax.thermal)
+       << "/faults=" << on(ax.faults) << "/thermal=" << ax.cooling.name
        << "/sim=" << (ax.sharded ? "2shard" : "flat");
   return name.str();
 }
@@ -361,10 +379,8 @@ TEST(GoldenResults, Matrix) {
       cfg.faults.misprofile_prob = 0.2;
       cfg.fault_seed = 29;
     }
-    if (ax.thermal) {
-      cfg.thermal.enabled = true;
-      cfg.sleep.policy = SleepPolicy::kTimeout;
-    }
+    cfg.thermal.enabled = ax.cooling.thermal;
+    cfg.sleep.policy = ax.cooling.sleep;
     const HybridSupply& supply = ax.wind ? windy : utility_only;
     const std::vector<ProfilingWindow>& profiling =
         ax.profiling ? windows : no_windows;
@@ -381,37 +397,39 @@ TEST(GoldenResults, Matrix) {
 
   std::size_t produced = 0;
   for (const Scheme scheme : schemes) {
-    for (unsigned bits = 0; bits < 64; ++bits) {
-      GoldenAxes ax;
-      ax.wind = (bits & 1u) != 0;
-      ax.battery = (bits & 2u) != 0;
-      ax.profiling = (bits & 4u) != 0;
-      ax.faults = (bits & 8u) != 0;
-      ax.thermal = (bits & 16u) != 0;
-      ax.sharded = (bits & 32u) != 0;
-      const std::string row = golden_row_name(scheme, ax);
-      ++produced;
-      const std::string fast =
-          digest_hex(result_digest(run_row(scheme, ax, false)));
-      const std::string ref =
-          digest_hex(result_digest(run_row(scheme, ax, true)));
-      EXPECT_EQ(fast, ref) << row << ": default and reference matcher differ";
-      const auto it = golden.find(row);
-      if (it == golden.end()) {
-        ADD_FAILURE() << "row missing from " << path << "; ready to paste:\n"
-                      << row << " " << fast;
-        continue;
+    for (const CoolingMode& cooling : kCoolingModes) {
+      for (unsigned bits = 0; bits < 32; ++bits) {
+        GoldenAxes ax;
+        ax.wind = (bits & 1u) != 0;
+        ax.battery = (bits & 2u) != 0;
+        ax.profiling = (bits & 4u) != 0;
+        ax.faults = (bits & 8u) != 0;
+        ax.cooling = cooling;
+        ax.sharded = (bits & 16u) != 0;
+        const std::string row = golden_row_name(scheme, ax);
+        ++produced;
+        const std::string fast =
+            digest_hex(result_digest(run_row(scheme, ax, false)));
+        const std::string ref =
+            digest_hex(result_digest(run_row(scheme, ax, true)));
+        EXPECT_EQ(fast, ref) << row << ": default and reference matcher differ";
+        const auto it = golden.find(row);
+        if (it == golden.end()) {
+          ADD_FAILURE() << "row missing from " << path << "; ready to paste:\n"
+                        << row << " " << fast;
+          continue;
+        }
+        if (fast != it->second || ref != it->second) {
+          ADD_FAILURE() << row << ": digest " << fast << " (reference " << ref
+                        << ") != committed " << it->second
+                        << "; ready to paste:\n"
+                        << row << " " << fast;
+        }
+        golden.erase(it);
       }
-      if (fast != it->second || ref != it->second) {
-        ADD_FAILURE() << row << ": digest " << fast << " (reference " << ref
-                      << ") != committed " << it->second
-                      << "; ready to paste:\n"
-                      << row << " " << fast;
-      }
-      golden.erase(it);
     }
   }
-  EXPECT_EQ(produced, 384u);
+  EXPECT_EQ(produced, 1152u);
   for (const auto& [row, digest] : golden)
     ADD_FAILURE() << "extra row in " << path << ": " << row;
 }

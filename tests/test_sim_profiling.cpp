@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "profiling/scanner.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 
 namespace iscope {
@@ -121,6 +122,39 @@ TEST(SimProfiling, BadWindowThrows) {
   DatacenterSim sim(&f.knowledge, PlacementRule::kRandom, &supply,
                     SimConfig{});
   EXPECT_THROW(sim.run({}, {window(0.0, 0.0, {0})}), InvalidArgument);
+}
+
+TEST(SimProfiling, BadWindowsAreRejectedAtPrepareByBothSimulators) {
+  // Processor 999 does not exist on this 8-CPU cluster. Both simulators
+  // must refuse the plan when it is staged, before touching any state:
+  // not when the window opens (after reserving processor 1), and not by
+  // silently dropping the id a shard slice cannot place.
+  Fixture f;
+  const HybridSupply supply;
+  const std::vector<ProfilingWindow> out_of_range = {
+      window(100.0, 50.0, {1, 999})};
+  const std::vector<ProfilingWindow> bad_timing = {window(-1.0, 50.0, {1})};
+
+  DatacenterSim sim(&f.knowledge, PlacementRule::kEfficiency, &supply,
+                    SimConfig{});
+  sim.prepare({simple_task(1, 0.0, 2, 400.0)});
+  sim.step_until(300.0);
+  const DecisionSnapshot before = sim.decision_snapshot();
+  EXPECT_THROW(sim.prepare({}, out_of_range), InvalidArgument);
+  EXPECT_THROW(sim.prepare({}, bad_timing), InvalidArgument);
+  const DecisionSnapshot after = sim.decision_snapshot();
+  EXPECT_EQ(after.now_s, before.now_s);
+  EXPECT_EQ(after.events_processed, before.events_processed);
+  EXPECT_EQ(after.running, 1u);
+
+  SimConfig sharded_cfg;
+  sharded_cfg.topology.cpus_per_rack = 4;
+  sharded_cfg.topology.shards = 2;
+  ShardedSim sharded(f.cluster, Scheme::kBinEffi, nullptr, supply,
+                     sharded_cfg);
+  EXPECT_THROW(sharded.prepare({}, out_of_range), InvalidArgument);
+  EXPECT_THROW(sharded.run({}, out_of_range), InvalidArgument);
+  EXPECT_THROW(sharded.run({}, bad_timing), InvalidArgument);
 }
 
 // ------------------------------------------------------- battery in sim

@@ -3,7 +3,8 @@
 # stages (benchmark JSON, telemetry bundle, shard identity, service-mode
 # daemon), project lint (iscope_lint), clang-tidy (when installed),
 # sanitizer passes over the tests, and a line-coverage floor for the
-# fault-injection and scheduling layers.
+# fault-injection and scheduling layers and the simulator's subsystem
+# drivers.
 #
 # Usage:  tools/check.sh [--fast] [--stage <name>] [--help]
 #   --fast          skip the UBSan/ASan/TSan rebuilds and the coverage
@@ -19,9 +20,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
-# Minimum line coverage (percent) the fault + sched layers must keep.
-# Pinned from a measured 95.4%; drops below the floor mean dead branches
-# crept in or the fault suites stopped exercising the recovery paths.
+# Minimum line coverage (percent) the fault + sched layers and the
+# simulator's subsystem drivers must keep. Pinned from a measured 95.4%;
+# drops below the floor mean dead branches crept in or the fault suites
+# stopped exercising the recovery paths.
 COVERAGE_MIN=90
 
 # Stage registry: name -> one-line description, in default running order.
@@ -38,7 +40,7 @@ STAGES=(
   "ubsan           UBSan rebuild + full tests"
   "asan            ASan fault-injection + parser-fuzz tests"
   "tsan            TSan multi-shard smoke (fig8, 4 shards x 4 workers) + service chaos daemon"
-  "coverage        src/fault + src/sched line-coverage floor (${COVERAGE_MIN}%)"
+  "coverage        src/fault + src/sched + sim driver line-coverage floor (${COVERAGE_MIN}%)"
   "bench-compare   fig8 events/s vs the committed baseline (opt-in: --stage only, wall clocks are machine-relative)"
 )
 
@@ -219,13 +221,14 @@ stage_ubsan() {
 }
 
 stage_asan() {
-  stage "ASan fault-injection + parser-fuzz + checkpoint tests"
+  stage "ASan fault-injection + parser-fuzz + checkpoint + driver tests"
   # Targeted: the suites that stress failure paths, requeue bookkeeping,
   # and hostile parser inputs -- where lifetime bugs would hide. The
   # checkpoint and event-queue suites push truncated and bit-flipped
-  # blobs through the codec's reader and the queue's restore.
+  # blobs through the codec's reader and the queue's restore; the thermal
+  # and profiling suites drive the sleep, thermal and scan-slot drivers.
   ASAN_TESTS="test_fault test_fuzz_parsers test_properties test_checkpoint
-              test_event_queue"
+              test_event_queue test_thermal test_sim_profiling"
   cmake -B build-check/asan -S . \
         -DISCOPE_SANITIZE=address -DISCOPE_AUDIT=ON > /dev/null
   # shellcheck disable=SC2086
@@ -271,9 +274,13 @@ stage_tsan() {
 }
 
 stage_coverage() {
-  stage "coverage floor (src/fault + src/sched >= ${COVERAGE_MIN}% lines)"
+  stage "coverage floor (src/fault + src/sched + sim drivers >= ${COVERAGE_MIN}% lines)"
   COV_TESTS="test_fault test_knowledge test_policy test_simulator \
-             test_match_equivalence test_properties test_power_matcher"
+             test_match_equivalence test_properties test_power_matcher \
+             test_thermal test_sim_profiling test_checkpoint"
+  # The drivers are header-only: their lines are counted in the objects
+  # that instantiate them (the simulator and the checkpoint codec).
+  COV_FILES='src/(fault|sched)/|src/sim/(fault_driver|profiling_driver|thermal_driver|sleep_governor)[.]hpp'
   cmake -B build-check/coverage -S . -DISCOPE_COVERAGE=ON > /dev/null
   # shellcheck disable=SC2086
   cmake --build build-check/coverage -j "$JOBS" --target $COV_TESTS
@@ -286,10 +293,12 @@ stage_coverage() {
   COV_WORK="build-check/coverage/gcov-work"
   rm -rf "$COV_WORK" && mkdir -p "$COV_WORK"
   find "$PWD/build-check/coverage/src/fault" \
-       "$PWD/build-check/coverage/src/sched" -name '*.gcda' \
+       "$PWD/build-check/coverage/src/sched" \
+       "$PWD/build-check/coverage/src/sim" \
+       "$PWD/build-check/coverage/src/service" -name '*.gcda' \
     | (cd "$COV_WORK" && xargs gcov -n 2>/dev/null) \
-    | awk -v min="$COVERAGE_MIN" '
-        /^File /          { keep = ($0 ~ /src\/(fault|sched)\//) }
+    | awk -v min="$COVERAGE_MIN" -v files="$COV_FILES" '
+        /^File /          { keep = ($0 ~ files) }
         /^Lines executed:/ {
           if (keep) {
             line = $0; sub(/^Lines executed:/, "", line);
