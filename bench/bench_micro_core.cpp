@@ -133,9 +133,9 @@ BENCHMARK(BM_OracleForecast);
 
 // --- SoA matcher kernels (DESIGN.md Sec. 14) -----------------------------
 //
-// Every bench exports a result checksum counter, so two captures of the
-// same bench can be checked for identical results as well as compared
-// for time.
+// Every bench exports a result checksum counter, so two runs of the same
+// bench can be checked for identical results as well as compared for
+// time.
 
 /// One synthetic running-task population as MatcherColumns rows, sized and
 /// distributed like the fig8 steady state (4-CPU tasks, loose-to-tight
@@ -237,8 +237,8 @@ BENCHMARK(BM_BestFromFill)->Arg(64)->Arg(512);
 // Arg is the per-epoch wind delta in percent of the binding budget: small
 // deltas re-position the cached trajectory cursor by a step or two, large
 // ones rewind/replay long stretches -- the replay must win in both
-// regimes, and its demand checksum must equal the full solve's (the
-// captures' counters prove the replay exact at bench scope too).
+// regimes, and its demand checksum must equal the full solve's (the two
+// benches' checksum counters show the replay exact at bench scope too).
 std::vector<Watts> wind_walk(Watts base, double delta_pct) {
   Rng rng(6);
   std::vector<Watts> winds;

@@ -1,10 +1,9 @@
 // Shard-scaling curve: one ScanFair run over the hyperscale preset
 // (ISCOPE_HYPERSCALE_PROCS CPUs, default 102 400), sharded per
-// ISCOPE_SHARDS / ISCOPE_SHARD_WORKERS. The committed baselines
-// (bench/baseline/BENCH_shard_scaling.shards_{1,4,16,64}.json) pin the
-// scaling curve of DESIGN.md Sec. 12; `tasks_completed` is the
-// scheduling-outcome counter and must be identical across shard counts,
-// while events/rematches grow with the per-shard epoch bookkeeping.
+// ISCOPE_SHARDS / ISCOPE_SHARD_WORKERS; the curve it reproduces is
+// DESIGN.md Sec. 12's. `tasks done` is the scheduling outcome and must be
+// identical across shard counts, while events/rematches grow with the
+// per-shard epoch bookkeeping.
 #include "bench_util.hpp"
 
 int main() {
@@ -12,7 +11,7 @@ int main() {
   bench::print_banner("Scaling", "ScanFair on the hyperscale preset, sharded");
 
   const std::size_t procs =
-      bench::env_count("ISCOPE_HYPERSCALE_PROCS", 102'400);
+      env_number<std::uint64_t>("ISCOPE_HYPERSCALE_PROCS").value_or(102'400);
   ExperimentConfig cfg = ExperimentConfig::hyperscale(procs);
   cfg.sim.topology.shards = env_shards();
   cfg.sim.shard_workers = env_shard_workers();
@@ -25,7 +24,7 @@ int main() {
   const std::vector<Task> tasks = ctx.make_tasks(cfg.urgency.hu_fraction);
   const HybridSupply supply = ctx.make_supply(true);
 
-  return bench::run_bench("shard_scaling", [&] {
+  return bench::run_bench([&] {
     const SimResult r = ctx.run(Scheme::kScanFair, tasks, supply);
 
     TextTable table;
@@ -39,11 +38,5 @@ int main() {
                    TextTable::num(r.energy.wind.kwh(), 1),
                    TextTable::num(r.cost.dollars(), 2)});
     table.print(std::cout);
-
-    BenchCounters counters;
-    counters.events = r.events_processed;
-    counters.rematches = r.dvfs_rematch_count;
-    counters.tasks_completed = r.tasks_completed;
-    return counters;
   });
 }

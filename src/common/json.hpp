@@ -1,11 +1,11 @@
 // Minimal JSON reader shared by the self-validating writers.
 //
-// iScope emits several JSON documents (BENCH_*.json captures, telemetry
-// metric snapshots, Chrome trace_event files) and each writer validates its
-// own output before handing it to the user. This is the one parser behind
-// those validators: a small recursive-descent reader that covers the JSON
-// we produce -- it is a type checker, not a general-purpose JSON library
-// (notably, \uXXXX escapes are consumed but not decoded).
+// iScope emits JSON documents (telemetry metric snapshots, Chrome
+// trace_event files) that iscope_cli checks before writing, and iscope_lint
+// reads its baseline file back. This is the one parser behind both: a
+// small recursive-descent reader that covers the JSON we produce -- it is
+// a type checker, not a general-purpose JSON library (notably, \uXXXX
+// escapes are consumed but not decoded).
 #pragma once
 
 #include <map>

@@ -1,8 +1,13 @@
 #include "core/config.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "power/cooling.hpp"
@@ -90,20 +95,32 @@ ExperimentConfig ExperimentConfig::scaled(double factor) const {
   return cfg;
 }
 
+template <class T>
+std::optional<T> env_number(const char* name) {
+  const char* s = std::getenv(name);
+  if (s == nullptr || *s == '\0') return std::nullopt;
+  const char* last = s + std::strlen(s);
+  T v{};
+  const auto [end, ec] = std::from_chars(s, last, v);
+  bool ok = ec == std::errc{} && end == last;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  ISCOPE_CHECK_ARG(ok, std::string(name) + ": '" + s + "' is not " +
+                           (std::is_floating_point_v<T>
+                                ? "a finite number"
+                                : "an unsigned decimal integer"));
+  return v;
+}
+template std::optional<std::uint64_t> env_number(const char*);
+template std::optional<double> env_number(const char*);
+
 double env_scale() {
-  const char* s = std::getenv("ISCOPE_SCALE");
-  if (s == nullptr || *s == '\0') return 1.0;
-  const double v = std::strtod(s, nullptr);
-  if (v <= 0.0) return 1.0;
+  const double v = env_number<double>("ISCOPE_SCALE").value_or(1.0);
+  ISCOPE_CHECK_ARG(v > 0.0, "ISCOPE_SCALE: must be > 0");
   return std::clamp(v, 0.1, 20.0);
 }
 
 std::size_t env_parallelism() {
-  const char* s = std::getenv("ISCOPE_PARALLEL");
-  if (s == nullptr || *s == '\0') return 0;
-  const long v = std::strtol(s, nullptr, 10);
-  if (v < 0) return 0;
-  return static_cast<std::size_t>(v);
+  return env_number<std::uint64_t>("ISCOPE_PARALLEL").value_or(0);
 }
 
 FaultSpec env_fault_spec() {
@@ -113,17 +130,14 @@ FaultSpec env_fault_spec() {
 }
 
 std::uint64_t env_fault_seed() {
-  const char* s = std::getenv("ISCOPE_FAULT_SEED");
-  if (s == nullptr || *s == '\0') return 0;
-  return std::strtoull(s, nullptr, 10);
+  return env_number<std::uint64_t>("ISCOPE_FAULT_SEED").value_or(0);
 }
 
 std::size_t env_shards() {
-  const char* s = std::getenv("ISCOPE_SHARDS");
-  if (s == nullptr || *s == '\0') return 1;
-  const long v = std::strtol(s, nullptr, 10);
-  if (v < 1) return 1;
-  return static_cast<std::size_t>(v);
+  const std::uint64_t v =
+      env_number<std::uint64_t>("ISCOPE_SHARDS").value_or(1);
+  ISCOPE_CHECK_ARG(v >= 1, "ISCOPE_SHARDS: must be >= 1");
+  return v;
 }
 
 bool env_thermal() {
@@ -143,11 +157,7 @@ SleepPolicy env_sleep_policy() {
 }
 
 std::size_t env_shard_workers() {
-  const char* s = std::getenv("ISCOPE_SHARD_WORKERS");
-  if (s == nullptr || *s == '\0') return 1;
-  const long v = std::strtol(s, nullptr, 10);
-  if (v < 0) return 1;
-  return static_cast<std::size_t>(v);
+  return env_number<std::uint64_t>("ISCOPE_SHARD_WORKERS").value_or(1);
 }
 
 Watts estimated_peak_demand(const ClusterConfig& cluster, double cop) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "energy/wind_model.hpp"
 #include "hardware/cluster.hpp"
@@ -58,8 +59,19 @@ struct ExperimentConfig {
   ExperimentConfig scaled(double factor) const;
 };
 
+/// The one parser behind every numeric ISCOPE_* knob: nullopt when `name`
+/// is unset or empty, else its whole value as a T -- decimal digits only
+/// (no sign, no overflow) for std::uint64_t, a finite number for double.
+/// Anything else throws InvalidArgument naming the variable. Instantiated
+/// for std::uint64_t and double.
+template <class T>
+std::optional<T> env_number(const char* name);
+extern template std::optional<std::uint64_t> env_number(const char*);
+extern template std::optional<double> env_number(const char*);
+
 /// Read ISCOPE_SCALE from the environment (default 1.0, clamped to
-/// [0.1, 20]). Benches multiply `paper_small()` by this.
+/// [0.1, 20]; a non-positive value throws). Benches multiply
+/// `paper_small()` by this.
 double env_scale();
 
 /// Read ISCOPE_PARALLEL from the environment (default 0 = one sweep worker
@@ -78,7 +90,8 @@ std::uint64_t env_fault_seed();
 
 /// Read ISCOPE_SHARDS from the environment (default 1 = the single-event-
 /// loop simulator; values > 1 route run_scheme through the sharded
-/// coordinator). Benches feed this into `SimConfig::topology.shards`.
+/// coordinator; 0 throws). Benches feed this into
+/// `SimConfig::topology.shards`.
 std::size_t env_shards();
 
 /// Read ISCOPE_THERMAL from the environment (default off). "1"/"on"/

@@ -187,8 +187,8 @@ std::vector<CostRow> energy_costs(const ExperimentContext& ctx) {
   const double hu = ctx.config().urgency.hu_fraction;
   const auto tasks =
       std::make_shared<const std::vector<Task>>(ctx.make_tasks(hu));
-  // Thermal runs add the heat-aware sixth scheme, so the fig8 thermal
-  // captures put ScanTherm's cooling payoff next to the paper five.
+  // Thermal runs add the heat-aware sixth scheme, so fig8 under
+  // ISCOPE_THERMAL=1 puts ScanTherm's cooling payoff next to the paper five.
   std::vector<Scheme> schemes(kAllSchemes.begin(), kAllSchemes.end());
   if (ctx.config().sim.thermal.enabled)
     schemes.push_back(ensure_extended_schemes_registered());
@@ -219,8 +219,6 @@ std::vector<CostRow> energy_costs(const ExperimentContext& ctx) {
     row.cost = r.cost;
     row.utility = r.energy.utility;
     row.wind = r.energy.wind;
-    row.events = r.events_processed;
-    row.rematches = r.dvfs_rematch_count;
     rows.push_back(row);
   }
   return rows;

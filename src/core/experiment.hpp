@@ -75,9 +75,6 @@ struct CostRow {
   Usd cost;
   Joules utility;
   Joules wind;
-  // Work counters of the underlying run (for the benchmark harness).
-  std::size_t events = 0;
-  std::size_t rematches = 0;
 };
 std::vector<CostRow> energy_costs(const ExperimentContext& ctx);
 

@@ -78,6 +78,10 @@ inline constexpr double kMinDeferSlackS = 2.0 * 3600.0;
 /// (below that, waiting just postpones the same utility burn).
 inline constexpr double kDeferForecastFraction = 0.3;
 
+/// Fair considers wind "abundant" when available wind exceeds current
+/// demand by this factor.
+inline constexpr double kWindAbundanceHeadroom = 1.1;
+
 class PlacementPolicy {
  public:
   /// `efficient_pool_fraction`: the share of the cluster (by efficiency

@@ -11,7 +11,7 @@
 // A scheme is a (knowledge source, placement rule) pair with a stable
 // string name. The five paper schemes are baked in with fixed ids (the
 // `Scheme` enumerators below, which CLI flags, sweep configs, and the
-// committed baselines reference by name); further combinations -- e.g. a
+// golden result digests reference by name); further combinations -- e.g. a
 // binned-knowledge Fair -- can be added at runtime through SchemeRegistry
 // and then flow through scheme_from_name()/run_scheme() exactly like the
 // built-ins.

@@ -16,8 +16,6 @@ void SimConfig::validate() const {
   ISCOPE_CHECK_ARG(cooling_cop > 0.0, "SimConfig: COP must be > 0");
   ISCOPE_CHECK_ARG(epoch_s > 0.0, "SimConfig: epoch must be > 0");
   ISCOPE_CHECK_ARG(sample_interval_s > 0.0, "SimConfig: sample interval > 0");
-  ISCOPE_CHECK_ARG(wind_abundance_headroom >= 1.0,
-                   "SimConfig: headroom must be >= 1");
   ISCOPE_CHECK_ARG(efficient_pool_fraction > 0.0 &&
                        efficient_pool_fraction <= 1.0,
                    "SimConfig: pool fraction must be in (0,1]");
@@ -81,7 +79,7 @@ double DatacenterSim::fmax_ghz() const {
 
 bool DatacenterSim::wind_abundant_given(Watts wind) const {
   if (wind.raw() <= 0.0) return false;
-  return wind > demand_ * config_.wind_abundance_headroom;
+  return wind > demand_ * kWindAbundanceHeadroom;
 }
 
 double DatacenterSim::latest_start(const SimTask& t) const {
@@ -1102,11 +1100,8 @@ SimResult DatacenterSim::run(std::vector<Task> tasks,
 
 void DatacenterSim::prepare(std::vector<Task> tasks,
                             const std::vector<ProfilingWindow>& profiling) {
-  validate_tasks(tasks);
   const std::size_t nprocs = knowledge_->procs();
-  for (const Task& t : tasks)
-    ISCOPE_CHECK_ARG(t.cpus <= nprocs,
-                     "DatacenterSim: task wider than the cluster");
+  validate_tasks(tasks, nprocs);
   ProfilingDriver::validate(profiling, nprocs);
   sort_by_submit(tasks);
 
@@ -1268,16 +1263,7 @@ void DatacenterSim::rebuild_derived() {
 }
 
 std::size_t DatacenterSim::admit(Task task) {
-  const std::size_t nprocs = knowledge_->procs();
-  ISCOPE_CHECK_ARG(task.cpus >= 1 && task.cpus <= nprocs,
-                   "DatacenterSim: admitted task width does not fit the "
-                   "cluster");
-  ISCOPE_CHECK_ARG(task.runtime_s > 0.0,
-                   "DatacenterSim: admitted task needs a positive runtime");
-  ISCOPE_CHECK_ARG(task.deadline_s > task.submit_s,
-                   "DatacenterSim: admitted task deadline must follow submit");
-  ISCOPE_CHECK_ARG(task.gamma >= 0.0 && task.gamma <= 1.0,
-                   "DatacenterSim: admitted task gamma must be in [0,1]");
+  validate_task(task, knowledge_->procs());
   ISCOPE_CHECK_ARG(task.submit_s >= queue_.now(),
                    "DatacenterSim: admission behind the simulation clock");
   const std::size_t i = tasks_.size();

@@ -89,9 +89,6 @@ struct SimConfig {
   /// observational -- never read by simulation logic, so it cannot affect
   /// results.
   std::string telemetry_label;
-  /// Fair considers wind "abundant" when available wind exceeds current
-  /// demand by this factor.
-  double wind_abundance_headroom = 1.1;
   /// Share of the cluster (by efficiency rank) Effi treats as the
   /// "efficient pool" it is willing to wait for.
   double efficient_pool_fraction = 0.35;

@@ -7,8 +7,8 @@
 //    is gated on `enabled()` -- one relaxed atomic load and a predictable
 //    branch -- so a disabled run is bit-identical in SimResult (telemetry
 //    never feeds back into simulation state by construction) and adds no
-//    measurable wall time (enforced against the committed
-//    bench/baseline/BENCH_fig8_energy_cost.telemetry_off.json capture).
+//    measurable wall time (measured when the subsystem landed; perfbench's
+//    traced runs report the on-path cost as `telemetry.overhead_frac`).
 //  * Compile time: building with -DISCOPE_TELEMETRY_OFF hard-disables the
 //    subsystem: `enabled()` is constexpr false (dead-code-eliminating every
 //    `if (telemetry::enabled())` block) and the span macros expand to

@@ -87,9 +87,6 @@ class TraceLog {
   std::uint64_t total_events() const;
   std::uint64_t total_dropped() const;
 
-  /// Total recorded duration of spans named `name`, in seconds.
-  double span_seconds(const std::string& name) const;
-
   /// Chrome trace_event JSON ("object format" with traceEvents +
   /// displayTimeUnit). Safe to call while other threads trace; events
   /// pushed concurrently may or may not be included.

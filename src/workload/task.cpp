@@ -22,16 +22,19 @@ double Task::latest_start_s(double f_ghz, double fmax_ghz) const {
   return deadline_s - exec_time_s(f_ghz, fmax_ghz);
 }
 
-void validate_tasks(const std::vector<Task>& tasks) {
-  for (const Task& t : tasks) {
-    ISCOPE_CHECK_ARG(t.runtime_s > 0.0, "task: runtime must be > 0");
-    ISCOPE_CHECK_ARG(t.cpus > 0, "task: must request at least one CPU");
-    ISCOPE_CHECK_ARG(t.submit_s >= 0.0, "task: negative submit time");
-    ISCOPE_CHECK_ARG(t.deadline_s > t.submit_s,
-                     "task: deadline must follow submission");
-    ISCOPE_CHECK_ARG(t.gamma >= 0.0 && t.gamma <= 1.0,
-                     "task: gamma must be in [0,1]");
-  }
+void validate_task(const Task& t, std::size_t max_cpus) {
+  ISCOPE_CHECK_ARG(t.runtime_s > 0.0, "task: runtime must be > 0");
+  ISCOPE_CHECK_ARG(t.cpus > 0, "task: must request at least one CPU");
+  ISCOPE_CHECK_ARG(t.cpus <= max_cpus, "task: wider than the cluster");
+  ISCOPE_CHECK_ARG(t.submit_s >= 0.0, "task: negative submit time");
+  ISCOPE_CHECK_ARG(t.deadline_s > t.submit_s,
+                   "task: deadline must follow submission");
+  ISCOPE_CHECK_ARG(t.gamma >= 0.0 && t.gamma <= 1.0,
+                   "task: gamma must be in [0,1]");
+}
+
+void validate_tasks(const std::vector<Task>& tasks, std::size_t max_cpus) {
+  for (const Task& t : tasks) validate_task(t, max_cpus);
 }
 
 void sort_by_submit(std::vector<Task>& tasks) {

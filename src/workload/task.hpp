@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace iscope {
@@ -41,9 +42,15 @@ struct Task {
   double latest_start_s(double f_ghz, double fmax_ghz) const;
 };
 
-/// Sanity-check a task list: positive runtimes and widths, deadlines after
-/// submission, gamma in [0,1], non-decreasing submit order not required.
-void validate_tasks(const std::vector<Task>& tasks);
+/// Sanity-check one task for a cluster of `max_cpus` processors: positive
+/// runtime, width in [1, max_cpus], non-negative submit time, deadline
+/// after submission, gamma in [0,1]. Throws InvalidArgument.
+void validate_task(const Task& t, std::size_t max_cpus);
+
+/// validate_task over a task list; submit order is not required.
+void validate_tasks(
+    const std::vector<Task>& tasks,
+    std::size_t max_cpus = std::numeric_limits<std::size_t>::max());
 
 /// Sort by submit time (stable; ties keep input order).
 void sort_by_submit(std::vector<Task>& tasks);

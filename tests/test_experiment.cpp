@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace iscope {
@@ -170,11 +175,83 @@ TEST(PaperShapes, EnergyCostsCoverBothSupplies) {
   }
 }
 
+// Sets `name` to `value` for the scope (nullptr = unset), then restores it.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value == nullptr)
+      ::unsetenv(name);
+    else
+      ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+// `read()` with `name` set to `value` (nullptr = unset).
+template <typename Reader>
+auto read_with(const char* name, const char* value, Reader read) {
+  const ScopedEnv env(name, value);
+  return read();
+}
+
+// A malformed knob must throw InvalidArgument naming the variable.
+template <typename Reader>
+void expect_rejected(const char* name, const char* value, Reader read) {
+  try {
+    read_with(name, value, read);
+    ADD_FAILURE() << name << "=" << value << " was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(EnvScale, DefaultsToOne) {
-  // (Cannot portably set env vars per test; just exercise the parser path.)
-  const double s = env_scale();
-  EXPECT_GE(s, 0.1);
-  EXPECT_LE(s, 20.0);
+  EXPECT_EQ(read_with("ISCOPE_SCALE", nullptr, env_scale), 1.0);
+  EXPECT_EQ(read_with("ISCOPE_SCALE", "", env_scale), 1.0);
+  EXPECT_EQ(read_with("ISCOPE_SCALE", "0.5", env_scale), 0.5);
+  // The documented clamp to [0.1, 20] stays for valid input.
+  EXPECT_EQ(read_with("ISCOPE_SCALE", "100", env_scale), 20.0);
+  EXPECT_EQ(read_with("ISCOPE_SCALE", "0.01", env_scale), 0.1);
+  EXPECT_EQ(read_with("ISCOPE_SHARDS", "16", env_shards), 16u);
+  EXPECT_EQ(read_with("ISCOPE_SHARD_WORKERS", nullptr, env_shard_workers), 1u);
+  EXPECT_EQ(read_with("ISCOPE_SHARD_WORKERS", "0", env_shard_workers), 0u);
+  EXPECT_EQ(read_with("ISCOPE_PARALLEL", "3", env_parallelism), 3u);
+  EXPECT_EQ(read_with("ISCOPE_FAULT_SEED", "18446744073709551615",
+                      env_fault_seed),
+            18446744073709551615ull);
+
+  expect_rejected("ISCOPE_SHARD_WORKERS", "abc", env_shard_workers);
+  expect_rejected("ISCOPE_SHARD_WORKERS", "-1", env_shard_workers);
+  expect_rejected("ISCOPE_SHARDS", "16x", env_shards);
+  expect_rejected("ISCOPE_SHARDS", "abc", env_shards);
+  expect_rejected("ISCOPE_SHARDS", "0", env_shards);
+  expect_rejected("ISCOPE_SHARDS", "+4", env_shards);
+  expect_rejected("ISCOPE_PARALLEL", "-2", env_parallelism);
+  expect_rejected("ISCOPE_PARALLEL", " 2", env_parallelism);
+  expect_rejected("ISCOPE_FAULT_SEED", "-1", env_fault_seed);
+  expect_rejected("ISCOPE_FAULT_SEED", "18446744073709551616", env_fault_seed);
+  expect_rejected("ISCOPE_SCALE", "abc", env_scale);
+  expect_rejected("ISCOPE_SCALE", "nan", env_scale);
+  expect_rejected("ISCOPE_SCALE", "inf", env_scale);
+  expect_rejected("ISCOPE_SCALE", "0", env_scale);
+  expect_rejected("ISCOPE_SCALE", "-2", env_scale);
+  expect_rejected("ISCOPE_SCALE", "1.5x", env_scale);
+  expect_rejected("ISCOPE_HYPERSCALE_PROCS", "4k", [] {
+    return env_number<std::uint64_t>("ISCOPE_HYPERSCALE_PROCS");
+  });
 }
 
 }  // namespace

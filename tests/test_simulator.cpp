@@ -335,9 +335,6 @@ TEST(Simulator, ConfigValidation) {
   bad = SimConfig{};
   bad.efficient_pool_fraction = 1.5;
   EXPECT_THROW(bad.validate(), InvalidArgument);
-  bad = SimConfig{};
-  bad.wind_abundance_headroom = 0.5;
-  EXPECT_THROW(bad.validate(), InvalidArgument);
 }
 
 TEST(Simulator, ScanSchemeRequiresDb) {

@@ -208,6 +208,19 @@ TEST(TelemetryValidator, RejectsMalformedPrometheusText) {
   EXPECT_NE(validate_prometheus_text("{\"no\": \"name\"} 1\n"), "");
 }
 
+// The JSON reader behind the snapshot, trace and sample checks must
+// diagnose malformed documents rather than return a partial value.
+TEST(TelemetryJson, ParseRejectsMalformedDocuments) {
+  const std::string doc =
+      R"({"metrics": [{"name": "iscope_events_total", "value": 123}],)"
+      R"( "ok": true, "label": null})";
+  ASSERT_NO_THROW(json::parse(doc));
+  EXPECT_THROW(json::parse(""), ParseError);
+  EXPECT_THROW(json::parse("not json at all"), ParseError);
+  EXPECT_THROW(json::parse(doc.substr(0, doc.size() / 2)), ParseError);
+  EXPECT_THROW(json::parse(doc + " {}"), ParseError);
+}
+
 TEST_F(TelemetryTest, SpansNestAndRecordBothClocks) {
 #ifdef ISCOPE_TELEMETRY_OFF
   GTEST_SKIP() << "span macros compile to nothing under ISCOPE_TELEMETRY_OFF";
@@ -241,8 +254,6 @@ TEST_F(TelemetryTest, SpansNestAndRecordBothClocks) {
   EXPECT_LE(events[2].start_ns, events[0].start_ns);
   EXPECT_GE(events[2].start_ns + events[2].dur_ns,
             events[1].start_ns + events[1].dur_ns);
-  EXPECT_GT(TraceLog::global().span_seconds("inner"), 0.0);
-  EXPECT_DOUBLE_EQ(TraceLog::global().span_seconds("absent"), 0.0);
 }
 
 TEST(TelemetrySpanRing, OverflowDropsOldestAndCounts) {
