@@ -36,7 +36,9 @@ struct ExperimentConfig {
   /// Worker threads the sweep engine (core/sweep.hpp) fans scenario runs
   /// out over. 0 = one worker per hardware thread (the default), 1 = the
   /// legacy serial path (no thread pool at all). Results are bit-identical
-  /// at any setting; this knob only trades wall-clock for cores.
+  /// at any setting; this knob only trades wall-clock for cores. It governs
+  /// the sweep only: set-up (`build_cluster`) derives truth curves on
+  /// hardware threads regardless, bit-identically at any thread count.
   std::size_t parallelism = 0;
 
   void validate() const;

@@ -43,24 +43,14 @@ Cluster aged_cluster(const Cluster& cluster,
   params.validate();
 
   const VariusModel& varius = cluster.varius();
-  const ClusterConfig& config = cluster.config();
-
-  std::vector<Processor> procs;
-  procs.reserve(cluster.size());
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    Processor p = cluster.proc(i);  // copy: keeps coeffs, id, bin
-    for (auto& core : p.variation.cores)
+  std::vector<Processor> procs = cluster.processors();  // keeps coeffs, id, bin
+  for (std::size_t i = 0; i < procs.size(); ++i)
+    for (auto& core : procs[i].variation.cores)
       core = age_core(core, stress_s[i], params, varius.params());
-    p.core_truth.clear();
-    for (const auto& core : p.variation.cores)
-      p.core_truth.push_back(build_core_curve(varius, core, config.levels,
-                                              config.intrinsic_guardband));
-    p.chip_truth = MinVddCurve::chip_worst_case(p.core_truth);
-    procs.push_back(std::move(p));
-  }
+  derive_truth_curves(procs, varius, cluster.config());
 
   // Factory bins are stamped on the package; they do not follow the drift.
-  return Cluster(config, std::move(procs), cluster.binning(), varius,
+  return Cluster(cluster.config(), std::move(procs), cluster.binning(), varius,
                  cluster.power_model());
 }
 

@@ -1,5 +1,8 @@
 #include "hardware/cluster.hpp"
 
+#include <algorithm>
+#include <future>
+#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
@@ -70,6 +73,37 @@ Watts Cluster::power_per_core_domains(std::size_t i,
   return total;
 }
 
+void derive_truth_curves(std::vector<Processor>& procs,
+                         const VariusModel& varius,
+                         const ClusterConfig& config) {
+  const auto derive = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      Processor& p = procs[i];
+      p.core_truth.clear();
+      p.core_truth.reserve(p.variation.cores.size());
+      for (const auto& core : p.variation.cores)
+        p.core_truth.push_back(build_core_curve(varius, core, config.levels,
+                                                config.intrinsic_guardband));
+      p.chip_truth = MinVddCurve::chip_worst_case(p.core_truth);
+    }
+  };
+  // One contiguous range per hardware thread, each of at least 256 chips,
+  // so small clusters stay on the calling thread.
+  const std::size_t n = procs.size();
+  const std::size_t ranges = std::clamp<std::size_t>(
+      n / 256, 1, std::max(1u, std::thread::hardware_concurrency()));
+  const auto bound = [&](std::size_t r) { return n * r / ranges; };
+  // The calling thread takes the first range. The rest are joined in range
+  // order, so the first failing chip in index order is the one that
+  // throws; unwinding joins every range before `procs` can go away.
+  std::vector<std::future<void>> rest;
+  for (std::size_t r = 1; r < ranges; ++r)
+    rest.push_back(
+        std::async(std::launch::async, derive, bound(r), bound(r + 1)));
+  derive(0, bound(1));
+  for (auto& range : rest) range.get();
+}
+
 Cluster build_cluster(const ClusterConfig& config) {
   config.validate();
   Rng rng(config.seed);
@@ -79,25 +113,19 @@ Cluster build_cluster(const ClusterConfig& config) {
   const VariusModel varius(config.varius, config.layout);
   const CpuPowerModel power(config.power);
 
-  std::vector<Processor> procs;
-  procs.reserve(config.num_processors);
-  std::vector<MinVddCurve> chip_curves;
-  chip_curves.reserve(config.num_processors);
-
-  for (std::size_t i = 0; i < config.num_processors; ++i) {
-    Processor p;
-    p.id = i;
-    p.variation = varius.sample_chip(chip_rng);
-    p.coeffs = power.sample(power_rng);
-    p.core_truth.reserve(p.variation.cores.size());
-    for (const auto& core : p.variation.cores)
-      p.core_truth.push_back(build_core_curve(varius, core, config.levels,
-                                              config.intrinsic_guardband));
-    p.chip_truth = MinVddCurve::chip_worst_case(p.core_truth);
-    chip_curves.push_back(p.chip_truth);
-    procs.push_back(std::move(p));
+  // Every random draw is made here, serially in chip order, so the
+  // threaded derivation below draws nothing.
+  std::vector<Processor> procs(config.num_processors);
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    procs[i].id = i;
+    procs[i].variation = varius.sample_chip(chip_rng);
+    procs[i].coeffs = power.sample(power_rng);
   }
+  derive_truth_curves(procs, varius, config);
 
+  std::vector<MinVddCurve> chip_curves;
+  chip_curves.reserve(procs.size());
+  for (const Processor& p : procs) chip_curves.push_back(p.chip_truth);
   BinningResult binning = speed_bin(chip_curves, config.num_bins);
   for (std::size_t i = 0; i < procs.size(); ++i)
     procs[i].bin = binning.bin_of_chip[i];

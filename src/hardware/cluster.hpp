@@ -3,7 +3,10 @@
 // `build_cluster` fabricates N processors through the variation and power
 // models, derives every chip's ground-truth Min Vdd curves, and runs the
 // factory speed-binning (3 bins by default, mirroring the AMD Opteron 6300
-// line-up in the paper's Table 1).
+// line-up in the paper's Table 1). Every random draw is made serially in
+// chip order; the curve derivation after it is pure per chip and runs in
+// contiguous chip ranges on hardware threads. The result does not depend
+// on the thread count: tests/data/golden/cluster_digests.txt pins it.
 #pragma once
 
 #include <cstddef>
@@ -74,5 +77,15 @@ class Cluster {
 
 /// Fabricate the population deterministically from `config.seed`.
 Cluster build_cluster(const ClusterConfig& config);
+
+/// Derive each chip's ground-truth curves (`core_truth`, `chip_truth`)
+/// from its sampled variation, in place. Pure per chip: contiguous chip
+/// ranges run on hardware threads, and the result is bit-identical at any
+/// thread count. A level some core cannot reach below min_vdd's 2 V
+/// ceiling throws that solve's InvalidArgument, from the first such chip
+/// in index order.
+void derive_truth_curves(std::vector<Processor>& procs,
+                         const VariusModel& varius,
+                         const ClusterConfig& config);
 
 }  // namespace iscope

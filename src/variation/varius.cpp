@@ -87,13 +87,16 @@ double VariusModel::min_vdd(const CoreVariation& core, double f_ghz,
   ISCOPE_CHECK_ARG(v_ceiling > core.vth, "min_vdd: ceiling below Vth");
   if (fmax_ghz(core, v_ceiling) < f_ghz)
     throw InvalidArgument("min_vdd: frequency unreachable below ceiling");
-  // fmax is monotone increasing in V for alpha >= 1, so bisect.
+  // fmax is monotone increasing in V for alpha >= 1, so bisect. A step is
+  // a pure function of (lo, hi): once one leaves both unchanged, every
+  // later step would too, so stopping there returns the 80-step answer.
   double lo = core.vth + 1e-6;
   double hi = v_ceiling;
   for (int it = 0; it < 80; ++it) {
     const double mid = 0.5 * (lo + hi);
-    if (fmax_ghz(core, mid) >= f_ghz) hi = mid;
-    else lo = mid;
+    double& side = fmax_ghz(core, mid) >= f_ghz ? hi : lo;
+    if (side == mid) break;
+    side = mid;
   }
   return std::max(hi, params_.v_floor);
 }

@@ -15,6 +15,9 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -134,15 +137,22 @@ inline void expect_identical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(differing, 0u) << "fields differ between the two results";
 }
 
+/// The 64-bit FNV-1a offset basis: the digest of nothing.
+inline constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ull;
+
+/// Fold one value into a 64-bit FNV-1a digest as 8 little-endian bytes.
+inline std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t bits) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (bits >> (8 * byte)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 /// 64-bit FNV-1a over the flattened fields, each as 8 little-endian bytes.
 inline std::uint64_t result_digest(const SimResult& r) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const ResultField& f : flatten_result(r)) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (f.bits >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
+  std::uint64_t h = kFnv1aBasis;
+  for (const ResultField& f : flatten_result(r)) h = fnv1a_mix(h, f.bits);
   return h;
 }
 
@@ -152,6 +162,29 @@ inline std::string digest_hex(std::uint64_t digest) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(digest));
   return buf;
+}
+
+/// The rows of a committed golden file: one `<row> <digest>` per line,
+/// blank lines ignored. An unreadable file, a malformed line or a
+/// duplicate row fails the calling test. Nothing writes these files: a
+/// suite that finds a row missing or moved prints a ready-to-paste line.
+inline std::map<std::string, std::string> read_golden_rows(
+    const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "cannot read " << path;
+  std::map<std::string, std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty()) continue;
+    std::istringstream fields(line);
+    std::string row;
+    std::string digest;
+    std::string extra;
+    fields >> row >> digest;
+    EXPECT_TRUE(digest.size() == 16 && !(fields >> extra))
+        << "malformed golden line: " << line;
+    EXPECT_TRUE(golden.emplace(row, digest).second) << "duplicate row " << row;
+  }
+  return golden;
 }
 
 }  // namespace iscope

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <array>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -332,20 +331,7 @@ TEST(GoldenResults, Matrix) {
   // The committed rows: `<row> <digest>` per line, blank lines ignored.
   const std::string path =
       std::string(ISCOPE_TEST_DATA_DIR) + "/golden/sim_digests.txt";
-  std::ifstream in(path);
-  EXPECT_TRUE(in) << "cannot read " << path;
-  std::map<std::string, std::string> golden;
-  for (std::string line; std::getline(in, line);) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string row;
-    std::string digest;
-    std::string extra;
-    fields >> row >> digest;
-    EXPECT_TRUE(digest.size() == 16 && !(fields >> extra))
-        << "malformed golden line: " << line;
-    EXPECT_TRUE(golden.emplace(row, digest).second) << "duplicate row " << row;
-  }
+  std::map<std::string, std::string> golden = read_golden_rows(path);
 
   std::vector<Scheme> schemes(kAllSchemes.begin(), kAllSchemes.end());
   schemes.push_back(ensure_extended_schemes_registered());

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "variation/vdd_model.hpp"
 
 namespace iscope {
 namespace {
@@ -103,6 +109,93 @@ TEST(VariusModel, MinVddUnreachableThrows) {
   const CoreVariation core = nominal_core(m);
   EXPECT_THROW(m.min_vdd(core, 100.0), InvalidArgument);
   EXPECT_THROW(m.min_vdd(core, 1.0, core.vth * 0.5), InvalidArgument);
+}
+
+// min_vdd as a plain 80-step bisection: the oracle its early stop must
+// reproduce bit for bit. Unreachable targets come back empty.
+std::optional<double> eighty_step_min_vdd(const VariusModel& m,
+                                          const CoreVariation& core,
+                                          double f_ghz, double v_ceiling) {
+  if (m.fmax_ghz(core, v_ceiling) < f_ghz) return std::nullopt;
+  double lo = core.vth + 1e-6;
+  double hi = v_ceiling;
+  for (int it = 0; it < 80; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (m.fmax_ghz(core, mid) >= f_ghz) hi = mid;
+    else lo = mid;
+  }
+  return std::max(hi, m.params().v_floor);
+}
+
+std::optional<double> checked_min_vdd(const VariusModel& m,
+                                      const CoreVariation& core, double f_ghz,
+                                      double v_ceiling) {
+  try {
+    return m.min_vdd(core, f_ghz, v_ceiling);
+  } catch (const InvalidArgument&) {
+    return std::nullopt;
+  }
+}
+
+TEST(VariusModel, MinVddEqualsEightyStepBisection) {
+  // 20 000 sampled cores: 2 500 quad-core chips under each parameter set,
+  // at every paper DVFS level (plus the A10's 3.8 GHz), under the 2 V
+  // ceiling build_core_curve uses and the 3 V one population_stats uses.
+  // Three edge targets per core: exactly fmax at the ceiling; one ulp
+  // below fmax at vth + 2 uV; and fmax at vth + 1 uV, the bisection's
+  // lower end, which the loop never evaluates. The edge targets also run
+  // with the retention floor at 0 V, so a slip at the low end is not
+  // hidden under the floor.
+  const std::vector<double> paper = FreqLevels::paper_default().freq_ghz;
+  std::vector<double> a10 = paper;
+  a10.push_back(3.8);
+  const struct {
+    VariusParams params;
+    std::vector<double> levels;
+  } sets[] = {{VariusParams{}, paper}, {a10_params(), a10}};
+
+  std::size_t cores = 0;
+  std::size_t solves = 0;
+  std::size_t differing = 0;
+  for (const auto& set : sets) {
+    VariusParams floorless = set.params;
+    floorless.v_floor = 0.0;
+    const VariusModel models[] = {VariusModel(set.params, quad_core_layout()),
+                                  VariusModel(floorless, quad_core_layout())};
+    Rng rng(23);
+    for (int c = 0; c < 2500; ++c) {
+      for (const CoreVariation& core : models[0].sample_chip(rng).cores) {
+        ++cores;
+        for (const double ceiling : {2.0, 3.0}) {
+          const std::vector<double> edges = {
+              models[0].fmax_ghz(core, ceiling),
+              std::nextafter(models[0].fmax_ghz(core, core.vth + 2e-6), 0.0),
+              models[0].fmax_ghz(core, core.vth + 1e-6)};
+          std::vector<double> targets = set.levels;
+          targets.insert(targets.end(), edges.begin(), edges.end());
+          for (const VariusModel& m : models) {
+            for (const double f : &m == &models[0] ? targets : edges) {
+              ++solves;
+              const auto want = eighty_step_min_vdd(m, core, f, ceiling);
+              const auto got = checked_min_vdd(m, core, f, ceiling);
+              const bool same =
+                  want.has_value() == got.has_value() &&
+                  (!want || std::bit_cast<std::uint64_t>(*want) ==
+                                std::bit_cast<std::uint64_t>(*got));
+              if (!same && ++differing <= 10)
+                ADD_FAILURE() << "min_vdd(f=" << f << ", ceiling=" << ceiling
+                              << ", v_floor=" << m.params().v_floor
+                              << ") = " << got.value_or(-1.0)
+                              << ", 80-step bisection = "
+                              << want.value_or(-1.0);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cores, 20000u);
+  EXPECT_EQ(differing, 0u) << "of " << solves << " solves";
 }
 
 TEST(VariusModel, SlowerCoreNeedsHigherVoltage) {

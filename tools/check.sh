@@ -38,8 +38,8 @@ STAGES=(
   "lint            iscope_lint project invariants (determinism/layering/quantity/telemetry)"
   "tidy            clang-tidy profile, warnings-as-errors (skips if not installed)"
   "ubsan           UBSan rebuild + full tests"
-  "asan            ASan fault-injection + parser-fuzz tests"
-  "tsan            TSan multi-shard smoke (fig8, 4 shards x 4 workers) + service chaos daemon"
+  "asan            ASan fault-injection + parser-fuzz + cluster-fabrication tests"
+  "tsan            TSan multi-shard smoke (fig8, 4 shards x 4 workers) + service chaos daemon + threaded cluster build"
   "coverage        src/fault + src/sched + sim driver line-coverage floor (${COVERAGE_MIN}%)"
   "perfbench       1 s perfbench run per workload: exit 0, correct, no failed ops (opt-in: --stage only)"
 )
@@ -224,14 +224,17 @@ stage_ubsan() {
 }
 
 stage_asan() {
-  stage "ASan fault-injection + parser-fuzz + checkpoint + driver tests"
+  stage "ASan fault-injection + parser-fuzz + checkpoint + driver + cluster tests"
   # Targeted: the suites that stress failure paths, requeue bookkeeping,
   # and hostile parser inputs -- where lifetime bugs would hide. The
   # checkpoint and event-queue suites push truncated and bit-flipped
   # blobs through the codec's reader and the queue's restore; the thermal
-  # and profiling suites drive the sleep, thermal and scan-slot drivers.
+  # and profiling suites drive the sleep, thermal and scan-slot drivers;
+  # the hardware and variation suites build clusters on chip-range threads
+  # (including builds that throw mid-range) and check the Min Vdd solver.
   ASAN_TESTS="test_fault test_fuzz_parsers test_properties test_checkpoint
-              test_event_queue test_thermal test_sim_profiling"
+              test_event_queue test_thermal test_sim_profiling
+              test_hardware test_varius"
   cmake -B build-check/asan -S . \
         -DISCOPE_SANITIZE=address -DISCOPE_AUDIT=ON > /dev/null
   # shellcheck disable=SC2086
@@ -243,7 +246,7 @@ stage_asan() {
 }
 
 stage_tsan() {
-  stage "TSan multi-shard smoke (fig8, 4 shards x 4 workers) + service chaos"
+  stage "TSan multi-shard smoke (fig8, 4 shards x 4 workers) + service chaos + cluster build"
   # Epoch-barrier handoff under real thread interleaving: the fig8 energy
   # scenario at scale 0.5 (240 CPUs = 5 racks, so 4 rack-aligned shards
   # fit) with the shard loops fanned out over 4 pool workers. Any data
@@ -251,7 +254,8 @@ stage_tsan() {
   cmake -B build-check/tsan -S . \
         -DISCOPE_SANITIZE=thread -DISCOPE_AUDIT=ON > /dev/null
   cmake --build build-check/tsan -j "$JOBS" \
-        --target bench_fig8_energy_cost test_shard test_service_chaos
+        --target bench_fig8_energy_cost test_shard test_service_chaos \
+                 test_hardware
   TSAN_OPTIONS=halt_on_error=1 \
       ./build-check/tsan/tests/test_shard \
       --gtest_filter='ShardDeterminism.*' > /dev/null \
@@ -274,6 +278,14 @@ stage_tsan() {
   TSAN_OPTIONS=halt_on_error=1 \
       ./build-check/tsan/tests/test_service_chaos > /dev/null \
       && echo "tsan ok: test_service_chaos daemon under fault storm"
+  # build_cluster derives truth curves in chip ranges on hardware threads:
+  # a 4 096-chip build against its serial oracle, and builds that throw
+  # from the calling thread's range and from a later one.
+  TSAN_OPTIONS=halt_on_error=1 \
+      ./build-check/tsan/tests/test_hardware \
+      --gtest_filter='Cluster.ParallelBuildEqualsSerialReference:Cluster.UnreachableLevelThrowsFromAnyChipRange' \
+      > /dev/null \
+      && echo "tsan ok: test_hardware threaded cluster build"
 }
 
 stage_coverage() {
