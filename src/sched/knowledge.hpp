@@ -78,12 +78,15 @@ class Knowledge {
   const Cluster& cluster() const { return *cluster_; }
 
   /// Rebuild the cached tables (call after the ProfileDb gained profiles).
-  /// Quarantine flags survive the rebuild.
+  /// Quarantine flags survive the rebuild. Not for a view a running
+  /// simulator holds: it sums a task's per-level power row once, when the
+  /// task starts, and keeps it while the task runs.
   void refresh();
 
   /// Fault quarantine: a failed processor is withdrawn from scheduling
-  /// (fault layer, see src/fault/). Both calls bump the generation so
-  /// consumers drop caches derived from this view.
+  /// (fault layer, see src/fault/). Both calls bump the generation; neither
+  /// changes any processor's power, so a running task's power row stays
+  /// valid.
   void quarantine(std::size_t i);
   void release(std::size_t i);
   void clear_quarantine();
@@ -101,9 +104,8 @@ class Knowledge {
     return i < scanned_.size() && scanned_[i] != 0;
   }
 
-  /// Bumped by every refresh(). Consumers that derive state from this view
-  /// (e.g. the simulator's per-task power tables) compare generations to
-  /// detect that their caches went stale.
+  /// Bumped by every refresh() and quarantine change, so a consumer that
+  /// derives state from this view can tell that it moved.
   std::uint64_t generation() const { return generation_; }
 
  private:

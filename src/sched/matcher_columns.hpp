@@ -5,17 +5,16 @@
 // behind a pointer chase. The matcher's floating-point sums and
 // equal-saving heap tiebreaks are order-sensitive, so row order mirroring
 // the intrusive run list is what keeps PowerMatcher::match bit-identical to
-// the reference matcher over ActiveTask views.
+// a per-task oracle walking the tasks in start order
+// (tests/reference_scheduler.hpp).
 //
 // Row lifecycle: `append` at task start (link_running order), compacting
-// order-preserving `remove` at completion/requeue, `refresh_power` when
-// the Knowledge generation moves (power rows changed under the task).
-// Derived per-row tables:
+// order-preserving `remove` at completion/requeue. Derived per-row tables,
+// all fixed for the task's residency:
 //
-//  * slowdown[row][l]  -- Eq-3 slowdown, gamma * (fmax/f_l - 1) + 1.0,
-//    residency-constant (gamma and the ratio table never change);
-//  * power[row][l]     -- the task's IT power per level, a straight copy of
-//    the sim's power_table_ row (generation-tracked);
+//  * slowdown[row][l]  -- Eq-3 slowdown, gamma * (fmax/f_l - 1) + 1.0;
+//  * power[row][l]     -- the task's IT power per level, summed over its
+//    processors by the simulator when the task starts;
 //  * best_from[row][f] -- the energy-optimal level for every possible
 //    deadline floor f, precomputed by suffix scan (soa_kernels.hpp). The
 //    per-rematch "energy argmin over levels" collapses to one table read.
@@ -93,8 +92,8 @@ struct MatcherColumns {
 
   /// Compute the derived blocks of one row: the Eq-3 slowdown per level
   /// (identical expression to PowerMatcher::slowdown, over its
-  /// slowdown_ratio() table), the power row (copied from the sim's
-  /// generation-tracked table), and the energy-optimal-per-floor table.
+  /// slowdown_ratio() table), the power row (copied from `power_row`), and
+  /// the energy-optimal-per-floor table.
   void fill_row(std::size_t row, double gamma, const double* slowdown_ratio,
                 const double* power_row) {
     double* srow = slowdown.data() + row * levels;
@@ -104,15 +103,6 @@ struct MatcherColumns {
       prow[l] = power_row[l];
     }
     soa::best_from_fill(prow, srow, levels, best_from.data() + row * levels);
-  }
-
-  /// Refresh the power-derived blocks of one row after a Knowledge
-  /// generation bump (slowdown is residency-constant and left alone).
-  void refresh_power(std::size_t row, const double* power_row) {
-    double* prow = power.data() + row * levels;
-    for (std::size_t l = 0; l < levels; ++l) prow[l] = power_row[l];
-    soa::best_from_fill(prow, slowdown.data() + row * levels, levels,
-                        best_from.data() + row * levels);
   }
 
   /// Order-preserving removal: rows after `row` shift down one slot (the

@@ -1,6 +1,7 @@
 #include "sched/policy.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -28,7 +29,12 @@ PlacementPolicy::PlacementPolicy(const Knowledge* knowledge,
                        efficient_pool_fraction <= 1.0,
                    "PlacementPolicy: pool fraction must be in (0,1]");
   rank_of_proc_.resize(knowledge->procs());
-  order_ = knowledge->efficiency_order();
+  if (rule == PlacementRule::kRandom) {
+    order_.resize(knowledge->procs());
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+  } else {
+    order_ = knowledge->efficiency_order();
+  }
   for (std::size_t rank = 0; rank < order_.size(); ++rank)
     rank_of_proc_[order_[rank]] = rank;
   pool_limit_ = static_cast<std::size_t>(
@@ -49,39 +55,20 @@ void PlacementPolicy::override_order(std::vector<std::size_t> order) {
     rank_of_proc_[order_[rank]] = rank;
 }
 
-std::size_t PlacementPolicy::efficiency_rank(std::size_t proc) const {
+std::size_t PlacementPolicy::placement_rank(std::size_t proc) const {
   ISCOPE_CHECK_ARG(proc < rank_of_proc_.size(),
                    "PlacementPolicy: proc out of range");
   return rank_of_proc_[proc];
 }
 
-std::optional<std::vector<std::size_t>> PlacementPolicy::choose_efficient(
-    std::size_t n, std::vector<std::size_t>& idle, bool forced) {
-  // Take the n most efficient idle processors. Ranks form a strict total
-  // order, so the pick depends only on the idle *set*, never its order.
-  const std::size_t* rank = rank_of_proc_.data();
-  std::partial_sort(idle.begin(), idle.begin() + static_cast<std::ptrdiff_t>(n),
-                    idle.end(), [rank](std::size_t a, std::size_t b) {
-                      return rank[a] < rank[b];
-                    });
-  if (!forced) {
-    // Good enough only if the whole pick lies inside the efficient pool;
-    // otherwise keep waiting for efficient chips to free up.
-    if (rank[idle[n - 1]] >= pool_limit_) return std::nullopt;
-  }
-  return std::vector<std::size_t>(idle.begin(),
-                                  idle.begin() + static_cast<std::ptrdiff_t>(n));
-}
-
 bool PlacementPolicy::choose_efficient_bits(
     std::size_t n, const std::uint64_t* idle_rank_bits, bool forced,
     std::vector<std::size_t>& out) const {
-  // Pop idle ranks best-first out of the bitset: the first n are exactly
-  // the pick choose_efficient's partial_sort produces (ranks are a strict
-  // total order), already in ascending-rank order. Non-forced placements
-  // only look inside the efficient pool -- hitting a rank at or past
-  // pool_limit_ before collecting n is the same rejection
-  // choose_efficient derives from rank[pick[n - 1]] >= pool_limit_.
+  // Pop idle ranks best-first out of the bitset: the first n are the n
+  // best-ranked idle processors (ranks are a strict total order), in
+  // ascending-rank order. Non-forced placements only look inside the
+  // efficient pool: hitting a rank at or past pool_limit_ before
+  // collecting n means the n-th best idle processor lies outside it.
   const std::vector<std::size_t>& order = order_;
   const std::size_t limit = forced ? order.size() : pool_limit_;
   const std::size_t words = (order.size() + 63) / 64;
@@ -111,15 +98,34 @@ bool PlacementPolicy::fair_defers(const PlacementContext& ctx) const {
          ctx.queue_pressure < kMaxDeferBacklog && forecast_promises_wind;
 }
 
-bool PlacementPolicy::choose_soa(std::size_t n,
-                                 const std::uint64_t* idle_rank_bits,
-                                 const std::vector<std::size_t>& idle_by_busy,
-                                 const PlacementContext& ctx,
-                                 std::vector<std::size_t>& out) {
+void PlacementPolicy::idle_in_order(std::size_t count,
+                                    const std::uint64_t* idle_rank_bits,
+                                    std::vector<std::size_t>& out) const {
+  choose_efficient_bits(count, idle_rank_bits, /*forced=*/true, out);
+}
+
+bool PlacementPolicy::choose(std::size_t n, const std::uint64_t* idle_rank_bits,
+                             const std::vector<std::size_t>& idle_by_busy,
+                             std::vector<std::size_t>& random_pool,
+                             const PlacementContext& ctx,
+                             std::vector<std::size_t>& out) {
   ISCOPE_CHECK_ARG(n > 0, "PlacementPolicy: task needs at least one CPU");
   switch (rule_) {
-    case PlacementRule::kRandom:
-      break;  // unsupported: falls through to the error below
+    case PlacementRule::kRandom: {
+      // Partial Fisher-Yates: the pool's first n slots become a uniform
+      // sample, which leaves the pool.
+      if (random_pool.size() < n) return false;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto j = static_cast<std::size_t>(rng_.uniform_int(
+            static_cast<std::int64_t>(i),
+            static_cast<std::int64_t>(random_pool.size()) - 1));
+        std::swap(random_pool[i], random_pool[j]);
+      }
+      const auto picked = random_pool.begin() + static_cast<std::ptrdiff_t>(n);
+      out.assign(random_pool.begin(), picked);
+      random_pool.erase(random_pool.begin(), picked);
+      return true;
+    }
     case PlacementRule::kEfficiency:
       return choose_efficient_bits(n, idle_rank_bits, ctx.forced, out);
     case PlacementRule::kTherm: {
@@ -147,58 +153,6 @@ bool PlacementPolicy::choose_soa(std::size_t n,
       out.assign(idle_by_busy.begin(),
                  idle_by_busy.begin() + static_cast<std::ptrdiff_t>(n));
       return true;
-    }
-  }
-  throw InvalidArgument("choose_soa: unsupported placement rule");
-}
-
-std::optional<std::vector<std::size_t>> PlacementPolicy::choose(
-    std::size_t n, std::vector<std::size_t>& idle,
-    const PlacementContext& ctx) {
-  ISCOPE_CHECK_ARG(n > 0, "PlacementPolicy: task needs at least one CPU");
-  if (idle.size() < n) return std::nullopt;
-
-  switch (rule_) {
-    case PlacementRule::kRandom: {
-      // Partial Fisher-Yates: the first n slots become a uniform sample.
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto j = static_cast<std::size_t>(rng_.uniform_int(
-            static_cast<std::int64_t>(i),
-            static_cast<std::int64_t>(idle.size()) - 1));
-        std::swap(idle[i], idle[j]);
-      }
-      return std::vector<std::size_t>(
-          idle.begin(), idle.begin() + static_cast<std::ptrdiff_t>(n));
-    }
-    case PlacementRule::kEfficiency:
-      return choose_efficient(n, idle, ctx.forced);
-    case PlacementRule::kTherm: {
-      // Mirrors choose_soa: Fair's deferral, thermal-order placement.
-      if (!ctx.has_wind) return choose_efficient(n, idle, ctx.forced);
-      if (!ctx.wind_abundant && fair_defers(ctx)) return std::nullopt;
-      return choose_efficient(n, idle, /*forced=*/true);
-    }
-    case PlacementRule::kFair: {
-      if (!ctx.has_wind) return choose_efficient(n, idle, ctx.forced);
-      if (!ctx.wind_abundant) {
-        // Wind scarce: run only deadline-forced or tight-slack tasks, on
-        // the most efficient idle CPUs (fair_defers holds the thresholds).
-        if (fair_defers(ctx)) return std::nullopt;
-        return choose_efficient(n, idle, /*forced=*/true);
-      }
-      // Abundant wind: balance lifetime -- least-used idle CPUs, start now.
-      ISCOPE_CHECK_ARG(ctx.busy_time_s != nullptr &&
-                           ctx.busy_time_s->size() == knowledge_->procs(),
-                       "PlacementPolicy: Fair needs busy-time state");
-      const std::vector<double>& busy = *ctx.busy_time_s;
-      std::partial_sort(idle.begin(),
-                        idle.begin() + static_cast<std::ptrdiff_t>(n),
-                        idle.end(), [&](std::size_t a, std::size_t b) {
-                          if (busy[a] != busy[b]) return busy[a] < busy[b];
-                          return a < b;
-                        });
-      return std::vector<std::size_t>(
-          idle.begin(), idle.begin() + static_cast<std::ptrdiff_t>(n));
     }
   }
   throw InvalidArgument("unknown placement rule");

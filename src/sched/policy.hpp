@@ -26,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -40,9 +39,6 @@ const char* placement_rule_name(PlacementRule rule);
 
 /// Datacenter state the policy consults when placing one task.
 struct PlacementContext {
-  /// Cumulative busy time per processor [s] (lifetime balance signal).
-  const std::vector<double>* busy_time_s = nullptr;
-  double now_s = 0.0;
   /// True when the facility has a wind supply at all (Fair's deferral only
   /// makes sense in a green datacenter).
   bool has_wind = false;
@@ -107,33 +103,38 @@ class PlacementPolicy {
             !has_wind);
   }
 
-  /// Choose `n` of the currently `idle` processors for a task, or return
-  /// nullopt to keep the task waiting (only non-forced Effi-style placements
-  /// wait; a forced task always starts if `idle.size() >= n`).
-  /// `idle` may be reordered by the call (it is scratch space).
-  std::optional<std::vector<std::size_t>> choose(std::size_t n,
-                                                 std::vector<std::size_t>& idle,
-                                                 const PlacementContext& ctx);
+  /// Choose `n` idle processors for a task into `out` and return true, or
+  /// return false to keep the task waiting (Effi-style placements wait for
+  /// the efficient pool unless forced, and Fair and Therm defer for wind).
+  /// The caller guarantees at least `n` processors are idle (Ran, handed
+  /// a shorter pool, keeps the task waiting) and hands the idle set over
+  /// in the forms the rules read:
+  ///  * `idle_rank_bits` -- bit r (word r/64, bit r%64) set means the
+  ///    processor at placement rank r is idle. Effi, Fair and Therm pop
+  ///    their best-rank-first pick off it with a ctz scan.
+  ///  * `idle_by_busy` -- the idle set ordered by (busy time, id), read
+  ///    only by Fair under abundant wind.
+  ///  * `random_pool` -- Ran's draws: the idle set in processor-id order
+  ///    as idle_in_order() read it at the start of the scheduling pass,
+  ///    minus the pass's earlier picks. A pick permutes the pool (partial
+  ///    Fisher-Yates) and leaves it, so later draws in the pass consume
+  ///    the RNG against that remainder; its layout is part of the result.
+  bool choose(std::size_t n, const std::uint64_t* idle_rank_bits,
+              const std::vector<std::size_t>& idle_by_busy,
+              std::vector<std::size_t>& random_pool,
+              const PlacementContext& ctx, std::vector<std::size_t>& out);
 
-  /// SoA fast path for Effi and Fair: no idle-vector copy, no per-task
-  /// partial_sort. `idle_rank_bits` is a rank-indexed idle bitset -- bit r
-  /// (word r/64, bit r%64) set means the processor with efficiency rank r
-  /// is idle -- so the best-rank-first pick is a ctz scan over a handful
-  /// of words instead of an O(procs) walk. `idle_by_busy` is the idle set
-  /// ordered by (busy time, id) and is consulted only by Fair under
-  /// abundant wind. The caller guarantees at least `n` processors are
-  /// idle. On success fills `out` (the same processors, in the same
-  /// order, choose() would have returned -- the scheduler-equivalence
-  /// suite holds both paths to bit-identical runs) and returns true;
-  /// false keeps the task waiting. kRandom is not supported here: its
-  /// draws consume the RNG against the scratch vector's exact layout, so
-  /// it keeps the legacy path.
-  bool choose_soa(std::size_t n, const std::uint64_t* idle_rank_bits,
-                  const std::vector<std::size_t>& idle_by_busy,
-                  const PlacementContext& ctx, std::vector<std::size_t>& out);
+  /// The first `count` idle processors in placement order, read off
+  /// `idle_rank_bits` in O(words + count). Ran's placement order is the
+  /// processor id, so under Ran this is the sorted idle set a pass's
+  /// `random_pool` starts from.
+  void idle_in_order(std::size_t count, const std::uint64_t* idle_rank_bits,
+                     std::vector<std::size_t>& out) const;
 
-  /// Efficiency rank of a processor (0 = most efficient).
-  std::size_t efficiency_rank(std::size_t proc) const;
+  /// Rank of a processor in the placement order (0 = placed first): the
+  /// efficiency rank for Effi and Fair, the installed order for Therm, the
+  /// processor id for Ran.
+  std::size_t placement_rank(std::size_t proc) const;
 
   /// Replace the placement order (rank 0 first) with a caller-computed
   /// permutation of the processor ids -- the hook ScanTherm uses to rank
@@ -149,12 +150,9 @@ class PlacementPolicy {
   void set_rng_state(const std::string& state) { rng_.load_state(state); }
 
  private:
-  std::optional<std::vector<std::size_t>> choose_efficient(
-      std::size_t n, std::vector<std::size_t>& idle, bool forced);
   bool choose_efficient_bits(std::size_t n, const std::uint64_t* idle_rank_bits,
                              bool forced, std::vector<std::size_t>& out) const;
-  /// Fair's wind-scarce deferral predicate (shared by both paths so the
-  /// defer thresholds live in one place).
+  /// Fair's wind-scarce deferral predicate (Therm defers on it too).
   bool fair_defers(const PlacementContext& ctx) const;
 
   const Knowledge* knowledge_;  // non-owning
@@ -162,10 +160,10 @@ class PlacementPolicy {
   Rng rng_;
   double pool_fraction_;
   std::size_t pool_limit_;  ///< ranks below this are "efficient enough"
-  /// Placement order, rank 0 first. A copy of the knowledge's efficiency
-  /// order unless override_order() installed a thermal-aware permutation
-  /// (the efficiency order is built once and never reordered, so the
-  /// copy cannot go stale).
+  /// Placement order, rank 0 first. The identity for Ran; otherwise a copy
+  /// of the knowledge's efficiency order unless override_order() installed
+  /// a thermal-aware permutation (the efficiency order is built once and
+  /// never reordered, so the copy cannot go stale).
   std::vector<std::size_t> order_;
   std::vector<std::size_t> rank_of_proc_;
 };

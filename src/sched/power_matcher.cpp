@@ -1,14 +1,13 @@
 #include "sched/power_matcher.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/error.hpp"
 
 namespace iscope {
 
 PowerMatcher::PowerMatcher(const Knowledge* knowledge, double cooling_factor)
-    : knowledge_(knowledge), cooling_factor_(cooling_factor) {
+    : cooling_factor_(cooling_factor) {
   ISCOPE_CHECK_ARG(knowledge != nullptr, "PowerMatcher: null knowledge");
   ISCOPE_CHECK_ARG(cooling_factor >= 1.0,
                    "PowerMatcher: cooling factor must be >= 1");
@@ -19,45 +18,10 @@ PowerMatcher::PowerMatcher(const Knowledge* knowledge, double cooling_factor)
     slowdown_ratio_.push_back(fmax / f - 1.0);
 }
 
-Watts PowerMatcher::task_power(const ActiveTask& task,
-                               std::size_t level) const {
-  Watts p;
-  for (const std::size_t id : task.procs) p += knowledge_->power(id, level);
-  return p;
-}
-
-std::size_t PowerMatcher::min_feasible_level(const ActiveTask& task,
-                                             double now_s) const {
-  const std::size_t count = knowledge_->levels();
-  const double slack = task.deadline_s - now_s;
-  for (std::size_t l = 0; l < count; ++l) {
-    if (task.remaining_work_s * slowdown(task, l) <= slack) return l;
-  }
-  return count - 1;  // even Fmax misses: run flat out
-}
-
-std::size_t PowerMatcher::energy_optimal_level(const ActiveTask& task,
-                                               std::size_t floor) const {
-  const std::size_t top = knowledge_->levels() - 1;
-  ISCOPE_CHECK_ARG(floor <= top, "energy_optimal_level: floor out of range");
-  std::size_t best = top;
-  Watts best_energy = task_power(task, top) * slowdown(task, top);
-  // Prefer the higher level on ties (finish sooner at equal energy).
-  for (std::size_t l = top; l-- > floor;) {
-    const Watts e = task_power(task, l) * slowdown(task, l);
-    if (e < best_energy) {
-      best_energy = e;
-      best = l;
-    }
-  }
-  return best;
-}
-
 namespace {
 
 // Heap order for phase-2 down-steps: largest saving on top, smaller task
-// index winning ties. Shared by `match` and the reference so their pop
-// order agrees bit for bit.
+// index winning ties.
 struct StepLess {
   bool operator()(const DownStep& a, const DownStep& b) const {
     if (a.saving != b.saving) return a.saving < b.saving;
@@ -67,8 +31,8 @@ struct StepLess {
 
 // Push row r's next down-step, if it is still above its deadline floor.
 // The vector driven by push_heap/pop_heap replicates std::priority_queue's
-// exact call sequence (see match_reference), so equal-saving pops stay in
-// the same order.
+// exact call sequence, so equal-saving pops come in the order a
+// priority_queue descent would produce.
 void push_down_step(const MatcherColumns& cols, std::size_t r,
                     std::vector<DownStep>& heap) {
   const std::size_t l = cols.level[r];
@@ -226,54 +190,6 @@ MatchResult PowerMatcher::match(MatcherColumns& cols, Watts wind_avail,
   result.compute = compute;
   result.demand = compute * cooling_factor_;
   result.steps = state.cursor;
-  return result;
-}
-
-MatchResult PowerMatcher::match_reference(std::vector<ActiveTask>& tasks,
-                                          Watts wind_avail,
-                                          double now_s) const {
-  ISCOPE_CHECK_ARG(wind_avail.raw() >= 0.0, "PowerMatcher: negative wind");
-
-  MatchResult result;
-  if (tasks.empty()) return result;
-
-  // Phase 1: energy-optimal deadline-feasible baseline.
-  std::vector<std::size_t> floor(tasks.size());
-  Watts compute;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    floor[i] = min_feasible_level(tasks[i], now_s);
-    tasks[i].level = energy_optimal_level(tasks[i], floor[i]);
-    compute += task_power(tasks[i], tasks[i].level);
-  }
-
-  // Phase 2: fit under the wind budget with greedy best-saving down-steps.
-  Watts floor_compute;
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    floor_compute += task_power(tasks[i], floor[i]);
-  if (wind_avail.raw() > 0.0 && wind_avail >= floor_compute * cooling_factor_) {
-    std::priority_queue<DownStep, std::vector<DownStep>, StepLess> heap;
-    auto push_step = [&](std::size_t i) {
-      const std::size_t l = tasks[i].level;
-      if (l == 0 || l <= floor[i]) return;
-      const Watts saving = task_power(tasks[i], l) -
-                           task_power(tasks[i], l - 1);
-      heap.push(DownStep{saving, i, l - 1});
-    };
-    for (std::size_t i = 0; i < tasks.size(); ++i) push_step(i);
-
-    while (compute * cooling_factor_ > wind_avail && !heap.empty()) {
-      const DownStep step = heap.top();
-      heap.pop();
-      if (tasks[step.task].level != step.to_level + 1) continue;
-      tasks[step.task].level = step.to_level;
-      compute -= step.saving;
-      ++result.steps;
-      push_step(step.task);
-    }
-  }
-
-  result.compute = compute;
-  result.demand = compute * cooling_factor_;
   return result;
 }
 

@@ -23,13 +23,13 @@
 // there is no budget to fit under, and stretching execution would only burn
 // more (expensive) static energy.
 //
-// The production entry point is `match`, over the simulator's SoA rows
+// The one entry point is `match`, over the simulator's SoA rows
 // (matcher_columns.hpp): it replays the cached greedy trajectory when only
 // the wind budget moved since the last solve, and otherwise solves from
-// scratch and re-caches (DESIGN.md Sec. 14). `match_reference` is the
-// independent oracle over `ActiveTask` views (O(procs) power sums, its own
-// priority_queue descent); tests/test_match_equivalence.cpp holds the two
-// bit-identical, and committed golden digests pin both.
+// scratch and re-caches (DESIGN.md Sec. 14). The unit suites hold it to an
+// independent oracle kept with the tests (tests/reference_scheduler.hpp:
+// O(procs) power sums, its own priority_queue descent), and committed
+// golden digests pin the simulations it drives.
 #pragma once
 
 #include <cstddef>
@@ -39,15 +39,6 @@
 #include "sched/matcher_columns.hpp"
 
 namespace iscope {
-
-/// A running task as the reference matcher sees it.
-struct ActiveTask {
-  double remaining_work_s = 0.0;  ///< work left, in seconds-at-Fmax
-  double deadline_s = 0.0;
-  double gamma = 1.0;             ///< CPU-boundness (Eq-3)
-  std::vector<std::size_t> procs; ///< processors it occupies
-  std::size_t level = 0;          ///< matcher output: assigned DVFS level
-};
 
 struct MatchResult {
   Watts compute;           ///< IT power after matching
@@ -79,9 +70,10 @@ struct DownStep {
 ///
 /// Validity: the cache assumes the row set, the per-row power/slowdown
 /// tables and the deadline floors are those of the cached solve. The
-/// simulator invalidates on task start/completion/requeue, Knowledge
-/// generation bumps and rush-mode flips; `match` re-checks the floors
-/// itself and re-solves when they moved. A fresh state always solves.
+/// simulator invalidates on task start/completion/requeue and rush-mode
+/// flips (a row's tables are fixed while its task runs); `match` re-checks
+/// the floors itself and re-solves when they moved. A fresh state always
+/// solves.
 struct IncrementalMatchState {
   struct AppliedStep {
     Watts compute_after;  ///< running compute after applying it
@@ -131,28 +123,7 @@ class PowerMatcher {
   MatchResult match(MatcherColumns& cols, Watts wind_avail, double now_s,
                     IncrementalMatchState& state) const;
 
-  /// The independent oracle: the same two phases over ActiveTask views,
-  /// with O(procs) power sums and a priority_queue descent. Reference for
-  /// the scheduler-equivalence suite; not a hot path.
-  MatchResult match_reference(std::vector<ActiveTask>& tasks,
-                              Watts wind_avail, double now_s) const;
-
-  /// Lowest level at which `task` still meets its deadline starting `now_s`;
-  /// returns the top level if even that misses (run flat out, QoS best
-  /// effort).
-  std::size_t min_feasible_level(const ActiveTask& task, double now_s) const;
-
-  /// Energy-optimal level in [floor, top]: minimizes P(l) * slowdown(l).
-  std::size_t energy_optimal_level(const ActiveTask& task,
-                                   std::size_t floor) const;
-
-  /// IT power of one task at one level: the sum over its processors.
-  Watts task_power(const ActiveTask& task, std::size_t level) const;
-
-  /// Eq-3 slowdown of a task at a level.
-  double slowdown(const ActiveTask& task, std::size_t level) const {
-    return slowdown(task.gamma, level);
-  }
+  /// Eq-3 slowdown of a task with CPU-boundness `gamma` at a level.
   double slowdown(double gamma, std::size_t level) const {
     return gamma * slowdown_ratio_[level] + 1.0;
   }
@@ -163,7 +134,6 @@ class PowerMatcher {
   double cooling_factor() const { return cooling_factor_; }
 
  private:
-  const Knowledge* knowledge_;  // non-owning
   double cooling_factor_;
   /// Precomputed (fmax / f_l - 1.0) per level; slowdown() is then one
   /// multiply-add instead of a division (bit-identical: same operation

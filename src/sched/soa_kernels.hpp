@@ -3,14 +3,14 @@
 // Two primitives cover the matcher's per-level work:
 //
 //  * floor_scan_rows -- per row, the first level l with
-//    remaining * slowdown[l] <= slack (PowerMatcher::min_feasible_level
-//    over each SoA row);
+//    remaining * slowdown[l] <= slack (the task's deadline floor);
 //  * best_from_fill  -- the energy-optimal level for every possible
 //    deadline floor, by one suffix scan over power[l] * slowdown[l].
 //
 // Both are plain scalar loops of independent multiplies and ordered
-// compares, so each reproduces its reference function bit for bit
-// (tests/test_power_matcher.cpp checks both on randomized rows).
+// compares, so each reproduces the per-task oracle's level-by-level walk
+// bit for bit (tests/test_power_matcher.cpp checks both on randomized rows
+// against tests/reference_scheduler.hpp).
 #pragma once
 
 #include <cstddef>
@@ -19,8 +19,8 @@
 namespace iscope::soa {
 
 /// First level whose slowed-down remaining work still meets the slack;
-/// top level (levels - 1) when even that misses. Exact port of
-/// PowerMatcher::min_feasible_level against a precomputed slowdown row.
+/// top level (levels - 1) when even that misses (run flat out, QoS best
+/// effort).
 inline std::size_t floor_scan(const double* slowdown_row, std::size_t levels,
                               double remaining, double slack) {
   for (std::size_t l = 0; l < levels; ++l) {
@@ -43,11 +43,10 @@ inline void floor_scan_rows(const double* slowdown, std::size_t levels,
 
 /// Energy-optimal level for every possible deadline floor f, by one
 /// descending pass: out[f] = argmin over l in [f, top] of
-/// power[l] * slowdown[l], ties to the higher level. The running best
-/// accumulates exactly the strict `<` comparisons
-/// PowerMatcher::energy_optimal_level(floor=f) performs, so out[f]
-/// reproduces its answer bit for bit. `levels` must fit the uint8 row
-/// (checked by MatcherColumns::reset).
+/// power[l] * slowdown[l], ties to the higher level (finish sooner at
+/// equal energy). The running best accumulates exactly the strict `<`
+/// comparisons a descending walk from the top down to floor f performs.
+/// `levels` must fit the uint8 row (checked by MatcherColumns::reset).
 inline void best_from_fill(const double* power_row, const double* slowdown_row,
                            std::size_t levels, std::uint8_t* out) {
   std::size_t best = levels - 1;

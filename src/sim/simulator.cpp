@@ -71,6 +71,7 @@ DatacenterSim::DatacenterSim(const Knowledge* knowledge, Knowledge* quarantine,
     stock_w_.push_back(knowledge_->cluster()
                            .power(knowledge_->global_proc(p), top, vdd)
                            .raw());
+  power_row_.resize(knowledge_->levels());
 }
 
 double DatacenterSim::fmax_ghz() const {
@@ -117,15 +118,8 @@ void DatacenterSim::idle_insert(std::size_t p) {
   idle_flags_[p] = 1;
   ++idle_count_;
   if (sleep_.active()) sleep_on_idle(p);
-  if (fast_placement_) {
-    const std::size_t r = rank_of_proc_[p];
-    idle_rank_bits_[r >> 6] |= std::uint64_t{1} << (r & 63);
-  }
-  if (maintain_idle_sorted_) {
-    const auto it =
-        std::lower_bound(idle_sorted_.begin(), idle_sorted_.end(), p);
-    idle_sorted_.insert(it, p);
-  }
+  const std::size_t r = rank_of_proc_[p];
+  idle_rank_bits_[r >> 6] |= std::uint64_t{1} << (r & 63);
   if (maintain_idle_by_busy_) {
     // Order by (busy time, id) -- the sort key of Fair's abundant-wind
     // partial_sort. Busy time only moves while a processor is running, so
@@ -147,17 +141,8 @@ void DatacenterSim::idle_remove(std::size_t p) {
   idle_flags_[p] = 0;
   --idle_count_;
   if (sleep_.active()) sleep_.on_claim(p, stock_w_[p]);
-  if (fast_placement_) {
-    const std::size_t r = rank_of_proc_[p];
-    idle_rank_bits_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
-  }
-  if (maintain_idle_sorted_) {
-    const auto it =
-        std::lower_bound(idle_sorted_.begin(), idle_sorted_.end(), p);
-    ISCOPE_CHECK(it != idle_sorted_.end() && *it == p,
-                 "idle_remove: processor not idle");
-    idle_sorted_.erase(it);
-  }
+  const std::size_t r = rank_of_proc_[p];
+  idle_rank_bits_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
   if (maintain_idle_by_busy_) {
     const double busy = busy_time_s_[p];
     const double* busy_all = busy_time_s_.data();
@@ -173,8 +158,21 @@ void DatacenterSim::idle_remove(std::size_t p) {
   }
 }
 
+void DatacenterSim::cols_append(std::size_t idx) {
+  SimTask& t = tasks_[idx];
+  const std::size_t levels = knowledge_->levels();
+  for (std::size_t l = 0; l < levels; ++l) {
+    Watts p;
+    for (const std::size_t id : t.procs) p += knowledge_->power(id, l);
+    power_row_[l] = p.raw();
+  }
+  t.col = cols_.append(idx, t.remaining_work_s, t.spec.deadline_s);
+  cols_.fill_row(t.col, t.spec.gamma, matcher_.slowdown_ratio(),
+                 power_row_.data());
+  inc_.invalidate();
+}
+
 void DatacenterSim::cols_remove(std::size_t idx) {
-  if (config_.use_reference_matcher) return;
   SimTask& t = tasks_[idx];
   const std::size_t row = t.col;
   ISCOPE_CHECK(row != kNone && row < cols_.count && cols_.task[row] == idx,
@@ -183,19 +181,6 @@ void DatacenterSim::cols_remove(std::size_t idx) {
   t.col = kNone;
   for (std::size_t r = row; r < cols_.count; ++r) tasks_[cols_.task[r]].col = r;
   inc_.invalidate();
-}
-
-void DatacenterSim::fill_power_table(std::size_t idx) {
-  const std::size_t levels = knowledge_->levels();
-  const SimTask& t = tasks_[idx];
-  double* row = power_table_.data() + idx * levels;
-  for (std::size_t l = 0; l < levels; ++l) {
-    // Same summation order as the matcher's original O(procs) loop, so the
-    // cached value is bit-identical to what it used to recompute per call.
-    Watts p;
-    for (const std::size_t id : t.procs) p += knowledge_->power(id, l);
-    row[l] = p.raw();
-  }
 }
 
 void DatacenterSim::accrue_to_now() {
@@ -245,23 +230,6 @@ void DatacenterSim::rematch() {
   const double now = queue_.now();
   ++rematch_count_;
 
-  const bool columns = !config_.use_reference_matcher;
-
-  // Power tables follow the Knowledge view; refresh them (and the derived
-  // SoA rows) if it moved. New powers mean a new greedy trajectory, so the
-  // incremental cache dies with the old generation.
-  if (knowledge_->generation() != knowledge_gen_) {
-    knowledge_gen_ = knowledge_->generation();
-    const std::size_t levels = knowledge_->levels();
-    for (std::size_t idx = run_head_; idx != kNone;
-         idx = tasks_[idx].run_next) {
-      fill_power_table(idx);
-      if (columns)
-        cols_.refresh_power(tasks_[idx].col, power_table_.data() + idx * levels);
-    }
-    if (columns) inc_.invalidate();
-  }
-
   // Integrate progress of running tasks up to now at their current levels.
   for (std::size_t idx = run_head_; idx != kNone; idx = tasks_[idx].run_next) {
     SimTask& t = tasks_[idx];
@@ -271,7 +239,7 @@ void DatacenterSim::rematch() {
       t.remaining_work_s = std::max(0.0, t.remaining_work_s - dt / slowdown);
     }
     t.last_update_s = now;
-    if (columns) cols_.remaining[t.col] = t.remaining_work_s;
+    cols_.remaining[t.col] = t.remaining_work_s;
   }
 
   // accrue_to_now() above refreshed segment_wind_ at this exact instant;
@@ -279,49 +247,21 @@ void DatacenterSim::rematch() {
   const Watts wind = segment_wind_;
 
   MatchResult match;
-  if (columns) {
-    if (rush_mode_) {
-      // A deadline-forced task is starving for processors: run everything
-      // at the top level to free CPUs as soon as possible, whatever the
-      // wind. Levels are forced off the cached trajectory, so it dies.
-      const std::size_t top = cols_.levels - 1;
-      Watts compute;
-      for (std::size_t r = 0; r < cols_.count; ++r) {
-        cols_.level[r] = top;
-        compute += Watts{cols_.power[r * cols_.levels + top]};
-      }
-      match.compute = compute;
-      match.demand = compute * matcher_.cooling_factor();
-      inc_.invalidate();
-    } else {
-      match = matcher_.match(cols_, wind, now, inc_);
+  if (rush_mode_) {
+    // A deadline-forced task is starving for processors: run everything
+    // at the top level to free CPUs as soon as possible, whatever the
+    // wind. Levels are forced off the cached trajectory, so it dies.
+    const std::size_t top = cols_.levels - 1;
+    Watts compute;
+    for (std::size_t r = 0; r < cols_.count; ++r) {
+      cols_.level[r] = top;
+      compute += Watts{cols_.power[r * cols_.levels + top]};
     }
+    match.compute = compute;
+    match.demand = compute * matcher_.cooling_factor();
+    inc_.invalidate();
   } else {
-    // Reference path (tests): deep-copy the views and let the matcher
-    // re-derive everything per call.
-    views_.clear();
-    for (std::size_t idx = run_head_; idx != kNone;
-         idx = tasks_[idx].run_next) {
-      const SimTask& t = tasks_[idx];
-      ActiveTask v;
-      v.remaining_work_s = t.remaining_work_s;
-      v.deadline_s = t.spec.deadline_s;
-      v.gamma = t.spec.gamma;
-      v.procs = t.procs;
-      views_.push_back(std::move(v));
-    }
-    if (rush_mode_) {
-      const std::size_t top = knowledge_->levels() - 1;
-      Watts compute;
-      for (auto& v : views_) {
-        v.level = top;
-        compute += matcher_.task_power(v, top);
-      }
-      match.compute = compute;
-      match.demand = compute * matcher_.cooling_factor();
-    } else {
-      match = matcher_.match_reference(views_, wind, now);
-    }
+    match = matcher_.match(cols_, wind, now, inc_);
   }
   // Active profiling scans draw power (and cooling) like any other load.
   last_compute_ = match.compute;
@@ -332,11 +272,9 @@ void DatacenterSim::rematch() {
 
   // Apply levels; reschedule completion events where the level changed
   // (completion time is invariant when the level is unchanged).
-  std::size_t k = 0;
-  for (std::size_t idx = run_head_; idx != kNone;
-       idx = tasks_[idx].run_next, ++k) {
+  for (std::size_t idx = run_head_; idx != kNone; idx = tasks_[idx].run_next) {
     SimTask& t = tasks_[idx];
-    const std::size_t new_level = columns ? cols_.level[t.col] : views_[k].level;
+    const std::size_t new_level = cols_.level[t.col];
     const bool first_schedule = !t.completion_scheduled;
     if (new_level != t.level || first_schedule) {
       t.completion_scheduled = true;
@@ -370,13 +308,11 @@ void DatacenterSim::schedule_pass() {
   ISCOPE_SPAN_SIM("match", queue_.now());
   in_pass_ = true;
 
-  // Fast path (default matcher, Effi/Fair): place straight off the
-  // maintained idle flags / busy-ordered list -- no snapshot copy, no
-  // per-task partial_sort. The legacy path (kRandom, whose draws consume
-  // the RNG against the scratch vector's exact layout, and the reference
-  // configuration) snapshots the sorted idle list as before.
-  const bool fast = fast_placement_;
-  if (!fast) idle_scratch_.assign(idle_sorted_.begin(), idle_sorted_.end());
+  // Ran draws from the idle set in processor-id order, read once per pass:
+  // each pick permutes the pool and leaves it, and the pass's later draws
+  // consume the RNG against that remainder.
+  if (policy_.rule() == PlacementRule::kRandom)
+    policy_.idle_in_order(idle_count_, idle_rank_bits_.data(), random_pool_);
 
   const double now = queue_.now();
   const bool has_wind = supply_->has_wind();
@@ -385,16 +321,13 @@ void DatacenterSim::schedule_pass() {
   // re-evaluated per task as demand_ grows).
   const Watts wind_now = supply_->wind_available(Seconds{now});
   // Only Fair and Therm read the supply-side context fields (both defer
-  // on wind scarcity); skipping them for Effi is observable-behavior-free
-  // (forecast_mean is a pure function of its arguments -- see
-  // NoisyForecaster -- and the legacy path keeps filling everything).
-  const bool want_supply_ctx =
-      !fast || policy_.rule() == PlacementRule::kFair ||
-      policy_.rule() == PlacementRule::kTherm;
+  // on wind scarcity); skipping them for Ran and Effi is
+  // observable-behavior-free (forecast_mean is a pure function of its
+  // arguments -- see NoisyForecaster).
+  const bool want_supply_ctx = policy_.rule() == PlacementRule::kFair ||
+                               policy_.rule() == PlacementRule::kTherm;
 
   PlacementContext ctx;
-  ctx.busy_time_s = &busy_time_s_;
-  ctx.now_s = now;
   ctx.has_wind = has_wind;
   ctx.queue_pressure = static_cast<double>(waiting_cpus_) /
                        static_cast<double>(proc_running_.size());
@@ -417,8 +350,7 @@ void DatacenterSim::schedule_pass() {
     SimTask& t = tasks_[idx];
     const bool forced =
         now >= latest_start(t) - config_.deadline_patience_s;
-    const std::size_t idle_avail = fast ? idle_count_ : idle_scratch_.size();
-    if (t.spec.cpus > idle_avail) {
+    if (t.spec.cpus > idle_count_) {
       // A forced task that cannot fit reserves the freed CPUs: stop the
       // pass so backfill cannot starve it, and rush the running work.
       if (forced) {
@@ -446,33 +378,16 @@ void DatacenterSim::schedule_pass() {
                                                    Seconds{ctx.slack_s})
               : Watts{std::numeric_limits<double>::infinity()};
     }
-    if (fast) {
-      if (!policy_.choose_soa(t.spec.cpus, idle_rank_bits_.data(),
-                              idle_by_busy_, ctx, pick_scratch_)) {
-        if (memo_rejections && !forced)
-          rejected_width = std::min(rejected_width, t.spec.cpus);
-        waiting_[write++] = idx;  // voluntarily waiting; backfill continues
-        ++read;
-        continue;
-      }
-      ++read;
-      start_task(idx, pick_scratch_);  // start_task copies; scratch reused
-      continue;
-    }
-    auto choice = policy_.choose(t.spec.cpus, idle_scratch_, ctx);
-    if (!choice.has_value()) {
+    if (!policy_.choose(t.spec.cpus, idle_rank_bits_.data(), idle_by_busy_,
+                        random_pool_, ctx, pick_scratch_)) {
       if (memo_rejections && !forced)
         rejected_width = std::min(rejected_width, t.spec.cpus);
-      waiting_[write++] = idx;  // voluntarily waiting; backfill may proceed
+      waiting_[write++] = idx;  // voluntarily waiting; backfill continues
       ++read;
       continue;
     }
-    // The chosen processors are the first n entries of idle_scratch_.
-    idle_scratch_.erase(
-        idle_scratch_.begin(),
-        idle_scratch_.begin() + static_cast<std::ptrdiff_t>(t.spec.cpus));
     ++read;
-    start_task(idx, std::move(*choice));
+    start_task(idx, pick_scratch_);  // start_task copies; scratch reused
   }
   // On a forced-blocked break the unvisited tail (including the blocked
   // task itself) slides down unchanged.
@@ -551,17 +466,8 @@ void DatacenterSim::activate_task(std::size_t idx) {
                       EventDesc{EventDesc::Kind::kMisprofileTimer, p, token});
     }
   }
-  fill_power_table(idx);
   link_running(idx);
-  if (!config_.use_reference_matcher) {
-    // Append the SoA row in running-list order (see matcher_columns.hpp)
-    // and derive its slowdown/power/best_from blocks. A new row means a
-    // new greedy trajectory, so the incremental cache dies here.
-    t.col = cols_.append(idx, t.remaining_work_s, t.spec.deadline_s);
-    cols_.fill_row(t.col, t.spec.gamma, matcher_.slowdown_ratio(),
-                   power_table_.data() + idx * knowledge_->levels());
-    inc_.invalidate();
-  }
+  cols_append(idx);
   rematch();
 }
 
@@ -1178,10 +1084,8 @@ void DatacenterSim::rebuild_derived() {
   const std::size_t levels = knowledge_->levels();
 
   // Quarantine mirrors the failed flags exactly, so replaying it restores
-  // the Knowledge view; the power rows below match the generation after
-  // the replay.
+  // the Knowledge view.
   fault_.replay_quarantine();
-  knowledge_gen_ = knowledge_->generation();
 
   // A flat run builds its thermal model once, here, and ScanTherm installs
   // its recirculation-aware order from it before the rank tables below are
@@ -1197,31 +1101,19 @@ void DatacenterSim::rebuild_derived() {
   for (SimTask& t : tasks_)
     t.latest_start_s = t.spec.latest_start_s(fmax, fmax);
 
-  // Idle bookkeeping: flags + count are primary; the ordered lists and the
-  // rank bitset exist only where a consumer needs them (see the member
-  // comments). Bits past nprocs stay clear: choose_soa trusts them.
-  fast_placement_ = !config_.use_reference_matcher &&
-                    policy_.rule() != PlacementRule::kRandom;
-  maintain_idle_sorted_ = !fast_placement_;
-  maintain_idle_by_busy_ =
-      fast_placement_ && policy_.rule() == PlacementRule::kFair;
-  idle_sorted_.clear();
+  // Idle bookkeeping: flags + count are primary; the rank bitset serves
+  // every rule, the busy-ordered list only Fair (see the member comments).
+  // Bits past nprocs stay clear: choose() trusts them.
+  maintain_idle_by_busy_ = policy_.rule() == PlacementRule::kFair;
   idle_by_busy_.clear();
-  rank_of_proc_.clear();
-  idle_rank_bits_.clear();
-  if (fast_placement_) {
-    rank_of_proc_.resize(nprocs);
-    for (std::size_t p = 0; p < nprocs; ++p)
-      rank_of_proc_[p] = policy_.efficiency_rank(p);
-    idle_rank_bits_.resize((nprocs + 63) / 64);
-  }
+  rank_of_proc_.resize(nprocs);
+  for (std::size_t p = 0; p < nprocs; ++p)
+    rank_of_proc_[p] = policy_.placement_rank(p);
+  idle_rank_bits_.assign((nprocs + 63) / 64, 0);
   for (std::size_t p = 0; p < nprocs; ++p) {
     if (idle_flags_[p] == 0) continue;
-    if (fast_placement_) {
-      const std::size_t r = rank_of_proc_[p];
-      idle_rank_bits_[r >> 6] |= std::uint64_t{1} << (r & 63);
-    }
-    if (maintain_idle_sorted_) idle_sorted_.push_back(p);
+    const std::size_t r = rank_of_proc_[p];
+    idle_rank_bits_[r >> 6] |= std::uint64_t{1} << (r & 63);
     if (maintain_idle_by_busy_) idle_by_busy_.push_back(p);
   }
   const double* busy = busy_time_s_.data();
@@ -1234,27 +1126,18 @@ void DatacenterSim::rebuild_derived() {
   // reservations are the true high-water marks.
   pick_scratch_.clear();
   pick_scratch_.reserve(nprocs);
-  idle_scratch_.clear();
-  views_.clear();
-  views_.reserve(nprocs);
+  random_pool_.clear();
+  random_pool_.reserve(nprocs);
 
-  // Per-task power rows for the running set, then its SoA columns in
-  // running-list order (the matcher's sums are order-sensitive). The
-  // incremental cache starts invalid: the next rematch does a full solve,
-  // which is bit-identical to the replay it displaces. Reserving the
-  // trajectory log for every task stepping through every level keeps
-  // steady-state rematches allocation-free.
-  power_table_.assign(tasks_.size() * levels, 0.0);
+  // SoA columns for the running set in running-list order (the matcher's
+  // sums are order-sensitive). The incremental cache starts invalid: the
+  // next rematch does a full solve, which is bit-identical to the replay
+  // it displaces. Reserving the trajectory log for every task stepping
+  // through every level keeps steady-state rematches allocation-free.
   cols_.reset(levels, nprocs);
   for (std::size_t idx = run_head_; idx != kNone; idx = tasks_[idx].run_next) {
-    SimTask& t = tasks_[idx];
-    fill_power_table(idx);
-    if (!config_.use_reference_matcher) {
-      t.col = cols_.append(idx, t.remaining_work_s, t.spec.deadline_s);
-      cols_.fill_row(t.col, t.spec.gamma, matcher_.slowdown_ratio(),
-                     power_table_.data() + idx * levels);
-      cols_.level[t.col] = t.level;
-    }
+    cols_append(idx);
+    cols_.level[tasks_[idx].col] = tasks_[idx].level;
   }
   inc_.invalidate();
   inc_.log.reserve(nprocs * levels);
@@ -1272,8 +1155,6 @@ std::size_t DatacenterSim::admit(Task task) {
   st.spec = std::move(task);
   st.latest_start_s = st.spec.latest_start_s(fmax, fmax);
   tasks_.push_back(std::move(st));
-  // Grow the per-task power table; the new row is filled at task start.
-  power_table_.resize(tasks_.size() * knowledge_->levels(), 0.0);
   queue_.schedule(tasks_[i].spec.submit_s,
                   EventDesc{EventDesc::Kind::kArrival, i});
   // A drained run stopped the self-rechaining epoch/sample events; restart

@@ -31,19 +31,19 @@
 // share one derived-state rebuild, rebuild_derived().
 //
 // Hot-path design (DESIGN.md Secs. 9 and 14): `rematch()` performs zero
-// heap allocations at steady state. Per-task per-level power tables are
-// filled once at task start (power only changes when the Knowledge view
-// refreshes, tracked by its generation counter); the running set is an
-// intrusive doubly-linked list through SimTask (O(1) removal that --
-// unlike swap-and-pop -- preserves start order, which the matcher's
-// floating-point sums and equal-saving tiebreaks depend on for
+// heap allocations at steady state. A task's per-level power row is summed
+// once, when it starts, and is fixed while it runs (quarantine and release
+// move the Knowledge generation but change no processor's power); the
+// running set is an intrusive doubly-linked list through SimTask (O(1)
+// removal that -- unlike swap-and-pop -- preserves start order, which the
+// matcher's floating-point sums and equal-saving tiebreaks depend on for
 // bit-reproducibility). The running set is mirrored into SoA columns in
 // the same order (matcher_columns.hpp), which PowerMatcher::match solves
 // over, replaying its cached greedy trajectory when only the wind moved;
-// placement picks by rank scan instead of per-task partial_sorts. The
-// reference matcher and placement (match_reference, choose()) run behind
-// SimConfig::use_reference_matcher as the oracle
-// tests/test_match_equivalence.cpp holds the default path to, bit for bit.
+// every placement rule picks off one rank-indexed idle bitset. The oracles
+// this scheduler is tested against live with the tests
+// (tests/reference_scheduler.hpp), and committed digests pin its results
+// (tests/data/golden/).
 #pragma once
 
 #include <algorithm>
@@ -102,12 +102,6 @@ struct SimConfig {
   /// it before the utility grid steps in. Default: absent. Wind energy is
   /// paid at absorption, so round-trip losses are on the wind bill.
   BatteryConfig battery;
-  /// Test-only: drive rematch through the reference oracle
-  /// (PowerMatcher::match_reference over deep-copied views, O(procs) power
-  /// sums, per-task partial-sort placement via PlacementPolicy::choose).
-  /// The scheduler-equivalence suite asserts this produces bit-identical
-  /// results to the default path (SoA columns + rank-scan placement).
-  bool use_reference_matcher = false;
   /// Fault injection (src/fault/). The default `FaultSpec{}` injects
   /// nothing and is guaranteed bit-identical to a fault-free build. CPU
   /// faults (crashes / mis-profiling) additionally need the mutable-
@@ -307,8 +301,7 @@ class DatacenterSim {
     /// Intrusive links of the running list (kNone when not running).
     std::size_t run_prev = kNone;
     std::size_t run_next = kNone;
-    /// Row in the SoA matcher columns while running (kNone otherwise;
-    /// unused on the reference-matcher path).
+    /// Row in the SoA matcher columns while running (kNone otherwise).
     std::size_t col = kNone;
     /// Latest deadline-feasible start at the top frequency, cached at
     /// prepare() (it is a pure function of the immutable spec).
@@ -326,10 +319,10 @@ class DatacenterSim {
   /// cursor). Checkpoint restore screens every saved event with it.
   bool event_in_range(const EventDesc& e) const;
   /// Derive every cache from the primary state: the fault quarantine, a
-  /// flat run's thermal model with the ScanTherm order, placement flags,
-  /// idle lists and rank bits from idle_flags_ and busy_time_s_, power
-  /// rows and SoA columns for the running list, and a reset incremental
-  /// cache. prepare() and checkpoint restore both end their state setup
+  /// flat run's thermal model with the ScanTherm order, the rank bits and
+  /// Fair's busy-ordered list from idle_flags_ and busy_time_s_, the SoA
+  /// columns for the running list, and a reset incremental cache.
+  /// prepare() and checkpoint restore both end their state setup
   /// here, so the two cannot drift apart.
   void rebuild_derived();
   void on_arrival(std::size_t idx);
@@ -416,13 +409,15 @@ class DatacenterSim {
   /// preserving O(1) bookkeeping).
   void link_running(std::size_t idx);
   void unlink_running(std::size_t idx);
+  /// Append a task's SoA row at the end (running-list order), derive its
+  /// tables and invalidate the incremental cache. The power row sums each
+  /// level over the task's processors and stays fixed while the task runs.
+  void cols_append(std::size_t idx);
   /// Drop a task's SoA row (order-preserving shift; re-points the row
   /// handles of every shifted task) and invalidate the incremental cache.
-  /// No-op on the reference-matcher path, which keeps no columns.
   void cols_remove(std::size_t idx);
-  /// Fill the task's row of the per-level power table from its processors.
-  void fill_power_table(std::size_t idx);
-  /// Maintain the sorted idle-processor list at its mutation sites.
+  /// Move a processor into or out of the idle pool, keeping the flags, the
+  /// rank bitset and Fair's busy-ordered list in step.
   void idle_insert(std::size_t p);
   void idle_remove(std::size_t p);
   /// Eq-3 slowdown of a running task at its current level.
@@ -445,40 +440,31 @@ class DatacenterSim {
   std::size_t waiting_cpus_ = 0;           ///< total width of waiting_
   std::vector<std::size_t> proc_running_;  ///< task idx or kNone
   std::vector<double> busy_time_s_;
-  /// Idle, non-reserved processors: flags + count are always maintained
-  /// (the placement fast path tests membership in O(1)); the sorted id
-  /// list is only kept where something consumes its order -- the kRandom
-  /// scratch copy and the reference path (maintain_idle_sorted_). The
-  /// (busy time, id)-ordered list feeds Fair's abundant-wind pick and is
-  /// kept only there (maintain_idle_by_busy_). Busy time is frozen while
-  /// a processor sits idle, so order maintenance happens purely at
-  /// insert/remove.
+  /// Idle, non-reserved processors: flags + count, and the rank-indexed
+  /// idle bitset every placement rule picks from. Bit r (word r/64) set
+  /// means the processor at placement rank r is idle, so insert/remove is
+  /// one bit op and PlacementPolicy::choose pops picks with a ctz scan
+  /// (rank_of_proc_ caches the policy's rank table; under Ran the rank is
+  /// the processor id). The (busy time, id)-ordered list feeds Fair's
+  /// abundant-wind pick and is kept only there (maintain_idle_by_busy_).
+  /// Busy time is frozen while a processor sits idle, so its order is
+  /// maintained purely at insert/remove.
   std::vector<std::uint8_t> idle_flags_;
   std::size_t idle_count_ = 0;
-  std::vector<std::size_t> idle_sorted_;
-  std::vector<std::size_t> idle_by_busy_;
-  /// Rank-indexed idle bitset for the fast path's best-rank-first pick:
-  /// bit r (word r/64) set means the processor with efficiency rank r is
-  /// idle. Insert/remove is one bit op; PlacementPolicy::choose_soa pops
-  /// picks with a ctz scan instead of walking the efficiency order.
-  /// Maintained only when fast_placement_ (rank_of_proc_ caches the
-  /// policy's rank table for the O(1) updates).
   std::vector<std::uint64_t> idle_rank_bits_;
   std::vector<std::size_t> rank_of_proc_;
-  bool maintain_idle_sorted_ = true;
+  std::vector<std::size_t> idle_by_busy_;
   bool maintain_idle_by_busy_ = false;
-  /// True when schedule_pass may skip the idle-vector copy and the
-  /// per-task partial_sort: the default matcher with a deterministic rule
-  /// (Effi/Fair). kRandom's draws depend on the legacy scratch layout and
-  /// the reference path *is* the legacy code, so both keep it.
-  bool fast_placement_ = false;
-  std::vector<std::size_t> pick_scratch_;  ///< choose_soa output buffer
+  /// Ran's draw pool for the current scheduling pass: the idle set in
+  /// processor-id order, read off the bitset once per pass (see
+  /// PlacementPolicy::choose).
+  std::vector<std::size_t> random_pool_;
+  std::vector<std::size_t> pick_scratch_;  ///< choose() output buffer
   /// Running set: intrusive list through SimTask::run_prev/run_next, in
   /// start order (head is the longest-running task).
   std::size_t run_head_ = kNone;
   std::size_t run_tail_ = kNone;
   std::size_t run_count_ = 0;
-  std::vector<std::size_t> idle_scratch_;
   /// Stock power per processor (top DVFS level at nominal Vdd), raw watts:
   /// what a chip under scan draws, and the base of its idle residency.
   /// The cluster never changes, so the table is built once, at
@@ -490,17 +476,12 @@ class DatacenterSim {
   bool epoch_chain_live_ = false;
   bool sample_chain_live_ = false;
 
-  /// Per-task per-level IT power [task * levels + level], in raw watts;
-  /// rows are filled at task start and stay valid while the Knowledge
-  /// generation is unchanged.
-  std::vector<double> power_table_;
-  std::uint64_t knowledge_gen_ = 0;        ///< generation the table matches
-  std::vector<ActiveTask> views_;          ///< reference-path view scratch
-  /// SoA mirror of the running set in running-list order (the default
-  /// matcher path; see matcher_columns.hpp) plus the matcher's cached
-  /// greedy trajectory and solve buffers.
+  /// SoA mirror of the running set in running-list order (see
+  /// matcher_columns.hpp) plus the matcher's cached greedy trajectory and
+  /// solve buffers.
   MatcherColumns cols_;
   IncrementalMatchState inc_;
+  std::vector<double> power_row_;  ///< cols_append's per-level sums
 
   std::vector<TimelineEvent> timeline_;
   Watts demand_;
@@ -562,8 +543,10 @@ void DatacenterSim::io(Io& io) {
   io.same(policy_.rule(), "placement rule");
   io.same(cfg.seed, "seed");
   io.same(fault_.active(), "fault plan");
-  io.same(cfg.use_reference_matcher, "matcher path");
-  // Always 1: the byte keeps v2 checkpoints byte-identical.
+  // Two retired identity bytes, written as the constants every run now
+  // has, keep v2 checkpoints byte-identical: a blob written on the old
+  // reference matcher path (1) or in the old rematch mode (0) is refused.
+  io.same(false, "matcher path");
   io.same(true, "rematch mode");
   io.same(cfg.record_trace, "trace recording");
   io.same(cfg.record_timeline, "timeline recording");

@@ -1,11 +1,12 @@
 // MatcherColumns rows built from reference ActiveTask views, so a matcher
 // test states its tasks once and can run them through PowerMatcher::match
-// and check the result with the reference API (min_feasible_level,
-// energy_optimal_level, task_power, match_reference).
+// and the production kernels, and check the result with the reference
+// oracle (reference_scheduler.hpp).
 #pragma once
 
 #include <vector>
 
+#include "reference_scheduler.hpp"
 #include "sched/knowledge.hpp"
 #include "sched/power_matcher.hpp"
 
@@ -13,11 +14,12 @@ namespace iscope {
 
 /// One row per task, in order: the task's remaining work, deadline and
 /// gamma, and each level's power summed over its processors exactly as
-/// PowerMatcher::task_power sums it (the simulator's power table does the
-/// same).
+/// ReferenceMatcher::task_power sums it (the simulator sums a starting
+/// task's row the same way).
 inline MatcherColumns matcher_rows(const Knowledge& knowledge,
                                    const PowerMatcher& matcher,
                                    const std::vector<ActiveTask>& tasks) {
+  const ReferenceMatcher reference{knowledge, matcher};
   const std::size_t levels = knowledge.levels();
   MatcherColumns cols;
   cols.reset(levels, tasks.size());
@@ -26,7 +28,7 @@ inline MatcherColumns matcher_rows(const Knowledge& knowledge,
     const ActiveTask& t = tasks[i];
     const std::size_t row = cols.append(i, t.remaining_work_s, t.deadline_s);
     for (std::size_t l = 0; l < levels; ++l)
-      power[l] = matcher.task_power(t, l).raw();
+      power[l] = reference.task_power(t, l).raw();
     cols.fill_row(row, t.gamma, matcher.slowdown_ratio(), power.data());
   }
   return cols;

@@ -7,7 +7,8 @@
 //  * Randomized cut points: 50 seeds checkpoint at an arbitrary epoch of an
 //    arbitrary scheme's run and must still resume bit-identically.
 //  * Rejection: bad magic, version skew, kind mismatch, identity mismatch
-//    and truncation at every prefix length raise CheckpointError -- never a
+//    (including the constant matcher-path and rematch-mode bytes) and
+//    truncation at every prefix length raise CheckpointError -- never a
 //    crash, never a silently wrong simulator.
 //  * Streamed admission: prepare({}) + admit() in submit order == one batch
 //    prepare(tasks) (the daemon's equivalence contract).
@@ -541,6 +542,26 @@ TEST_F(Rejection, IdentityMismatch) {
   sim2.prepare({}, {});
   EXPECT_THROW(restore_from_bytes(sim2, blob.data(), blob.size()),
                CheckpointError);
+}
+
+TEST_F(Rejection, ConstantIdentityBytes) {
+  // Every run writes `matcher path` 0 and `rematch mode` 1. A blob with
+  // the other value -- written by a run on the reference matcher, or
+  // without incremental rematch -- must be refused. The bytes follow the
+  // envelope (magic u32, version u32, kind u8) and the identity fields
+  // before them: processor count u64, level count u64, placement rule
+  // u8, seed u64, fault plan b.
+  constexpr std::size_t kMatcherPath = 4 + 4 + 1 + 8 + 8 + 1 + 8 + 1;
+  constexpr std::size_t kRematchMode = kMatcherPath + 1;
+  const std::vector<std::uint8_t> blob = make_blob();
+  ASSERT_EQ(blob[kMatcherPath], 0);
+  ASSERT_EQ(blob[kRematchMode], 1);
+  std::vector<std::uint8_t> reference_path = blob;
+  reference_path[kMatcherPath] = 1;
+  expect_reject(reference_path);
+  std::vector<std::uint8_t> full_rematch = blob;
+  full_rematch[kRematchMode] = 0;
+  expect_reject(full_rematch);
 }
 
 TEST_F(Rejection, TruncationAtEveryPrefix) {

@@ -1,18 +1,19 @@
 // Scheduler-equivalence suite (DESIGN.md Sec. 9).
 //
 // The production rematch path (SoA columns, the cached greedy trajectory
-// PowerMatcher::match replays when only the wind moved, rank-scan
-// placement) must be a pure performance change: the simulator's
-// *decisions* have to match the reference oracle (match_reference over
-// ActiveTask views plus PlacementPolicy::choose) bit for bit. These tests
-// run the same scenario through both paths
-// (SimConfig::use_reference_matcher) and compare every SimResult field,
-// every trace sample, and every timeline event bitwise (sim_identity.hpp)
-// -- across all five schemes, with and without wind, a battery, in-band
-// profiling windows, active faults and two shards, on randomized clusters
-// and workloads. GoldenResults.Matrix pins both paths to committed
-// digests, and the matcher-scope property test walks random wind deltas
-// against from-scratch solves.
+// PowerMatcher::match replays when only the wind moved, bitset placement)
+// must make the reference oracle's decisions (reference_scheduler.hpp: a
+// per-task matcher over ActiveTask views and vector placement) bit for
+// bit. The unit suites check that per call. Here each MatchEquivalence and
+// IncrementalIdentity draw -- all five schemes, with and without wind, a
+// battery, in-band profiling windows, active faults and two shards, on
+// randomized clusters and workloads -- runs once and must reproduce its
+// pinned result digest (sim_identity.hpp: every SimResult field, trace
+// sample and timeline event), taken from a simulator that ran both and
+// found them equal (tests/data/golden/equivalence_digests.txt).
+// GoldenResults.Matrix pins the full scenario product the same way, and
+// the matcher-scope property test walks random wind deltas against
+// from-scratch solves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -110,15 +112,12 @@ struct Scenario {
     return sim.run(tasks, profiling);
   }
 
-  void check_equivalence(Scheme scheme, const std::vector<Task>& tasks,
-                         const HybridSupply& supply, SimConfig cfg,
-                         const std::vector<ProfilingWindow>& profiling = {})
-      const {
-    cfg.use_reference_matcher = false;
-    const SimResult optimized = run(scheme, tasks, supply, cfg, profiling);
-    cfg.use_reference_matcher = true;
-    const SimResult reference = run(scheme, tasks, supply, cfg, profiling);
-    expect_identical(optimized, reference);
+  /// The run's result digest, as the pinned rows store it.
+  std::string digest(Scheme scheme, const std::vector<Task>& tasks,
+                     const HybridSupply& supply, const SimConfig& cfg,
+                     const std::vector<ProfilingWindow>& profiling = {}) const {
+    return digest_hex(
+        result_digest(run(scheme, tasks, supply, cfg, profiling)));
   }
 };
 
@@ -131,43 +130,99 @@ struct Draw {
   std::uint64_t faults = 0;
 };
 
-// Each scenario below is written once and run on two draws, one under
-// MatchEquivalence and one under IncrementalIdentity. Both hold the
-// default path, which replays the cached greedy trajectory whenever only
-// the wind moved (DESIGN.md Sec. 14), to the reference.
+/// The digests of one test's runs, keyed `<draw>/<scheme>`.
+using DrawRows = std::map<std::string, std::string>;
 
-void all_schemes_utility_only(const Draw& d) {
-  const Scenario s(16, d.cluster);
-  const auto tasks = s.make_tasks(40, d.tasks);
-  for (const Scheme scheme : kAllSchemes) {
-    SCOPED_TRACE(scheme_name(scheme));
-    s.check_equivalence(scheme, tasks, HybridSupply{}, SimConfig{});
-  }
+std::string row_key(const Draw& d, Scheme scheme) {
+  std::ostringstream key;
+  key << "seeds=" << d.cluster << "," << d.tasks << "," << d.supply << ","
+      << d.faults << "/" << scheme_name(scheme);
+  return key.str();
 }
 
-void all_schemes_with_wind(const Draw& d) {
+const std::string& pinned_path() {
+  static const std::string path =
+      std::string(ISCOPE_TEST_DATA_DIR) + "/golden/equivalence_digests.txt";
+  return path;
+}
+
+/// tests/data/golden/equivalence_digests.txt holds one
+/// `<test>/<draw>/<scheme> <digest>` row per run of the suites below. The
+/// running test's committed rows must be exactly `produced`: a missing or
+/// moved row fails with a ready-to-paste line, a committed row the test no
+/// longer runs fails as extra. Nothing regenerates the file.
+void expect_pinned(const DrawRows& produced) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string test =
+      std::string(info->test_suite_name()) + "." + info->name();
+  std::map<std::string, std::string> golden = read_golden_rows(pinned_path());
+  for (const auto& [key, digest] : produced) {
+    const std::string row = test + "/" + key;
+    const auto it = golden.find(row);
+    if (it == golden.end()) {
+      ADD_FAILURE() << "row missing from " << pinned_path()
+                    << "; ready to paste:\n"
+                    << row << " " << digest;
+      continue;
+    }
+    if (it->second != digest) {
+      ADD_FAILURE() << row << ": digest " << digest << " != committed "
+                    << it->second << "; ready to paste:\n"
+                    << row << " " << digest;
+    }
+    golden.erase(it);
+  }
+  for (const auto& [row, digest] : golden)
+    if (row.rfind(test + "/", 0) == 0)
+      ADD_FAILURE() << "extra row in " << pinned_path() << ": " << row;
+}
+
+// Each scenario below is written once and run on two draws, one under
+// MatchEquivalence and one under IncrementalIdentity. The simulator
+// replays the cached greedy trajectory whenever only the wind moved
+// (DESIGN.md Sec. 14).
+
+DrawRows all_schemes_utility_only(const Draw& d) {
+  const Scenario s(16, d.cluster);
+  const auto tasks = s.make_tasks(40, d.tasks);
+  DrawRows rows;
+  for (const Scheme scheme : kAllSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    rows[row_key(d, scheme)] =
+        s.digest(scheme, tasks, HybridSupply{}, SimConfig{});
+  }
+  return rows;
+}
+
+DrawRows all_schemes_with_wind(const Draw& d) {
   const Scenario s(16, d.cluster);
   const auto tasks = s.make_tasks(40, d.tasks);
   const HybridSupply supply = s.make_supply(d.supply);
+  DrawRows rows;
   for (const Scheme scheme : kAllSchemes) {
     SCOPED_TRACE(scheme_name(scheme));
-    s.check_equivalence(scheme, tasks, supply, SimConfig{});
+    rows[row_key(d, scheme)] =
+        s.digest(scheme, tasks, supply, SimConfig{});
   }
+  return rows;
 }
 
-void with_battery(const Draw& d) {
+DrawRows with_battery(const Draw& d) {
   SimConfig cfg;
   cfg.battery = BatteryConfig::make(/*capacity_kwh=*/2.0, /*power_kw=*/1.0);
   const Scenario s(16, d.cluster);
   const auto tasks = s.make_tasks(35, d.tasks);
   const HybridSupply supply = s.make_supply(d.supply);
+  DrawRows rows;
   for (const Scheme scheme : {Scheme::kScanFair, Scheme::kBinEffi}) {
     SCOPED_TRACE(scheme_name(scheme));
-    s.check_equivalence(scheme, tasks, supply, cfg);
+    rows[row_key(d, scheme)] = s.digest(scheme, tasks, supply, cfg);
   }
+  return rows;
 }
 
-void with_profiling_windows(const Draw& d) {
+DrawRows with_profiling_windows(const Draw& d) {
   std::vector<ProfilingWindow> windows;
   for (std::size_t w = 0; w < 4; ++w) {
     ProfilingWindow win;
@@ -179,11 +234,16 @@ void with_profiling_windows(const Draw& d) {
   const Scenario s(16, d.cluster);
   const auto tasks = s.make_tasks(35, d.tasks);
   const HybridSupply supply = s.make_supply(d.supply);
-  s.check_equivalence(Scheme::kScanEffi, tasks, supply, SimConfig{}, windows);
-  s.check_equivalence(Scheme::kScanRan, tasks, supply, SimConfig{}, windows);
+  DrawRows rows;
+  for (const Scheme scheme : {Scheme::kScanEffi, Scheme::kScanRan}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    rows[row_key(d, scheme)] =
+        s.digest(scheme, tasks, supply, SimConfig{}, windows);
+  }
+  return rows;
 }
 
-void with_faults_active(const Draw& d) {
+DrawRows with_faults_active(const Draw& d) {
   const Scenario s(16, d.cluster);
   const auto tasks = s.make_tasks(40, d.tasks);
   const HybridSupply supply = s.make_supply(d.supply);
@@ -192,93 +252,117 @@ void with_faults_active(const Draw& d) {
   cfg.faults.repair_mean_s = 900.0;
   cfg.faults.misprofile_prob = 0.2;
   cfg.fault_seed = d.faults;
+  DrawRows rows;
   for (const Scheme scheme : {Scheme::kScanEffi, Scheme::kScanFair,
                               Scheme::kBinEffi}) {
     SCOPED_TRACE(scheme_name(scheme));
-    s.check_equivalence(scheme, tasks, supply, cfg);
+    rows[row_key(d, scheme)] = s.digest(scheme, tasks, supply, cfg);
   }
+  return rows;
 }
 
 TEST(MatchEquivalence, AllSchemesUtilityOnly) {
-  all_schemes_utility_only(Draw{11, 21, 0});
+  expect_pinned(all_schemes_utility_only(Draw{11, 21, 0}));
 }
 
 TEST(MatchEquivalence, AllSchemesWithWind) {
-  all_schemes_with_wind(Draw{13, 23, 31});
+  expect_pinned(all_schemes_with_wind(Draw{13, 23, 31}));
 }
 
 TEST(MatchEquivalence, RandomizedClustersAndWorkloads) {
   // Several independently-seeded cluster/workload/supply draws; the two
   // schemes with the most scheduling structure (Effi waits, Fair defers).
+  DrawRows rows;
   for (const std::uint64_t seed : {101u, 202u, 303u}) {
     SCOPED_TRACE(seed);
-    const Scenario s(12, seed);
-    const auto tasks = s.make_tasks(30, seed * 3);
-    const HybridSupply supply = s.make_supply(seed * 5);
-    s.check_equivalence(Scheme::kScanEffi, tasks, supply, SimConfig{});
-    s.check_equivalence(Scheme::kScanFair, tasks, supply, SimConfig{});
+    const Draw d{seed, seed * 3, seed * 5};
+    const Scenario s(12, d.cluster);
+    const auto tasks = s.make_tasks(30, d.tasks);
+    const HybridSupply supply = s.make_supply(d.supply);
+    for (const Scheme scheme : {Scheme::kScanEffi, Scheme::kScanFair})
+      rows[row_key(d, scheme)] =
+          s.digest(scheme, tasks, supply, SimConfig{});
   }
+  expect_pinned(rows);
 }
 
-TEST(MatchEquivalence, WithBattery) { with_battery(Draw{17, 27, 37}); }
+TEST(MatchEquivalence, WithBattery) {
+  expect_pinned(with_battery(Draw{17, 27, 37}));
+}
 
 TEST(MatchEquivalence, WithProfilingWindows) {
-  with_profiling_windows(Draw{19, 29, 39});
+  expect_pinned(with_profiling_windows(Draw{19, 29, 39}));
 }
 
 TEST(MatchEquivalence, FaultsActiveOptimizedMatchesReference) {
-  // The production path must stay bit-equivalent to the reference even
-  // while CPUs crash, tasks requeue, and the knowledge view's quarantine
-  // generation churns under it -- each of which invalidates the cached
-  // trajectory mid-flight.
-  with_faults_active(Draw{51, 59, 71, 13});
+  // The pinned results hold while CPUs crash, tasks requeue and the
+  // knowledge view's quarantine generation churns -- requeues invalidate
+  // the cached trajectory mid-flight.
+  expect_pinned(with_faults_active(Draw{51, 59, 71, 13}));
 }
 
 TEST(IncrementalIdentity, AllSchemesWithWind) {
-  all_schemes_with_wind(Draw{111, 113, 117});
+  expect_pinned(all_schemes_with_wind(Draw{111, 113, 117}));
 }
 
 TEST(IncrementalIdentity, AllSchemesUtilityOnly) {
   // No wind: phase 2 never fires and the cached trajectories stay empty,
   // but the replay machinery still runs on every epoch -- it must be
   // inert.
-  all_schemes_utility_only(Draw{121, 123, 0});
+  expect_pinned(all_schemes_utility_only(Draw{121, 123, 0}));
 }
 
-TEST(IncrementalIdentity, WithBattery) { with_battery(Draw{131, 133, 137}); }
+TEST(IncrementalIdentity, WithBattery) {
+  expect_pinned(with_battery(Draw{131, 133, 137}));
+}
 
 TEST(IncrementalIdentity, WithProfilingWindows) {
-  with_profiling_windows(Draw{141, 143, 147});
+  expect_pinned(with_profiling_windows(Draw{141, 143, 147}));
 }
 
 TEST(IncrementalIdentity, WithFaultsActive) {
-  // Crashes, requeues and quarantine generation bumps all invalidate the
-  // cache mid-flight; the fallback full solves must leave no trace.
-  with_faults_active(Draw{151, 153, 157, 19});
+  // Crashes and requeues invalidate the cache mid-flight; the fallback
+  // full solves must leave no trace.
+  expect_pinned(with_faults_active(Draw{151, 153, 157, 19}));
 }
 
 TEST(MatchEquivalence, TwoShards) {
-  // Each shard owns its own MatcherColumns and IncrementalMatchState, and
-  // ShardedSim copies use_reference_matcher into every shard; the
-  // epoch-barrier wind reconciliation must see identical per-shard demand
-  // on both paths.
-  const Scenario s(16, 161);
-  const auto tasks = s.make_tasks(40, 163);
-  const HybridSupply supply = s.make_supply(167);
+  // Each shard owns its own MatcherColumns and IncrementalMatchState; the
+  // epoch-barrier wind reconciliation must see the per-shard demand the
+  // pinned results were reached with.
+  const Draw d{161, 163, 167};
+  const Scenario s(16, d.cluster);
+  const auto tasks = s.make_tasks(40, d.tasks);
+  const HybridSupply supply = s.make_supply(d.supply);
   SimConfig cfg;
   cfg.record_trace = true;
   cfg.record_timeline = true;
   cfg.topology.cpus_per_rack = 2;
   cfg.topology.shards = 2;
+  DrawRows rows;
   for (const Scheme scheme : {Scheme::kScanEffi, Scheme::kScanFair}) {
     SCOPED_TRACE(scheme_name(scheme));
     const ProfileDb* db = scheme_uses_scan(scheme) ? &s.db : nullptr;
-    SimConfig reference = cfg;
-    reference.use_reference_matcher = true;
-    ShardedSim sim_default(s.cluster, scheme, db, supply, cfg);
-    ShardedSim sim_reference(s.cluster, scheme, db, supply, reference);
-    expect_identical(sim_default.run(tasks), sim_reference.run(tasks));
+    ShardedSim sim(s.cluster, scheme, db, supply, cfg);
+    rows[row_key(d, scheme)] = digest_hex(result_digest(sim.run(tasks)));
   }
+  expect_pinned(rows);
+}
+
+TEST(EquivalencePins, EveryRowNamesATest) {
+  // expect_pinned catches extra rows under a running test's name; a row
+  // whose test does not exist would never be read, so it fails here.
+  std::set<std::string> tests;
+  const ::testing::UnitTest& unit = *::testing::UnitTest::GetInstance();
+  for (int i = 0; i < unit.total_test_suite_count(); ++i) {
+    const ::testing::TestSuite& suite = *unit.GetTestSuite(i);
+    for (int j = 0; j < suite.total_test_count(); ++j)
+      tests.insert(std::string(suite.name()) + "." +
+                   suite.GetTestInfo(j)->name());
+  }
+  for (const auto& [row, digest] : read_golden_rows(pinned_path()))
+    EXPECT_EQ(tests.count(row.substr(0, row.find('/'))), 1u)
+        << "row names no test: " << row;
 }
 
 // ----------------------------------------------- golden result digests
@@ -286,10 +370,9 @@ TEST(MatchEquivalence, TwoShards) {
 // tests/data/golden/sim_digests.txt pins one result digest
 // (sim_identity.hpp) per row of the full scenario product: the five paper
 // schemes and ScanTherm x utility-only/wind x battery x profiling windows
-// x faults x cooling/sleep mode x flat/2-shard simulator. Both matcher
-// paths must reach the committed digest. The default-vs-reference suites
-// above cannot see a change in code both paths share (kRandom placement,
-// the Eq-3 slowdown the simulator applies); the pins can.
+// x faults x cooling/sleep mode x flat/2-shard simulator, each taken from
+// a simulator that ran the reference oracle beside it and matched. Each
+// row runs once and must reach its committed digest.
 
 /// The cooling/sleep axis, written as the row's `thermal=` value: the
 /// thermal model with or without the timeout governor, and each sleep
@@ -350,12 +433,11 @@ TEST(GoldenResults, Matrix) {
   }
   const std::vector<ProfilingWindow> no_windows;
 
-  auto run_row = [&](Scheme scheme, const GoldenAxes& ax, bool reference) {
+  auto run_row = [&](Scheme scheme, const GoldenAxes& ax) {
     SimConfig cfg;
     cfg.record_trace = true;
     cfg.record_timeline = true;
     cfg.topology.cpus_per_rack = 2;
-    cfg.use_reference_matcher = reference;
     if (ax.battery)
       cfg.battery = BatteryConfig::make(/*capacity_kwh=*/2.0,
                                         /*power_kw=*/1.0);
@@ -394,22 +476,18 @@ TEST(GoldenResults, Matrix) {
         ax.sharded = (bits & 16u) != 0;
         const std::string row = golden_row_name(scheme, ax);
         ++produced;
-        const std::string fast =
-            digest_hex(result_digest(run_row(scheme, ax, false)));
-        const std::string ref =
-            digest_hex(result_digest(run_row(scheme, ax, true)));
-        EXPECT_EQ(fast, ref) << row << ": default and reference matcher differ";
+        const std::string digest =
+            digest_hex(result_digest(run_row(scheme, ax)));
         const auto it = golden.find(row);
         if (it == golden.end()) {
           ADD_FAILURE() << "row missing from " << path << "; ready to paste:\n"
-                        << row << " " << fast;
+                        << row << " " << digest;
           continue;
         }
-        if (fast != it->second || ref != it->second) {
-          ADD_FAILURE() << row << ": digest " << fast << " (reference " << ref
-                        << ") != committed " << it->second
-                        << "; ready to paste:\n"
-                        << row << " " << fast;
+        if (digest != it->second) {
+          ADD_FAILURE() << row << ": digest " << digest << " != committed "
+                        << it->second << "; ready to paste:\n"
+                        << row << " " << digest;
         }
         golden.erase(it);
       }

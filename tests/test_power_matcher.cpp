@@ -14,6 +14,7 @@ struct Fixture {
   Cluster cluster;
   Knowledge knowledge;
   PowerMatcher matcher;
+  ReferenceMatcher reference{knowledge, matcher};
 
   Fixture()
       : cluster(build_cluster([] {
@@ -38,6 +39,22 @@ struct Fixture {
 
   MatcherColumns rows(const std::vector<ActiveTask>& tasks) const {
     return matcher_rows(knowledge, matcher, tasks);
+  }
+
+  /// The production floor scan over `task`'s row at `now`.
+  std::size_t floor_of(const ActiveTask& task, double now) const {
+    const MatcherColumns cols = rows({task});
+    std::size_t floor = 0;
+    soa::floor_scan_rows(cols.slowdown.data(), cols.levels,
+                         cols.remaining.data(), cols.deadline.data(), now, 1,
+                         &floor);
+    return floor;
+  }
+
+  /// The production energy-optimal level above deadline floor `floor`:
+  /// `task`'s best_from table.
+  std::size_t best_from(const ActiveTask& task, std::size_t floor) const {
+    return rows({task}).best_from_row(0)[floor];
   }
 
   /// The production matcher with a fresh state, i.e. a full solve.
@@ -67,22 +84,20 @@ struct Fixture {
 TEST(MinFeasibleLevel, LooseDeadlineAllowsBottom) {
   Fixture f;
   const ActiveTask t = f.task(1000.0, 1e9);
-  EXPECT_EQ(f.matcher.min_feasible_level(t, 0.0), 0u);
+  EXPECT_EQ(f.floor_of(t, 0.0), 0u);
 }
 
 TEST(MinFeasibleLevel, TightDeadlineForcesTop) {
   Fixture f;
   // Work 1000 s at Fmax, deadline in 1000 s: only the top level fits.
   const ActiveTask t = f.task(1000.0, 1000.0);
-  EXPECT_EQ(f.matcher.min_feasible_level(t, 0.0),
-            f.knowledge.levels() - 1);
+  EXPECT_EQ(f.floor_of(t, 0.0), f.knowledge.levels() - 1);
 }
 
 TEST(MinFeasibleLevel, ImpossibleDeadlineStillTop) {
   Fixture f;
   const ActiveTask t = f.task(1000.0, 10.0);
-  EXPECT_EQ(f.matcher.min_feasible_level(t, 0.0),
-            f.knowledge.levels() - 1);
+  EXPECT_EQ(f.floor_of(t, 0.0), f.knowledge.levels() - 1);
 }
 
 TEST(MinFeasibleLevel, IntermediateDeadline) {
@@ -90,10 +105,10 @@ TEST(MinFeasibleLevel, IntermediateDeadline) {
   // gamma=1: level freq 1.375 GHz has slowdown 2/1.375 = 1.4545...
   // 1000 * 1.4545 = 1454 s. Deadline 1500 from now admits level 2.
   const ActiveTask t = f.task(1000.0, 1500.0);
-  const std::size_t l = f.matcher.min_feasible_level(t, 0.0);
+  const std::size_t l = f.floor_of(t, 0.0);
   EXPECT_EQ(l, 2u);
   // Moving "now" later tightens it.
-  EXPECT_GT(f.matcher.min_feasible_level(t, 400.0), l);
+  EXPECT_GT(f.floor_of(t, 400.0), l);
 }
 
 TEST(EnergyOptimal, NotTheBottomLevel) {
@@ -101,7 +116,7 @@ TEST(EnergyOptimal, NotTheBottomLevel) {
   // the optimum must sit above the bottom level for a CPU-bound task.
   Fixture f;
   const ActiveTask t = f.task(1000.0, 1e9, 1.0);
-  const std::size_t l = f.matcher.energy_optimal_level(t, 0);
+  const std::size_t l = f.best_from(t, 0);
   EXPECT_GT(l, 0u);
   EXPECT_LT(l, f.knowledge.levels());
 }
@@ -110,19 +125,18 @@ TEST(EnergyOptimal, RespectsFloor) {
   Fixture f;
   const ActiveTask t = f.task();
   const std::size_t top = f.knowledge.levels() - 1;
-  EXPECT_EQ(f.matcher.energy_optimal_level(t, top), top);
+  EXPECT_EQ(f.best_from(t, top), top);
 }
 
 TEST(EnergyOptimal, IsActuallyOptimal) {
   Fixture f;
   ActiveTask t = f.task(1000.0, 1e9, 0.8, {3, 4, 5});
-  const std::size_t best = f.matcher.energy_optimal_level(t, 0);
-  const double e_best =
-      f.matcher.task_power(t, best).watts() * f.matcher.slowdown(t, best);
-  for (std::size_t l = 0; l < f.knowledge.levels(); ++l) {
-    const double e = f.matcher.task_power(t, l).watts() * f.matcher.slowdown(t, l);
-    EXPECT_GE(e, e_best - 1e-9);
-  }
+  const std::size_t best = f.best_from(t, 0);
+  const auto energy = [&](std::size_t l) {
+    return f.reference.task_power(t, l).watts() * f.reference.slowdown(t, l);
+  };
+  for (std::size_t l = 0; l < f.knowledge.levels(); ++l)
+    EXPECT_GE(energy(l), energy(best) - 1e-9);
 }
 
 TEST(EnergyOptimal, IoBoundPrefersLowerFrequency) {
@@ -130,7 +144,27 @@ TEST(EnergyOptimal, IoBoundPrefersLowerFrequency) {
   // bottom one (pure power minimization).
   Fixture f;
   const ActiveTask t = f.task(1000.0, 1e9, 0.0);
-  EXPECT_EQ(f.matcher.energy_optimal_level(t, 0), 0u);
+  EXPECT_EQ(f.best_from(t, 0), 0u);
+}
+
+TEST(EnergyOptimal, TiesGoToTheHigherLevel) {
+  // At equal energy the higher level wins (the task finishes sooner).
+  // Real power rows almost never tie, so this row is made up: gamma = 0
+  // makes every slowdown 1, and the energies alternate 40, 50, 40, ...
+  // from the top level down, so the top level ties with every second
+  // level below it and must win from every floor.
+  Fixture f;
+  const std::size_t levels = f.knowledge.levels();
+  ASSERT_GE(levels, 3u);
+  std::vector<double> power(levels);
+  for (std::size_t l = 0; l < levels; ++l)
+    power[l] = (levels - 1 - l) % 2 == 0 ? 40.0 : 50.0;
+  MatcherColumns cols;
+  cols.reset(levels, 1);
+  cols.append(0, 100.0, 1e9);
+  cols.fill_row(0, 0.0, f.matcher.slowdown_ratio(), power.data());
+  for (std::size_t floor = 0; floor < levels; ++floor)
+    EXPECT_EQ(cols.best_from_row(0)[floor], levels - 1) << "floor " << floor;
 }
 
 TEST(Match, EmptyTaskListIsZero) {
@@ -149,9 +183,10 @@ TEST(Match, NoWindRunsEnergyOptimalBaseline) {
   const MatchResult r = f.match(cols, Watts{0.0});
   EXPECT_EQ(r.steps, 0u);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const std::size_t floor = f.matcher.min_feasible_level(tasks[i], 0.0);
+    const std::size_t floor = f.reference.min_feasible_level(tasks[i], 0.0);
     EXPECT_EQ(cols.floor[i], floor);
-    EXPECT_EQ(cols.level[i], f.matcher.energy_optimal_level(tasks[i], floor));
+    EXPECT_EQ(cols.level[i],
+              f.reference.energy_optimal_level(tasks[i], floor));
   }
 }
 
@@ -175,7 +210,7 @@ TEST(Match, MidWindStepsDownToFit) {
   const double baseline = f.match(probe, Watts{0.0}).demand.watts();
   // All-floor demand:
   double floor_w = 0.0;
-  for (const auto& t : tasks) floor_w += f.matcher.task_power(t, 0).watts();
+  for (const auto& t : tasks) floor_w += f.reference.task_power(t, 0).watts();
   floor_w *= f.matcher.cooling_factor();
   // A budget between floor and baseline is reachable by stepping down.
   const double budget = 0.5 * (floor_w + baseline);
@@ -248,7 +283,7 @@ TEST(Match, AgreesWithReferenceOnRandomRows) {
       const MatchResult r = f.matcher.match(cols, wind, 0.0, state);
       replays += r.replayed ? 1 : 0;
       std::vector<ActiveTask> ref = tasks;
-      const MatchResult want = f.matcher.match_reference(ref, wind, 0.0);
+      const MatchResult want = f.reference.match(ref, wind, 0.0);
       ASSERT_EQ(r.compute.watts(), want.compute.watts()) << "call " << call;
       ASSERT_EQ(r.demand.watts(), want.demand.watts()) << "call " << call;
       ASSERT_EQ(r.steps, want.steps) << "call " << call;
@@ -260,8 +295,8 @@ TEST(Match, AgreesWithReferenceOnRandomRows) {
 }
 
 TEST(MatchKernels, FloorScanAndBestFromAgreeWithReference) {
-  // The SoA kernels replace two reference functions: floor_scan_rows must
-  // equal min_feasible_level, and best_from[f] must equal
+  // The SoA kernels against the oracle's per-task walks: floor_scan_rows
+  // must equal min_feasible_level, and best_from[f] must equal
   // energy_optimal_level(f) for every floor f.
   Fixture f;
   Rng rng(41);
@@ -275,11 +310,11 @@ TEST(MatchKernels, FloorScanAndBestFromAgreeWithReference) {
     soa::floor_scan_rows(cols.slowdown.data(), levels, cols.remaining.data(),
                          cols.deadline.data(), now, cols.count, floor.data());
     for (std::size_t r = 0; r < cols.count; ++r) {
-      EXPECT_EQ(floor[r], f.matcher.min_feasible_level(tasks[r], now))
+      EXPECT_EQ(floor[r], f.reference.min_feasible_level(tasks[r], now))
           << "row " << r;
       for (std::size_t fl = 0; fl < levels; ++fl)
         EXPECT_EQ(cols.best_from_row(r)[fl],
-                  f.matcher.energy_optimal_level(tasks[r], fl))
+                  f.reference.energy_optimal_level(tasks[r], fl))
             << "row " << r << " floor " << fl;
     }
   }
@@ -292,7 +327,7 @@ TEST(Match, TaskPowerSumsProcessors) {
   const double expect = f.knowledge.power(0, top).watts() +
                         f.knowledge.power(1, top).watts() +
                         f.knowledge.power(2, top).watts();
-  EXPECT_DOUBLE_EQ(f.matcher.task_power(t, top).watts(), expect);
+  EXPECT_DOUBLE_EQ(f.reference.task_power(t, top).watts(), expect);
 }
 
 TEST(Match, Validation) {
@@ -302,9 +337,6 @@ TEST(Match, Validation) {
   MatcherColumns cols = f.rows({f.task()});
   IncrementalMatchState state;
   EXPECT_THROW(f.matcher.match(cols, Watts{-1.0}, 0.0, state),
-               InvalidArgument);
-  std::vector<ActiveTask> tasks = {f.task()};
-  EXPECT_THROW(f.matcher.match_reference(tasks, Watts{-1.0}, 0.0),
                InvalidArgument);
 }
 

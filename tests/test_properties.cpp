@@ -67,6 +67,7 @@ TEST_P(MatcherWindProperty, DemandMonotoneInBudgetAndSafe) {
   const double wind_w = GetParam();
   const Knowledge knowledge(&cluster(), KnowledgeSource::kBin);
   const PowerMatcher matcher(&knowledge, 1.4);
+  const ReferenceMatcher reference{knowledge, matcher};
 
   auto make_tasks = [&] {
     std::vector<ActiveTask> tasks;
@@ -88,7 +89,7 @@ TEST_P(MatcherWindProperty, DemandMonotoneInBudgetAndSafe) {
 
   // Levels never violate deadline floors.
   for (std::size_t i = 0; i < tasks.size(); ++i)
-    EXPECT_GE(cols.level[i], matcher.min_feasible_level(tasks[i], 0.0));
+    EXPECT_GE(cols.level[i], reference.min_feasible_level(tasks[i], 0.0));
 
   // More wind never increases demand... (fitting relaxes monotonically)
   MatcherColumns cols_more = matcher_rows(knowledge, matcher, tasks);
@@ -100,7 +101,7 @@ TEST_P(MatcherWindProperty, DemandMonotoneInBudgetAndSafe) {
   // Demand equals the sum of the assigned task powers times cooling.
   double sum = 0.0;
   for (std::size_t i = 0; i < tasks.size(); ++i)
-    sum += matcher.task_power(tasks[i], cols.level[i]).watts();
+    sum += reference.task_power(tasks[i], cols.level[i]).watts();
   EXPECT_NEAR(r.demand.watts(), sum * 1.4, 1e-6);
 }
 

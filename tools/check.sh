@@ -38,7 +38,7 @@ STAGES=(
   "lint            iscope_lint project invariants (determinism/layering/quantity/telemetry)"
   "tidy            clang-tidy profile, warnings-as-errors (skips if not installed)"
   "ubsan           UBSan rebuild + full tests"
-  "asan            ASan fault-injection + parser-fuzz + cluster-fabrication tests"
+  "asan            ASan fault-injection + parser-fuzz + cluster-fabrication + placement tests"
   "tsan            TSan multi-shard smoke (fig8, 4 shards x 4 workers) + service chaos daemon + threaded cluster build"
   "coverage        src/fault + src/sched + sim driver line-coverage floor (${COVERAGE_MIN}%)"
   "perfbench       1 s perfbench run per workload: exit 0, correct, no failed ops (opt-in: --stage only)"
@@ -224,17 +224,19 @@ stage_ubsan() {
 }
 
 stage_asan() {
-  stage "ASan fault-injection + parser-fuzz + checkpoint + driver + cluster tests"
+  stage "ASan fault-injection + parser-fuzz + checkpoint + driver + cluster + placement tests"
   # Targeted: the suites that stress failure paths, requeue bookkeeping,
   # and hostile parser inputs -- where lifetime bugs would hide. The
   # checkpoint and event-queue suites push truncated and bit-flipped
   # blobs through the codec's reader and the queue's restore; the thermal
   # and profiling suites drive the sleep, thermal and scan-slot drivers;
   # the hardware and variation suites build clusters on chip-range threads
-  # (including builds that throw mid-range) and check the Min Vdd solver.
+  # (including builds that throw mid-range) and check the Min Vdd solver;
+  # the policy and equivalence suites drive the idle bitset's word
+  # arithmetic and Ran's per-pass draw pool.
   ASAN_TESTS="test_fault test_fuzz_parsers test_properties test_checkpoint
               test_event_queue test_thermal test_sim_profiling
-              test_hardware test_varius"
+              test_hardware test_varius test_policy test_match_equivalence"
   cmake -B build-check/asan -S . \
         -DISCOPE_SANITIZE=address -DISCOPE_AUDIT=ON > /dev/null
   # shellcheck disable=SC2086
