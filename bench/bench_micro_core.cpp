@@ -153,7 +153,6 @@ struct SoaFixture {
     const std::size_t levels = knowledge->levels();
     cols.reset(levels, rows);
     Rng rng(5);
-    std::vector<double> power_row(levels);
     std::size_t next_proc = 0;
     for (std::size_t r = 0; r < rows; ++r) {
       const double remaining = rng.uniform(100.0, 5000.0);
@@ -165,11 +164,10 @@ struct SoaFixture {
           p += knowledge->power((next_proc + static_cast<std::size_t>(k)) %
                                     cluster.size(),
                                 l);
-        power_row[l] = p.raw();
+        cols.power[row * levels + l] = p.raw();
       }
       next_proc += 4;
-      cols.fill_row(row, rng.uniform(0.5, 1.0), matcher->slowdown_ratio(),
-                    power_row.data());
+      cols.fill_row(row, rng.uniform(0.5, 1.0), matcher->slowdown_ratio());
     }
   }
 

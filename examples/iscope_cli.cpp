@@ -24,6 +24,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/json.hpp"
 #include "common/table.hpp"
@@ -74,11 +75,11 @@ class Args {
   }
   double number(const std::string& key, double fallback) const {
     const auto v = get(key);
-    return v ? std::stod(*v) : fallback;
+    return v ? parse_number<double>(*v, "--" + key) : fallback;
   }
   std::uint64_t integer(const std::string& key, std::uint64_t fallback) const {
     const auto v = get(key);
-    return v ? std::stoull(*v) : fallback;
+    return v ? parse_number<std::uint64_t>(*v, "--" + key) : fallback;
   }
   bool flag(const std::string& key) const { return get(key).has_value(); }
 
@@ -176,7 +177,8 @@ int cmd_simulate(const Args& args) {
       hyper ? ExperimentConfig::hyperscale(
                   *hyper_arg == "true"  // bare flag, no CPU count given
                       ? 102'400
-                      : static_cast<std::size_t>(std::stoull(*hyper_arg)))
+                      : static_cast<std::size_t>(parse_number<std::uint64_t>(
+                            *hyper_arg, "--hyperscale")))
             : ExperimentConfig::paper_small();
   if (args.get("procs"))
     config.cluster.num_processors =
@@ -377,7 +379,8 @@ std::vector<double> parse_points(const std::string& csv) {
   while (pos < csv.size()) {
     std::size_t next = csv.find(',', pos);
     if (next == std::string::npos) next = csv.size();
-    points.push_back(std::stod(csv.substr(pos, next - pos)));
+    points.push_back(parse_number<double>(
+        std::string_view(csv).substr(pos, next - pos), "--points"));
     pos = next + 1;
   }
   if (points.empty()) throw InvalidArgument("sweep: empty --points list");

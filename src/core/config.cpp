@@ -4,8 +4,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <type_traits>
 
@@ -96,19 +96,27 @@ ExperimentConfig ExperimentConfig::scaled(double factor) const {
 }
 
 template <class T>
-std::optional<T> env_number(const char* name) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return std::nullopt;
-  const char* last = s + std::strlen(s);
+T parse_number(std::string_view text, std::string_view name) {
+  const char* last = text.data() + text.size();
   T v{};
-  const auto [end, ec] = std::from_chars(s, last, v);
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
   bool ok = ec == std::errc{} && end == last;
   if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
-  ISCOPE_CHECK_ARG(ok, std::string(name) + ": '" + s + "' is not " +
+  ISCOPE_CHECK_ARG(ok, std::string(name) + ": '" + std::string(text) +
+                           "' is not " +
                            (std::is_floating_point_v<T>
                                 ? "a finite number"
                                 : "an unsigned decimal integer"));
   return v;
+}
+template std::uint64_t parse_number(std::string_view, std::string_view);
+template double parse_number(std::string_view, std::string_view);
+
+template <class T>
+std::optional<T> env_number(const char* name) {
+  const char* s = std::getenv(name);
+  if (s == nullptr || *s == '\0') return std::nullopt;
+  return parse_number<T>(s, name);
 }
 template std::optional<std::uint64_t> env_number(const char*);
 template std::optional<double> env_number(const char*);

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string_view>
 
 #include "energy/wind_model.hpp"
 #include "hardware/cluster.hpp"
@@ -61,11 +62,18 @@ struct ExperimentConfig {
   ExperimentConfig scaled(double factor) const;
 };
 
-/// The one parser behind every numeric ISCOPE_* knob: nullopt when `name`
-/// is unset or empty, else its whole value as a T -- decimal digits only
-/// (no sign, no overflow) for std::uint64_t, a finite number for double.
-/// Anything else throws InvalidArgument naming the variable. Instantiated
-/// for std::uint64_t and double.
+/// The one number parser behind every numeric ISCOPE_* knob and command-
+/// line flag: the whole of `text` as a T -- decimal digits only (no sign,
+/// no space, no overflow) for std::uint64_t, a finite decimal number for
+/// double. Anything else throws InvalidArgument naming `name` (the variable
+/// or flag). Instantiated for std::uint64_t and double.
+template <class T>
+T parse_number(std::string_view text, std::string_view name);
+extern template std::uint64_t parse_number(std::string_view, std::string_view);
+extern template double parse_number(std::string_view, std::string_view);
+
+/// parse_number over the environment: nullopt when `name` is unset or
+/// empty, else its value.
 template <class T>
 std::optional<T> env_number(const char* name);
 extern template std::optional<std::uint64_t> env_number(const char*);

@@ -138,7 +138,7 @@ FaultPlan FaultPlan::build(const FaultSpec& spec, std::uint64_t seed,
         const double repair = rng.exponential(1.0 / spec.repair_mean_s);
         plan.events_.push_back({t, FaultKind::kCrash, p});
         // Always emit the matching repair, even past the horizon, so no
-        // processor stays quarantined forever.
+        // processor stays down forever.
         plan.events_.push_back({t + repair, FaultKind::kRepair, p});
         t += repair + rng.exponential(1.0 / spec.crash_mtbf_s);
       }

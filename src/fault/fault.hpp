@@ -133,8 +133,8 @@ class FaultPlan {
   /// events and no mis-profiled chips). Dropouts/forecast noise act on the
   /// supply/forecast objects outside the event loop, and the CRAC window
   /// only modulates the thermal solve, so none of them count -- a
-  /// CRAC-only plan keeps the simulator's fault machinery (mutable
-  /// knowledge, quarantine, retry bookkeeping) entirely disengaged.
+  /// CRAC-only plan keeps the simulator's fault machinery (failed flags,
+  /// requeues, retry bookkeeping) entirely disengaged.
   bool sim_empty() const {
     return events_.empty() && misprofile_count_ == 0;
   }

@@ -31,13 +31,11 @@ Knowledge::Knowledge(const Cluster* cluster, KnowledgeSource source,
 std::size_t Knowledge::levels() const { return cluster_->levels().count(); }
 
 void Knowledge::refresh() {
-  ++generation_;
   const std::size_t n = proc_count_;
   const std::size_t nl = levels();
   vdd_.assign(n, std::vector<double>(nl, 0.0));
   power_.assign(n, std::vector<double>(nl, 0.0));
   efficiency_.assign(n, 0.0);
-  quarantined_.resize(n, 0);
   scanned_.assign(n, 0);
 
   const Gigahertz f_top{cluster_->levels().freq_ghz[nl - 1]};
@@ -88,30 +86,6 @@ void Knowledge::refresh() {
                 return efficiency_[a] < efficiency_[b];
               return a < b;
             });
-}
-
-void Knowledge::quarantine(std::size_t i) {
-  ISCOPE_CHECK_ARG(i < quarantined_.size(), "Knowledge: proc out of range");
-  ISCOPE_CHECK(quarantined_[i] == 0, "Knowledge: proc already quarantined");
-  quarantined_[i] = 1;
-  ++quarantined_count_;
-  ++generation_;
-}
-
-void Knowledge::release(std::size_t i) {
-  ISCOPE_CHECK_ARG(i < quarantined_.size(), "Knowledge: proc out of range");
-  ISCOPE_CHECK(quarantined_[i] != 0, "Knowledge: proc not quarantined");
-  quarantined_[i] = 0;
-  --quarantined_count_;
-  ++generation_;
-}
-
-void Knowledge::clear_quarantine() {
-  if (quarantined_count_ == 0) return;
-  std::fill(quarantined_.begin(), quarantined_.end(),
-            static_cast<std::uint8_t>(0));
-  quarantined_count_ = 0;
-  ++generation_;
 }
 
 Volts Knowledge::vdd(std::size_t i, std::size_t level) const {

@@ -21,7 +21,9 @@
 // the scheduler's belief and differs between the views.
 //
 // The view precomputes per-(processor, level) applied power and the
-// efficiency score, since these are the scheduler's hot path.
+// efficiency score, since these are the scheduler's hot path. A simulator
+// holds it const: which processors are down is the simulator's fault state
+// (sim/fault_driver.hpp), which keeps them out of the idle pool.
 #pragma once
 
 #include <cstddef>
@@ -78,23 +80,10 @@ class Knowledge {
   const Cluster& cluster() const { return *cluster_; }
 
   /// Rebuild the cached tables (call after the ProfileDb gained profiles).
-  /// Quarantine flags survive the rebuild. Not for a view a running
-  /// simulator holds: it sums a task's per-level power row once, when the
-  /// task starts, and keeps it while the task runs.
+  /// Not for a view a running simulator holds: it sums a task's per-level
+  /// power row once, when the task starts, and keeps it while the task
+  /// runs.
   void refresh();
-
-  /// Fault quarantine: a failed processor is withdrawn from scheduling
-  /// (fault layer, see src/fault/). Both calls bump the generation; neither
-  /// changes any processor's power, so a running task's power row stays
-  /// valid.
-  void quarantine(std::size_t i);
-  void release(std::size_t i);
-  void clear_quarantine();
-
-  bool quarantined(std::size_t i) const {
-    return i < quarantined_.size() && quarantined_[i] != 0;
-  }
-  std::size_t quarantined_count() const { return quarantined_count_; }
 
   /// True when processor `i` runs at an individually scanned operating
   /// point (kScan view and the ProfileDb has its profile). Only such
@@ -104,25 +93,18 @@ class Knowledge {
     return i < scanned_.size() && scanned_[i] != 0;
   }
 
-  /// Bumped by every refresh() and quarantine change, so a consumer that
-  /// derives state from this view can tell that it moved.
-  std::uint64_t generation() const { return generation_; }
-
  private:
   const Cluster* cluster_;   // non-owning
   KnowledgeSource source_;
   const ProfileDb* db_;      // non-owning; may be null
   std::size_t proc_lo_ = 0;     ///< slice start (global id of local 0)
   std::size_t proc_count_ = 0;  ///< slice width (cluster size when full)
-  std::uint64_t generation_ = 0;
   // Hot-path caches stay raw doubles (volts / watts / W-per-GHz); the
   // typed accessors wrap them at the boundary.
   std::vector<std::vector<double>> vdd_;    // [proc][level]
   std::vector<std::vector<double>> power_;  // [proc][level]
   std::vector<double> efficiency_;
   std::vector<std::size_t> efficiency_order_;
-  std::vector<std::uint8_t> quarantined_;
-  std::size_t quarantined_count_ = 0;
   std::vector<std::uint8_t> scanned_;
 };
 

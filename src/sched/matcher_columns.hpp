@@ -1,16 +1,16 @@
 // Structure-of-arrays state for the matcher hot path (DESIGN.md Sec. 14).
 //
-// One row per running task, in *running-list order*: each task's remaining
-// work, deadline and per-level tables sit in contiguous columns instead of
-// behind a pointer chase. The matcher's floating-point sums and
-// equal-saving heap tiebreaks are order-sensitive, so row order mirroring
-// the intrusive run list is what keeps PowerMatcher::match bit-identical to
-// a per-task oracle walking the tasks in start order
-// (tests/reference_scheduler.hpp).
+// One row per running task, in *start order*: each task's remaining work,
+// deadline and per-level tables sit in contiguous columns instead of behind
+// a pointer chase. The rows are the simulator's running set; no other list
+// holds it. The matcher's floating-point sums and equal-saving heap
+// tiebreaks are order-sensitive, so keeping the rows in start order is what
+// keeps PowerMatcher::match bit-identical to a per-task oracle walking the
+// tasks in start order (tests/reference_scheduler.hpp).
 //
-// Row lifecycle: `append` at task start (link_running order), compacting
-// order-preserving `remove` at completion/requeue. Derived per-row tables,
-// all fixed for the task's residency:
+// Row lifecycle: `append` at task start, compacting order-preserving
+// `remove` at completion/requeue. Derived per-row tables, all fixed for the
+// task's residency:
 //
 //  * slowdown[row][l]  -- Eq-3 slowdown, gamma * (fmax/f_l - 1) + 1.0;
 //  * power[row][l]     -- the task's IT power per level, summed over its
@@ -75,8 +75,8 @@ struct MatcherColumns {
     best_from.reserve(max_rows * levels);
   }
 
-  /// Append a row at the end (running-list append order). The caller fills
-  /// the derived blocks via `fill_row` right after. Returns the row index.
+  /// Append a row at the end (start order). The caller sums the row's power
+  /// block and then derives the rest via `fill_row`. Returns the row index.
   std::size_t append(std::size_t task_idx, double remaining_s,
                      double deadline_s) {
     task.push_back(task_idx);
@@ -90,24 +90,20 @@ struct MatcherColumns {
     return count++;
   }
 
-  /// Compute the derived blocks of one row: the Eq-3 slowdown per level
-  /// (identical expression to PowerMatcher::slowdown, over its
-  /// slowdown_ratio() table), the power row (copied from `power_row`), and
-  /// the energy-optimal-per-floor table.
-  void fill_row(std::size_t row, double gamma, const double* slowdown_ratio,
-                const double* power_row) {
+  /// Compute the derived blocks of one row whose power block is already
+  /// summed: the Eq-3 slowdown per level (identical expression to
+  /// PowerMatcher::slowdown, over its slowdown_ratio() table) and the
+  /// energy-optimal-per-floor table.
+  void fill_row(std::size_t row, double gamma, const double* slowdown_ratio) {
     double* srow = slowdown.data() + row * levels;
-    double* prow = power.data() + row * levels;
-    for (std::size_t l = 0; l < levels; ++l) {
+    for (std::size_t l = 0; l < levels; ++l)
       srow[l] = gamma * slowdown_ratio[l] + 1.0;
-      prow[l] = power_row[l];
-    }
-    soa::best_from_fill(prow, srow, levels, best_from.data() + row * levels);
+    soa::best_from_fill(power_row(row), srow, levels,
+                        best_from.data() + row * levels);
   }
 
-  /// Order-preserving removal: rows after `row` shift down one slot (the
-  /// SoA analogue of the intrusive list's middle unlink). O(rows) moves,
-  /// no allocation. Callers must re-point their row handles for every
+  /// Order-preserving removal: rows after `row` shift down one slot. O(rows)
+  /// moves, no allocation. Callers must re-point their row handles for every
   /// shifted task (the returned row indices of `task[row..]` moved by -1).
   void remove(std::size_t row) {
     const auto r = static_cast<std::ptrdiff_t>(row);

@@ -115,7 +115,7 @@ class PowerMatcher {
 
   /// Assign levels to every MatcherColumns row (fills cols.floor and
   /// cols.level); see the file comment for the algorithm. Rows must be in
-  /// running-list order (ordered FP sums and equal-saving tiebreaks; see
+  /// start order (ordered FP sums and equal-saving tiebreaks; see
   /// matcher_columns.hpp). Replays `state`'s cached trajectory when only
   /// the wind budget moved since the solve that filled it, otherwise
   /// solves from scratch and re-caches. Allocation-free once `state` has

@@ -12,13 +12,15 @@
 // each called at its place in the wire order), which a writer adapter runs
 // to save and a reader adapter runs to load; the reader's checks --
 // identity comparisons, index and enum ranges, count caps, counters
-// recounted from the state they duplicate, the run-list walk -- are
-// arguments of the same calls. Derived state (SoA matcher columns, idle
-// orderings, rank bitsets, per-task power tables, Knowledge quarantine) is
-// not written: restore ends in DatacenterSim::rebuild_derived(), the
-// routine prepare() also ends with, and the incremental-rematch cache
-// starts invalid -- the forced full re-solve is bit-identical to the
-// replay it displaces.
+// recounted from the state they duplicate, the waiting and run lists
+// against the task states -- are arguments of the same calls. The run
+// list is kept for the v2 layout only: a save derives each task's links
+// from the order of the simulator's matcher rows, and a load walks them
+// and rebuilds the rows. Derived state (the rows' per-level tables, idle
+// orderings, rank bitsets) is not written: restore ends in
+// DatacenterSim::rebuild_derived(), the routine prepare() also ends with,
+// and the incremental-rematch cache starts invalid -- the forced full
+// re-solve is bit-identical to the replay it displaces.
 //
 // The restoring process must construct the simulator with the same
 // configuration (cluster, scheme, supply, seed, fault plan) it was

@@ -37,34 +37,6 @@ int make_nonblocking(int fd) {
   return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-double parse_double(const std::string& v, const char* flag) {
-  try {
-    std::size_t used = 0;
-    const double d = std::stod(v, &used);
-    ISCOPE_CHECK_ARG(used == v.size(), std::string(flag) + ": trailing junk");
-    return d;
-  } catch (const InvalidArgument&) {
-    throw;
-  } catch (const std::exception&) {
-    throw InvalidArgument(std::string(flag) + ": expected a number, got '" +
-                          v + "'");
-  }
-}
-
-std::uint64_t parse_u64_flag(const std::string& v, const char* flag) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long n = std::stoull(v, &used);
-    ISCOPE_CHECK_ARG(used == v.size(), std::string(flag) + ": trailing junk");
-    return static_cast<std::uint64_t>(n);
-  } catch (const InvalidArgument&) {
-    throw;
-  } catch (const std::exception&) {
-    throw InvalidArgument(std::string(flag) + ": expected an integer, got '" +
-                          v + "'");
-  }
-}
-
 ResultSummary summarize(const SimResult& r) {
   ResultSummary s;
   s.wind_j = r.energy.wind.joules();
@@ -101,10 +73,10 @@ ServiceOptions parse_service_args(const std::vector<std::string>& args) {
     if (a == "--scheme") {
       opt.scheme = scheme_from_name(value(i, "--scheme"));
     } else if (a == "--scale") {
-      opt.scale = parse_double(value(i, "--scale"), "--scale");
+      opt.scale = parse_number<double>(value(i, "--scale"), "--scale");
       ISCOPE_CHECK_ARG(opt.scale > 0.0, "--scale must be positive");
     } else if (a == "--seed") {
-      opt.seed = parse_u64_flag(value(i, "--seed"), "--seed");
+      opt.seed = parse_number<std::uint64_t>(value(i, "--seed"), "--seed");
     } else if (a == "--no-wind") {
       opt.with_wind = false;
     } else if (a == "--battery") {
@@ -122,13 +94,13 @@ ServiceOptions parse_service_args(const std::vector<std::string>& args) {
     } else if (a == "--resume") {
       opt.resume = true;
     } else if (a == "--metrics-port") {
-      const std::uint64_t p =
-          parse_u64_flag(value(i, "--metrics-port"), "--metrics-port");
+      const std::uint64_t p = parse_number<std::uint64_t>(
+          value(i, "--metrics-port"), "--metrics-port");
       ISCOPE_CHECK_ARG(p <= 65535, "--metrics-port out of range");
       opt.metrics_port = static_cast<std::uint16_t>(p);
     } else if (a == "--admit-capacity") {
-      opt.admit_capacity = static_cast<std::size_t>(
-          parse_u64_flag(value(i, "--admit-capacity"), "--admit-capacity"));
+      opt.admit_capacity = static_cast<std::size_t>(parse_number<std::uint64_t>(
+          value(i, "--admit-capacity"), "--admit-capacity"));
       ISCOPE_CHECK_ARG(opt.admit_capacity > 0,
                        "--admit-capacity must be positive");
     } else {
@@ -160,10 +132,9 @@ SimHost::SimHost(const ServiceOptions& opt) : opt_(opt) {
   if (opt.sleep_policy != SleepPolicy::kNone) sc.sleep.policy = opt.sleep_policy;
   ctx_ = std::make_unique<ExperimentContext>(ecfg);
   supply_ = std::make_unique<HybridSupply>(ctx_->make_supply(opt.with_wind));
-  knowledge_ = std::make_unique<Knowledge>(
+  knowledge_ = std::make_unique<const Knowledge>(
       &ctx_->cluster(), scheme_knowledge(opt.scheme),
       scheme_uses_scan(opt.scheme) ? &ctx_->profile_db() : nullptr);
-  // Always the mutable-knowledge constructor: a fault spec may quarantine.
   sim_ = std::make_unique<DatacenterSim>(knowledge_.get(),
                                          scheme_rule(opt.scheme),
                                          supply_.get(), ctx_->config().sim);

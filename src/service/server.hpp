@@ -60,7 +60,9 @@ struct ServiceOptions {
 };
 
 /// Parse iscope_serve command-line flags (main.cpp and the e2e harness
-/// share this). Throws InvalidArgument on unknown flags or bad values.
+/// share this). Numbers go through parse_number (core/config.hpp), so a
+/// sign, a space, a hex or non-finite value is refused. Throws
+/// InvalidArgument naming the flag on unknown flags or bad values.
 ServiceOptions parse_service_args(const std::vector<std::string>& args);
 
 /// Builds the simulator from options exactly once. The e2e harness builds
@@ -82,7 +84,7 @@ class SimHost {
   ServiceOptions opt_;
   std::unique_ptr<ExperimentContext> ctx_;
   std::unique_ptr<HybridSupply> supply_;
-  std::unique_ptr<Knowledge> knowledge_;
+  std::unique_ptr<const Knowledge> knowledge_;
   std::unique_ptr<DatacenterSim> sim_;
 };
 

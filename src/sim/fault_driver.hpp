@@ -2,10 +2,11 @@
 // resolves the run's plan -- an explicit override, one built from the
 // spec, or the empty plan, whose run takes no fault branch -- and puts the
 // plan's noise in front of the wind forecaster. It owns the per-processor
-// failed, armed and token arrays, the counters, the count of abandoned
-// tasks, and the quarantine of failed processors in the Knowledge view.
-// The handlers that requeue tasks and move processors between pools stay
-// in the simulator core and consult this state.
+// failed, armed and token arrays, the counters and the count of abandoned
+// tasks. The failed flags are the one record of which processors are down:
+// the handlers that requeue tasks and move processors between pools stay
+// in the simulator core and consult them, so a failed processor never
+// re-enters the idle pool until it is repaired.
 #pragma once
 
 #include <cstddef>
@@ -25,15 +26,12 @@ namespace iscope {
 class FaultDriver {
  public:
   /// `plan` wins when set; otherwise the plan is built from `spec` and
-  /// `seed` over the view's processors. `quarantine` is the mutable view
-  /// failed processors are withdrawn from (null for a const view, which
-  /// only a plan without processor faults may run on).
+  /// `seed` over the view's processors.
   FaultDriver(std::shared_ptr<const FaultPlan> plan, const FaultSpec& spec,
               std::uint64_t seed, const Knowledge& knowledge,
-              Knowledge* quarantine, const WindForecaster* forecaster)
+              const WindForecaster* forecaster)
       : plan_(std::move(plan)),
         knowledge_(&knowledge),
-        quarantine_(quarantine),
         forecaster_(forecaster),
         nprocs_(knowledge.procs()) {
     if (plan_ == nullptr)
@@ -69,26 +67,13 @@ class FaultDriver {
     failed_tasks_ = 0;
     counters_ = FaultCounters{};
   }
-  /// Re-derive the view's quarantine from the failed flags (prepare and
-  /// checkpoint restore).
-  void replay_quarantine() const {
-    if (!active_) return;
-    ISCOPE_CHECK_ARG(quarantine_ != nullptr,
-                     "DatacenterSim: a fault plan with CPU faults needs the "
-                     "mutable-Knowledge constructor (quarantine)");
-    quarantine_->clear_quarantine();
-    for (std::size_t p = 0; p < nprocs_; ++p)
-      if (failed_[p] != 0) quarantine_->quarantine(p);
-  }
-
   bool failed(std::size_t p) const { return failed_[p] != 0; }
-  /// Fail-stop `p` and quarantine it; false when it was already down.
+  /// Fail-stop `p`; false when it was already down.
   bool fail(std::size_t p, bool misprofile) {
     if (failed_[p] != 0) return false;
     failed_[p] = 1;
     ++counters_.cpu_failures;
     if (misprofile) ++counters_.misprofile_failures;
-    quarantine_->quarantine(p);
     ++token_[p];
     return true;
   }
@@ -97,7 +82,6 @@ class FaultDriver {
     if (failed_[p] == 0) return false;
     failed_[p] = 0;
     ++counters_.cpu_repairs;
-    quarantine_->release(p);
     return true;
   }
   bool armed(std::size_t p) const { return armed_[p] != 0; }
@@ -147,7 +131,6 @@ class FaultDriver {
   std::shared_ptr<const FaultPlan> plan_;
   bool active_ = false;  ///< the plan has processor events or mis-profiles
   const Knowledge* knowledge_;
-  Knowledge* quarantine_;
   std::unique_ptr<NoisyForecaster> noisy_;
   const WindForecaster* forecaster_;
   std::size_t nprocs_;

@@ -107,7 +107,7 @@ ShardedSim::ShardedSim(const Cluster& cluster, Scheme scheme,
     capacity_share_.push_back(static_cast<double>(slice.proc_count) / total);
 
     Shard shard;
-    shard.knowledge = std::make_unique<Knowledge>(
+    shard.knowledge = std::make_unique<const Knowledge>(
         &cluster, scheme_knowledge(scheme),
         scheme_uses_scan(scheme) ? db : nullptr, slice.proc_lo,
         slice.proc_count);

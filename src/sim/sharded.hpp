@@ -3,8 +3,8 @@
 //
 // The facility is partitioned along its rack topology (hardware/
 // topology.hpp) into shards. Each shard is a complete DatacenterSim over
-// its slice of processors: its own EventQueue, Knowledge view, matcher
-// scratch, intrusive running list, battery slice and energy meter. Shards
+// its slice of processors: its own EventQueue, const Knowledge view, matcher
+// rows (its running set), battery slice and energy meter. Shards
 // simulate independently between supply epochs; at every barrier the
 // coordinator reconciles their power demands against the global wind
 // budget (energy/reconcile.hpp) and re-sets each shard's supply fraction
@@ -95,7 +95,7 @@ class ShardedSim {
 
  private:
   struct Shard {
-    std::unique_ptr<Knowledge> knowledge;
+    std::unique_ptr<const Knowledge> knowledge;
     std::unique_ptr<HybridSupply> supply;  ///< fraction re-set per epoch
     SimConfig config;
     std::unique_ptr<DatacenterSim> sim;

@@ -35,18 +35,6 @@ DatacenterSim::DatacenterSim(const Knowledge* knowledge, PlacementRule rule,
                              const HybridSupply* supply,
                              const SimConfig& config,
                              const WindForecaster* forecaster)
-    : DatacenterSim(knowledge, nullptr, rule, supply, config, forecaster) {}
-
-DatacenterSim::DatacenterSim(Knowledge* knowledge, PlacementRule rule,
-                             const HybridSupply* supply,
-                             const SimConfig& config,
-                             const WindForecaster* forecaster)
-    : DatacenterSim(knowledge, knowledge, rule, supply, config, forecaster) {}
-
-DatacenterSim::DatacenterSim(const Knowledge* knowledge, Knowledge* quarantine,
-                             PlacementRule rule, const HybridSupply* supply,
-                             const SimConfig& config,
-                             const WindForecaster* forecaster)
     : knowledge_(knowledge),
       supply_(supply),
       config_(config),
@@ -55,7 +43,7 @@ DatacenterSim::DatacenterSim(const Knowledge* knowledge, Knowledge* quarantine,
       cooling_(config.cooling_cop),
       extras_active_(config.thermal.enabled || config.sleep.enabled()),
       fault_(config.fault_plan, config.faults, config.fault_seed, *knowledge,
-             quarantine, forecaster),
+             forecaster),
       profiling_(knowledge->procs()),
       thermal_(config.thermal, config.topology),
       sleep_(config.sleep, knowledge->procs()) {
@@ -71,7 +59,6 @@ DatacenterSim::DatacenterSim(const Knowledge* knowledge, Knowledge* quarantine,
     stock_w_.push_back(knowledge_->cluster()
                            .power(knowledge_->global_proc(p), top, vdd)
                            .raw());
-  power_row_.resize(knowledge_->levels());
 }
 
 double DatacenterSim::fmax_ghz() const {
@@ -81,37 +68,6 @@ double DatacenterSim::fmax_ghz() const {
 bool DatacenterSim::wind_abundant_given(Watts wind) const {
   if (wind.raw() <= 0.0) return false;
   return wind > demand_ * kWindAbundanceHeadroom;
-}
-
-double DatacenterSim::latest_start(const SimTask& t) const {
-  return t.latest_start_s;
-}
-
-void DatacenterSim::link_running(std::size_t idx) {
-  SimTask& t = tasks_[idx];
-  t.run_prev = run_tail_;
-  t.run_next = kNone;
-  if (run_tail_ == kNone)
-    run_head_ = idx;
-  else
-    tasks_[run_tail_].run_next = idx;
-  run_tail_ = idx;
-  ++run_count_;
-}
-
-void DatacenterSim::unlink_running(std::size_t idx) {
-  SimTask& t = tasks_[idx];
-  if (t.run_prev == kNone)
-    run_head_ = t.run_next;
-  else
-    tasks_[t.run_prev].run_next = t.run_next;
-  if (t.run_next == kNone)
-    run_tail_ = t.run_prev;
-  else
-    tasks_[t.run_next].run_prev = t.run_prev;
-  t.run_prev = kNone;
-  t.run_next = kNone;
-  --run_count_;
 }
 
 void DatacenterSim::idle_insert(std::size_t p) {
@@ -160,16 +116,20 @@ void DatacenterSim::idle_remove(std::size_t p) {
 
 void DatacenterSim::cols_append(std::size_t idx) {
   SimTask& t = tasks_[idx];
-  const std::size_t levels = knowledge_->levels();
-  for (std::size_t l = 0; l < levels; ++l) {
+  t.col = cols_.append(idx, t.remaining_work_s, t.spec.deadline_s);
+  derive_row(t.col);
+  inc_.invalidate();
+}
+
+void DatacenterSim::derive_row(std::size_t row) {
+  const SimTask& t = tasks_[cols_.task[row]];
+  double* power = cols_.power.data() + row * cols_.levels;
+  for (std::size_t l = 0; l < cols_.levels; ++l) {
     Watts p;
     for (const std::size_t id : t.procs) p += knowledge_->power(id, l);
-    power_row_[l] = p.raw();
+    power[l] = p.raw();
   }
-  t.col = cols_.append(idx, t.remaining_work_s, t.spec.deadline_s);
-  cols_.fill_row(t.col, t.spec.gamma, matcher_.slowdown_ratio(),
-                 power_row_.data());
-  inc_.invalidate();
+  cols_.fill_row(row, t.spec.gamma, matcher_.slowdown_ratio());
 }
 
 void DatacenterSim::cols_remove(std::size_t idx) {
@@ -231,15 +191,15 @@ void DatacenterSim::rematch() {
   ++rematch_count_;
 
   // Integrate progress of running tasks up to now at their current levels.
-  for (std::size_t idx = run_head_; idx != kNone; idx = tasks_[idx].run_next) {
-    SimTask& t = tasks_[idx];
+  for (std::size_t r = 0; r < cols_.count; ++r) {
+    SimTask& t = tasks_[cols_.task[r]];
     const double dt = now - t.last_update_s;
     if (dt > 0.0) {
       const double slowdown = level_slowdown(t);
       t.remaining_work_s = std::max(0.0, t.remaining_work_s - dt / slowdown);
     }
     t.last_update_s = now;
-    cols_.remaining[t.col] = t.remaining_work_s;
+    cols_.remaining[r] = t.remaining_work_s;
   }
 
   // accrue_to_now() above refreshed segment_wind_ at this exact instant;
@@ -272,9 +232,10 @@ void DatacenterSim::rematch() {
 
   // Apply levels; reschedule completion events where the level changed
   // (completion time is invariant when the level is unchanged).
-  for (std::size_t idx = run_head_; idx != kNone; idx = tasks_[idx].run_next) {
+  for (std::size_t r = 0; r < cols_.count; ++r) {
+    const std::size_t idx = cols_.task[r];
     SimTask& t = tasks_[idx];
-    const std::size_t new_level = cols_.level[t.col];
+    const std::size_t new_level = cols_.level[r];
     const bool first_schedule = !t.completion_scheduled;
     if (new_level != t.level || first_schedule) {
       t.completion_scheduled = true;
@@ -298,7 +259,7 @@ void DatacenterSim::on_arrival(std::size_t idx) {
             static_cast<double>(t.spec.cpus));
   // Wake up when deadline pressure forces this task onto whatever is idle.
   const double force_at =
-      std::max(queue_.now(), latest_start(t) - config_.deadline_patience_s);
+      std::max(queue_.now(), t.latest_start_s - config_.deadline_patience_s);
   queue_.schedule(force_at, EventDesc{EventDesc::Kind::kPass});
   schedule_pass();
 }
@@ -349,7 +310,7 @@ void DatacenterSim::schedule_pass() {
     const std::size_t idx = waiting_[read];
     SimTask& t = tasks_[idx];
     const bool forced =
-        now >= latest_start(t) - config_.deadline_patience_s;
+        now >= t.latest_start_s - config_.deadline_patience_s;
     if (t.spec.cpus > idle_count_) {
       // A forced task that cannot fit reserves the freed CPUs: stop the
       // pass so backfill cannot starve it, and rush the running work.
@@ -367,7 +328,7 @@ void DatacenterSim::schedule_pass() {
       continue;
     }
     ctx.forced = forced;
-    ctx.slack_s = latest_start(t) - now;
+    ctx.slack_s = t.latest_start_s - now;
     if (want_supply_ctx) {
       // Re-evaluate wind abundance as demand grows within the pass.
       ctx.wind_abundant = wind_abundant_given(wind_now);
@@ -397,7 +358,7 @@ void DatacenterSim::schedule_pass() {
   if (forced_blocked != rush_mode_) {
     rush_mode_ = forced_blocked;
     log_event(rush_mode_ ? TimelineKind::kRushEnter : TimelineKind::kRushLeave,
-              -1, static_cast<double>(run_count_));
+              -1, static_cast<double>(cols_.count));
     rematch();  // enter/leave rush: re-decide all DVFS levels
   }
 }
@@ -466,7 +427,6 @@ void DatacenterSim::activate_task(std::size_t idx) {
                       EventDesc{EventDesc::Kind::kMisprofileTimer, p, token});
     }
   }
-  link_running(idx);
   cols_append(idx);
   rematch();
 }
@@ -497,7 +457,6 @@ void DatacenterSim::on_completion(std::size_t idx, std::uint64_t version) {
     if (fault_.active()) fault_.next_token(p);  // stale any armed timer
     if (!profiling_.reserved(p)) idle_insert(p);
   }
-  unlink_running(idx);
   cols_remove(idx);
 
   rematch();
@@ -613,10 +572,7 @@ void DatacenterSim::requeue_task(std::size_t idx) {
     if (!profiling_.reserved(p) && !fault_.failed(p)) idle_insert(p);
   }
   t.procs.clear();
-  if (was_running) {
-    unlink_running(idx);
-    cols_remove(idx);
-  }
+  if (was_running) cols_remove(idx);
   ++t.version;  // cancel the pending completion (or wake) event
   if (t.retries >= fault_.plan().max_retries()) {
     t.state = TaskState::kFailed;
@@ -635,7 +591,7 @@ void DatacenterSim::requeue_task(std::size_t idx) {
             static_cast<double>(t.retries));
   // Same deadline-pressure wakeup an arrival gets (likely already due).
   const double force_at =
-      std::max(now, latest_start(t) - config_.deadline_patience_s);
+      std::max(now, t.latest_start_s - config_.deadline_patience_s);
   queue_.schedule(force_at, EventDesc{EventDesc::Kind::kPass});
 }
 
@@ -854,7 +810,7 @@ void DatacenterSim::telemetry_sample() {
   row.utility_w = p.utility.raw();
   row.queue_depth = queue_.pending();
   row.waiting_tasks = waiting_.size();
-  row.running_tasks = run_count_;
+  row.running_tasks = cols_.count;
   row.idle_procs = idle_count_;
   telemetry::SampleLog::global().append(row);
 
@@ -1031,9 +987,7 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   busy_time_s_.assign(nprocs, 0.0);
   idle_flags_.assign(nprocs, 1);  // the whole facility starts idle
   idle_count_ = nprocs;
-  run_head_ = kNone;
-  run_tail_ = kNone;
-  run_count_ = 0;
+  cols_.reset(knowledge_->levels(), nprocs);  // nothing runs yet
   demand_ = Watts{};
   last_accrual_s_ = 0.0;
   segment_wind_ = supply_->wind_available(Seconds{});
@@ -1083,10 +1037,6 @@ void DatacenterSim::rebuild_derived() {
   const std::size_t nprocs = knowledge_->procs();
   const std::size_t levels = knowledge_->levels();
 
-  // Quarantine mirrors the failed flags exactly, so replaying it restores
-  // the Knowledge view.
-  fault_.replay_quarantine();
-
   // A flat run builds its thermal model once, here, and ScanTherm installs
   // its recirculation-aware order from it before the rank tables below are
   // derived from the policy. A coordinator-fed shard builds none: its order
@@ -1129,15 +1079,15 @@ void DatacenterSim::rebuild_derived() {
   random_pool_.clear();
   random_pool_.reserve(nprocs);
 
-  // SoA columns for the running set in running-list order (the matcher's
-  // sums are order-sensitive). The incremental cache starts invalid: the
-  // next rematch does a full solve, which is bit-identical to the replay
-  // it displaces. Reserving the trajectory log for every task stepping
-  // through every level keeps steady-state rematches allocation-free.
-  cols_.reset(levels, nprocs);
-  for (std::size_t idx = run_head_; idx != kNone; idx = tasks_[idx].run_next) {
-    cols_append(idx);
-    cols_.level[tasks_[idx].col] = tasks_[idx].level;
+  // The rows are the running set in start order: prepare() empties them,
+  // a restore refills them in run-list order. Each row's tables are
+  // derived here. The incremental cache starts invalid: the next rematch
+  // does a full solve, which is bit-identical to the replay it displaces.
+  // Reserving the trajectory log for every task stepping through every
+  // level keeps steady-state rematches allocation-free.
+  for (std::size_t r = 0; r < cols_.count; ++r) {
+    derive_row(r);
+    cols_.level[r] = tasks_[cols_.task[r]].level;
   }
   inc_.invalidate();
   inc_.log.reserve(nprocs * levels);
@@ -1195,7 +1145,7 @@ DecisionSnapshot DatacenterSim::decision_snapshot() const {
   s.tasks_completed = done_count_;
   s.tasks_failed = fault_.failed_tasks();
   s.waiting = waiting_.size();
-  s.running = run_count_;
+  s.running = cols_.count;
   s.idle_procs = idle_count_;
   s.events_processed = events_run_;
   s.rematches = rematch_count_;
@@ -1282,10 +1232,8 @@ SimResult run_scheme(const Cluster& cluster, Scheme scheme,
     ShardedSim sim(cluster, scheme, db, supply, tagged);
     result = sim.run(tasks);
   } else {
-    // Non-const so fault plans can quarantine failed processors; without
-    // faults the view is never mutated.
-    Knowledge knowledge(&cluster, scheme_knowledge(scheme),
-                        scheme_uses_scan(scheme) ? db : nullptr);
+    const Knowledge knowledge(&cluster, scheme_knowledge(scheme),
+                              scheme_uses_scan(scheme) ? db : nullptr);
     DatacenterSim sim(&knowledge, scheme_rule(scheme), &supply, tagged);
     result = sim.run(tasks);
   }

@@ -19,7 +19,7 @@
 // Events are plain descriptors (sim/event_queue.hpp): each schedule site
 // names a kind and its payload, and dispatch() maps every kind to its
 // handler in one switch. The core owns the tasks, the event queue, the
-// meter and battery, the running list, the idle pool, placement, matching
+// meter and battery, the running set, the idle pool, placement, matching
 // and demand composition. Four optional subsystems each own their state
 // in one type the core holds by value and calls directly: FaultDriver,
 // ProfilingDriver, ThermalDriver and SleepGovernor (sim/*_driver.hpp,
@@ -31,19 +31,17 @@
 // share one derived-state rebuild, rebuild_derived().
 //
 // Hot-path design (DESIGN.md Secs. 9 and 14): `rematch()` performs zero
-// heap allocations at steady state. A task's per-level power row is summed
-// once, when it starts, and is fixed while it runs (quarantine and release
-// move the Knowledge generation but change no processor's power); the
-// running set is an intrusive doubly-linked list through SimTask (O(1)
-// removal that -- unlike swap-and-pop -- preserves start order, which the
-// matcher's floating-point sums and equal-saving tiebreaks depend on for
-// bit-reproducibility). The running set is mirrored into SoA columns in
-// the same order (matcher_columns.hpp), which PowerMatcher::match solves
-// over, replaying its cached greedy trajectory when only the wind moved;
-// every placement rule picks off one rank-indexed idle bitset. The oracles
-// this scheduler is tested against live with the tests
-// (tests/reference_scheduler.hpp), and committed digests pin its results
-// (tests/data/golden/).
+// heap allocations at steady state. The running set is the rows of the SoA
+// matcher columns (matcher_columns.hpp), in start order: a starting task
+// appends its row, and removal shifts the later rows down, which -- unlike
+// swap-and-pop -- keeps start order, on which the matcher's floating-point
+// sums and equal-saving tiebreaks depend for bit-reproducibility. A row's
+// per-level power is summed once, when the task starts, and is fixed while
+// it runs. PowerMatcher::match solves over the rows, replaying its cached
+// greedy trajectory when only the wind moved; every placement rule picks
+// off one rank-indexed idle bitset. The oracles this scheduler is tested
+// against live with the tests (tests/reference_scheduler.hpp), and
+// committed digests pin its results (tests/data/golden/).
 #pragma once
 
 #include <algorithm>
@@ -103,9 +101,8 @@ struct SimConfig {
   /// paid at absorption, so round-trip losses are on the wind bill.
   BatteryConfig battery;
   /// Fault injection (src/fault/). The default `FaultSpec{}` injects
-  /// nothing and is guaranteed bit-identical to a fault-free build. CPU
-  /// faults (crashes / mis-profiling) additionally need the mutable-
-  /// Knowledge constructor so failed processors can be quarantined.
+  /// nothing and is guaranteed bit-identical to a fault-free build. A
+  /// failed processor stays out of the idle pool until it is repaired.
   FaultSpec faults;
   std::uint64_t fault_seed = 0;  ///< seeds FaultPlan::build from `faults`
   /// Explicit plan override (scripted schedules, replay). When set it wins
@@ -161,13 +158,6 @@ class DatacenterSim {
   /// `forecaster` (optional) informs Fair's deferral decisions; without
   /// one, deferral assumes wind always returns within the slack.
   DatacenterSim(const Knowledge* knowledge, PlacementRule rule,
-                const HybridSupply* supply, const SimConfig& config,
-                const WindForecaster* forecaster = nullptr);
-
-  /// Mutable-knowledge overload: required when the fault plan carries CPU
-  /// faults, so failed processors can be quarantined in the view (which
-  /// bumps its generation and invalidates derived caches).
-  DatacenterSim(Knowledge* knowledge, PlacementRule rule,
                 const HybridSupply* supply, const SimConfig& config,
                 const WindForecaster* forecaster = nullptr);
 
@@ -268,11 +258,6 @@ class DatacenterSim {
   static void (*rematch_probe)(bool entering);
 
  private:
-  /// Both public constructors: `quarantine` is the mutable view, or null.
-  DatacenterSim(const Knowledge* knowledge, Knowledge* quarantine,
-                PlacementRule rule, const HybridSupply* supply,
-                const SimConfig& config, const WindForecaster* forecaster);
-
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   enum class TaskState : std::uint8_t {
@@ -298,9 +283,6 @@ class DatacenterSim {
     std::uint64_t version = 0;       ///< invalidates stale completion events
     /// False until the first post-start rematch schedules a completion.
     bool completion_scheduled = false;
-    /// Intrusive links of the running list (kNone when not running).
-    std::size_t run_prev = kNone;
-    std::size_t run_next = kNone;
     /// Row in the SoA matcher columns while running (kNone otherwise).
     std::size_t col = kNone;
     /// Latest deadline-feasible start at the top frequency, cached at
@@ -318,12 +300,11 @@ class DatacenterSim {
   /// live state (task, processor, profiling window, scan slot or fault
   /// cursor). Checkpoint restore screens every saved event with it.
   bool event_in_range(const EventDesc& e) const;
-  /// Derive every cache from the primary state: the fault quarantine, a
-  /// flat run's thermal model with the ScanTherm order, the rank bits and
-  /// Fair's busy-ordered list from idle_flags_ and busy_time_s_, the SoA
-  /// columns for the running list, and a reset incremental cache.
-  /// prepare() and checkpoint restore both end their state setup
-  /// here, so the two cannot drift apart.
+  /// Derive every cache from the primary state: a flat run's thermal model
+  /// with the ScanTherm order, the rank bits and Fair's busy-ordered list
+  /// from idle_flags_ and busy_time_s_, each running row's tables, and a
+  /// reset incremental cache. prepare() and checkpoint restore both end
+  /// their state setup here, so the two cannot drift apart.
   void rebuild_derived();
   void on_arrival(std::size_t idx);
   /// Try to start waiting tasks on idle processors (with backfill past
@@ -399,23 +380,26 @@ class DatacenterSim {
   /// Fair's abundance test against a wind value already looked up for this
   /// instant (schedule_pass hoists the supply query out of its task loop).
   bool wind_abundant_given(Watts wind) const;
-  /// Latest deadline-feasible start of a task at the top frequency.
-  double latest_start(const SimTask& t) const;
   bool all_done() const {
     return done_count_ + fault_.failed_tasks() == tasks_.size();
   }
 
-  /// Append / remove a task on the intrusive running list (order-
-  /// preserving O(1) bookkeeping).
-  void link_running(std::size_t idx);
-  void unlink_running(std::size_t idx);
-  /// Append a task's SoA row at the end (running-list order), derive its
-  /// tables and invalidate the incremental cache. The power row sums each
-  /// level over the task's processors and stays fixed while the task runs.
+  /// Append a task's SoA row at the end (start order), derive its tables
+  /// and invalidate the incremental cache.
   void cols_append(std::size_t idx);
+  /// Sum each level's power over the row's processors into the row, then
+  /// derive its slowdown and best-level tables. Fixed while the task runs.
+  void derive_row(std::size_t row);
   /// Drop a task's SoA row (order-preserving shift; re-points the row
   /// handles of every shifted task) and invalidate the incremental cache.
   void cols_remove(std::size_t idx);
+  /// A task's run-list links as its row implies them: the tasks in the rows
+  /// before and after (kNone at either end, and both kNone off the rows).
+  std::pair<std::size_t, std::size_t> row_links(std::size_t row) const {
+    if (row == kNone) return {kNone, kNone};
+    return {row > 0 ? cols_.task[row - 1] : kNone,
+            row + 1 < cols_.count ? cols_.task[row + 1] : kNone};
+  }
   /// Move a processor into or out of the idle pool, keeping the flags, the
   /// rank bitset and Fair's busy-ordered list in step.
   void idle_insert(std::size_t p);
@@ -460,11 +444,6 @@ class DatacenterSim {
   /// PlacementPolicy::choose).
   std::vector<std::size_t> random_pool_;
   std::vector<std::size_t> pick_scratch_;  ///< choose() output buffer
-  /// Running set: intrusive list through SimTask::run_prev/run_next, in
-  /// start order (head is the longest-running task).
-  std::size_t run_head_ = kNone;
-  std::size_t run_tail_ = kNone;
-  std::size_t run_count_ = 0;
   /// Stock power per processor (top DVFS level at nominal Vdd), raw watts:
   /// what a chip under scan draws, and the base of its idle residency.
   /// The cluster never changes, so the table is built once, at
@@ -476,12 +455,11 @@ class DatacenterSim {
   bool epoch_chain_live_ = false;
   bool sample_chain_live_ = false;
 
-  /// SoA mirror of the running set in running-list order (see
-  /// matcher_columns.hpp) plus the matcher's cached greedy trajectory and
-  /// solve buffers.
+  /// The running set, one row per task in start order (the first row is
+  /// the longest-running task; see matcher_columns.hpp), plus the
+  /// matcher's cached greedy trajectory and solve buffers.
   MatcherColumns cols_;
   IncrementalMatchState inc_;
-  std::vector<double> power_row_;  ///< cols_append's per-level sums
 
   std::vector<TimelineEvent> timeline_;
   Watts demand_;
@@ -589,7 +567,11 @@ void DatacenterSim::io(Io& io) {
     io(e.desc.t);
   });
 
-  // Tasks. `col` and `latest_start_s` are derived and not written.
+  // Tasks. `col` and `latest_start_s` are derived and not written. The
+  // run list is the rows' order: a save writes each task's run-list links
+  // from its row (row_links), and a load keeps them in `links` for the
+  // walk below.
+  std::vector<std::pair<std::size_t, std::size_t>> links;
   io.vec(tasks_, [&](auto& t) {
     io(t.spec.id);
     io(t.spec.submit_s);
@@ -606,14 +588,27 @@ void DatacenterSim::io(Io& io) {
     io(t.start_s);
     io(t.version);
     io(t.completion_scheduled);
-    io.index_or_none(t.run_prev, tasks_.size(), "run-list");
-    io.index_or_none(t.run_next, tasks_.size(), "run-list");
+    auto [prev, next] = row_links(t.col);
+    io.index_or_none(prev, tasks_.size(), "run-list");
+    io.index_or_none(next, tasks_.size(), "run-list");
+    if constexpr (Io::kLoading) links.emplace_back(prev, next);
     io.in(t.state, TaskState::kPending, TaskState::kWaking, "task state");
     io(t.retries);
   });
 
   io.vec(waiting_, tasks_.size(),
          [&](auto& i) { io.index(i, tasks_.size(), "waiting task"); });
+  if constexpr (Io::kLoading) {
+    // waiting_ holds each waiting task exactly once, and nothing else.
+    std::vector<std::uint8_t> listed(tasks_.size(), 0);
+    for (const std::size_t i : waiting_) {
+      io.check(tasks_[i].state == TaskState::kWaiting && listed[i] == 0,
+               "waiting list disagrees with the task states");
+      listed[i] = 1;
+    }
+    io.check(waiting_.size() == tasks_in(TaskState::kWaiting),
+             "waiting list disagrees with the task states");
+  }
   io.counter(waiting_cpus_, [this] {
     std::size_t cpus = 0;
     for (const std::size_t i : waiting_) cpus += tasks_[i].spec.cpus;
@@ -630,25 +625,40 @@ void DatacenterSim::io(Io& io) {
     return static_cast<std::size_t>(
         std::count(idle_flags_.begin(), idle_flags_.end(), 1));
   }, "idle count");
-  io.index_or_none(run_head_, tasks_.size(), "run-list head");
-  io.index_or_none(run_tail_, tasks_.size(), "run-list tail");
-  io.counter(run_count_, [&] {
-    // Walk the list as rebuild_derived() will: bounded (a cycle is
-    // corrupt), running tasks only, links consistent in both directions.
-    std::size_t walked = 0;
+  std::size_t run_head = cols_.count > 0 ? cols_.task[0] : kNone;
+  std::size_t run_tail = cols_.count > 0 ? cols_.task[cols_.count - 1] : kNone;
+  std::size_t run_count = cols_.count;
+  std::vector<std::size_t> walk;
+  io.index_or_none(run_head, tasks_.size(), "run-list head");
+  io.index_or_none(run_tail, tasks_.size(), "run-list tail");
+  io.counter(run_count, [&] {
+    // Walk the list: bounded (a cycle is corrupt), running tasks only,
+    // links consistent in both directions.
     std::size_t prev = kNone;
-    for (std::size_t idx = run_head_; idx != kNone;
-         idx = tasks_[idx].run_next) {
-      ++walked;
-      io.check(walked <= tasks_.size(), "running list is cyclic");
+    for (std::size_t idx = run_head; idx != kNone; idx = links[idx].second) {
+      io.check(walk.size() < tasks_.size(), "running list is cyclic");
       io.check(tasks_[idx].state == TaskState::kRunning,
                "run list holds a non-running task");
-      io.check(tasks_[idx].run_prev == prev, "run-list links disagree");
+      io.check(links[idx].first == prev, "run-list links disagree");
+      walk.push_back(idx);
       prev = idx;
     }
-    io.check(prev == run_tail_, "run-list tail disagrees with the walk");
-    return walked;
+    io.check(prev == run_tail, "run-list tail disagrees with the walk");
+    return walk.size();
   }, "running count");
+  if constexpr (Io::kLoading) {
+    io.check(walk.size() == tasks_in(TaskState::kRunning),
+             "a running task is missing from the run list");
+    // The rows are the running set in walk order; rebuild_derived() fills
+    // in their tables. Every saved link must be one these rows write back.
+    cols_.reset(levels, nprocs);
+    for (const std::size_t idx : walk)
+      tasks_[idx].col = cols_.append(idx, tasks_[idx].remaining_work_s,
+                                     tasks_[idx].spec.deadline_s);
+    for (std::size_t i = 0; i < tasks_.size(); ++i)
+      io.check(row_links(tasks_[i].col) == links[i],
+               "run-list link the rows would not write back");
+  }
 
   profiling_.io(io);
   io(epoch_chain_live_);

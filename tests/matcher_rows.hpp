@@ -23,13 +23,12 @@ inline MatcherColumns matcher_rows(const Knowledge& knowledge,
   const std::size_t levels = knowledge.levels();
   MatcherColumns cols;
   cols.reset(levels, tasks.size());
-  std::vector<double> power(levels);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const ActiveTask& t = tasks[i];
     const std::size_t row = cols.append(i, t.remaining_work_s, t.deadline_s);
     for (std::size_t l = 0; l < levels; ++l)
-      power[l] = reference.task_power(t, l).raw();
-    cols.fill_row(row, t.gamma, matcher.slowdown_ratio(), power.data());
+      cols.power[row * levels + l] = reference.task_power(t, l).raw();
+    cols.fill_row(row, t.gamma, matcher.slowdown_ratio());
   }
   return cols;
 }

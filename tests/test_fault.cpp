@@ -1,5 +1,5 @@
 // Fault-injection layer (src/fault/): plan construction, determinism,
-// scripted schedules, supply dropouts, forecast noise, quarantine, and the
+// scripted schedules, supply dropouts, forecast noise, and the
 // simulator's graceful-degradation path (requeue, retry bound, repair).
 #include <gtest/gtest.h>
 
@@ -288,40 +288,6 @@ TEST(NoisyForecaster_, ZeroErrorPassesThrough) {
             1000.0);
 }
 
-// ------------------------------------------------- Knowledge quarantine
-
-TEST(KnowledgeQuarantine, BumpsGenerationAndCounts) {
-  const Cluster cluster = build_cluster([] {
-    ClusterConfig cfg;
-    cfg.num_processors = 8;
-    cfg.seed = 3;
-    return cfg;
-  }());
-  Knowledge k(&cluster, KnowledgeSource::kBin);
-  const std::uint64_t g0 = k.generation();
-  EXPECT_EQ(k.quarantined_count(), 0u);
-
-  k.quarantine(2);
-  EXPECT_TRUE(k.quarantined(2));
-  EXPECT_FALSE(k.quarantined(3));
-  EXPECT_EQ(k.quarantined_count(), 1u);
-  EXPECT_GT(k.generation(), g0);
-
-  const std::uint64_t g1 = k.generation();
-  k.release(2);
-  EXPECT_FALSE(k.quarantined(2));
-  EXPECT_EQ(k.quarantined_count(), 0u);
-  EXPECT_GT(k.generation(), g1);
-
-  k.quarantine(0);
-  k.quarantine(5);
-  EXPECT_EQ(k.quarantined_count(), 2u);
-  k.clear_quarantine();
-  EXPECT_EQ(k.quarantined_count(), 0u);
-  EXPECT_FALSE(k.quarantined(0));
-  EXPECT_FALSE(k.quarantined(5));
-}
-
 // ------------------------------------------------------ sim integration
 
 const HybridSupply& utility_only() {
@@ -545,7 +511,9 @@ TEST(FaultSim, SeededRunsReplayBitIdentically) {
   }
 }
 
-TEST(FaultSim, CpuFaultsRequireMutableKnowledge) {
+TEST(FaultSim, CpuFaultsRunOnConstKnowledge) {
+  // The simulator's failed flags keep a down processor out of the idle
+  // pool; the view it schedules against is never written.
   FaultWorld w;
   std::vector<FaultEvent> events = {{100.0, FaultKind::kCrash, 0},
                                     {200.0, FaultKind::kRepair, 0}};
@@ -554,7 +522,10 @@ TEST(FaultSim, CpuFaultsRequireMutableKnowledge) {
       std::make_shared<const FaultPlan>(FaultPlan::scripted(events));
   const Knowledge frozen(&w.cluster, KnowledgeSource::kBin);
   DatacenterSim sim(&frozen, scheme_rule(Scheme::kBinEffi), &utility_only(), cfg);
-  EXPECT_THROW(sim.run(FaultWorld::one_task(1000.0, 1)), InvalidArgument);
+  const SimResult r = sim.run(FaultWorld::one_task(1000.0, 1));
+  EXPECT_EQ(r.tasks_completed, 1u);
+  EXPECT_EQ(r.faults.cpu_failures, 1u);
+  EXPECT_EQ(r.faults.cpu_repairs, 1u);
 }
 
 TEST(FaultSim, PlanWiderThanClusterIsRejected) {

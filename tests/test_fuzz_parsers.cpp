@@ -1,6 +1,6 @@
 // Fuzz-style robustness tests for the external-input parsers: SWF
-// workload traces, supply CSVs, the iscope_serve wire protocol, and the
-// checkpoint codec. Two layers:
+// workload traces, supply CSVs, the iscope_serve wire protocol and
+// command-line flags, and the checkpoint codec. Two layers:
 //
 //  1. a seed corpus (tests/data/fuzz/) of hand-written hostile inputs --
 //     truncated lines, NaN/negative values, CRLF endings, embedded NULs,
@@ -20,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -309,12 +310,68 @@ TEST(FuzzCorpusService, HostileCheckpointsAreRejected) {
         // Well-framed blobs with one duplicated counter off by one: each
         // must disagree with the primary state it counts.
         "service_ckpt_idle_count.bin", "service_ckpt_waiting_cpus.bin",
-        "service_ckpt_done_count.bin", "service_ckpt_failed_count.bin"}) {
+        "service_ckpt_done_count.bin", "service_ckpt_failed_count.bin",
+        // One done task's state rewritten, with the completed-task count
+        // lowered to match: a waiting task missing from the waiting list,
+        // and a running task missing from the run list.
+        "service_ckpt_done_as_waiting.bin", "service_ckpt_done_as_running.bin",
+        // A done task whose next run-list link names task 0: the walk never
+        // reaches it, but the rows it rebuilds would not write it back.
+        "service_ckpt_stray_link.bin"}) {
     SCOPED_TRACE(name);
     const auto blob = slurp_bytes(data_path(name));
     EXPECT_THROW(
         restore_from_bytes(host.sim(), blob.data(), blob.size()),
         CheckpointError);
+  }
+}
+
+// ----------------------------------------------- iscope_serve flags
+
+/// The flags perfbench's serve_stream and the service e2e/chaos suites
+/// pass, plus a metrics port.
+TEST(ServiceArgs, AcceptsTheValuesTheSuitesPass) {
+  const service::ServiceOptions a = service::parse_service_args(
+      {"--socket", "s.sock", "--scheme", "ScanFair", "--scale", "0.05",
+       "--seed", "77", "--faults", "mtbf=180000,repair=1800",
+       "--admit-capacity", "4", "--metrics-port", "9100"});
+  EXPECT_EQ(a.scale, 0.05);
+  EXPECT_EQ(a.seed, 77u);
+  EXPECT_EQ(a.admit_capacity, 4u);
+  EXPECT_EQ(a.metrics_port, 9100u);
+  EXPECT_EQ(a.fault_spec, "mtbf=180000,repair=1800");
+  const service::ServiceOptions b = service::parse_service_args(
+      {"--socket", "s.sock", "--scheme", "ScanFair", "--scale", "8",
+       "--thermal", "--sleep-policy", "timeout", "--checkpoint", "c.bin",
+       "--seed", "18446744073709551615"});
+  EXPECT_EQ(b.scale, 8.0);
+  EXPECT_TRUE(b.thermal);
+  EXPECT_EQ(b.sleep_policy, SleepPolicy::kTimeout);
+  EXPECT_EQ(b.checkpoint_path, "c.bin");
+  EXPECT_EQ(b.seed, ~std::uint64_t{0});
+}
+
+/// Negative, signed, padded, hex, non-finite and out-of-range numbers are
+/// refused, and each error names its flag.
+TEST(ServiceArgs, RejectsMalformedNumbersNamingTheFlag) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"--seed", "-1"},           {"--admit-capacity", "-1"},
+      {"--scale", "inf"},         {"--seed", "+7"},
+      {"--metrics-port", " 80"},  {"--scale", "0x1p-1"},
+      {"--scale", "nan"},         {"--scale", "1e999"},
+      {"--seed", "7 "},           {"--seed", "18446744073709551616"},
+      {"--admit-capacity", "4x"}, {"--metrics-port", ""},
+      {"--scale", "0"},           {"--admit-capacity", "0"},
+      {"--metrics-port", "65536"}};
+  for (const auto& [flag, value] : bad) {
+    SCOPED_TRACE(std::string(flag) + " '" + value + "'");
+    try {
+      service::parse_service_args({"--socket", "s.sock", flag, value});
+      ADD_FAILURE() << "accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
   }
 }
 

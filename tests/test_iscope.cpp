@@ -88,6 +88,20 @@ TEST(IScope, ScheduleRunsAllSchemes) {
   }
 }
 
+TEST(IScope, ScheduleRunsUnderCrashRepairFaults) {
+  // The facade schedules on a const Knowledge view; crashed processors are
+  // kept out of the idle pool by the simulator's own fault state.
+  IScope::Options opt = small_options();
+  opt.sim.faults = parse_fault_spec("mtbf=3600,repair=600");
+  opt.sim.fault_seed = 3;
+  IScope iscope(opt);
+  iscope.scan_all(0.0);
+  const auto tasks = burst(10);
+  const SimResult r = iscope.schedule(Scheme::kScanFair, tasks, HybridSupply{});
+  EXPECT_GT(r.faults.cpu_failures, 0u);
+  EXPECT_EQ(r.tasks_completed + r.faults.tasks_failed, tasks.size());
+}
+
 TEST(IScope, WearCreatesViolationsRescanClearsThem) {
   IScope iscope(small_options());
   iscope.scan_all(0.0);

@@ -104,10 +104,8 @@ struct Scenario {
                 const std::vector<ProfilingWindow>& profiling = {}) const {
     cfg.record_trace = true;
     cfg.record_timeline = true;
-    // Mutable knowledge so fault-active scenarios can quarantine; with no
-    // faults this is behaviorally identical to the const-view constructor.
-    Knowledge knowledge(&cluster, scheme_knowledge(scheme),
-                        scheme_uses_scan(scheme) ? &db : nullptr);
+    const Knowledge knowledge(&cluster, scheme_knowledge(scheme),
+                              scheme_uses_scan(scheme) ? &db : nullptr);
     DatacenterSim sim(&knowledge, scheme_rule(scheme), &supply, cfg);
     return sim.run(tasks, profiling);
   }
@@ -295,9 +293,8 @@ TEST(MatchEquivalence, WithProfilingWindows) {
 }
 
 TEST(MatchEquivalence, FaultsActiveOptimizedMatchesReference) {
-  // The pinned results hold while CPUs crash, tasks requeue and the
-  // knowledge view's quarantine generation churns -- requeues invalidate
-  // the cached trajectory mid-flight.
+  // The pinned results hold while CPUs crash and tasks requeue --
+  // requeues invalidate the cached trajectory mid-flight.
   expect_pinned(with_faults_active(Draw{51, 59, 71, 13}));
 }
 
@@ -526,7 +523,6 @@ TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
         static_cast<std::size_t>(rng.uniform_int(1, 40));
     MatcherColumns cols;
     cols.reset(levels, rows);
-    std::vector<double> power_row(levels);
     double now = 0.0;
     std::size_t next_proc = 0;
     for (std::size_t r = 0; r < rows; ++r) {
@@ -539,11 +535,10 @@ TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
           p += knowledge.power((next_proc + static_cast<std::size_t>(k)) %
                                    cluster.size(),
                                l);
-        power_row[l] = p.raw();
+        cols.power[r * levels + l] = p.raw();
       }
       next_proc += 4;
-      cols.fill_row(r, rng.uniform(0.3, 1.0), matcher.slowdown_ratio(),
-                    power_row.data());
+      cols.fill_row(r, rng.uniform(0.3, 1.0), matcher.slowdown_ratio());
     }
 
     IncrementalMatchState inc;

@@ -156,13 +156,12 @@ TEST(EnergyOptimal, TiesGoToTheHigherLevel) {
   Fixture f;
   const std::size_t levels = f.knowledge.levels();
   ASSERT_GE(levels, 3u);
-  std::vector<double> power(levels);
-  for (std::size_t l = 0; l < levels; ++l)
-    power[l] = (levels - 1 - l) % 2 == 0 ? 40.0 : 50.0;
   MatcherColumns cols;
   cols.reset(levels, 1);
   cols.append(0, 100.0, 1e9);
-  cols.fill_row(0, 0.0, f.matcher.slowdown_ratio(), power.data());
+  for (std::size_t l = 0; l < levels; ++l)
+    cols.power[l] = (levels - 1 - l) % 2 == 0 ? 40.0 : 50.0;
+  cols.fill_row(0, 0.0, f.matcher.slowdown_ratio());
   for (std::size_t floor = 0; floor < levels; ++floor)
     EXPECT_EQ(cols.best_from_row(0)[floor], levels - 1) << "floor " << floor;
 }

@@ -30,7 +30,7 @@ COVERAGE_MIN=90
 STAGES=(
   "strict          strict build (-Werror -Wconversion -Wdouble-promotion, audit on)"
   "tests           full ctest suite on the strict build"
-  "bench-smoke     fig8 figure binary: comparison lines + ISCOPE_TELEMETRY report bundle"
+  "bench-smoke     fig8 figure binary: comparison lines + ISCOPE_TELEMETRY report bundle; forecast ablation under CPU faults"
   "telemetry-smoke report bundle + registry/SimResult cross-check"
   "shard-identity  1-shard bit-identity + worker-count determinism"
   "service         iscope_serve daemon: checkpoint identity, e2e stream-vs-batch, wire fuzz"
@@ -106,8 +106,11 @@ stage_tests() {
 }
 
 stage_bench_smoke() {
-  stage "bench smoke (fig8 comparison lines + ISCOPE_TELEMETRY bundle)"
-  [ -n "$ONLY_STAGE" ] && ensure_strict bench_fig8_energy_cost > /dev/null
+  stage "bench smoke (fig8 comparison lines + ISCOPE_TELEMETRY bundle + forecast ablation under CPU faults)"
+  if [ -n "$ONLY_STAGE" ]; then
+    ensure_strict bench_fig8_energy_cost > /dev/null
+    ensure_strict bench_ablation_forecast > /dev/null
+  fi
   BENCH_DIR="build-check/bench-smoke"
   rm -rf "$BENCH_DIR" && mkdir -p "$BENCH_DIR"
   ISCOPE_SCALE=0.2 ISCOPE_PARALLEL=1 ISCOPE_TELEMETRY="$BENCH_DIR/report" \
@@ -120,7 +123,14 @@ stage_bench_smoke() {
     [ -s "$BENCH_DIR/report/$f" ] \
         || { echo "bench smoke: report/$f missing or empty" >&2; exit 1; }
   done
-  echo "bench smoke ok: fig8 printed, bundle in $BENCH_DIR/report"
+  # Crashes and repairs on a bench's const Knowledge views: every scheme's
+  # run must finish, not abort.
+  ISCOPE_SCALE=0.2 ISCOPE_PARALLEL=1 ISCOPE_FAULTS=mtbf=180000,repair=1800 \
+      ./build-check/strict/bench/bench_ablation_forecast \
+      > "$BENCH_DIR/forecast_faults.txt" \
+      || { echo "bench smoke: bench_ablation_forecast under CPU faults exited $?" >&2;
+           cat "$BENCH_DIR/forecast_faults.txt" >&2; exit 1; }
+  echo "bench smoke ok: fig8 printed, bundle in $BENCH_DIR/report, forecast ablation ran under faults"
 }
 
 stage_telemetry_smoke() {
