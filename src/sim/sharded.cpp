@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <map>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "common/audit.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -96,9 +98,11 @@ ShardedSim::ShardedSim(const Cluster& cluster, Scheme scheme,
         FaultPlan::build(config_.faults, config_.fault_seed, cluster.size()));
   global_plan_ = global_plan;
 
-  if (config_.thermal.enabled)
+  if (config_.thermal.enabled) {
     thermal_model_ = std::make_unique<ThermalModel>(
         config_.thermal, config_.topology, topology_.racks());
+    rack_w_.assign(topology_.racks(), 0.0);
+  }
 
   capacity_share_.reserve(n);
   shards_.reserve(n);
@@ -167,6 +171,7 @@ void ShardedSim::prepare(const std::vector<Task>& tasks,
   for (std::size_t s = 0; s < n; ++s) {
     shards_[s].tasks_assigned = parts[s].size();
     shards_[s].sim->prepare(std::move(parts[s]), windows[s]);
+    shards_[s].racks_stale = true;
   }
   barrier_ = 0.0;
   ensure_pool();
@@ -195,31 +200,49 @@ std::size_t ShardedSim::advance_round() {
     shards_[s].supply->set_fraction(alloc.fraction[s]);
 
   if (config_.thermal.enabled) {
-    // Resolve the thermal model once over the whole facility (fixed shard
-    // order; racks never straddle shards, so the per-rack sums match a
-    // flat run's bit for bit) and stage the solution for every shard's
-    // class-0 kThermal event at this barrier.
-    rack_w_.assign(thermal_model_->matrix().racks(), 0.0);
-    for (const Shard& sh : shards_) sh.sim->collect_rack_power(rack_w_);
+    // Re-collect only stale shards' racks: racks never straddle shards and
+    // collect_rack_power sums each rack in processor order from 0.0, so a
+    // zeroed and re-collected range equals a full collection (and a flat
+    // run's sums) bit for bit. Then solve once and stage for every shard.
+    for (std::size_t s = 0; s < n; ++s) {
+      if (!shards_[s].racks_stale) continue;
+      const ShardSlice& slice = topology_.slice(s);
+      std::fill_n(rack_w_.begin() + static_cast<std::ptrdiff_t>(slice.rack_lo),
+                  slice.rack_count, 0.0);
+      shards_[s].sim->collect_rack_power(rack_w_);
+      shards_[s].racks_stale = false;
+    }
+#if ISCOPE_AUDIT_ENABLED
+    std::vector<double> full(rack_w_.size(), 0.0);
+    for (const Shard& sh : shards_) sh.sim->collect_rack_power(full);
+    ISCOPE_AUDIT_CHECK(
+        std::memcmp(full.data(), rack_w_.data(),
+                    full.size() * sizeof(double)) == 0,
+        "ShardedSim: kept rack power differs from a full collection");
+#endif
     const double derate =
         global_plan_ != nullptr ? global_plan_->crac_factor(barrier_) : 1.0;
     const ThermalSolution sol = thermal_model_->solve(rack_w_, derate);
     for (Shard& sh : shards_) sh.sim->stage_thermal(sol);
   }
 
+  // Advance only shards with an event before the next barrier: the rest
+  // would pop nothing, and the event-budget check reads counters only
+  // events move. With a pool every advance is a pool job, even a lone one.
   const double next = barrier_ + config_.epoch_s;
   std::size_t events = 0;
-  if (pool_ != nullptr) {
-    std::vector<std::future<std::size_t>> pending;
-    pending.reserve(n);
-    for (Shard& sh : shards_)
+  std::vector<std::future<std::size_t>> pending;
+  for (Shard& sh : shards_) {
+    if (!sh.sim->has_event_before(next)) continue;
+    sh.racks_stale = true;
+    if (pool_ != nullptr)
       pending.push_back(pool_->submit(
           [&sim = *sh.sim, next] { return sim.advance_before(next); }));
-    // Sum in fixed shard order (a size_t sum is order-independent anyway).
-    for (std::future<std::size_t>& f : pending) events += f.get();
-  } else {
-    for (Shard& sh : shards_) events += sh.sim->advance_before(next);
+    else
+      events += sh.sim->advance_before(next);
   }
+  // Sum in fixed shard order (a size_t sum is order-independent anyway).
+  for (std::future<std::size_t>& f : pending) events += f.get();
   barrier_ = next;
   return events;
 }

@@ -9,11 +9,14 @@
 // coordinator reconciles their power demands against the global wind
 // budget (energy/reconcile.hpp) and re-sets each shard's supply fraction
 // for the next epoch. Shard advances between barriers fan out over a
-// ThreadPool when SimConfig::shard_workers allows. With the thermal model
-// on, the coordinator also owns the one facility-wide ThermalModel: at
-// every barrier it collects each shard's rack power, solves once, and
-// stages the solution in every shard (DatacenterSim's public thermal
-// coordination calls), whose own kThermal event applies it.
+// ThreadPool when SimConfig::shard_workers allows; a shard with no event
+// before the next barrier is skipped. With the thermal model on, the
+// coordinator also owns the one facility-wide ThermalModel: at every
+// barrier it re-collects the rack power of shards that ran events (or were
+// prepared or restored) since their last collection, solves once
+// (memoized on the exact inputs), and stages the solution in every shard
+// (DatacenterSim's public thermal coordination calls), whose own kThermal
+// event applies it.
 //
 // Determinism contract (tests/test_shard.cpp):
 //  * a 1-shard ShardedSim is bit-identical to DatacenterSim::run() --
@@ -100,6 +103,9 @@ class ShardedSim {
     SimConfig config;
     std::unique_ptr<DatacenterSim> sim;
     std::size_t tasks_assigned = 0;
+    /// The shard's racks in rack_w_ may be out of date: set at prepare(),
+    /// checkpoint load and dispatch, cleared when the racks are collected.
+    bool racks_stale = true;
   };
 
   SimResult aggregate(std::vector<SimResult> results) const;
@@ -124,7 +130,7 @@ class ShardedSim {
   /// is a coordinator-level input: the shards' sliced plans only carry
   /// processor faults).
   std::shared_ptr<const FaultPlan> global_plan_;
-  std::vector<double> rack_w_;          ///< per-barrier collection scratch
+  std::vector<double> rack_w_;          ///< rack watts as last collected
 };
 
 template <class Io>
@@ -139,6 +145,7 @@ void ShardedSim::io(Io& io) {
     io(fraction);
     if constexpr (Io::kLoading) shard.supply->set_fraction(fraction);
     shard.sim->io(io);
+    if constexpr (Io::kLoading) shard.racks_stale = true;
   }
   if constexpr (Io::kLoading) ensure_pool();
 }

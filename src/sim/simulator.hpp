@@ -199,6 +199,11 @@ class DatacenterSim {
   std::size_t step_until(double t_limit);
   /// True when no staged events remain.
   bool drained() const { return queue_.empty(); }
+  /// True when a staged event lies strictly before `t`: advance_before(t)
+  /// would run at least one event.
+  bool has_event_before(double t) const {
+    return !queue_.empty() && queue_.peek_time() < t;
+  }
   /// Facility demand decided by the latest rematch (IT + cooling + scans).
   Watts demand_now() const { return demand_; }
   /// Collect the metrics after the queue drained; checks all tasks done.

@@ -4,6 +4,8 @@
 // of a sharded run is fed by the coordinator instead, which solves one
 // facility-wide model at each epoch barrier and stages the solution here
 // for the shard's kThermal event. Both paths end in the same apply step.
+// Either way ThermalModel::solve is memoized on its exact inputs, so an
+// epoch that repeats the last one's rack watts and derate reuses it.
 // The driver also owns the CRAC operating point (COP and supply
 // temperature), the hottest inlet seen so far, and the kThermal chain flag.
 // Disabled, it builds no model and the core schedules no kThermal event,

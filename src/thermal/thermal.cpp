@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "common/audit.hpp"
 #include "common/error.hpp"
 
 namespace iscope {
@@ -75,7 +77,7 @@ RecirculationMatrix::RecirculationMatrix(const ThermalConfig& config,
 
 ThermalModel::ThermalModel(const ThermalConfig& config,
                            const TopologyConfig& topo, std::size_t racks)
-    : config_(config), matrix_(config, topo, racks), rise_(racks, 0.0) {}
+    : config_(config), matrix_(config, topo, racks) {}
 
 ThermalSolution ThermalModel::solve(const std::vector<double>& rack_w,
                                     double derate_factor) const {
@@ -83,12 +85,32 @@ ThermalSolution ThermalModel::solve(const std::vector<double>& rack_w,
                    "ThermalModel: rack power vector size mismatch");
   ISCOPE_CHECK_ARG(derate_factor > 0.0 && derate_factor <= 1.0,
                    "ThermalModel: derate_factor must be in (0, 1]");
+  // Compared as bits, not as doubles: a -0.0 never matches a +0.0, and a
+  // NaN matches only the same NaN, so a hit has the inputs compute() saw.
+  if (memo_w_.size() == rack_w.size() &&
+      std::memcmp(&memo_derate_, &derate_factor, sizeof derate_factor) == 0 &&
+      std::memcmp(memo_w_.data(), rack_w.data(),
+                  rack_w.size() * sizeof(double)) == 0) {
+#if ISCOPE_AUDIT_ENABLED
+    const ThermalSolution fresh = compute(rack_w, derate_factor);
+    ISCOPE_AUDIT_CHECK(std::memcmp(&fresh, &memo_, sizeof fresh) == 0,
+                       "ThermalModel: memoized solve differs from a fresh one");
+#endif
+    return memo_;
+  }
+  memo_ = compute(rack_w, derate_factor);
+  memo_w_ = rack_w;
+  memo_derate_ = derate_factor;
+  return memo_;
+}
+
+ThermalSolution ThermalModel::compute(const std::vector<double>& rack_w,
+                                      double derate_factor) const {
   const std::size_t n = matrix_.racks();
   double max_rise = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     double r = 0.0;
     for (std::size_t j = 0; j < n; ++j) r += matrix_.at(i, j) * rack_w[j];
-    rise_[i] = r;
     max_rise = std::max(max_rise, r);
   }
   ThermalSolution out;

@@ -23,8 +23,9 @@
 // The model is deliberately a pure function solve(P) -> (T_sup, COP):
 // the simulator owns *when* it is evaluated (at supply epochs, on the
 // coordinator for sharded runs) so that flat and sharded runs resolve
-// recirculation from bit-identical inputs. Nothing here schedules events
-// or holds mutable state.
+// recirculation from bit-identical inputs. Nothing here schedules events;
+// the one mutable state is a memo of the last solve, which an idle
+// facility or an unchanged barrier hits.
 #pragma once
 
 #include <cstddef>
@@ -122,13 +123,24 @@ class ThermalModel {
   /// `derate_factor` scales the chiller COP (fault injection: a degraded
   /// CRAC window passes < 1); the COP is floored at a small positive
   /// value so cooling power stays finite.
+  /// Memoized: inputs bitwise equal to the last call's return its
+  /// solution. The config and matrix never change, so an old memo (an
+  /// earlier run, or from before a restore) stays exact. Each model has
+  /// one caller, since the memo makes concurrent calls unsafe.
   ThermalSolution solve(const std::vector<double>& rack_w,
                         double derate_factor = 1.0) const;
 
  private:
+  /// The dense solve itself, with no memo.
+  ThermalSolution compute(const std::vector<double>& rack_w,
+                          double derate_factor) const;
+
   ThermalConfig config_;
   RecirculationMatrix matrix_;
-  mutable std::vector<double> rise_;  ///< scratch, solve() is logically const
+  /// The last solve's inputs and output (memo_w_ empty before the first).
+  mutable std::vector<double> memo_w_;
+  mutable double memo_derate_ = 0.0;
+  mutable ThermalSolution memo_;
 };
 
 }  // namespace iscope

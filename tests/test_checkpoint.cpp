@@ -290,6 +290,42 @@ TEST(Checkpoint, ShardedThermalRoundtrip) {
   expect_identical(expected, sim2.collect());
 }
 
+// The coordinator keeps its rack power vector across rounds and re-collects
+// only shards marked stale. A restore into a simulator that already ran
+// another trace must mark every shard stale, or the first barrier after it
+// solves the thermal model over the other trace's racks. The red line sits
+// at the supply ceiling, so every rise moves the supply and the cooling
+// bill: a wrong solve cannot hide under the clamp.
+TEST(Checkpoint, ShardedThermalRestoreAfterAnotherTrace) {
+  const Scenario sc(24, 44);
+  const std::vector<Task> tasks = sc.make_tasks(40, 3, 54);
+  const std::vector<Task> other = sc.make_tasks(25, 3, 55);
+  const HybridSupply supply = sc.make_supply(64);
+  SimConfig cfg = base_config();
+  cfg.topology.cpus_per_rack = 2;
+  cfg.topology.shards = 4;
+  cfg.shard_workers = 4;
+  cfg.thermal.enabled = true;
+  cfg.thermal.red_line_c = cfg.thermal.max_supply_c;
+  cfg.sleep.policy = SleepPolicy::kTimeout;
+  cfg.sleep.timeout_s = 180.0;
+
+  ShardedSim sim1(sc.cluster, Scheme::kScanFair, &sc.db, supply, cfg);
+  sim1.prepare(tasks, {});
+  for (int round = 0; round < 8 && !sim1.drained(); ++round)
+    sim1.advance_round();
+  const std::vector<std::uint8_t> blob = checkpoint_bytes(sim1);
+  while (!sim1.drained()) sim1.advance_round();
+  const SimResult uninterrupted = sim1.collect();
+
+  ShardedSim sim2(sc.cluster, Scheme::kScanFair, &sc.db, supply, cfg);
+  sim2.prepare(other, {});
+  while (!sim2.drained()) sim2.advance_round();
+  restore_from_bytes(sim2, blob.data(), blob.size());
+  while (!sim2.drained()) sim2.advance_round();
+  expect_identical(uninterrupted, sim2.collect());
+}
+
 // --- randomized cut points over 50 seeds ----------------------------------
 
 TEST(Checkpoint, RandomizedEpochsFiftySeeds) {

@@ -15,6 +15,7 @@
 //     sanitizer stages of tools/check.sh) is a bug.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -300,29 +301,55 @@ TEST(FuzzCorpusService, HostileCheckpointsAreRejected) {
   opt.seed = 9;
   service::SimHost host(opt);
   host.sim().prepare({}, {});
-  for (const char* name :
-       {"service_ckpt_badmagic.bin", "service_ckpt_truncated.bin",
-        // Format-v1 envelope: the v2 reader must refuse old blobs with a
-        // version error, never misparse them as v2.
-        "service_ckpt_v1_version.bin",
-        // v2 blob cut inside the thermal/sleep identity section.
-        "service_ckpt_truncated_thermal.bin",
-        // Well-framed blobs with one duplicated counter off by one: each
-        // must disagree with the primary state it counts.
-        "service_ckpt_idle_count.bin", "service_ckpt_waiting_cpus.bin",
-        "service_ckpt_done_count.bin", "service_ckpt_failed_count.bin",
-        // One done task's state rewritten, with the completed-task count
-        // lowered to match: a waiting task missing from the waiting list,
-        // and a running task missing from the run list.
-        "service_ckpt_done_as_waiting.bin", "service_ckpt_done_as_running.bin",
-        // A done task whose next run-list link names task 0: the walk never
-        // reaches it, but the rows it rebuilds would not write it back.
-        "service_ckpt_stray_link.bin"}) {
+  const std::vector<std::uint8_t> own = checkpoint_bytes(host.sim());
+  // Each blob with the reason it must be refused for: the blob reaches the
+  // check it is named after, not an earlier one.
+  const std::pair<const char*, const char*> corpus[] = {
+      {"service_ckpt_badmagic.bin", "bad magic"},
+      // The test host's own v2 blob cut in half (3 947 of 7 894 bytes).
+      {"service_ckpt_truncated.bin", "read past end of buffer"},
+      // Format-v1 envelope: the v2 reader must refuse old blobs with a
+      // version error, never misparse them as v2.
+      {"service_ckpt_v1_version.bin", "format version 1 is not supported"},
+      // The test host's own v2 blob cut at byte 76, inside the thermal/sleep
+      // identity section (in the supply ceiling, after the thermal mode
+      // byte at 55 and the red line and supply floor).
+      {"service_ckpt_truncated_thermal.bin", "read past end of buffer"},
+      // Well-framed blobs with one duplicated counter off by one: each
+      // must disagree with the primary state it counts.
+      {"service_ckpt_idle_count.bin", "idle count does not match"},
+      {"service_ckpt_waiting_cpus.bin", "waiting width does not match"},
+      {"service_ckpt_done_count.bin", "completed-task count does not match"},
+      {"service_ckpt_failed_count.bin", "failed-task count does not match"},
+      // One done task's state rewritten, with the completed-task count
+      // lowered to match: a waiting task missing from the waiting list,
+      // and a running task missing from the run list.
+      {"service_ckpt_done_as_waiting.bin", "waiting list disagrees"},
+      {"service_ckpt_done_as_running.bin",
+       "a running task is missing from the run list"},
+      // A done task whose next run-list link names task 0: the walk never
+      // reaches it, but the rows it rebuilds would not write it back.
+      {"service_ckpt_stray_link.bin",
+       "run-list link the rows would not write back"}};
+  for (const auto& [name, reason] : corpus) {
     SCOPED_TRACE(name);
     const auto blob = slurp_bytes(data_path(name));
-    EXPECT_THROW(
-        restore_from_bytes(host.sim(), blob.data(), blob.size()),
-        CheckpointError);
+    try {
+      restore_from_bytes(host.sim(), blob.data(), blob.size());
+      ADD_FAILURE() << "restored";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+          << e.what();
+    }
+  }
+  // Both truncated blobs are strict prefixes of the host's own checkpoint,
+  // so every field before the cut passes its check.
+  for (const char* name :
+       {"service_ckpt_truncated.bin", "service_ckpt_truncated_thermal.bin"}) {
+    SCOPED_TRACE(name);
+    const auto blob = slurp_bytes(data_path(name));
+    ASSERT_LT(blob.size(), own.size());
+    EXPECT_TRUE(std::equal(blob.begin(), blob.end(), own.begin()));
   }
 }
 

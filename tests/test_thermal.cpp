@@ -16,7 +16,11 @@
 //    variants force a sleep policy.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -175,6 +179,73 @@ TEST(ThermalModel, SolveClampsSupplyAndReportsPeak) {
   EXPECT_LT(derated.cop, warm.cop);
 }
 
+// solve() returns its last solution when the rack watts and the derate are
+// bitwise equal to the last call's. A random walk over exact repeats,
+// one-ulp moves, signed zeros, derate-only changes and returns to an
+// earlier vector must give, every step, the bits a fresh model gives.
+TEST(ThermalModel, MemoizedSolveEqualsFreshSolve) {
+  ThermalConfig cfg;
+  cfg.enabled = true;
+  TopologyConfig topo;
+  topo.cpus_per_rack = 2;
+  topo.racks_per_row = 4;
+  const std::size_t racks = 12;
+  const ThermalModel memoized(cfg, topo, racks);
+
+  auto same_bits = [](const ThermalSolution& a, const ThermalSolution& b) {
+    return std::bit_cast<std::uint64_t>(a.supply_c) ==
+               std::bit_cast<std::uint64_t>(b.supply_c) &&
+           std::bit_cast<std::uint64_t>(a.cop) ==
+               std::bit_cast<std::uint64_t>(b.cop) &&
+           std::bit_cast<std::uint64_t>(a.max_rise_c) ==
+               std::bit_cast<std::uint64_t>(b.max_rise_c) &&
+           std::bit_cast<std::uint64_t>(a.peak_inlet_c) ==
+               std::bit_cast<std::uint64_t>(b.peak_inlet_c);
+  };
+
+  Rng rng(163);
+  std::vector<double> w(racks, 0.0);
+  for (double& x : w) x = rng.uniform(0.0, 3000.0);
+  std::vector<double> before = w;
+  double derate = 1.0;
+  std::size_t derate_moves = 0;
+  for (int step = 0; step < 400; ++step) {
+    const std::vector<double> previous = w;
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(racks) - 1));
+    switch (rng.uniform_int(0, 5)) {
+      case 0:  // exact repeat
+        break;
+      case 1:  // one ulp in one rack
+        w[k] = std::nextafter(w[k], rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : 1e9);
+        break;
+      case 2:  // a signed zero
+        w[k] = rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : -0.0;
+        break;
+      case 3: {  // the derate alone
+        const double factors[] = {1.0, 0.5, 0.8, std::nextafter(1.0, 0.0)};
+        derate = factors[rng.uniform_int(0, 3)];
+        ++derate_moves;
+        break;
+      }
+      case 4:  // back to the vector before the last step
+        w = before;
+        break;
+      default:
+        w[k] = rng.uniform(0.0, 3000.0);
+        break;
+    }
+    before = previous;
+    const ThermalModel fresh(cfg, topo, racks);
+    const ThermalSolution want = fresh.solve(w, derate);
+    const ThermalSolution got = memoized.solve(w, derate);
+    ASSERT_TRUE(same_bits(got, want))
+        << "step " << step << ": cop " << got.cop << " vs " << want.cop
+        << ", supply " << got.supply_c << " vs " << want.supply_c;
+  }
+  EXPECT_GT(derate_moves, 20u);
+}
+
 // ----------------------------------------------------- off-path identity
 
 TEST(ThermalOffIdentity, DisabledKnobsAreInert) {
@@ -313,6 +384,110 @@ TEST(ThermalDeterminism, MultiShardRunIsWorkerCountIndependent) {
   expect_identical(serial, two);
   expect_identical(serial, eight);
   EXPECT_GT(serial.cooling_energy.joules(), 0.0);
+}
+
+// tests/data/golden/thermal_shard_digests.txt pins one digest per
+// `<scheme>/<shards>/faults=/battery=/sleep=` row: ScanTherm and ScanFair
+// with thermal on, flat and at 2, 4 and 8 shards over 8 racks, with or
+// without crashes, mis-profiles and a CRAC derate window that opens and
+// closes while tasks run. Deadlines are loose, so every run ends in idle
+// barrier rounds after its last completion. The red line sits at the
+// supply ceiling, so every rise moves the supply and the cooling bill: a
+// wrong solve cannot hide under the clamp. Each sharded row is reached
+// at 1 and at 4 workers. A missing or moved row prints a ready-to-paste
+// line and an extra row fails; nothing regenerates the file.
+TEST(ThermalDeterminism, PinnedShardedDigests) {
+  const Scheme scan_therm = ensure_extended_schemes_registered();
+  const Scenario s(16, 157);
+  std::vector<Task> tasks;
+  {
+    Rng rng(229);
+    double submit = 0.0;
+    for (std::size_t i = 0; i < 40; ++i) {
+      submit += rng.uniform(0.0, 400.0);
+      Task t;
+      t.id = static_cast<std::int64_t>(i + 1);
+      t.submit_s = submit;
+      t.cpus = static_cast<std::size_t>(rng.uniform_int(1, 2));
+      t.runtime_s = rng.uniform(100.0, 2000.0);
+      t.gamma = rng.uniform(0.3, 1.0);
+      t.deadline_s = t.submit_s + t.runtime_s * rng.uniform(3.0, 20.0);
+      tasks.push_back(t);
+    }
+  }
+  const HybridSupply supply = s.make_supply(329);
+
+  const std::string path =
+      std::string(ISCOPE_TEST_DATA_DIR) + "/golden/thermal_shard_digests.txt";
+  std::map<std::string, std::string> golden = read_golden_rows(path);
+  auto expect_row = [&](const std::string& row, const std::string& digest) {
+    const auto it = golden.find(row);
+    if (it == golden.end()) {
+      ADD_FAILURE() << "row missing from " << path << "; ready to paste:\n"
+                    << row << " " << digest;
+      return;
+    }
+    if (digest != it->second)
+      ADD_FAILURE() << row << ": digest " << digest << " != committed "
+                    << it->second << "; ready to paste:\n"
+                    << row << " " << digest;
+    golden.erase(it);
+  };
+
+  for (const Scheme scheme : {scan_therm, Scheme::kScanFair}) {
+    for (unsigned bits = 0; bits < 8; ++bits) {
+      const bool faults = (bits & 1u) != 0;
+      const bool battery = (bits & 2u) != 0;
+      const bool sleep = (bits & 4u) != 0;
+      SimConfig cfg = s.base_config();
+      cfg.thermal.enabled = true;
+      cfg.thermal.red_line_c = cfg.thermal.max_supply_c;
+      if (faults) {
+        cfg.faults = parse_fault_spec(
+            "mtbf=21600,repair=900,misprofile=0.3,misprofile-latency=300,"
+            "crac=0.5,crac-start=2000,crac-duration=3000");
+        cfg.fault_seed = 31;
+      }
+      if (battery)
+        cfg.battery = BatteryConfig::make(/*capacity_kwh=*/2.0,
+                                          /*power_kw=*/1.0);
+      if (sleep) cfg.sleep.policy = SleepPolicy::kTimeout;
+      const std::string axes = std::string("/faults=") + (faults ? "1" : "0") +
+                               "/battery=" + (battery ? "1" : "0") +
+                               "/sleep=" + (sleep ? "timeout" : "none");
+      const std::string name = scheme_name(scheme);
+      const SimResult flat =
+          run_scheme(s.cluster, scheme, &s.db, supply, tasks, cfg);
+      expect_row(name + "/flat" + axes, digest_hex(result_digest(flat)));
+      if (faults) {
+        EXPECT_GT(flat.faults.cpu_failures, 0u);
+        EXPECT_GT(flat.faults.misprofile_failures, 0u);
+      }
+      for (const std::size_t shards : {2u, 4u, 8u}) {
+        const std::string row =
+            name + "/shards=" + std::to_string(shards) + axes;
+        SCOPED_TRACE(row);
+        SimConfig sharded = cfg;
+        sharded.topology.shards = shards;
+        std::string digests[2];
+        for (const std::size_t workers : {1u, 4u}) {
+          sharded.shard_workers = workers;
+          ShardedSim sim(s.cluster, scheme, &s.db, supply, sharded);
+          sim.prepare(tasks);
+          while (!sim.drained()) sim.advance_round();
+          const double drained_at = sim.barrier_s();
+          const SimResult r = sim.collect();
+          // Idle rounds follow the last completion.
+          EXPECT_GT(drained_at, r.makespan.seconds() + 10.0 * cfg.epoch_s);
+          digests[workers == 1 ? 0 : 1] = digest_hex(result_digest(r));
+        }
+        EXPECT_EQ(digests[1], digests[0]) << "4 workers moved the result";
+        expect_row(row, digests[0]);
+      }
+    }
+  }
+  for (const auto& [row, digest] : golden)
+    ADD_FAILURE() << "extra row in " << path << ": " << row;
 }
 
 // Satellite 1 (sim level): a wake event pending at a slice boundary is

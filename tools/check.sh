@@ -2,9 +2,10 @@
 # One-stop verification gate: strict build, full test suite, the smoke
 # stages (figure binary, telemetry bundle, shard identity, service-mode
 # daemon), project lint (iscope_lint), clang-tidy (when installed),
-# sanitizer passes over the tests, a line-coverage floor for the
-# fault-injection and scheduling layers and the simulator's subsystem
-# drivers, and (opt-in) a short perfbench run of every workload.
+# sanitizer passes over the tests (ASan over the shard suite, TSan over
+# the pinned sharded-thermal rows at 4 workers), a line-coverage floor
+# for the fault-injection and scheduling layers and the simulator's
+# subsystem drivers, and (opt-in) a short perfbench run of each workload.
 #
 # Usage:  tools/check.sh [--fast] [--stage <name>] [--help]
 #   --fast          skip the UBSan/ASan/TSan rebuilds and the coverage
@@ -38,14 +39,14 @@ STAGES=(
   "lint            iscope_lint project invariants (determinism/layering/quantity/telemetry)"
   "tidy            clang-tidy profile, warnings-as-errors (skips if not installed)"
   "ubsan           UBSan rebuild + full tests"
-  "asan            ASan fault-injection + parser-fuzz + cluster-fabrication + placement tests"
-  "tsan            TSan multi-shard smoke (fig8, 4 shards x 4 workers) + service chaos daemon + threaded cluster build"
+  "asan            ASan fault-injection + parser-fuzz + cluster-fabrication + placement + shard tests"
+  "tsan            TSan multi-shard smoke (fig8, 4 shards x 4 workers) + pinned sharded-thermal rows + service chaos daemon + threaded cluster build"
   "coverage        src/fault + src/sched + sim driver line-coverage floor (${COVERAGE_MIN}%)"
   "perfbench       1 s perfbench run per workload: exit 0, correct, no failed ops (opt-in: --stage only)"
 )
 
 usage() {
-  sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
   printf '\nStages (default order; --fast stops after tidy):\n'
   for s in "${STAGES[@]}"; do printf '  %s\n' "$s"; done
 }
@@ -234,7 +235,7 @@ stage_ubsan() {
 }
 
 stage_asan() {
-  stage "ASan fault-injection + parser-fuzz + checkpoint + driver + cluster + placement tests"
+  stage "ASan fault-injection + parser-fuzz + checkpoint + driver + cluster + placement + shard tests"
   # Targeted: the suites that stress failure paths, requeue bookkeeping,
   # and hostile parser inputs -- where lifetime bugs would hide. The
   # checkpoint and event-queue suites push truncated and bit-flipped
@@ -243,10 +244,12 @@ stage_asan() {
   # the hardware and variation suites build clusters on chip-range threads
   # (including builds that throw mid-range) and check the Min Vdd solver;
   # the policy and equivalence suites drive the idle bitset's word
-  # arithmetic and Ran's per-pass draw pool.
+  # arithmetic and Ran's per-pass draw pool; the shard suite drives the
+  # coordinator's per-shard rack ranges and its sparse futures vector.
   ASAN_TESTS="test_fault test_fuzz_parsers test_properties test_checkpoint
               test_event_queue test_thermal test_sim_profiling
-              test_hardware test_varius test_policy test_match_equivalence"
+              test_hardware test_varius test_policy test_match_equivalence
+              test_shard"
   cmake -B build-check/asan -S . \
         -DISCOPE_SANITIZE=address -DISCOPE_AUDIT=ON > /dev/null
   # shellcheck disable=SC2086
@@ -258,7 +261,7 @@ stage_asan() {
 }
 
 stage_tsan() {
-  stage "TSan multi-shard smoke (fig8, 4 shards x 4 workers) + service chaos + cluster build"
+  stage "TSan multi-shard smoke (fig8, 4 shards x 4 workers) + pinned sharded-thermal rows + service chaos + cluster build"
   # Epoch-barrier handoff under real thread interleaving: the fig8 energy
   # scenario at scale 0.5 (240 CPUs = 5 racks, so 4 rack-aligned shards
   # fit) with the shard loops fanned out over 4 pool workers. Any data
@@ -267,7 +270,7 @@ stage_tsan() {
         -DISCOPE_SANITIZE=thread -DISCOPE_AUDIT=ON > /dev/null
   cmake --build build-check/tsan -j "$JOBS" \
         --target bench_fig8_energy_cost test_shard test_service_chaos \
-                 test_hardware
+                 test_hardware test_thermal
   TSAN_OPTIONS=halt_on_error=1 \
       ./build-check/tsan/tests/test_shard \
       --gtest_filter='ShardDeterminism.*' > /dev/null \
@@ -285,6 +288,13 @@ stage_tsan() {
   ISCOPE_THERMAL=1 ISCOPE_SLEEP_POLICY=timeout \
       ./build-check/tsan/bench/bench_fig8_energy_cost > /dev/null \
       && echo "tsan ok: bench_fig8_energy_cost sharded thermal+sleep"
+  # The pinned sharded-thermal rows at 1 and 4 workers: only shards with
+  # work are dispatched, and the coordinator reads each shard's queue and
+  # rack power between rounds.
+  TSAN_OPTIONS=halt_on_error=1 \
+      ./build-check/tsan/tests/test_thermal \
+      --gtest_filter='ThermalDeterminism.*' > /dev/null \
+      && echo "tsan ok: test_thermal sharded determinism + pinned rows"
   # FaultSpec replay against the live daemon: the poll loop, the signal
   # flag, and the client interplay are raced-checked end to end.
   TSAN_OPTIONS=halt_on_error=1 \
