@@ -19,7 +19,6 @@ int main() {
   bench::print_banner("Ablation (sleep)",
                       "fig8 cost of sleep-enabled scheme variants");
 
-  ensure_extended_schemes_registered();
   const ExperimentContext ctx(bench::bench_config());
   const std::vector<Task> tasks =
       ctx.make_tasks(ctx.config().urgency.hu_fraction);

@@ -55,14 +55,13 @@ int main() {
     // recirculation-sorted placement must pay off on the total
     // compute+cooling bill versus the paper's best.
     if (ctx.config().sim.thermal.enabled) {
-      const Scheme therm = ensure_extended_schemes_registered();
       std::cout << "Thermal (compute + CRAC cooling):\n"
                 << "  ScanTherm vs ScanFair: "
-                << TextTable::pct(1.0 - cost_of(therm, true) /
+                << TextTable::pct(1.0 - cost_of(Scheme::kScanTherm, true) /
                                             cost_of(Scheme::kScanFair, true))
                 << " cheaper (with wind)\n"
                 << "  ScanTherm vs ScanFair: "
-                << TextTable::pct(1.0 - cost_of(therm, false) /
+                << TextTable::pct(1.0 - cost_of(Scheme::kScanTherm, false) /
                                             cost_of(Scheme::kScanFair, false))
                 << " cheaper (no wind)\n";
     }

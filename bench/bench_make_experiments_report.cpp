@@ -326,7 +326,6 @@ int main(int argc, char** argv) {
   // ------------------------------------------------- thermal & sleep
   md.heading(2, "Thermal/CRAC & C-state sleep (DESIGN.md Sec. 16)");
   {
-    const Scheme therm = ensure_extended_schemes_registered();
     ExperimentConfig tconfig = bench::bench_config();
     tconfig.sim.thermal.enabled = true;
     const ExperimentContext tctx(tconfig);
@@ -338,7 +337,7 @@ int main(int argc, char** argv) {
     };
     std::vector<std::vector<std::string>> cells;
     for (const CostRow& r : rows)
-      if (r.scheme == therm || r.scheme == Scheme::kScanFair)
+      if (r.scheme == Scheme::kScanTherm || r.scheme == Scheme::kScanFair)
         cells.push_back({scheme_name(r.scheme), r.with_wind ? "yes" : "no",
                          md_num(r.utility.kwh(), 1), md_num(r.wind.kwh(), 1),
                          md_num(r.cost.dollars(), 2)});
@@ -350,10 +349,10 @@ int main(int argc, char** argv) {
         "to windy hours like `ScanFair`:");
     md.table({"scheme", "wind?", "utility kWh", "wind kWh", "cost USD"},
              cells);
-    const double tw =
-        1.0 - cost_of(therm, true) / cost_of(Scheme::kScanFair, true);
-    const double tn =
-        1.0 - cost_of(therm, false) / cost_of(Scheme::kScanFair, false);
+    const double tw = 1.0 - cost_of(Scheme::kScanTherm, true) /
+                                cost_of(Scheme::kScanFair, true);
+    const double tn = 1.0 - cost_of(Scheme::kScanTherm, false) /
+                                cost_of(Scheme::kScanFair, false);
     md.table({"claim", "status", "measured"},
              {{"heat-aware ScanTherm undercuts ScanFair on compute+cooling "
                "cost",

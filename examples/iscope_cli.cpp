@@ -162,9 +162,6 @@ int cmd_scan(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
-  // Make ScanTherm and the *Sleep variants resolvable by name alongside
-  // the paper five.
-  ensure_extended_schemes_registered();
   const Scheme scheme = scheme_from_name(args.get("scheme").value_or(
       "ScanFair"));
 
@@ -203,12 +200,13 @@ int cmd_simulate(const Args& args) {
   // Thermal/CRAC model and C-state sleep (DESIGN.md Sec. 16): --thermal
   // arms recirculation-aware cooling, --sleep-policy picks the idle
   // governor. Defaults come from ISCOPE_THERMAL / ISCOPE_SLEEP_POLICY;
-  // ScanTherm and the *Sleep schemes force their half on regardless.
+  // ScanTherm and the *Sleep schemes switch their half on regardless.
   if (args.flag("thermal") || env_thermal()) config.sim.thermal.enabled = true;
   config.sim.sleep.policy =
       args.get("sleep-policy")
           ? parse_sleep_policy(args.require("sleep-policy"))
           : env_sleep_policy();
+  config.sim = apply_scheme_requests(scheme, config.sim);
   // Shard partition: --shards N routes the run through the sharded
   // coordinator (rack-aligned shards, epoch-barrier wind reconciliation);
   // --shard-workers W fans shard advances over a pool (0 = hw threads).
@@ -276,14 +274,12 @@ int cmd_simulate(const Args& args) {
     out.add_row({"fault-driven misses",
                  std::to_string(r.faults.fault_deadline_misses)});
   }
-  // ScanTherm/*Sleep force their subsystem on inside run_scheme, so key
-  // off the result, not just the local config.
-  if (config.sim.thermal.enabled || r.cooling_energy.joules() > 0.0) {
+  if (config.sim.thermal.enabled) {
     out.add_row({"cooling energy",
                  TextTable::num(r.cooling_energy.joules() / 3.6e6, 1) + " kWh"});
     out.add_row({"peak inlet", TextTable::num(r.peak_inlet_c, 1) + " C"});
   }
-  if (config.sim.sleep.enabled() || r.sleep_enters > 0) {
+  if (config.sim.sleep.enabled()) {
     out.add_row({"idle energy",
                  TextTable::num(r.idle_energy.joules() / 3.6e6, 1) + " kWh"});
     out.add_row({"sleep enters", std::to_string(r.sleep_enters)});

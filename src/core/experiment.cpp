@@ -191,7 +191,7 @@ std::vector<CostRow> energy_costs(const ExperimentContext& ctx) {
   // ISCOPE_THERMAL=1 puts ScanTherm's cooling payoff next to the paper five.
   std::vector<Scheme> schemes(kAllSchemes.begin(), kAllSchemes.end());
   if (ctx.config().sim.thermal.enabled)
-    schemes.push_back(ensure_extended_schemes_registered());
+    schemes.push_back(Scheme::kScanTherm);
   std::vector<ScenarioSpec> specs;
   specs.reserve(2 * schemes.size());
   for (const bool with_wind : {false, true}) {

@@ -85,8 +85,8 @@ SimResult IScope::schedule(Scheme scheme, const std::vector<Task>& tasks,
                            const WindForecaster* forecaster) const {
   const Knowledge knowledge(cluster_.get(), scheme_knowledge(scheme),
                             scheme_uses_scan(scheme) ? &db_ : nullptr);
-  DatacenterSim sim(&knowledge, scheme_rule(scheme), &supply, options_.sim,
-                    forecaster);
+  DatacenterSim sim(&knowledge, scheme_rule(scheme), &supply,
+                    apply_scheme_requests(scheme, options_.sim), forecaster);
   return sim.run(tasks);
 }
 
@@ -96,7 +96,8 @@ SimResult IScope::schedule_with_profiling(Scheme scheme,
                                           const ProfilingPlan& plan) const {
   const Knowledge knowledge(cluster_.get(), scheme_knowledge(scheme),
                             scheme_uses_scan(scheme) ? &db_ : nullptr);
-  DatacenterSim sim(&knowledge, scheme_rule(scheme), &supply, options_.sim);
+  DatacenterSim sim(&knowledge, scheme_rule(scheme), &supply,
+                    apply_scheme_requests(scheme, options_.sim));
   return sim.run(tasks, plan.windows);
 }
 

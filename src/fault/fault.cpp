@@ -108,16 +108,6 @@ FaultSpec parse_fault_spec(const std::string& text) {
   return spec;
 }
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kRepair:
-      return "repair";
-  }
-  return "?";
-}
-
 FaultPlan FaultPlan::build(const FaultSpec& spec, std::uint64_t seed,
                            std::size_t procs) {
   spec.validate();

@@ -94,8 +94,6 @@ enum class FaultKind : std::uint8_t {
   kRepair,  ///< processor returns to service
 };
 
-const char* fault_kind_name(FaultKind kind);
-
 /// One scheduled processor fault. Scripted plans are a list of these.
 struct FaultEvent {
   double time_s = 0.0;

@@ -1,123 +1,32 @@
 #include "sched/scheme.hpp"
 
-#include <deque>
-#include <mutex>
-#include <utility>
-
 #include "common/error.hpp"
 
 namespace iscope {
 
-struct SchemeRegistry::Impl {
-  mutable std::mutex mutex;
-  /// Index == scheme id. Deque so the SchemeInfo references handed out by
-  /// info() survive later registrations (push_back never relocates).
-  std::deque<SchemeInfo> infos;
-};
-
-SchemeRegistry::SchemeRegistry() : impl_(new Impl) {
-  // The paper's five, at the ids the Scheme enumerators pin down.
-  impl_->infos.push_back(
-      {"BinRan", KnowledgeSource::kBin, PlacementRule::kRandom});
-  impl_->infos.push_back(
-      {"BinEffi", KnowledgeSource::kBin, PlacementRule::kEfficiency});
-  impl_->infos.push_back(
-      {"ScanRan", KnowledgeSource::kScan, PlacementRule::kRandom});
-  impl_->infos.push_back(
-      {"ScanEffi", KnowledgeSource::kScan, PlacementRule::kEfficiency});
-  impl_->infos.push_back(
-      {"ScanFair", KnowledgeSource::kScan, PlacementRule::kFair});
-}
-
-SchemeRegistry& SchemeRegistry::global() {
-  static SchemeRegistry* instance = new SchemeRegistry;  // never destroyed
-  return *instance;
-}
-
-Scheme SchemeRegistry::register_scheme(std::string name,
-                                       KnowledgeSource knowledge,
-                                       PlacementRule rule, bool thermal,
-                                       bool sleep) {
-  ISCOPE_CHECK_ARG(!name.empty(), "SchemeRegistry: empty scheme name");
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (const SchemeInfo& info : impl_->infos)
-    if (info.name == name)
-      throw InvalidArgument("SchemeRegistry: duplicate scheme name: " + name);
-  constexpr std::size_t kMax = 256;  // Scheme is uint8_t
-  if (impl_->infos.size() >= kMax)
-    throw InvalidArgument("SchemeRegistry: scheme id space exhausted");
-  const auto id = static_cast<Scheme>(impl_->infos.size());
-  impl_->infos.push_back({std::move(name), knowledge, rule, thermal, sleep});
-  return id;
-}
-
-const SchemeInfo& SchemeRegistry::info(Scheme scheme) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
+const SchemeInfo& scheme_info(Scheme scheme) {
   const auto id = static_cast<std::size_t>(scheme);
-  if (id >= impl_->infos.size())
-    throw InvalidArgument("SchemeRegistry: unknown scheme id " +
-                          std::to_string(id));
-  return impl_->infos[id];
+  if (id >= kSchemeTable.size())
+    throw InvalidArgument("unknown scheme id " + std::to_string(id));
+  return kSchemeTable[id];
 }
 
-Scheme SchemeRegistry::from_name(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (std::size_t i = 0; i < impl_->infos.size(); ++i)
-    if (impl_->infos[i].name == name) return static_cast<Scheme>(i);
-  throw InvalidArgument("unknown scheme name: " + name);
-}
-
-bool SchemeRegistry::known(Scheme scheme) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return static_cast<std::size_t>(scheme) < impl_->infos.size();
-}
-
-std::vector<Scheme> SchemeRegistry::all() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::vector<Scheme> out;
-  out.reserve(impl_->infos.size());
-  for (std::size_t i = 0; i < impl_->infos.size(); ++i)
-    out.push_back(static_cast<Scheme>(i));
-  return out;
-}
-
-const char* scheme_name(Scheme scheme) {
-  return SchemeRegistry::global().info(scheme).name.c_str();
-}
-
-Scheme scheme_from_name(const std::string& name) {
-  return SchemeRegistry::global().from_name(name);
-}
+const char* scheme_name(Scheme scheme) { return scheme_info(scheme).name; }
 
 KnowledgeSource scheme_knowledge(Scheme scheme) {
-  return SchemeRegistry::global().info(scheme).knowledge;
+  return scheme_info(scheme).knowledge;
 }
 
-PlacementRule scheme_rule(Scheme scheme) {
-  return SchemeRegistry::global().info(scheme).rule;
-}
+PlacementRule scheme_rule(Scheme scheme) { return scheme_info(scheme).rule; }
 
 bool scheme_uses_scan(Scheme scheme) {
   return scheme_knowledge(scheme) == KnowledgeSource::kScan;
 }
 
-Scheme ensure_extended_schemes_registered() {
-  // call_once so concurrent sweep workers cannot race the registrations
-  // (ids are process-global; a double registration would throw on the
-  // duplicate name).
-  static const Scheme scan_therm = [] {
-    SchemeRegistry& reg = SchemeRegistry::global();
-    const Scheme therm =
-        reg.register_scheme("ScanTherm", KnowledgeSource::kScan,
-                            PlacementRule::kTherm, /*thermal=*/true);
-    for (const Scheme base : kAllSchemes) {
-      const SchemeInfo& info = reg.info(base);
-      reg.register_scheme(info.name + "Sleep", info.knowledge, info.rule,
-                          /*thermal=*/false, /*sleep=*/true);
-    }
-    return therm;
-  }();
-  return scan_therm;
+Scheme scheme_from_name(const std::string& name) {
+  for (std::size_t i = 0; i < kSchemeTable.size(); ++i)
+    if (name == kSchemeTable[i].name) return static_cast<Scheme>(i);
+  throw InvalidArgument("unknown scheme name: " + name);
 }
 
 }  // namespace iscope

@@ -217,8 +217,8 @@ std::vector<std::uint8_t> envelope(const Sim& sim, std::uint8_t kind) {
 }
 
 template <typename Sim>
-void restore_envelope(Sim& sim, const std::uint8_t* data, std::size_t size,
-                      std::uint8_t kind) {
+void load_envelope(Sim& sim, const std::uint8_t* data, std::size_t size,
+                   std::uint8_t kind) {
   try {
     serial::Reader r(data, size);
     if (r.u32() != kCheckpointMagic)
@@ -245,6 +245,20 @@ void restore_envelope(Sim& sim, const std::uint8_t* data, std::size_t size,
     // failure type callers handle.
     throw CheckpointError(std::string("checkpoint: corrupt payload -- ") +
                           e.what());
+  }
+}
+
+template <typename Sim>
+void restore_envelope(Sim& sim, const std::uint8_t* data, std::size_t size,
+                      std::uint8_t kind) {
+  // A load writes straight into the simulator and can fail part-way, so a
+  // refused blob is undone by reloading the simulator's own bytes.
+  const std::vector<std::uint8_t> own = envelope(sim, kind);
+  try {
+    load_envelope(sim, data, size, kind);
+  } catch (...) {
+    load_envelope(sim, own.data(), own.size(), kind);
+    throw;
   }
 }
 

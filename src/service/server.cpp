@@ -130,6 +130,7 @@ SimHost::SimHost(const ServiceOptions& opt) : opt_(opt) {
   }
   if (opt.thermal) sc.thermal.enabled = true;
   if (opt.sleep_policy != SleepPolicy::kNone) sc.sleep.policy = opt.sleep_policy;
+  sc = apply_scheme_requests(opt.scheme, sc);
   ctx_ = std::make_unique<ExperimentContext>(ecfg);
   supply_ = std::make_unique<HybridSupply>(ctx_->make_supply(opt.with_wind));
   knowledge_ = std::make_unique<const Knowledge>(

@@ -59,8 +59,11 @@ class ThreadPool;
 
 class ShardedSim {
  public:
-  /// Mirrors run_scheme(): builds a Knowledge slice per shard for
-  /// `scheme`. `config.topology` fixes the partition; `db` is required for
+  /// run_scheme()'s sharded path: builds a Knowledge slice per shard for
+  /// `scheme`. `config` is used as given -- run_scheme() applies the
+  /// scheme's requests (apply_scheme_requests) before it gets here, and a
+  /// direct caller may run ScanTherm's placement with the thermal model
+  /// off. `config.topology` fixes the partition; `db` is required for
   /// Scan schemes. All references are non-owning and must outlive the
   /// simulator.
   ShardedSim(const Cluster& cluster, Scheme scheme, const ProfileDb* db,

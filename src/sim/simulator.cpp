@@ -40,7 +40,6 @@ DatacenterSim::DatacenterSim(const Knowledge* knowledge, PlacementRule rule,
       config_(config),
       policy_(knowledge, rule, config.seed, config.efficient_pool_fraction),
       matcher_(knowledge, CoolingModel(config.cooling_cop).overhead_factor()),
-      cooling_(config.cooling_cop),
       extras_active_(config.thermal.enabled || config.sleep.enabled()),
       fault_(config.fault_plan, config.faults, config.fault_seed, *knowledge,
              forecaster),
@@ -1207,6 +1206,14 @@ SimResult DatacenterSim::finish() {
   return result;
 }
 
+SimConfig apply_scheme_requests(Scheme scheme, SimConfig config) {
+  const SchemeInfo& info = scheme_info(scheme);
+  if (info.thermal) config.thermal.enabled = true;
+  if (info.sleep && config.sleep.policy == SleepPolicy::kNone)
+    config.sleep.policy = SleepPolicy::kTimeout;
+  return config;
+}
+
 SimResult run_scheme(const Cluster& cluster, Scheme scheme,
                      const ProfileDb* db, const HybridSupply& supply,
                      const std::vector<Task>& tasks, const SimConfig& config) {
@@ -1214,17 +1221,8 @@ SimResult run_scheme(const Cluster& cluster, Scheme scheme,
     ISCOPE_CHECK_ARG(db != nullptr, "run_scheme: Scan scheme needs a ProfileDb");
   // Default the run's telemetry tag to the scheme name so snapshots and
   // sampler rows separate the five schemes out of the box.
-  SimConfig tagged = config;
+  SimConfig tagged = apply_scheme_requests(scheme, config);
   if (tagged.telemetry_label.empty()) tagged.telemetry_label = scheme_name(scheme);
-  // Scheme-level feature requests: ScanTherm forces the thermal model on;
-  // the *Sleep variants enable C-state management (timeout policy unless
-  // the caller already picked one).
-  {
-    const SchemeInfo& info = SchemeRegistry::global().info(scheme);
-    if (info.thermal) tagged.thermal.enabled = true;
-    if (info.sleep && tagged.sleep.policy == SleepPolicy::kNone)
-      tagged.sleep.policy = SleepPolicy::kTimeout;
-  }
   SimResult result;
   if (tagged.topology.shards > 1) {
     // 100k+-CPU path: rack-partitioned shards with per-shard event loops

@@ -419,7 +419,6 @@ class DatacenterSim {
   SimConfig config_;
   PlacementPolicy policy_;
   PowerMatcher matcher_;
-  CoolingModel cooling_;
 
   EventQueue queue_;
   EnergyMeter meter_;
@@ -498,6 +497,13 @@ class DatacenterSim {
   ThermalDriver thermal_;
   SleepGovernor sleep_;
 };
+
+/// `config` with `scheme`'s feature requests applied (sched/scheme.hpp):
+/// ScanTherm turns the thermal model on; the *Sleep schemes pick the
+/// timeout governor unless `config` already names a sleep policy. The
+/// paper five request nothing. run_scheme(), the service host and the
+/// IScope facade build their simulators from the result.
+SimConfig apply_scheme_requests(Scheme scheme, SimConfig config);
 
 /// Convenience wrapper: build knowledge for `scheme`, run the simulation,
 /// and price the result. `db` is required for Scan schemes.

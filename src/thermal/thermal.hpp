@@ -92,7 +92,6 @@ class RecirculationMatrix {
   /// placed in rack j causes (geedo0's MinHR ranking key). Racks in the
   /// middle of a row recirculate more than racks at the ends.
   double heat_weight(std::size_t j) const { return weights_[j]; }
-  const std::vector<double>& heat_weights() const { return weights_; }
 
  private:
   std::size_t racks_ = 0;

@@ -252,14 +252,13 @@ TEST(Checkpoint, ThermalSleepWithBatteryAndCracFault) {
 TEST(Checkpoint, ScanThermSchemeRoundtrip) {
   // The kTherm placement rule derives its order from the recirculation
   // matrix; load() must reinstall it before the rank tables rebuild.
-  const Scheme scan_therm = ensure_extended_schemes_registered();
   const Scenario sc(24, 43);
   const std::vector<Task> tasks = sc.make_tasks(40, 6, 53);
   const HybridSupply supply = sc.make_supply(63);
   SimConfig cfg = base_config();
   cfg.topology.cpus_per_rack = 2;
   cfg.thermal.enabled = true;  // run_scheme would set this for ScanTherm
-  sc.check_roundtrip(scan_therm, tasks, supply, cfg, 5000.0);
+  sc.check_roundtrip(Scheme::kScanTherm, tasks, supply, cfg, 5000.0);
 }
 
 TEST(Checkpoint, ShardedThermalRoundtrip) {

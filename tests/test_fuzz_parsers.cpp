@@ -341,6 +341,9 @@ TEST(FuzzCorpusService, HostileCheckpointsAreRejected) {
       EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
           << e.what();
     }
+    // A refusal leaves the host as it was, so each blob meets the same
+    // simulator.
+    EXPECT_EQ(checkpoint_bytes(host.sim()), own);
   }
   // Both truncated blobs are strict prefixes of the host's own checkpoint,
   // so every field before the cut passes its check.
@@ -582,8 +585,8 @@ TEST(FuzzMutationService, CheckpointRestoreNeverMisbehaves) {
     const int rounds = static_cast<int>(rng.uniform_int(1, 3));
     for (int m = 0; m < rounds; ++m) input = mutate(input, rng);
     const std::vector<std::uint8_t> bytes(input.begin(), input.end());
-    // prepare() resets the sim wholesale, so a prior partial load cannot
-    // leak state into the next attempt.
+    // prepare() resets the sim wholesale, so a mutant an earlier attempt
+    // restored cannot leak state into the next one.
     target.sim().prepare({}, {});
     try {
       restore_from_bytes(target.sim(), bytes.data(), bytes.size());

@@ -414,7 +414,7 @@ TEST(GoldenResults, Matrix) {
   std::map<std::string, std::string> golden = read_golden_rows(path);
 
   std::vector<Scheme> schemes(kAllSchemes.begin(), kAllSchemes.end());
-  schemes.push_back(ensure_extended_schemes_registered());
+  schemes.push_back(Scheme::kScanTherm);
 
   const Scenario s(16, 211);
   const auto tasks = s.make_tasks(30, 213);

@@ -8,6 +8,7 @@
 //  * the streamed decision sequence (ADMIT.. ADVANCE.. DRAIN) equals the
 //    batch simulator's timeline on the same seed, bitwise;
 //  * the RESULT summary equals the batch SimResult, bitwise;
+//  * the README's ScanTherm daemon line streams run_scheme()'s decisions;
 //  * /metrics counters cross-check the RESULT summary;
 //  * SIGTERM checkpoints, a --resume daemon continues the decision stream
 //    exactly where the first left off (splice == batch) -- including
@@ -198,6 +199,39 @@ TEST(ServiceE2E, ThermalSleepFlagsMatchBatch) {
     ASSERT_EQ(client.admit(t).type, MsgType::kAdmitOk);
   std::vector<TimelineEvent> decisions;
   client.advance(5000.0, decisions);
+  client.drain(decisions);
+  const ResultSummary summary = client.result();
+  client.shutdown();
+
+  expect_decisions_match(decisions, batch.timeline);
+  expect_summary_matches(summary, batch);
+}
+
+TEST(ServiceE2E, ExtendedSchemeReadmeFlagsMatchBatch) {
+  // The README's daemon line, --scheme ScanTherm --thermal --sleep-policy
+  // timeout: the daemon resolves the name, and its streamed decisions
+  // equal run_scheme() on the same cluster, scan, supply and tasks.
+  ServiceOptions opt = base_options("xscheme");
+  opt.scheme = Scheme::kScanTherm;
+  opt.thermal = true;
+  opt.sleep_policy = SleepPolicy::kTimeout;
+  SimHost twin(opt);
+  const ExperimentContext& ctx = twin.context();
+  const std::vector<Task> tasks = make_workload(twin);
+  const SimResult batch =
+      run_scheme(ctx.cluster(), opt.scheme, &ctx.profile_db(),
+                 ctx.make_supply(opt.with_wind), tasks, ctx.config().sim);
+  ASSERT_GT(batch.cooling_energy.joules(), 0.0);
+  ASSERT_GT(batch.sleep_enters, 0u);
+
+  ServeProcess proc(ISCOPE_SERVE_BIN, to_args(opt));
+  ASSERT_TRUE(proc.wait_ready());
+  Client client(opt.socket_path);
+  EXPECT_EQ(client.hello().scheme, "ScanTherm");
+  for (const Task& t : tasks)
+    ASSERT_EQ(client.admit(t).type, MsgType::kAdmitOk);
+  std::vector<TimelineEvent> decisions;
+  client.advance(4000.0, decisions);
   client.drain(decisions);
   const ResultSummary summary = client.result();
   client.shutdown();

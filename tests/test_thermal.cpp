@@ -397,7 +397,6 @@ TEST(ThermalDeterminism, MultiShardRunIsWorkerCountIndependent) {
 // at 1 and at 4 workers. A missing or moved row prints a ready-to-paste
 // line and an extra row fails; nothing regenerates the file.
 TEST(ThermalDeterminism, PinnedShardedDigests) {
-  const Scheme scan_therm = ensure_extended_schemes_registered();
   const Scenario s(16, 157);
   std::vector<Task> tasks;
   {
@@ -434,7 +433,7 @@ TEST(ThermalDeterminism, PinnedShardedDigests) {
     golden.erase(it);
   };
 
-  for (const Scheme scheme : {scan_therm, Scheme::kScanFair}) {
+  for (const Scheme scheme : {Scheme::kScanTherm, Scheme::kScanFair}) {
     for (unsigned bits = 0; bits < 8; ++bits) {
       const bool faults = (bits & 1u) != 0;
       const bool battery = (bits & 2u) != 0;
@@ -527,24 +526,21 @@ TEST(ThermalDeterminism, SlicedStepUntilCrossesWakeBoundaries) {
 // ------------------------------------------------------ extended schemes
 
 TEST(ExtendedSchemes, ScanThermForcesTheThermalModelOn) {
-  const Scheme scan_therm = ensure_extended_schemes_registered();
-  EXPECT_STREQ(scheme_name(scan_therm), "ScanTherm");
   const Scenario s(16, 149);
   const auto tasks = s.make_tasks(25, 6, 223);
   const HybridSupply supply = s.make_supply(323);
-  const SimResult r = run_scheme(s.cluster, scan_therm, &s.db, supply, tasks,
-                                 s.base_config());
+  const SimResult r = run_scheme(s.cluster, Scheme::kScanTherm, &s.db, supply,
+                                 tasks, s.base_config());
   EXPECT_GT(r.cooling_energy.joules(), 0.0);  // thermal billing active
   EXPECT_GT(r.peak_inlet_c, 0.0);
   EXPECT_EQ(r.tasks_completed, tasks.size());
 }
 
 TEST(ExtendedSchemes, SleepVariantsForceASleepPolicy) {
-  ensure_extended_schemes_registered();
   const Scenario s(16, 151);
   const auto tasks = s.make_tasks(20, 6, 227);
   const HybridSupply supply = s.make_supply(327);
-  const Scheme scheme = scheme_from_name("ScanEffiSleep");
+  const Scheme scheme = Scheme::kScanEffiSleep;
   const SimResult r =
       run_scheme(s.cluster, scheme, &s.db, supply, tasks, s.base_config());
   EXPECT_GT(r.idle_energy.joules(), 0.0);  // residency power billed

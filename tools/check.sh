@@ -31,7 +31,7 @@ COVERAGE_MIN=90
 STAGES=(
   "strict          strict build (-Werror -Wconversion -Wdouble-promotion, audit on)"
   "tests           full ctest suite on the strict build"
-  "bench-smoke     fig8 figure binary: comparison lines + ISCOPE_TELEMETRY report bundle; forecast ablation under CPU faults"
+  "bench-smoke     fig8 figure binary: comparison lines + ISCOPE_TELEMETRY report bundle; forecast ablation under CPU faults; every *Sleep scheme sleeps"
   "telemetry-smoke report bundle + registry/SimResult cross-check"
   "shard-identity  1-shard bit-identity + worker-count determinism"
   "service         iscope_serve daemon: checkpoint identity, e2e stream-vs-batch, wire fuzz"
@@ -107,10 +107,11 @@ stage_tests() {
 }
 
 stage_bench_smoke() {
-  stage "bench smoke (fig8 comparison lines + ISCOPE_TELEMETRY bundle + forecast ablation under CPU faults)"
+  stage "bench smoke (fig8 comparison lines + ISCOPE_TELEMETRY bundle + forecast ablation under CPU faults + sleep ablation)"
   if [ -n "$ONLY_STAGE" ]; then
     ensure_strict bench_fig8_energy_cost > /dev/null
     ensure_strict bench_ablation_forecast > /dev/null
+    ensure_strict bench_ablation_sleep > /dev/null
   fi
   BENCH_DIR="build-check/bench-smoke"
   rm -rf "$BENCH_DIR" && mkdir -p "$BENCH_DIR"
@@ -131,7 +132,19 @@ stage_bench_smoke() {
       > "$BENCH_DIR/forecast_faults.txt" \
       || { echo "bench smoke: bench_ablation_forecast under CPU faults exited $?" >&2;
            cat "$BENCH_DIR/forecast_faults.txt" >&2; exit 1; }
-  echo "bench smoke ok: fig8 printed, bundle in $BENCH_DIR/report, forecast ablation ran under faults"
+  # The sleep ablation resolves BinRanSleep ... ScanFairSleep by name: each
+  # row (labelled by its paper scheme) must count sleep-state entries.
+  ISCOPE_SCALE=0.2 ISCOPE_PARALLEL=1 \
+      ./build-check/strict/bench/bench_ablation_sleep \
+      > "$BENCH_DIR/ablation_sleep.txt" \
+      || { echo "bench smoke: bench_ablation_sleep exited $?" >&2;
+           cat "$BENCH_DIR/ablation_sleep.txt" >&2; exit 1; }
+  slept="$(awk '$1 ~ /^(BinRan|BinEffi|ScanRan|ScanEffi|ScanFair)$/ && $7 > 0' \
+               "$BENCH_DIR/ablation_sleep.txt" | wc -l)"
+  [ "$slept" -eq 5 ] \
+      || { echo "bench smoke: $slept of 5 *Sleep schemes entered a sleep state" >&2;
+           cat "$BENCH_DIR/ablation_sleep.txt" >&2; exit 1; }
+  echo "bench smoke ok: fig8 printed, bundle in $BENCH_DIR/report, forecast ablation ran under faults, all five *Sleep schemes slept"
 }
 
 stage_telemetry_smoke() {
@@ -180,7 +193,7 @@ stage_service() {
   ./build-check/strict/tests/test_checkpoint > /dev/null \
       && echo "service ok: checkpoint identity (resume bitwise, 5 schemes)"
   ./build-check/strict/tests/test_service_e2e > /dev/null \
-      && echo "service ok: daemon e2e (streamed decisions == batch, SIGTERM resume)"
+      && echo "service ok: daemon e2e (streamed decisions == batch, SIGTERM resume, README ScanTherm --thermal --sleep-policy timeout line == run_scheme)"
   ./build-check/strict/tests/test_fuzz_parsers --gtest_filter='*Service*' \
       > /dev/null \
       && echo "service ok: wire + checkpoint fuzz corpus"

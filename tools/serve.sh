@@ -9,12 +9,21 @@
 #
 #   --socket PATH        unix socket to listen on
 #                        (default /tmp/iscope_serve_$UID.sock)
-#   --scheme NAME        scheduling scheme        (default ScanFair)
+#   --scheme NAME        scheduling scheme        (default ScanFair):
+#                        BinRan BinEffi ScanRan ScanEffi ScanFair (paper),
+#                        ScanTherm (switches the thermal model on),
+#                        BinRanSleep BinEffiSleep ScanRanSleep
+#                        ScanEffiSleep ScanFairSleep (timeout sleep
+#                        governor unless --sleep-policy names one)
 #   --scale F            facility scale factor    (default 1.0)
 #   --seed N             run seed                 (default 2015)
 #   --no-wind            utility-only supply
 #   --battery            attach the battery model
 #   --faults SPEC        fault spec, e.g. mtbf=30000,repair=600
+#   --thermal            heat-recirculation + CRAC cooling model
+#                        (default from ISCOPE_THERMAL)
+#   --sleep-policy NAME  none | active-idle | immediate | timeout
+#                        (default from ISCOPE_SLEEP_POLICY, else none)
 #   --checkpoint PATH    where SIGTERM snapshots land; with --resume,
 #                        restore from it at startup
 #   --resume             restore from --checkpoint before serving
@@ -29,7 +38,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = "--help" ] || [ "${1:-}" = "-h" ]; then
-  sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//'
   exit 0
 fi
 
