@@ -89,8 +89,11 @@ FaultSpec parse_fault_spec(const std::string& text) {
     } else if (key == "dropout-mean") {
       spec.dropout_mean_s = v;
     } else if (key == "retries") {
-      ISCOPE_CHECK_ARG(v >= 0.0 && v == std::floor(v),
-                       "fault spec 'retries' must be a non-negative integer");
+      // 2^64 is the first double a std::size_t cannot hold; casting it or
+      // anything above is undefined.
+      ISCOPE_CHECK_ARG(v >= 0.0 && v == std::floor(v) && v < 0x1p64,
+                       "fault spec 'retries' must be a non-negative integer "
+                       "below 2^64");
       spec.max_retries = static_cast<std::size_t>(v);
     } else if (key == "horizon") {
       spec.horizon_s = v;
@@ -121,24 +124,41 @@ FaultPlan FaultPlan::build(const FaultSpec& spec, std::uint64_t seed,
   Rng root(seed);
 
   if (spec.crash_mtbf_s > 0.0 && procs > 0) {
+    auto streams = std::make_shared<Streams>();
+    // Reserve the expected count plus a pair per processor, so a large
+    // facility's array is written once, not regrown through a copy.
+    const double expected =
+        2.0 * static_cast<double>(procs) *
+        (spec.horizon_s / (spec.crash_mtbf_s + spec.repair_mean_s) + 1.0);
+    if (expected < static_cast<double>(streams->events.max_size()))
+      streams->events.reserve(static_cast<std::size_t>(expected));
+    streams->offsets.reserve(procs + 1);
+    streams->offsets.push_back(0);
     for (std::size_t p = 0; p < procs; ++p) {
       Rng rng = root.fork("crash/" + std::to_string(p));
       double t = rng.exponential(1.0 / spec.crash_mtbf_s);
       while (t < spec.horizon_s) {
         const double repair = rng.exponential(1.0 / spec.repair_mean_s);
-        plan.events_.push_back({t, FaultKind::kCrash, p});
+        streams->events.push_back({t, FaultKind::kCrash});
         // Always emit the matching repair, even past the horizon, so no
         // processor stays down forever.
-        plan.events_.push_back({t + repair, FaultKind::kRepair, p});
+        streams->events.push_back({t + repair, FaultKind::kRepair});
         t += repair + rng.exponential(1.0 / spec.crash_mtbf_s);
       }
+      // Times never decrease along a stream, but a repair can round onto
+      // the next crash's instant; (time, kind) puts that crash first.
+      const auto first = streams->events.begin() +
+                         static_cast<std::ptrdiff_t>(streams->offsets.back());
+      const auto by_time_kind = [](const StreamEvent& a, const StreamEvent& b) {
+        return a.time_s != b.time_s ? a.time_s < b.time_s : a.kind < b.kind;
+      };
+      if (!std::is_sorted(first, streams->events.end(), by_time_kind))
+        std::sort(first, streams->events.end(), by_time_kind);
+      streams->offsets.push_back(streams->events.size());
     }
-    std::sort(plan.events_.begin(), plan.events_.end(),
-              [](const FaultEvent& a, const FaultEvent& b) {
-                if (a.time_s != b.time_s) return a.time_s < b.time_s;
-                if (a.proc != b.proc) return a.proc < b.proc;
-                return a.kind < b.kind;
-              });
+    plan.event_count_ = streams->events.size();
+    plan.stream_count_ = procs;
+    plan.streams_ = std::move(streams);
   }
 
   if (spec.misprofile_prob > 0.0 && procs > 0) {
@@ -180,35 +200,43 @@ FaultPlan FaultPlan::build(const FaultSpec& spec, std::uint64_t seed,
 
 FaultPlan FaultPlan::scripted(std::vector<FaultEvent> events,
                               std::size_t max_retries) {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) {
-                     if (a.time_s != b.time_s) return a.time_s < b.time_s;
-                     return a.proc < b.proc;
-                   });
-  // Per processor: crash/repair must alternate, starting with a crash, so
-  // the simulator never sees a repair of a healthy CPU or a double crash.
-  std::vector<std::size_t> procs;
-  for (const FaultEvent& e : events) {
+  for (const FaultEvent& e : events)
     ISCOPE_CHECK_ARG(std::isfinite(e.time_s) && e.time_s >= 0.0,
                      "scripted fault event time must be finite and >= 0");
-    procs.push_back(e.proc);
-  }
-  std::sort(procs.begin(), procs.end());
-  procs.erase(std::unique(procs.begin(), procs.end()), procs.end());
-  for (std::size_t p : procs) {
-    FaultKind expect = FaultKind::kCrash;
-    for (const FaultEvent& e : events) {
-      if (e.proc != p) continue;
-      ISCOPE_CHECK_ARG(e.kind == expect,
-                       "scripted fault events for proc " + std::to_string(p) +
-                           " must alternate crash/repair starting with crash");
-      expect = expect == FaultKind::kCrash ? FaultKind::kRepair
-                                           : FaultKind::kCrash;
-    }
-  }
+  // Group by processor, each in time order with same-instant events as
+  // given: the order a stable (time, proc) sort gives each processor.
+  std::stable_sort(events.begin(), events.end(),
+                   [](const FaultEvent& a, const FaultEvent& b) {
+                     if (a.proc != b.proc) return a.proc < b.proc;
+                     return a.time_s < b.time_s;
+                   });
   FaultPlan plan;
-  plan.events_ = std::move(events);
   plan.max_retries_ = max_retries;
+  if (events.empty()) return plan;
+  auto streams = std::make_shared<Streams>();
+  const std::size_t procs = events.back().proc + 1;
+  streams->events.reserve(events.size());
+  streams->offsets.assign(procs + 1, 0);
+  FaultKind expect = FaultKind::kCrash;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const FaultEvent& e = events[i];
+    if (i == 0 || e.proc != events[i - 1].proc) expect = FaultKind::kCrash;
+    // Crash/repair must alternate, starting with a crash, so the simulator
+    // never sees a repair of a healthy CPU or a double crash.
+    ISCOPE_CHECK_ARG(e.kind == expect,
+                     "scripted fault events for proc " +
+                         std::to_string(e.proc) +
+                         " must alternate crash/repair starting with crash");
+    expect = expect == FaultKind::kCrash ? FaultKind::kRepair
+                                         : FaultKind::kCrash;
+    streams->events.push_back({e.time_s, e.kind});
+    ++streams->offsets[e.proc + 1];
+  }
+  for (std::size_t p = 0; p < procs; ++p)
+    streams->offsets[p + 1] += streams->offsets[p];
+  plan.event_count_ = events.size();
+  plan.stream_count_ = procs;
+  plan.streams_ = std::move(streams);
   return plan;
 }
 
@@ -228,19 +256,20 @@ SupplyTrace FaultPlan::apply_dropouts(const SupplyTrace& trace) const {
 }
 
 std::size_t FaultPlan::procs_referenced() const {
-  std::size_t n = misprofile_latency_s_.size();
-  for (const FaultEvent& e : events_) n = std::max(n, e.proc + 1);
-  return n;
+  std::size_t n = stream_count_;
+  while (n > 0 && stream(n - 1).empty()) --n;
+  return std::max(n, misprofile_latency_s_.size());
 }
 
 FaultPlan FaultPlan::slice(std::size_t proc_lo, std::size_t proc_count) const {
   FaultPlan out;
-  out.events_.reserve(events_.size());
-  for (const FaultEvent& e : events_) {
-    if (e.proc < proc_lo || e.proc >= proc_lo + proc_count) continue;
-    FaultEvent local = e;
-    local.proc = e.proc - proc_lo;
-    out.events_.push_back(local);
+  if (proc_lo < stream_count_ && proc_count > 0) {
+    const std::size_t count = std::min(proc_count, stream_count_ - proc_lo);
+    const std::vector<std::size_t>& at = streams_->offsets;
+    out.streams_ = streams_;
+    out.stream_lo_ = stream_lo_ + proc_lo;
+    out.stream_count_ = count;
+    out.event_count_ = at[out.stream_lo_ + count] - at[out.stream_lo_];
   }
   // The per-processor arrays are sparse tails: only populate them when the
   // slice actually contains a mis-profiled chip, so a clean slice stays
@@ -266,6 +295,46 @@ FaultPlan FaultPlan::slice(std::size_t proc_lo, std::size_t proc_count) const {
   out.crac_duration_s_ = crac_duration_s_;
   out.max_retries_ = max_retries_;
   return out;
+}
+
+namespace {
+
+/// std::push_heap / std::pop_heap order of a min-heap on (time, proc).
+template <class Head>
+bool after(const Head& a, const Head& b) {
+  return a.time_s != b.time_s ? a.time_s > b.time_s : a.proc > b.proc;
+}
+
+}  // namespace
+
+FaultCursor::FaultCursor(const FaultPlan& plan) : plan_(&plan) { rewind(); }
+
+void FaultCursor::rewind() {
+  heap_.clear();
+  for (std::size_t p = 0; p < plan_->stream_count(); ++p) {
+    const std::span<const StreamEvent> s = plan_->stream(p);
+    if (!s.empty()) heap_.push_back({s.front().time_s, p, 0});
+  }
+  std::make_heap(heap_.begin(), heap_.end(), after<Head>);
+  pos_ = 0;
+}
+
+FaultEvent FaultCursor::event(std::size_t i) {
+  ISCOPE_CHECK(i < size(), "FaultCursor: event index out of range");
+  if (i < pos_) rewind();
+  for (; pos_ < i; ++pos_) {
+    std::pop_heap(heap_.begin(), heap_.end(), after<Head>);
+    Head& h = heap_.back();
+    const std::span<const StreamEvent> s = plan_->stream(h.proc);
+    if (++h.next < s.size()) {
+      h.time_s = s[h.next].time_s;
+      std::push_heap(heap_.begin(), heap_.end(), after<Head>);
+    } else {
+      heap_.pop_back();
+    }
+  }
+  const Head& h = heap_.front();
+  return {h.time_s, plan_->stream(h.proc)[h.next].kind, h.proc};
 }
 
 }  // namespace iscope

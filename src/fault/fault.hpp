@@ -22,10 +22,17 @@
 // contract for "injection disabled": the simulator must produce
 // bit-identical results to a build that never heard of faults
 // (tests/test_match_equivalence.cpp enforces this).
+//
+// Crash/repair events are stored per processor, never as one sorted list:
+// each processor's stream sits in one flat array shared by the plan and
+// every slice of it, and each simulator merges the streams on demand with
+// its own `FaultCursor`, reading only as far as its run gets.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -94,11 +101,18 @@ enum class FaultKind : std::uint8_t {
   kRepair,  ///< processor returns to service
 };
 
-/// One scheduled processor fault. Scripted plans are a list of these.
+/// One scheduled processor fault. Scripted plans are a list of these, and
+/// a FaultCursor hands them out in the plan's merged order.
 struct FaultEvent {
   double time_s = 0.0;
   FaultKind kind = FaultKind::kCrash;
   std::size_t proc = 0;
+};
+
+/// One event of a processor's stream; the processor is the stream's.
+struct StreamEvent {
+  double time_s = 0.0;
+  FaultKind kind = FaultKind::kCrash;
 };
 
 /// A wind-supply outage [start, end).
@@ -117,13 +131,16 @@ class FaultPlan {
 
   /// Materialize `spec` for a `procs`-processor facility. Pure function of
   /// its arguments. Every generated crash carries a matching repair (repair
-  /// may land past the horizon), so no processor is lost forever.
+  /// may land past the horizon), so no processor is lost forever. Each
+  /// processor's stream is ordered by (time, kind): a crash sorts before a
+  /// repair at the same instant.
   static FaultPlan build(const FaultSpec& spec, std::uint64_t seed,
                          std::size_t procs);
 
   /// Explicit scripted schedule (tests, replaying a production incident).
-  /// Events are sorted by (time, proc); for each processor, crashes and
-  /// repairs must alternate starting with a crash.
+  /// Each processor's events are ordered by time, same-instant events in
+  /// the order given, and must alternate crash/repair starting with a
+  /// crash.
   static FaultPlan scripted(std::vector<FaultEvent> events,
                             std::size_t max_retries = 3);
 
@@ -134,7 +151,7 @@ class FaultPlan {
   /// CRAC-only plan keeps the simulator's fault machinery (failed flags,
   /// requeues, retry bookkeeping) entirely disengaged.
   bool sim_empty() const {
-    return events_.empty() && misprofile_count_ == 0;
+    return event_count_ == 0 && misprofile_count_ == 0;
   }
   /// True when the plan carries no faults of any kind.
   bool empty() const {
@@ -142,8 +159,17 @@ class FaultPlan {
            crac_derate_ == 0.0;
   }
 
-  /// Crash/repair schedule, sorted by (time, proc, kind).
-  const std::vector<FaultEvent>& events() const { return events_; }
+  /// Crash/repair events over all processors.
+  std::size_t event_count() const { return event_count_; }
+  /// Processors with a stream (local ids 0 .. stream_count()-1; a processor
+  /// past the end has no crash or repair).
+  std::size_t stream_count() const { return stream_count_; }
+  /// Processor `p`'s crash/repair events in the order they apply.
+  std::span<const StreamEvent> stream(std::size_t p) const {
+    const std::vector<std::size_t>& at = streams_->offsets;
+    return {streams_->events.data() + at[stream_lo_ + p],
+            at[stream_lo_ + p + 1] - at[stream_lo_ + p]};
+  }
 
   bool misprofiled(std::size_t proc) const {
     return proc < misprofile_latency_s_.size() &&
@@ -195,11 +221,22 @@ class FaultPlan {
   /// unchanged. Slicing one global plan per shard keeps the physical fault
   /// schedule independent of the shard count (sim/sharded.hpp); the full
   /// slice (lo=0, count=procs_referenced() or more) reproduces the plan
-  /// exactly.
+  /// exactly. The slice is a view: it shares the plan's streams, so it
+  /// costs O(proc_count), not O(events).
   FaultPlan slice(std::size_t proc_lo, std::size_t proc_count) const;
 
  private:
-  std::vector<FaultEvent> events_;
+  /// Every processor's stream back to back: processor p's is
+  /// events[offsets[p], offsets[p + 1]). Immutable once built, so plans,
+  /// slices and the cursors of concurrent simulators share it unlocked.
+  struct Streams {
+    std::vector<StreamEvent> events;
+    std::vector<std::size_t> offsets;
+  };
+  std::shared_ptr<const Streams> streams_;  ///< null when no crash stream
+  std::size_t stream_lo_ = 0;     ///< this plan's processor 0 in streams_
+  std::size_t stream_count_ = 0;  ///< processors this plan's view covers
+  std::size_t event_count_ = 0;   ///< events in those processors' streams
   /// Per-processor latency; -1 = profiled correctly. Empty = none at all.
   std::vector<double> misprofile_latency_s_;
   std::vector<double> misprofile_repair_s_;
@@ -211,6 +248,38 @@ class FaultPlan {
   double crac_start_s_ = 0.0;
   double crac_duration_s_ = 0.0;
   std::size_t max_retries_ = 3;
+};
+
+/// Reads a plan's crash/repair events in one merged order -- by (time,
+/// proc), each processor's stream in its own order -- by index. The merge
+/// is a heap of processor heads, so reading event i+1 after event i costs
+/// O(log procs), and nothing past the last index read is ever merged.
+/// Asking for an index behind the current one rewinds to the start (a
+/// restored checkpoint). One cursor per simulator; the plan must outlive
+/// it.
+class FaultCursor {
+ public:
+  explicit FaultCursor(const FaultPlan& plan);
+
+  /// Events in the plan.
+  std::size_t size() const { return plan_->event_count(); }
+  /// Event `i` of the merged order, with its plan-local processor.
+  /// Requires i < size().
+  FaultEvent event(std::size_t i);
+
+ private:
+  /// A processor's earliest unmerged event: its time, and its index in
+  /// the processor's stream.
+  struct Head {
+    double time_s;
+    std::size_t proc;
+    std::size_t next;
+  };
+  void rewind();
+
+  const FaultPlan* plan_;
+  std::vector<Head> heap_;  ///< min-heap on (time, proc)
+  std::size_t pos_ = 0;     ///< merged index of heap_.front()
 };
 
 /// Fault-injection outcome counters, reported in `SimResult::faults`. All

@@ -251,6 +251,10 @@ void load_envelope(Sim& sim, const std::uint8_t* data, std::size_t size,
 template <typename Sim>
 void restore_envelope(Sim& sim, const std::uint8_t* data, std::size_t size,
                       std::uint8_t kind) {
+  // Before prepare() the per-processor arrays are empty, so the simulator's
+  // own bytes would not load back as the undo copy below.
+  if (!sim.prepared())
+    throw CheckpointError("checkpoint: restore needs a prepared simulator");
   // A load writes straight into the simulator and can fail part-way, so a
   // refused blob is undone by reloading the simulator's own bytes.
   const std::vector<std::uint8_t> own = envelope(sim, kind);

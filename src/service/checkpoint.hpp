@@ -61,9 +61,11 @@ std::vector<std::uint8_t> checkpoint_bytes(const ShardedSim& sim);
 
 /// Restore a simulator from checkpoint bytes. The simulator must have been
 /// constructed with the same configuration it was checkpointed under, and
-/// prepared. Throws CheckpointError on bad magic, version skew, identity
-/// mismatch, or a truncated/corrupt payload; a throw leaves the simulator
-/// in the state it had before the call (its checkpoint bytes unchanged).
+/// prepared: an unprepared one is refused with CheckpointError before any
+/// byte is read. Throws CheckpointError on bad magic, version skew,
+/// identity mismatch, or a truncated/corrupt payload; a throw leaves the
+/// simulator in the state it had before the call (its checkpoint bytes
+/// unchanged).
 void restore_from_bytes(DatacenterSim& sim, const std::uint8_t* data,
                         std::size_t size);
 void restore_from_bytes(ShardedSim& sim, const std::uint8_t* data,

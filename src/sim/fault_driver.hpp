@@ -1,7 +1,9 @@
 // FaultDriver: the simulator's fault-injection state (src/fault/). It
 // resolves the run's plan -- an explicit override, one built from the
 // spec, or the empty plan, whose run takes no fault branch -- and puts the
-// plan's noise in front of the wind forecaster. It owns the per-processor
+// plan's noise in front of the wind forecaster. It owns the cursor that
+// merges the plan's per-processor crash/repair streams for this simulator
+// alone (the plan itself is shared and immutable), the per-processor
 // failed, armed and token arrays, the counters and the count of abandoned
 // tasks. The failed flags are the one record of which processors are down:
 // the handlers that requeue tasks and move processors between pools stay
@@ -30,13 +32,16 @@ class FaultDriver {
   FaultDriver(std::shared_ptr<const FaultPlan> plan, const FaultSpec& spec,
               std::uint64_t seed, const Knowledge& knowledge,
               const WindForecaster* forecaster)
-      : plan_(std::move(plan)),
+      : plan_(plan != nullptr
+                  ? std::move(plan)
+                  : std::make_shared<const FaultPlan>(
+                        spec.any() ? FaultPlan::build(spec, seed,
+                                                      knowledge.procs())
+                                   : FaultPlan{})),
+        cursor_(*plan_),
         knowledge_(&knowledge),
         forecaster_(forecaster),
         nprocs_(knowledge.procs()) {
-    if (plan_ == nullptr)
-      plan_ = std::make_shared<const FaultPlan>(
-          spec.any() ? FaultPlan::build(spec, seed, nprocs_) : FaultPlan{});
     active_ = !plan_->sim_empty();
     if (active_)
       ISCOPE_CHECK_ARG(plan_->procs_referenced() <= nprocs_,
@@ -51,6 +56,12 @@ class FaultDriver {
 
   const FaultPlan& plan() const { return *plan_; }
   bool active() const { return active_; }
+  /// The plan's crash/repair events, and event `i` of their merged (time,
+  /// proc) order: `i` is the payload of the pending kFault event. Reading
+  /// i+1 after i is a heap step; an `i` behind the cursor (a restored
+  /// checkpoint) rewinds it.
+  std::size_t event_count() const { return cursor_.size(); }
+  FaultEvent event(std::size_t i) { return cursor_.event(i); }
   /// The forecaster placement consults (may be null).
   const WindForecaster* forecaster() const { return forecaster_; }
 
@@ -106,7 +117,8 @@ class FaultDriver {
 
   /// This type's slice of the checkpoint (service/checkpoint.hpp). The
   /// plan is rebuilt from the config, and the pending kFault event carries
-  /// the cursor. The caller checks failed_tasks() against the task states.
+  /// the merged index the cursor seeks to. The caller checks
+  /// failed_tasks() against the task states.
   template <class Io>
   void io(Io& io) {
     const auto flags = [&](auto& v, const char* what) {
@@ -129,6 +141,7 @@ class FaultDriver {
 
  private:
   std::shared_ptr<const FaultPlan> plan_;
+  FaultCursor cursor_;   ///< reads *plan_, which lives as long as the driver
   bool active_ = false;  ///< the plan has processor events or mis-profiles
   const Knowledge* knowledge_;
   std::unique_ptr<NoisyForecaster> noisy_;

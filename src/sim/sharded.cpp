@@ -91,7 +91,8 @@ ShardedSim::ShardedSim(const Cluster& cluster, Scheme scheme,
 
   // Resolve the physical fault schedule ONCE, over the whole facility, so
   // it is a function of (spec, seed, facility size) alone -- independent of
-  // the shard count -- then hand each shard its slice.
+  // the shard count -- then hand each shard its slice: a view over the
+  // plan's per-processor streams, not a copy of them.
   std::shared_ptr<const FaultPlan> global_plan = config_.fault_plan;
   if (global_plan == nullptr && config_.faults.any())
     global_plan = std::make_shared<const FaultPlan>(
@@ -175,6 +176,12 @@ void ShardedSim::prepare(const std::vector<Task>& tasks,
   }
   barrier_ = 0.0;
   ensure_pool();
+}
+
+bool ShardedSim::prepared() const {
+  for (const Shard& sh : shards_)
+    if (!sh.sim->prepared()) return false;
+  return true;
 }
 
 bool ShardedSim::drained() const {

@@ -87,6 +87,8 @@ class ShardedSim {
   std::size_t advance_round();
   /// True when every shard's event queue drained.
   bool drained() const;
+  /// True once prepare() has staged every shard (a restore needs it).
+  bool prepared() const;
   /// The barrier the next advance_round() reconciles at.
   double barrier_s() const { return barrier_; }
   /// Finish every shard (fixed order) and aggregate. Requires drained().

@@ -500,16 +500,16 @@ void DatacenterSim::end_profiling_window(std::size_t slot) {
 }
 
 void DatacenterSim::schedule_fault_event(std::size_t i) {
-  if (i >= fault_.plan().events().size()) return;
-  const double at = fault_.plan().events()[i].time_s;
-  queue_.schedule(at, EventDesc{EventDesc::Kind::kFault, i});
+  if (i >= fault_.event_count()) return;
+  queue_.schedule(fault_.event(i).time_s,
+                  EventDesc{EventDesc::Kind::kFault, i});
 }
 
 void DatacenterSim::on_fault_event(std::size_t i) {
   // The plan's crash/repair stream runs as one lazily-chained event, so an
   // all-but-infinite horizon costs nothing once the workload has drained.
   if (all_done()) return;
-  const FaultEvent& e = fault_.plan().events()[i];
+  const FaultEvent e = fault_.event(i);
   if (e.kind == FaultKind::kCrash)
     fail_proc(e.proc, /*misprofile=*/false);
   else
@@ -935,7 +935,7 @@ bool DatacenterSim::event_in_range(const EventDesc& e) const {
     case Kind::kProfilingEnd:
       return profiling_.live(e.a);
     case Kind::kFault:
-      return e.a < fault_.plan().events().size();
+      return e.a < fault_.event_count();
     case Kind::kMisprofileTimer:
     case Kind::kMisprofileRepair:
     case Kind::kSleepEnter:
@@ -1010,6 +1010,8 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   sleep_.reset();
 
   rebuild_derived();
+
+  prepared_ = true;
 
   // The initial events, in the order that numbers their ties.
   if (fault_.active()) schedule_fault_event(0);

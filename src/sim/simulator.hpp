@@ -197,6 +197,8 @@ class DatacenterSim {
   /// *next* event -- so interleaving step_until() slices is bit-identical
   /// to one uninterrupted drain. Returns the number of events run.
   std::size_t step_until(double t_limit);
+  /// True once prepare() has staged a run (a restore needs it).
+  bool prepared() const { return prepared_; }
   /// True when no staged events remain.
   bool drained() const { return queue_.empty(); }
   /// True when a staged event lies strictly before `t`: advance_before(t)
@@ -476,6 +478,7 @@ class DatacenterSim {
   std::size_t miss_count_ = 0;
   double makespan_s_ = 0.0;
   bool in_pass_ = false;  ///< re-entrancy guard for schedule_pass
+  bool prepared_ = false;  ///< prepare() ran; the state arrays are sized
   /// Set while a deadline-forced task is blocked waiting for processors:
   /// the matcher then rushes running tasks to the top level to free CPUs
   /// ("we stop lowering the frequency when some tasks are facing violation

@@ -214,6 +214,64 @@ TEST(Checkpoint, EverythingAtOnce) {
                      spread_windows(24));
 }
 
+// The pending kFault event carries the index of the next crash/repair in
+// the plan's merged order; each simulator reads it through a cursor that
+// only moves forward unless asked for an index behind it. A simulator that
+// ran past the cut and then restores it must rewind, or it resumes with
+// the wrong processor's fault.
+SimConfig rewind_fault_config() {
+  SimConfig cfg = base_config();
+  cfg.faults = parse_fault_spec("mtbf=12000,repair=600,misprofile=0.1");
+  cfg.fault_seed = 404;
+  return cfg;
+}
+
+TEST(Checkpoint, FaultCursorRewindsOnRestore) {
+  const Scenario sc(24, 45);
+  const std::vector<Task> tasks = sc.make_tasks(60, 6, 55);
+  const HybridSupply supply = sc.make_supply(65);
+  const SimConfig cfg = rewind_fault_config();
+  const SimResult uninterrupted =
+      sc.run_batch(Scheme::kScanFair, tasks, supply, cfg);
+  ASSERT_GT(uninterrupted.faults.cpu_failures, 10u);
+
+  Knowledge k(&sc.cluster, scheme_knowledge(Scheme::kScanFair), &sc.db);
+  DatacenterSim sim(&k, scheme_rule(Scheme::kScanFair), &supply, cfg);
+  sim.prepare(tasks, {});
+  sim.step_until(3000.0);
+  const std::vector<std::uint8_t> blob = checkpoint_bytes(sim);
+  sim.step_until(9000.0);  // the cursor moves well past the cut
+  ASSERT_GT(sim.events_processed(), 0u);
+  restore_from_bytes(sim, blob.data(), blob.size());
+  sim.advance_before(kInf);
+  expect_identical(uninterrupted, sim.finish());
+}
+
+TEST(Checkpoint, ShardedFaultCursorsRewindOnRestore) {
+  const Scenario sc(24, 46);
+  const std::vector<Task> tasks = sc.make_tasks(60, 3, 56);
+  const HybridSupply supply = sc.make_supply(66);
+  SimConfig cfg = rewind_fault_config();
+  cfg.topology.cpus_per_rack = 2;
+  cfg.topology.shards = 4;
+  cfg.shard_workers = 2;
+
+  ShardedSim batch(sc.cluster, Scheme::kScanFair, &sc.db, supply, cfg);
+  const SimResult uninterrupted = batch.run(tasks);
+  ASSERT_GT(uninterrupted.faults.cpu_failures, 10u);
+
+  ShardedSim sim(sc.cluster, Scheme::kScanFair, &sc.db, supply, cfg);
+  sim.prepare(tasks, {});
+  for (int round = 0; round < 5 && !sim.drained(); ++round)
+    sim.advance_round();
+  const std::vector<std::uint8_t> blob = checkpoint_bytes(sim);
+  for (int round = 0; round < 10 && !sim.drained(); ++round)
+    sim.advance_round();
+  restore_from_bytes(sim, blob.data(), blob.size());
+  while (!sim.drained()) sim.advance_round();
+  expect_identical(uninterrupted, sim.collect());
+}
+
 // --- format v2: thermal + sleep state across the checkpoint ---------------
 
 TEST(Checkpoint, ThermalAndSleepAllSchemesMidRun) {
@@ -496,6 +554,65 @@ TEST(GoldenCheckpoint, ShardedV2) {
   while (!sim1.drained()) sim1.advance_round();
   while (!sim2.drained()) sim2.advance_round();
   expect_identical(sim1.collect(), sim2.collect());
+}
+
+// --- a restore needs a prepared simulator ---------------------------------
+
+// Before prepare() the per-processor arrays are empty, so the simulator's
+// own bytes -- the undo copy a refused restore reloads -- are not a
+// checkpoint of it. Both overloads refuse up front, valid blob or not.
+TEST(CheckpointPrepared, UnpreparedSimulatorsRefuseEveryBlob) {
+  const Scenario sc(24, 47);
+  const std::vector<Task> tasks = sc.make_tasks(30, 3, 57);
+  const HybridSupply supply = sc.make_supply(67);
+  SimConfig cfg = base_config();
+  const auto refuses = [](auto& sim, const std::vector<std::uint8_t>& blob) {
+    try {
+      restore_from_bytes(sim, blob.data(), blob.size());
+      ADD_FAILURE() << "restore into an unprepared simulator was accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "restore needs a prepared simulator"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  const auto truncated = [](std::vector<std::uint8_t> blob) {
+    blob.resize(blob.size() / 2);
+    return blob;
+  };
+
+  {
+    Knowledge k1(&sc.cluster, scheme_knowledge(Scheme::kScanFair), &sc.db);
+    DatacenterSim sim1(&k1, scheme_rule(Scheme::kScanFair), &supply, cfg);
+    sim1.prepare(tasks, {});
+    sim1.step_until(2500.0);
+    const std::vector<std::uint8_t> blob = checkpoint_bytes(sim1);
+
+    Knowledge k2(&sc.cluster, scheme_knowledge(Scheme::kScanFair), &sc.db);
+    DatacenterSim sim2(&k2, scheme_rule(Scheme::kScanFair), &supply, cfg);
+    refuses(sim2, blob);
+    refuses(sim2, truncated(blob));
+    sim2.prepare({}, {});
+    restore_from_bytes(sim2, blob.data(), blob.size());
+    EXPECT_EQ(checkpoint_bytes(sim2), blob);
+  }
+  {
+    cfg.topology.cpus_per_rack = 2;
+    cfg.topology.shards = 4;
+    ShardedSim sim1(sc.cluster, Scheme::kScanFair, &sc.db, supply, cfg);
+    sim1.prepare(tasks, {});
+    for (int round = 0; round < 5 && !sim1.drained(); ++round)
+      sim1.advance_round();
+    const std::vector<std::uint8_t> blob = checkpoint_bytes(sim1);
+
+    ShardedSim sim2(sc.cluster, Scheme::kScanFair, &sc.db, supply, cfg);
+    refuses(sim2, blob);
+    refuses(sim2, truncated(blob));
+    sim2.prepare({}, {});
+    restore_from_bytes(sim2, blob.data(), blob.size());
+    EXPECT_EQ(checkpoint_bytes(sim2), blob);
+  }
 }
 
 // --- rejection paths ------------------------------------------------------

@@ -1,21 +1,52 @@
 // Fault-injection layer (src/fault/): plan construction, determinism,
-// scripted schedules, supply dropouts, forecast noise, and the
-// simulator's graceful-degradation path (requeue, retry bound, repair).
+// scripted schedules, the per-processor streams and the cursor that merges
+// them (against the old globally sorted layout in
+// tests/reference_fault_plan.hpp), supply dropouts, forecast noise, and
+// the simulator's graceful-degradation path (requeue, retry bound, repair).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "fault/noisy_forecast.hpp"
 #include "profiling/scanner.hpp"
+#include "reference_fault_plan.hpp"
 #include "sched/knowledge.hpp"
 #include "sim/simulator.hpp"
 
 namespace iscope {
 namespace {
+
+/// Every crash/repair event of `plan`, read off a fresh cursor in order.
+std::vector<FaultEvent> drain(const FaultPlan& plan) {
+  FaultCursor cursor(plan);
+  std::vector<FaultEvent> out;
+  out.reserve(cursor.size());
+  for (std::size_t i = 0; i < cursor.size(); ++i)
+    out.push_back(cursor.event(i));
+  return out;
+}
+
+/// Event for event: time bitwise, kind and (local) processor.
+void expect_same_events(const std::vector<FaultEvent>& expected,
+                        const std::vector<FaultEvent>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(expected[i].time_s),
+              std::bit_cast<std::uint64_t>(actual[i].time_s));
+    EXPECT_EQ(expected[i].kind, actual[i].kind);
+    EXPECT_EQ(expected[i].proc, actual[i].proc);
+    if (::testing::Test::HasFailure()) return;  // one report, not millions
+  }
+}
 
 // ------------------------------------------------------------ FaultSpec
 
@@ -84,6 +115,12 @@ TEST(FaultSpecParse, RejectsGarbage) {
   EXPECT_THROW(parse_fault_spec("mtbf=nan"), InvalidArgument);
   EXPECT_THROW(parse_fault_spec("mtbf=1e3x"), InvalidArgument);
   EXPECT_THROW(parse_fault_spec("misprofile=2"), InvalidArgument);
+  // Out of std::size_t's range: casting these would be undefined.
+  EXPECT_THROW(parse_fault_spec("retries=1e30"), InvalidArgument);
+  EXPECT_THROW(parse_fault_spec("retries=18446744073709551616"),
+               InvalidArgument);
+  EXPECT_EQ(parse_fault_spec("retries=18446744073709549568").max_retries,
+            18446744073709549568u);  // the largest double below 2^64
 }
 
 TEST(FaultSpecParse, EmptyStringIsInert) {
@@ -105,39 +142,43 @@ TEST(FaultPlan_, DefaultPlanIsEmpty) {
   const FaultPlan plan;
   EXPECT_TRUE(plan.empty());
   EXPECT_TRUE(plan.sim_empty());
-  EXPECT_TRUE(plan.events().empty());
+  EXPECT_EQ(plan.event_count(), 0u);
+  EXPECT_TRUE(drain(plan).empty());
   EXPECT_EQ(plan.misprofile_count(), 0u);
   EXPECT_EQ(plan.procs_referenced(), 0u);
 }
 
 TEST(FaultPlan_, BuildIsDeterministic) {
   const FaultSpec spec = crashy_spec();
-  const FaultPlan a = FaultPlan::build(spec, 42, 16);
-  const FaultPlan b = FaultPlan::build(spec, 42, 16);
-  ASSERT_EQ(a.events().size(), b.events().size());
-  for (std::size_t i = 0; i < a.events().size(); ++i) {
-    EXPECT_EQ(a.events()[i].time_s, b.events()[i].time_s);
-    EXPECT_EQ(a.events()[i].kind, b.events()[i].kind);
-    EXPECT_EQ(a.events()[i].proc, b.events()[i].proc);
+  const std::vector<FaultEvent> a = drain(FaultPlan::build(spec, 42, 16));
+  const std::vector<FaultEvent> b = drain(FaultPlan::build(spec, 42, 16));
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].time_s, b[i].time_s);
+    EXPECT_EQ(a[i].kind, b[i].kind);
+    EXPECT_EQ(a[i].proc, b[i].proc);
   }
   // A different seed produces a genuinely different schedule.
-  const FaultPlan c = FaultPlan::build(spec, 43, 16);
-  bool differs = a.events().size() != c.events().size();
-  for (std::size_t i = 0; !differs && i < a.events().size(); ++i)
-    differs = a.events()[i].time_s != c.events()[i].time_s;
+  const std::vector<FaultEvent> c = drain(FaultPlan::build(spec, 43, 16));
+  bool differs = a.size() != c.size();
+  for (std::size_t i = 0; !differs && i < a.size(); ++i)
+    differs = a[i].time_s != c[i].time_s;
   EXPECT_TRUE(differs);
 }
 
 TEST(FaultPlan_, EveryCrashHasAMatchingRepair) {
   const FaultPlan plan = FaultPlan::build(crashy_spec(), 7, 12);
-  ASSERT_FALSE(plan.events().empty());
+  const std::vector<FaultEvent> events = drain(plan);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.size(), plan.event_count());
   // Per processor: strictly increasing times, alternating crash/repair
   // starting with a crash, equal counts (no processor lost forever).
   for (std::size_t p = 0; p < 12; ++p) {
     double last = -1.0;
     bool expect_crash = true;
     std::size_t crashes = 0, repairs = 0;
-    for (const FaultEvent& e : plan.events()) {
+    for (const FaultEvent& e : events) {
       if (e.proc != p) continue;
       EXPECT_GT(e.time_s, last);
       last = e.time_s;
@@ -147,9 +188,9 @@ TEST(FaultPlan_, EveryCrashHasAMatchingRepair) {
     }
     EXPECT_EQ(crashes, repairs) << "proc " << p;
   }
-  // Globally sorted by time.
-  for (std::size_t i = 1; i < plan.events().size(); ++i)
-    EXPECT_LE(plan.events()[i - 1].time_s, plan.events()[i].time_s);
+  // Merged in time order.
+  for (std::size_t i = 1; i < events.size(); ++i)
+    EXPECT_LE(events[i - 1].time_s, events[i].time_s);
   EXPECT_LE(plan.procs_referenced(), 12u);
 }
 
@@ -233,8 +274,12 @@ TEST(FaultPlan_, ScriptedValidatesAlternation) {
       {500.0, FaultKind::kCrash, 0},
   };
   const FaultPlan plan = FaultPlan::scripted(ok, /*max_retries=*/2);
-  ASSERT_EQ(plan.events().size(), 3u);
-  EXPECT_EQ(plan.events()[0].time_s, 500.0);
+  ASSERT_EQ(plan.event_count(), 3u);
+  const std::vector<FaultEvent> events = drain(plan);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].time_s, 500.0);
+  EXPECT_EQ(events[1].time_s, 1000.0);
+  EXPECT_EQ(events[2].time_s, 2000.0);
   EXPECT_EQ(plan.max_retries(), 2u);
   EXPECT_FALSE(plan.sim_empty());
   EXPECT_EQ(plan.procs_referenced(), 2u);
@@ -246,6 +291,162 @@ TEST(FaultPlan_, ScriptedValidatesAlternation) {
   std::vector<FaultEvent> bad2 = {{100.0, FaultKind::kCrash, 0},
                                   {200.0, FaultKind::kCrash, 0}};
   EXPECT_THROW(FaultPlan::scripted(bad2), InvalidArgument);
+}
+
+// ------------------------------------- per-processor streams and cursor
+
+/// Specs the stream layout is checked over: crash rates from one every ten
+/// minutes to one every 50 hours, mis-profiling on and off, a short and
+/// the default horizon, a mis-profile-only plan with no crash stream, and
+/// one whose every repair rounds onto the next crash's instant.
+std::vector<FaultSpec> oracle_specs() {
+  std::vector<FaultSpec> specs;
+  FaultSpec s;
+  // A 1e-11 s gap added to a 1e6 s repair rounds away, so each repair and
+  // the following crash share an instant: the stream must put the crash
+  // first, as the global (time, proc, kind) sort did.
+  s.crash_mtbf_s = 1e-11;
+  s.repair_mean_s = 1e6;
+  specs.push_back(s);
+  s = FaultSpec{};
+  s.crash_mtbf_s = 600.0;
+  s.repair_mean_s = 300.0;
+  s.horizon_s = 86400.0;
+  specs.push_back(s);
+  s = FaultSpec{};
+  s.crash_mtbf_s = 7200.0;
+  s.misprofile_prob = 0.1;
+  s.horizon_s = 10.0 * 86400.0;
+  specs.push_back(s);
+  s = FaultSpec{};
+  s.crash_mtbf_s = 180000.0;  // the default 60-day horizon
+  specs.push_back(s);
+  s = FaultSpec{};
+  s.crash_mtbf_s = 180000.0;
+  s.misprofile_prob = 0.02;
+  specs.push_back(s);
+  s = FaultSpec{};
+  s.misprofile_prob = 0.3;
+  specs.push_back(s);
+  return specs;
+}
+
+TEST(FaultStreams, BuildDrainsInTheGlobalSortOrder) {
+  const std::vector<FaultSpec> specs = oracle_specs();
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    for (const std::uint64_t seed : {1u, 7u, 7919u}) {
+      for (const std::size_t procs : {0u, 1u, 7u, 64u, 1024u}) {
+        SCOPED_TRACE("spec " + std::to_string(k) + " seed " +
+                     std::to_string(seed) + " procs " + std::to_string(procs));
+        const FaultPlan plan = FaultPlan::build(specs[k], seed, procs);
+        const std::vector<FaultEvent> expected =
+            reference::build_events(specs[k], seed, procs);
+        EXPECT_EQ(plan.event_count(), expected.size());
+        expect_same_events(expected, drain(plan));
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(FaultStreams, EverySliceDrainsLikeTheSortedSlice) {
+  const std::vector<FaultSpec> specs = oracle_specs();
+  constexpr std::size_t kProcs = 64;
+  // An even partition (4 x 16), an uneven one, and slices that run past
+  // the plan's processors or start beyond them.
+  const std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
+      partitions = {{{0, 16}, {16, 16}, {32, 16}, {48, 16}},
+                    {{0, 5}, {5, 1}, {6, 27}, {33, 31}},
+                    {{0, 64}, {60, 10}, {64, 8}, {100, 4}, {3, 0}}};
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    for (const std::uint64_t seed : {3u, 11u}) {
+      const FaultPlan plan = FaultPlan::build(specs[k], seed, kProcs);
+      const std::vector<FaultEvent> global =
+          reference::build_events(specs[k], seed, kProcs);
+      for (const auto& partition : partitions) {
+        for (const auto& [lo, count] : partition) {
+          SCOPED_TRACE("spec " + std::to_string(k) + " seed " +
+                       std::to_string(seed) + " slice " + std::to_string(lo) +
+                       "+" + std::to_string(count));
+          const FaultPlan slice = plan.slice(lo, count);
+          const std::vector<FaultEvent> expected =
+              reference::slice_events(global, lo, count);
+          EXPECT_EQ(slice.event_count(), expected.size());
+          expect_same_events(expected, drain(slice));
+          // A slice of a slice is the slice of the plan.
+          const FaultPlan inner = slice.slice(1, count / 2);
+          expect_same_events(
+              reference::slice_events(expected, 1, count / 2), drain(inner));
+          for (std::size_t p = 0; p < count; ++p) {
+            EXPECT_EQ(slice.misprofiled(p), plan.misprofiled(lo + p));
+            EXPECT_EQ(slice.misprofile_latency_s(p),
+                      plan.misprofile_latency_s(lo + p));
+          }
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(FaultStreams, ScriptedTiesKeepTheStableTimeProcOrder) {
+  // Equal instants on different processors, submitted out of processor
+  // order, and one processor's crash and repair at the same instant.
+  const std::vector<FaultEvent> input = {
+      {100.0, FaultKind::kCrash, 5},  {100.0, FaultKind::kCrash, 2},
+      {100.0, FaultKind::kCrash, 0},  {250.0, FaultKind::kRepair, 2},
+      {100.0, FaultKind::kRepair, 5}, {250.0, FaultKind::kRepair, 0},
+      {250.0, FaultKind::kCrash, 3},  {250.0, FaultKind::kRepair, 3},
+      {400.0, FaultKind::kCrash, 5},  {250.0, FaultKind::kCrash, 2},
+      {900.0, FaultKind::kRepair, 5}, {900.0, FaultKind::kRepair, 2},
+  };
+  const FaultPlan plan = FaultPlan::scripted(input);
+  const std::vector<FaultEvent> expected = reference::scripted_events(input);
+  EXPECT_EQ(plan.event_count(), expected.size());
+  expect_same_events(expected, drain(plan));
+  EXPECT_EQ(plan.procs_referenced(), 6u);
+  const std::vector<std::pair<std::size_t, std::size_t>> slices = {
+      {0, 3}, {3, 3}, {2, 2}, {5, 1}, {0, 6}};
+  for (const auto& [lo, count] : slices) {
+    SCOPED_TRACE("slice " + std::to_string(lo) + "+" + std::to_string(count));
+    expect_same_events(reference::slice_events(expected, lo, count),
+                       drain(plan.slice(lo, count)));
+  }
+  // A repair listed before its same-instant crash is a repair of a healthy
+  // processor, as it was under the global stable sort.
+  EXPECT_THROW(FaultPlan::scripted({{100.0, FaultKind::kRepair, 1},
+                                    {100.0, FaultKind::kCrash, 1}}),
+               InvalidArgument);
+}
+
+TEST(FaultStreams, RandomAccessWithRewindsEqualsTheDrain) {
+  FaultSpec spec;
+  spec.crash_mtbf_s = 3600.0;
+  spec.repair_mean_s = 900.0;
+  spec.horizon_s = 2.0 * 86400.0;
+  const FaultPlan plan = FaultPlan::build(spec, 5, 48);
+  const std::vector<FaultEvent> sequential = drain(plan);
+  ASSERT_GT(sequential.size(), 1000u);
+
+  std::vector<std::size_t> order(sequential.size());
+  std::iota(order.begin(), order.end(), 0);
+  Rng rng(17);
+  for (std::size_t i = order.size() - 1; i > 0; --i)
+    std::swap(order[i], order[static_cast<std::size_t>(rng.uniform_int(
+                            0, static_cast<std::int64_t>(i)))]);
+  FaultCursor cursor(plan);
+  ASSERT_EQ(cursor.size(), sequential.size());
+  // Shuffled reads (about half of them rewind), then a repeat of the same
+  // index, then a walk back down to 0.
+  for (std::size_t k = 0; k < 400; ++k) {
+    const std::size_t i = order[k];
+    expect_same_events({sequential[i]}, {cursor.event(i)});
+    expect_same_events({sequential[i]}, {cursor.event(i)});
+  }
+  for (std::size_t i = 40; i-- > 0;)
+    expect_same_events({sequential[i]}, {cursor.event(i)});
+  expect_same_events({sequential.back()},
+                     {cursor.event(sequential.size() - 1)});
 }
 
 // ------------------------------------------------------ NoisyForecaster

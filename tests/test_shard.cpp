@@ -239,6 +239,35 @@ TEST(ShardDeterminism, WorkerCountDoesNotMoveABit) {
   }
 }
 
+// The shards read one plan's shared per-processor streams, each through
+// its own cursor; with crashes and mis-profiles live the run must still not
+// move by a bit with the worker count.
+TEST(ShardDeterminism, FaultedWorkerCountDoesNotMoveABit) {
+  const Scenario s(24, 32);
+  const auto tasks = s.make_tasks(60, 4, 52);
+  const HybridSupply supply = s.make_supply(54);
+  SimConfig cfg = s.base_config(4);
+  cfg.faults = parse_fault_spec("mtbf=15000,repair=900,misprofile=0.1");
+  cfg.fault_seed = 61;
+  SimResult first;
+  bool have_first = false;
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    SCOPED_TRACE(workers);
+    cfg.shard_workers = workers;
+    const SimResult r = s.run_sharded(Scheme::kScanFair, tasks, supply, cfg);
+    if (!have_first) {
+      first = r;
+      have_first = true;
+      EXPECT_EQ(r.tasks_completed + r.faults.tasks_failed, tasks.size());
+      EXPECT_GT(r.faults.cpu_failures, 10u);
+      EXPECT_GT(r.faults.misprofile_failures, 0u);
+      EXPECT_GT(r.faults.task_requeues, 0u);
+    } else {
+      expect_identical(first, r);
+    }
+  }
+}
+
 TEST(ShardDeterminism, RepeatedRunsAreIdentical) {
   const Scenario s(26, 37);  // partial last rack
   const auto tasks = s.make_tasks(50, 4, 57);

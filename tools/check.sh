@@ -2,7 +2,8 @@
 # One-stop verification gate: strict build, full test suite, the smoke
 # stages (figure binary, telemetry bundle, shard identity, service-mode
 # daemon), project lint (iscope_lint), clang-tidy (when installed),
-# sanitizer passes over the tests (ASan over the shard suite, TSan over
+# sanitizer passes over the tests (UBSan with float-cast-overflow, ASan
+# over the shard suite, TSan over the faulted shards' shared fault plan and
 # the pinned sharded-thermal rows at 4 workers), a line-coverage floor
 # for the fault-injection and scheduling layers and the simulator's
 # subsystem drivers, and (opt-in) a short perfbench run of each workload.
@@ -38,15 +39,15 @@ STAGES=(
   "thermal         thermal/sleep off-identity + sharded thermal determinism (TSan smoke rides in the tsan stage)"
   "lint            iscope_lint project invariants (determinism/layering/quantity/telemetry)"
   "tidy            clang-tidy profile, warnings-as-errors (skips if not installed)"
-  "ubsan           UBSan rebuild + full tests"
+  "ubsan           UBSan rebuild (+ float-cast-overflow) + full tests"
   "asan            ASan fault-injection + parser-fuzz + cluster-fabrication + placement + shard tests"
-  "tsan            TSan multi-shard smoke (fig8, 4 shards x 4 workers) + pinned sharded-thermal rows + service chaos daemon + threaded cluster build"
+  "tsan            TSan shard determinism (faulted shards' cursors on one shared plan included) + multi-shard smoke (fig8, 4 shards x 4 workers) + pinned sharded-thermal rows + service chaos daemon + threaded cluster build"
   "coverage        src/fault + src/sched + sim driver line-coverage floor (${COVERAGE_MIN}%)"
   "perfbench       1 s perfbench run per workload: exit 0, correct, no failed ops (opt-in: --stage only)"
 )
 
 usage() {
-  sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//'
   printf '\nStages (default order; --fast stops after tidy):\n'
   for s in "${STAGES[@]}"; do printf '  %s\n' "$s"; done
 }
@@ -239,9 +240,12 @@ stage_tidy() {
 }
 
 stage_ubsan() {
-  stage "UBSan build + tests"
+  stage "UBSan (+ float-cast-overflow) build + tests"
+  # GCC's `undefined` group leaves out float-cast-overflow: an out-of-range
+  # double cast to an integer (say, a parsed count) would pass unreported.
   cmake -B build-check/ubsan -S . \
-        -DISCOPE_SANITIZE=undefined -DISCOPE_AUDIT=ON > /dev/null
+        -DISCOPE_SANITIZE=undefined -DISCOPE_AUDIT=ON \
+        -DCMAKE_CXX_FLAGS=-fsanitize=float-cast-overflow > /dev/null
   cmake --build build-check/ubsan -j "$JOBS"
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
       ctest --test-dir build-check/ubsan --output-on-failure
@@ -274,7 +278,7 @@ stage_asan() {
 }
 
 stage_tsan() {
-  stage "TSan multi-shard smoke (fig8, 4 shards x 4 workers) + pinned sharded-thermal rows + service chaos + cluster build"
+  stage "TSan shard determinism (faulted shards included) + multi-shard smoke (fig8, 4 shards x 4 workers) + pinned sharded-thermal rows + service chaos + cluster build"
   # Epoch-barrier handoff under real thread interleaving: the fig8 energy
   # scenario at scale 0.5 (240 CPUs = 5 racks, so 4 rack-aligned shards
   # fit) with the shard loops fanned out over 4 pool workers. Any data
@@ -284,10 +288,12 @@ stage_tsan() {
   cmake --build build-check/tsan -j "$JOBS" \
         --target bench_fig8_energy_cost test_shard test_service_chaos \
                  test_hardware test_thermal
+  # ShardDeterminism.FaultedWorkerCountDoesNotMoveABit runs four shards'
+  # fault cursors over one plan's shared per-processor streams.
   TSAN_OPTIONS=halt_on_error=1 \
       ./build-check/tsan/tests/test_shard \
       --gtest_filter='ShardDeterminism.*' > /dev/null \
-      && echo "tsan ok: test_shard worker determinism"
+      && echo "tsan ok: test_shard worker determinism (faulted shards included)"
   TSAN_OPTIONS=halt_on_error=1 \
   ISCOPE_SCALE=0.5 ISCOPE_PARALLEL=1 ISCOPE_SHARDS=4 ISCOPE_SHARD_WORKERS=4 \
       ./build-check/tsan/bench/bench_fig8_energy_cost > /dev/null \
