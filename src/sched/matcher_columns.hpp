@@ -2,8 +2,9 @@
 //
 // One row per running task, in *start order*: each task's remaining work,
 // deadline and per-level tables sit in contiguous columns instead of behind
-// a pointer chase. The rows are the simulator's running set; no other list
-// holds it. The matcher's floating-point sums and equal-saving heap
+// a pointer chase. The rows are the simulator's running set and own its
+// remaining work, progress time and levels; nothing else holds them. The
+// matcher's floating-point sums and equal-saving heap
 // tiebreaks are order-sensitive, so keeping the rows in start order is what
 // keeps PowerMatcher::match bit-identical to a per-task oracle walking the
 // tasks in start order (tests/reference_scheduler.hpp).
@@ -36,6 +37,7 @@ namespace iscope {
 struct MatcherColumns {
   std::size_t levels = 0;  ///< DVFS level count (row stride)
   std::size_t count = 0;   ///< live rows
+  double progress_s = 0.0;  ///< every row's `remaining` is as of this time
 
   // Per-row scalars (index = row).
   std::vector<std::size_t> task;   ///< owning simulator task index
@@ -43,6 +45,9 @@ struct MatcherColumns {
   std::vector<double> deadline;    ///< absolute deadline [s]
   std::vector<std::size_t> floor;  ///< matcher scratch: deadline floor
   std::vector<std::size_t> level;  ///< matcher output: assigned level
+  /// The level the task runs at (its completion is timed for it); `levels`
+  /// from append until the first one is applied.
+  std::vector<std::size_t> applied;
 
   // Per-row level-indexed blocks (index = row * levels + l).
   std::vector<double> slowdown;        ///< Eq-3 slowdown per level
@@ -57,26 +62,17 @@ struct MatcherColumns {
                      "best_from table");
     levels = level_count;
     count = 0;
-    task.clear();
-    remaining.clear();
-    deadline.clear();
-    floor.clear();
-    level.clear();
-    slowdown.clear();
-    power.clear();
-    best_from.clear();
-    task.reserve(max_rows);
-    remaining.reserve(max_rows);
-    deadline.reserve(max_rows);
-    floor.reserve(max_rows);
-    level.reserve(max_rows);
-    slowdown.reserve(max_rows * levels);
-    power.reserve(max_rows * levels);
-    best_from.reserve(max_rows * levels);
+    progress_s = 0.0;
+    const auto empty = [](auto& v, std::size_t n) { v.clear(); v.reserve(n); };
+    for (auto* v : {&task, &floor, &level, &applied}) empty(*v, max_rows);
+    for (auto* v : {&remaining, &deadline}) empty(*v, max_rows);
+    for (auto* v : {&slowdown, &power}) empty(*v, max_rows * levels);
+    empty(best_from, max_rows * levels);
   }
 
-  /// Append a row at the end (start order). The caller sums the row's power
-  /// block and then derives the rest via `fill_row`. Returns the row index.
+  /// Append a row at the end (start order), with no level applied. The
+  /// caller sums the row's power block and then derives the rest via
+  /// `fill_row`. Returns the row index.
   std::size_t append(std::size_t task_idx, double remaining_s,
                      double deadline_s) {
     task.push_back(task_idx);
@@ -84,6 +80,7 @@ struct MatcherColumns {
     deadline.push_back(deadline_s);
     floor.push_back(0);
     level.push_back(0);
+    applied.push_back(levels);
     slowdown.resize(slowdown.size() + levels, 0.0);
     power.resize(power.size() + levels, 0.0);
     best_from.resize(best_from.size() + levels, 0);
@@ -107,15 +104,12 @@ struct MatcherColumns {
   /// shifted task (the returned row indices of `task[row..]` moved by -1).
   void remove(std::size_t row) {
     const auto r = static_cast<std::ptrdiff_t>(row);
-    task.erase(task.begin() + r);
-    remaining.erase(remaining.begin() + r);
-    deadline.erase(deadline.begin() + r);
-    floor.erase(floor.begin() + r);
-    level.erase(level.begin() + r);
+    for (auto* v : {&task, &floor, &level, &applied}) v->erase(v->begin() + r);
+    for (auto* v : {&remaining, &deadline}) v->erase(v->begin() + r);
     const auto b = static_cast<std::ptrdiff_t>(row * levels);
     const auto e = static_cast<std::ptrdiff_t>((row + 1) * levels);
-    slowdown.erase(slowdown.begin() + b, slowdown.begin() + e);
-    power.erase(power.begin() + b, power.begin() + e);
+    for (auto* v : {&slowdown, &power})
+      v->erase(v->begin() + b, v->begin() + e);
     best_from.erase(best_from.begin() + b, best_from.begin() + e);
     --count;
   }

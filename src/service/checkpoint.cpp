@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <utility>
 
@@ -16,14 +17,33 @@ namespace iscope {
 
 namespace {
 
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-/// kNone is not representable losslessly through u64 on 32-bit size_t, so
-/// it gets a dedicated sentinel on the wire.
-constexpr std::uint64_t kNoneWire = ~std::uint64_t{0};
 /// Hard element-count ceiling for every vector header in a checkpoint.
 /// Generous (a simulation this large would not fit a checkpoint anyway)
 /// but finite: a corrupt count fails in Reader::count, never in a resize.
 constexpr std::size_t kMaxElems = std::size_t{1} << 28;
+
+/// Slicing-by-8 CRC-32 tables: row 0 is the byte-wise table of polynomial
+/// 0xEDB88320 (reflected); row k carries row 0 over k more zero bytes.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint32_t c = b;
+    for (int bit = 0; bit < 8; ++bit)
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][b] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t b = 0; b < 256; ++b)
+      t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xffu];
+  return t;
+}();
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 [[noreturn]] void reject(const std::string& what) {
   throw CheckpointError("checkpoint: " + what);
@@ -35,9 +55,6 @@ constexpr std::size_t kMaxElems = std::size_t{1} << 28;
 //   io.same(v, what)          identity: written, only compared on load
 //   io.in(v, lo, hi, what)    loaded value must lie in [lo, hi]
 //   io.index(v, limit, what)  index below `limit`
-//   io.index_or_none(...)     the same, or kNone
-//   io.counter(v, recount, what)  duplicate of other state: loaded value
-//                             must equal recount()
 //   io.vec(v, cap, each)      length-prefixed; loaded length <= cap
 //   io.vec(v, each)           the same, capped at kMaxElems
 //   io.fixed(v, n, each)      exactly n elements, length not written
@@ -84,13 +101,6 @@ class Save {
     (*this)(v);
   }
   void index(std::size_t v, std::size_t, const char*) { w_.u64(v); }
-  void index_or_none(std::size_t v, std::size_t, const char*) {
-    w_.u64(v == kNone ? kNoneWire : v);
-  }
-  template <class Recount>
-  void counter(std::size_t v, Recount&&, const char*) {
-    w_.u64(v);
-  }
   template <class V, class Each>
   void vec(const V& v, std::size_t, Each&& each) {
     w_.u64(v.size());
@@ -152,21 +162,6 @@ class Load {
     (*this)(v);
     if (v >= limit) reject(std::string(what) + " index out of range");
   }
-  void index_or_none(std::size_t& v, std::size_t limit, const char* what) {
-    const std::uint64_t raw = r_.u64();
-    if (raw == kNoneWire) {
-      v = kNone;
-      return;
-    }
-    if (raw >= limit) reject(std::string(what) + " index out of range");
-    v = static_cast<std::size_t>(raw);
-  }
-  template <class Recount>
-  void counter(std::size_t& v, Recount&& recount, const char* what) {
-    (*this)(v);
-    if (v != recount())
-      reject(std::string(what) + " does not match the state it counts");
-  }
   template <class V, class Each>
   void vec(V& v, std::size_t cap, Each&& each) {
     // Every element takes at least one byte, so the unread payload bounds
@@ -195,8 +190,22 @@ class Load {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Envelope + file helpers
+// CRC trailer, envelope + file helpers
 // ---------------------------------------------------------------------------
+
+std::uint32_t checkpoint_crc32(const std::uint8_t* data, std::size_t size) {
+  const auto& t = kCrcTables;
+  std::uint32_t c = 0xffffffffu;
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = c ^ load_le32(data);
+    const std::uint32_t hi = load_le32(data + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
+  return ~c;
+}
 
 namespace {
 
@@ -213,6 +222,7 @@ std::vector<std::uint8_t> envelope(const Sim& sim, std::uint8_t kind) {
   // One io() member serves both directions, so it is not const; the Save
   // adapter only reads (cereal's convention for output archives).
   const_cast<Sim&>(sim).io(io);
+  w.u32(checkpoint_crc32(w.data().data(), w.size()));
   return w.take();
 }
 
@@ -229,12 +239,18 @@ void load_envelope(Sim& sim, const std::uint8_t* data, std::size_t size,
                             std::to_string(version) +
                             " is not supported by this build (expected " +
                             std::to_string(kCheckpointVersion) + ")");
-    if (r.u8() != kind)
+    // The 4-byte trailer seals everything before it: no field past the
+    // 8 bytes of magic and version is read from a torn or flipped file.
+    if (size < 12 || checkpoint_crc32(data, size - 4) !=
+                         load_le32(data + size - 4))
+      throw CheckpointError("checkpoint: checksum mismatch");
+    serial::Reader body(data + 8, size - 12);
+    if (body.u8() != kind)
       throw CheckpointError(
           "checkpoint: simulator kind mismatch (single vs sharded)");
-    Load io(r);
+    Load io(body);
     sim.io(io);
-    r.expect_done();
+    body.expect_done();
   } catch (const CheckpointError&) {
     throw;
   } catch (const Error& e) {

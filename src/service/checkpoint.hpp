@@ -1,33 +1,31 @@
 // Versioned binary checkpoint of a running simulation (DESIGN.md Sec. 15).
 //
-// A checkpoint captures everything the next event needs and nothing it can
-// recompute: the event heap in raw vector order (restored verbatim -- no
-// re-heapify -- so the resumed pop order is bit-identical), every task's
-// progress, the waiting/running bookkeeping, energy meter + battery
-// accumulators, fault state, and the placement RNG stream.
+// A checkpoint captures the primary state the next event needs and
+// nothing the loader can derive: the event heap in raw vector order
+// (restored verbatim -- no re-heapify -- so the resumed pop order is
+// bit-identical), every task, the waiting list, the matcher rows (the
+// running set, with each task's remaining work and level), energy meter +
+// battery accumulators, fault state, and the placement RNG stream.
 //
 // The codec names no simulator field. Each type that owns checkpointed
 // state lists its fields once, in its one `template <class Io> void io(Io&)`
 // (ShardedSim, DatacenterSim, and the simulator's four subsystem drivers,
 // each called at its place in the wire order), which a writer adapter runs
 // to save and a reader adapter runs to load; the reader's checks --
-// identity comparisons, index and enum ranges, count caps, counters
-// recounted from the state they duplicate, the waiting and run lists
-// against the task states -- are arguments of the same calls. The run
-// list is kept for the v2 layout only: a save derives each task's links
-// from the order of the simulator's matcher rows, and a load walks them
-// and rebuilds the rows. Derived state (the rows' per-level tables, idle
-// orderings, rank bitsets) is not written: restore ends in
-// DatacenterSim::rebuild_derived(), the routine prepare() also ends with,
-// and the incremental-rematch cache starts invalid -- the forced full
-// re-solve is bit-identical to the replay it displaces.
+// identity comparisons, index and enum ranges, count caps, the waiting
+// list and the rows against the task states -- are arguments of the same
+// calls. Everything else -- which task holds each processor, the idle
+// pool, counts, flags, per-row tables -- is derived: restore ends in
+// DatacenterSim::rebuild_derived(), the routine prepare() also ends with.
+// The incremental-rematch cache starts invalid -- the forced full re-solve
+// is bit-identical to the replay it displaces.
 //
 // The restoring process must construct the simulator with the same
 // configuration (cluster, scheme, supply, seed, fault plan) it was
 // checkpointed under; an identity block guards the obvious mismatches.
 // Resume determinism: run-to-completion == run / checkpoint / restore / run
 // on the full SimResult, bitwise (tests/test_checkpoint.cpp, which also
-// pins the v2 byte layout with committed golden blobs).
+// pins the v3 byte layout with committed golden blobs).
 #pragma once
 
 #include <cstddef>
@@ -53,19 +51,25 @@ class CheckpointError : public Error {
 
 /// "ISCK" little-endian.
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b435349u;
-inline constexpr std::uint32_t kCheckpointVersion = 2;  ///< v2: thermal + sleep
+/// v3: primary state only. Older versions are refused.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
-/// Serialize a full checkpoint (magic + version + body).
+/// CRC-32 (zlib's) of `size` bytes. A checkpoint ends in this checksum of
+/// every byte before it, as a little-endian u32, checked right after the
+/// magic and version, before any other field is read.
+std::uint32_t checkpoint_crc32(const std::uint8_t* data, std::size_t size);
+
+/// Serialize a full checkpoint (magic + version + kind + body + CRC).
 std::vector<std::uint8_t> checkpoint_bytes(const DatacenterSim& sim);
 std::vector<std::uint8_t> checkpoint_bytes(const ShardedSim& sim);
 
 /// Restore a simulator from checkpoint bytes. The simulator must have been
 /// constructed with the same configuration it was checkpointed under, and
 /// prepared: an unprepared one is refused with CheckpointError before any
-/// byte is read. Throws CheckpointError on bad magic, version skew,
-/// identity mismatch, or a truncated/corrupt payload; a throw leaves the
-/// simulator in the state it had before the call (its checkpoint bytes
-/// unchanged).
+/// byte is read. Throws CheckpointError on bad magic, version skew, a
+/// checksum mismatch, identity mismatch, or a corrupt payload; a throw
+/// leaves the simulator in the state it had before the call (its
+/// checkpoint bytes unchanged).
 void restore_from_bytes(DatacenterSim& sim, const std::uint8_t* data,
                         std::size_t size);
 void restore_from_bytes(ShardedSim& sim, const std::uint8_t* data,

@@ -24,6 +24,7 @@
 // the resumed pop order is bit-identical.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -142,6 +143,11 @@ class EventQueue {
   /// Next sequence number to be assigned (checkpointed so a restored run
   /// keeps numbering ties exactly where the uninterrupted run would).
   std::uint64_t next_seq() const { return seq_; }
+  /// True when an event of `kind` is pending (a scan: not for hot paths).
+  bool holds(EventDesc::Kind kind) const {
+    return std::any_of(heap_.begin(), heap_.end(),
+                       [kind](const Item& i) { return i.desc.kind == kind; });
+  }
 
   /// Snapshot every pending event in the heap's raw vector order.
   std::vector<SavedEvent> save_events() const;

@@ -4,8 +4,9 @@
 // plan's noise in front of the wind forecaster. It owns the cursor that
 // merges the plan's per-processor crash/repair streams for this simulator
 // alone (the plan itself is shared and immutable), the per-processor
-// failed, armed and token arrays, the counters and the count of abandoned
-// tasks. The failed flags are the one record of which processors are down:
+// failed, armed and token arrays, and the counters; the simulator derives
+// counters().tasks_failed from the task states. The failed flags are the
+// one record of which processors are down:
 // the handlers that requeue tasks and move processors between pools stay
 // in the simulator core and consult them, so a failed processor never
 // re-enters the idle pool until it is repaired.
@@ -75,7 +76,6 @@ class FaultDriver {
     if (active_)
       for (std::size_t p = 0; p < nprocs_; ++p)
         armed_[p] = plan_->misprofiled(p) && knowledge_->scanned(p);
-    failed_tasks_ = 0;
     counters_ = FaultCounters{};
   }
   bool failed(std::size_t p) const { return failed_[p] != 0; }
@@ -107,18 +107,14 @@ class FaultDriver {
     return true;
   }
   /// A task exhausted the plan's retry budget.
-  void abandon() {
-    ++failed_tasks_;
-    ++counters_.tasks_failed;
-  }
-  std::size_t failed_tasks() const { return failed_tasks_; }
+  void abandon() { ++counters_.tasks_failed; }
   FaultCounters& counters() { return counters_; }
   const FaultCounters& counters() const { return counters_; }
 
   /// This type's slice of the checkpoint (service/checkpoint.hpp). The
   /// plan is rebuilt from the config, and the pending kFault event carries
-  /// the merged index the cursor seeks to. The caller checks
-  /// failed_tasks() against the task states.
+  /// the merged index the cursor seeks to. counters().tasks_failed is the
+  /// caller's to derive.
   template <class Io>
   void io(Io& io) {
     const auto flags = [&](auto& v, const char* what) {
@@ -129,12 +125,10 @@ class FaultDriver {
     flags(failed_, "failed flag");
     flags(armed_, "misprofile flag");
     io.fixed(token_, nprocs_, io);
-    io(failed_tasks_);
     io(counters_.cpu_failures);
     io(counters_.cpu_repairs);
     io(counters_.misprofile_failures);
     io(counters_.task_requeues);
-    io(counters_.tasks_failed);
     io(counters_.lost_cpu_seconds);
     io(counters_.fault_deadline_misses);
   }
@@ -152,7 +146,6 @@ class FaultDriver {
   /// Bumped whenever the processor stops running, so a pending
   /// mis-profile timer from an earlier occupancy is stale.
   std::vector<std::uint64_t> token_;
-  std::size_t failed_tasks_ = 0;
   FaultCounters counters_;
 };
 

@@ -1,9 +1,9 @@
 // ProfilingDriver: in-band opportunistic profiling inside the simulator
 // (paper Sec. III-C). It owns the run's windows, one slot per scan that
-// went live, the per-processor reserved flags with the scan watts they
-// draw, and the scanned / skipped / processor-second counters. Window
-// begin and end stay in the simulator core, which moves processors
-// between the idle pool and the scans.
+// went live, the per-processor reserved flags (derived from the live
+// scans) with the scan watts they draw, and the scanned / skipped /
+// processor-second counters. Window begin and end stay in the simulator
+// core, which moves processors between the idle pool and the scans.
 #pragma once
 
 #include <algorithm>
@@ -37,7 +37,6 @@ class ProfilingDriver {
   void reset(const std::vector<ProfilingWindow>& windows) {
     windows_ = windows;
     scans_.clear();
-    reserved_.assign(nprocs_, 0);
     power_ = Watts{};
     proc_seconds_ = 0.0;
     scanned_ = 0;
@@ -83,15 +82,21 @@ class ProfilingDriver {
   std::size_t skipped() const { return skipped_; }
   double proc_seconds() const { return proc_seconds_; }
 
+  /// Reserved = listed by a live scan (derived after prepare and restore).
+  void rebuild_reserved() {
+    reserved_.assign(nprocs_, 0);
+    for (const Scan& scan : scans_)
+      if (scan.live)
+        for (const std::size_t p : scan.procs) reserved_[p] = 1;
+  }
+  const std::vector<std::uint8_t>& reserved_flags() const { return reserved_; }
+
   /// This type's slice of the checkpoint (service/checkpoint.hpp).
   template <class Io>
   void io(Io& io) {
     const auto procs = [&](auto& v, const char* what) {
       io.vec(v, nprocs_, [&](auto& p) { io.index(p, nprocs_, what); });
     };
-    io.fixed(reserved_, nprocs_, [&](auto& f) {
-      io.in(f, std::uint8_t{0}, std::uint8_t{1}, "reserved flag");
-    });
     io(power_);
     io(proc_seconds_);
     io(scanned_);

@@ -170,7 +170,6 @@ void ShardedSim::prepare(const std::vector<Task>& tasks,
   std::vector<std::vector<ProfilingWindow>> windows =
       partition_windows(profiling, topology_);
   for (std::size_t s = 0; s < n; ++s) {
-    shards_[s].tasks_assigned = parts[s].size();
     shards_[s].sim->prepare(std::move(parts[s]), windows[s]);
     shards_[s].racks_stale = true;
   }
@@ -289,9 +288,9 @@ SimResult ShardedSim::aggregate(std::vector<SimResult> results) const {
     agg.battery_losses += r.battery_losses;
     agg.tasks_completed += r.tasks_completed;
     agg.deadline_misses += r.deadline_misses;
-    total_wait_s +=
-        r.mean_wait.raw() * static_cast<double>(shards_[s].tasks_assigned);
-    total_tasks += shards_[s].tasks_assigned;
+    const std::size_t n = shards_[s].sim->decision_snapshot().tasks_admitted;
+    total_wait_s += r.mean_wait.raw() * static_cast<double>(n);
+    total_tasks += n;
     agg.makespan = std::max(agg.makespan, r.makespan);
 
     const ShardSlice& slice = topology_.slice(s);

@@ -16,7 +16,8 @@
 // prepared or restored) since their last collection, solves once
 // (memoized on the exact inputs), and stages the solution in every shard
 // (DatacenterSim's public thermal coordination calls), whose own kThermal
-// event applies it.
+// event applies it. A checkpoint holds the barrier and, per shard, its
+// supply fraction and its simulator's state (its task count included).
 //
 // Determinism contract (tests/test_shard.cpp):
 //  * a 1-shard ShardedSim is bit-identical to DatacenterSim::run() --
@@ -96,8 +97,8 @@ class ShardedSim {
 
   const Topology& topology() const { return topology_; }
 
-  /// The checkpointed state: identity, the barrier, and per shard its task
-  /// count, supply fraction and DatacenterSim::io(). Defined below.
+  /// The checkpointed state: identity, the barrier, and per shard its
+  /// supply fraction and DatacenterSim::io(). Defined below.
   template <class Io>
   void io(Io& io);
 
@@ -107,7 +108,6 @@ class ShardedSim {
     std::unique_ptr<HybridSupply> supply;  ///< fraction re-set per epoch
     SimConfig config;
     std::unique_ptr<DatacenterSim> sim;
-    std::size_t tasks_assigned = 0;
     /// The shard's racks in rack_w_ may be out of date: set at prepare(),
     /// checkpoint load and dispatch, cleared when the racks are collected.
     bool racks_stale = true;
@@ -145,7 +145,6 @@ void ShardedSim::io(Io& io) {
   io.same(config_.seed, "seed");
   io(barrier_);
   for (Shard& shard : shards_) {
-    io(shard.tasks_assigned);
     double fraction = shard.supply->fraction();
     io(fraction);
     if constexpr (Io::kLoading) shard.supply->set_fraction(fraction);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "common/audit.hpp"
 #include "sim/sharded.hpp"
@@ -115,7 +116,7 @@ void DatacenterSim::idle_remove(std::size_t p) {
 
 void DatacenterSim::cols_append(std::size_t idx) {
   SimTask& t = tasks_[idx];
-  t.col = cols_.append(idx, t.remaining_work_s, t.spec.deadline_s);
+  t.col = cols_.append(idx, t.spec.runtime_s, t.spec.deadline_s);
   derive_row(t.col);
   inc_.invalidate();
 }
@@ -189,17 +190,16 @@ void DatacenterSim::rematch() {
   const double now = queue_.now();
   ++rematch_count_;
 
-  // Integrate progress of running tasks up to now at their current levels.
+  // Integrate progress of running tasks up to now at their applied levels.
+  // A row appended at this instant has no level yet, and no progress.
+  const double dt = now - cols_.progress_s;
   for (std::size_t r = 0; r < cols_.count; ++r) {
-    SimTask& t = tasks_[cols_.task[r]];
-    const double dt = now - t.last_update_s;
-    if (dt > 0.0) {
-      const double slowdown = level_slowdown(t);
-      t.remaining_work_s = std::max(0.0, t.remaining_work_s - dt / slowdown);
+    if (dt > 0.0 && cols_.applied[r] < cols_.levels) {
+      const double slowdown = cols_.slowdown_row(r)[cols_.applied[r]];
+      cols_.remaining[r] = std::max(0.0, cols_.remaining[r] - dt / slowdown);
     }
-    t.last_update_s = now;
-    cols_.remaining[r] = t.remaining_work_s;
   }
+  cols_.progress_s = now;
 
   // accrue_to_now() above refreshed segment_wind_ at this exact instant;
   // reuse it rather than querying the supply a second time.
@@ -229,22 +229,18 @@ void DatacenterSim::rematch() {
   else
     demand_ = match.demand + profiling_.power() * matcher_.cooling_factor();
 
-  // Apply levels; reschedule completion events where the level changed
-  // (completion time is invariant when the level is unchanged).
+  // Apply levels; reschedule completion events where the level changed or
+  // a new row has none yet (completion time is invariant otherwise).
   for (std::size_t r = 0; r < cols_.count; ++r) {
+    const std::size_t level = cols_.level[r];
+    if (level == cols_.applied[r]) continue;
+    cols_.applied[r] = level;
     const std::size_t idx = cols_.task[r];
-    SimTask& t = tasks_[idx];
-    const std::size_t new_level = cols_.level[r];
-    const bool first_schedule = !t.completion_scheduled;
-    if (new_level != t.level || first_schedule) {
-      t.completion_scheduled = true;
-      t.level = new_level;
-      ++t.version;
-      const double slowdown = level_slowdown(t);
-      const double completion = now + t.remaining_work_s * slowdown;
-      queue_.schedule(completion,
-                      EventDesc{EventDesc::Kind::kCompletion, idx, t.version});
-    }
+    const std::uint64_t version = ++tasks_[idx].version;
+    const double completion =
+        now + cols_.remaining[r] * cols_.slowdown_row(r)[level];
+    queue_.schedule(completion,
+                    EventDesc{EventDesc::Kind::kCompletion, idx, version});
   }
   if (rematch_probe != nullptr) rematch_probe(false);
 }
@@ -406,12 +402,8 @@ void DatacenterSim::activate_task(std::size_t idx) {
   const double now = queue_.now();
   t.state = TaskState::kRunning;
   t.start_s = now;
-  t.last_update_s = now;
-  t.remaining_work_s = t.spec.runtime_s;
   // Deliberately NOT resetting t.version: a requeued task's cancelled
   // completion event is only stale while the version keeps moving forward.
-  t.completion_scheduled = false;
-  t.level = knowledge_->levels() - 1;
   // A requeued task already waited once; count only the first wait so the
   // mean keeps its submit->first-start meaning under injection.
   if (t.retries == 0) total_wait_s_ += now - t.spec.submit_s;
@@ -436,7 +428,6 @@ void DatacenterSim::on_completion(std::size_t idx, std::uint64_t version) {
 
   const double now = queue_.now();
   t.state = TaskState::kDone;
-  t.remaining_work_s = 0.0;
   ++done_count_;
   makespan_s_ = std::max(makespan_s_, now);
   log_event(TimelineKind::kCompletion, t.spec.id, now - t.start_s);
@@ -456,6 +447,7 @@ void DatacenterSim::on_completion(std::size_t idx, std::uint64_t version) {
     if (fault_.active()) fault_.next_token(p);  // stale any armed timer
     if (!profiling_.reserved(p)) idle_insert(p);
   }
+  std::vector<std::size_t>().swap(t.procs);  // it holds none from now on
   cols_remove(idx);
 
   rematch();
@@ -640,7 +632,7 @@ void DatacenterSim::recompute_demand() {
 }
 
 void DatacenterSim::schedule_thermal(double t) {
-  thermal_.set_chain_live(true);
+  thermal_chain_live_ = true;
   queue_.schedule(t, EventDesc{EventDesc::Kind::kThermal, 0, 0, t});
 }
 
@@ -659,7 +651,7 @@ void DatacenterSim::on_thermal(double t) {
   if (!all_done())
     schedule_thermal(t + config_.epoch_s);
   else
-    thermal_.set_chain_live(false);
+    thermal_chain_live_ = false;
 }
 
 void DatacenterSim::collect_rack_power(std::vector<double>& rack_w) const {
@@ -675,7 +667,7 @@ void DatacenterSim::collect_rack_power(std::vector<double>& rack_w) const {
     if (idx != kNone) {
       // Waking gangs draw nothing until activation.
       if (tasks_[idx].state == TaskState::kRunning)
-        w = knowledge_->power(p, tasks_[idx].level).raw();
+        w = knowledge_->power(p, cols_.applied[tasks_[idx].col]).raw();
     } else if (profiling_.reserved(p)) {
       w = stock_w_[p];
     } else if (sleep_.active() && idle_flags_[p] != 0) {
@@ -751,6 +743,7 @@ void DatacenterSim::on_epoch(double t) {
     schedule_epoch(t + config_.epoch_s);
   else
     epoch_chain_live_ = false;
+  audit_derived();
 }
 
 void DatacenterSim::schedule_sample(double t) {
@@ -851,7 +844,8 @@ void DatacenterSim::telemetry_sample() {
         telemetry::Registry::global().gauge(
             "iscope_sleeping_procs",
             "Processors in a C-state deeper than active idle", {"run"});
-    sleep_family.with({row.label}).set(static_cast<double>(sleep_.sleeping()));
+    sleep_family.with({row.label})
+        .set(static_cast<double>(sleep_.sleeping(idle_flags_)));
   }
 }
 
@@ -981,16 +975,11 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
     tasks_.push_back(std::move(st));
   }
   waiting_.clear();
-  waiting_cpus_ = 0;
-  proc_running_.assign(nprocs, kNone);
   busy_time_s_.assign(nprocs, 0.0);
-  idle_flags_.assign(nprocs, 1);  // the whole facility starts idle
-  idle_count_ = nprocs;
   cols_.reset(knowledge_->levels(), nprocs);  // nothing runs yet
   demand_ = Watts{};
   last_accrual_s_ = 0.0;
   segment_wind_ = supply_->wind_available(Seconds{});
-  done_count_ = 0;
   events_run_ = 0;
   rematch_count_ = 0;
   total_wait_s_ = 0.0;
@@ -999,8 +988,6 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   in_pass_ = false;
   rush_mode_ = false;
   timeline_.clear();
-  epoch_chain_live_ = false;
-  sample_chain_live_ = false;
   last_compute_ = Watts{};
   cooling_power_ = Watts{};
   cooling_joules_ = 0.0;
@@ -1009,7 +996,7 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
   thermal_.reset();
   sleep_.reset();
 
-  rebuild_derived();
+  rebuild_derived();  // the whole facility starts idle, nothing pending
 
   prepared_ = true;
 
@@ -1052,9 +1039,11 @@ void DatacenterSim::rebuild_derived() {
   for (SimTask& t : tasks_)
     t.latest_start_s = t.spec.latest_start_s(fmax, fmax);
 
-  // Idle bookkeeping: flags + count are primary; the rank bitset serves
-  // every rule, the busy-ordered list only Fair (see the member comments).
-  // Bits past nprocs stay clear: choose() trusts them.
+  derive_bookkeeping();
+
+  // Idle orderings: the rank bitset serves every rule, the busy-ordered
+  // list only Fair (see the member comments). Bits past nprocs stay clear:
+  // choose() trusts them.
   maintain_idle_by_busy_ = policy_.rule() == PlacementRule::kFair;
   idle_by_busy_.clear();
   rank_of_proc_.resize(nprocs);
@@ -1081,19 +1070,64 @@ void DatacenterSim::rebuild_derived() {
   random_pool_.reserve(nprocs);
 
   // The rows are the running set in start order: prepare() empties them,
-  // a restore refills them in run-list order. Each row's tables are
+  // a restore refills them with the state they own. Each row's tables are
   // derived here. The incremental cache starts invalid: the next rematch
   // does a full solve, which is bit-identical to the replay it displaces.
   // Reserving the trajectory log for every task stepping through every
   // level keeps steady-state rematches allocation-free.
-  for (std::size_t r = 0; r < cols_.count; ++r) {
-    derive_row(r);
-    cols_.level[r] = tasks_[cols_.task[r]].level;
-  }
+  for (std::size_t r = 0; r < cols_.count; ++r) derive_row(r);
   inc_.invalidate();
   inc_.log.reserve(nprocs * levels);
   inc_.heap.reserve(nprocs);
   inc_.floor.reserve(nprocs);
+}
+
+void DatacenterSim::derive_bookkeeping() {
+  const std::size_t nprocs = knowledge_->procs();
+  profiling_.rebuild_reserved();
+  proc_running_.assign(nprocs, kNone);
+  done_count_ = 0;
+  std::size_t& failed = fault_.counters().tasks_failed;
+  failed = 0;
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    const SimTask& t = tasks_[i];
+    if (t.state == TaskState::kDone) ++done_count_;
+    if (t.state == TaskState::kFailed) ++failed;
+    for (const std::size_t p : t.procs) {  // only waking and running hold
+      ISCOPE_CHECK(proc_running_[p] == kNone,
+                   "a processor is held by two tasks");
+      ISCOPE_CHECK(!fault_.failed(p), "a failed processor is held by a task");
+      proc_running_[p] = i;
+    }
+  }
+  idle_flags_.assign(nprocs, 0);
+  idle_count_ = 0;
+  for (std::size_t p = 0; p < nprocs; ++p) {
+    idle_flags_[p] = proc_running_[p] == kNone && !profiling_.reserved(p) &&
+                     !fault_.failed(p);
+    if (idle_flags_[p] != 0) ++idle_count_;
+  }
+  waiting_cpus_ = 0;
+  for (const std::size_t i : waiting_) waiting_cpus_ += tasks_[i].spec.cpus;
+  epoch_chain_live_ = queue_.holds(EventDesc::Kind::kEpoch);
+  sample_chain_live_ = queue_.holds(EventDesc::Kind::kSample);
+  thermal_chain_live_ = queue_.holds(EventDesc::Kind::kThermal);
+}
+
+void DatacenterSim::audit_derived() {
+#if ISCOPE_AUDIT_ENABLED
+  if (!prepared_) return;
+  const auto kept = [this] {
+    return std::make_tuple(profiling_.reserved_flags(), proc_running_,
+                           idle_flags_, idle_count_, waiting_cpus_, done_count_,
+                           fault_.counters().tasks_failed, epoch_chain_live_,
+                           sample_chain_live_, thermal_chain_live_);
+  };
+  const auto before = kept();
+  derive_bookkeeping();
+  ISCOPE_AUDIT_CHECK(kept() == before,
+                     "kept bookkeeping differs from its derivation");
+#endif
 }
 
 std::size_t DatacenterSim::admit(Task task) {
@@ -1121,7 +1155,7 @@ std::size_t DatacenterSim::admit(Task task) {
   if (config_.record_trace && !sample_chain_live_)
     schedule_sample(std::ceil(queue_.now() / config_.sample_interval_s) *
                     config_.sample_interval_s);
-  if (thermal_.enabled() && !thermal_.chain_live())
+  if (thermal_.enabled() && !thermal_chain_live_)
     schedule_thermal(std::ceil(queue_.now() / config_.epoch_s) *
                      config_.epoch_s);
   return i;
@@ -1144,7 +1178,7 @@ DecisionSnapshot DatacenterSim::decision_snapshot() const {
   s.demand = demand_;
   s.tasks_admitted = tasks_.size();
   s.tasks_completed = done_count_;
-  s.tasks_failed = fault_.failed_tasks();
+  s.tasks_failed = fault_.counters().tasks_failed;
   s.waiting = waiting_.size();
   s.running = cols_.count;
   s.idle_procs = idle_count_;
@@ -1172,6 +1206,7 @@ SimResult DatacenterSim::finish() {
   const std::size_t events = events_run_;
   ISCOPE_CHECK(all_done(), "DatacenterSim: event budget exhausted before "
                            "all tasks completed");
+  audit_derived();
   accrue_to_now();
   if (telemetry::enabled()) {
     telemetry_sample();  // closing sampler row at the end-of-run state

@@ -25,17 +25,18 @@
 // ProfilingDriver, ThermalDriver and SleepGovernor (sim/*_driver.hpp,
 // sim/sleep_governor.hpp). Handlers that requeue tasks or move processors
 // between pools stay in the core and consult the drivers' state. The
-// simulator and each driver have one io() that lists their checkpointed
-// fields for both the writer and the reader (service/checkpoint.hpp);
-// prepare() resets each driver with one call, and prepare() and restore
-// share one derived-state rebuild, rebuild_derived().
+// simulator and each driver have one io() that lists their primary
+// checkpointed fields for both the writer and the reader
+// (service/checkpoint.hpp); prepare() resets each driver with one call,
+// and prepare() and restore derive everything else in rebuild_derived().
 //
 // Hot-path design (DESIGN.md Secs. 9 and 14): `rematch()` performs zero
 // heap allocations at steady state. The running set is the rows of the SoA
 // matcher columns (matcher_columns.hpp), in start order: a starting task
 // appends its row, and removal shifts the later rows down, which -- unlike
 // swap-and-pop -- keeps start order, on which the matcher's floating-point
-// sums and equal-saving tiebreaks depend for bit-reproducibility. A row's
+// sums and equal-saving tiebreaks depend for bit-reproducibility. The rows
+// own each running task's remaining work, progress time and level. A row's
 // per-level power is summed once, when the task starts, and is fixed while
 // it runs. PowerMatcher::match solves over the rows, replaying its cached
 // greedy trajectory when only the wind moved; every placement rule picks
@@ -44,7 +45,6 @@
 // committed digests pin its results (tests/data/golden/).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -280,16 +280,11 @@ class DatacenterSim {
 
   struct SimTask {
     Task spec;
-    std::vector<std::size_t> procs;  ///< assigned at start
-    double remaining_work_s = 0.0;   ///< seconds-at-Fmax left
-    double last_update_s = 0.0;      ///< progress integrated up to here
-    std::size_t level = 0;
+    std::vector<std::size_t> procs;  ///< held while waking or running
     double start_s = -1.0;
     /// Monotone across restarts (never reset, or a cancelled completion
     /// event from a previous stint could match again and fire early).
     std::uint64_t version = 0;       ///< invalidates stale completion events
-    /// False until the first post-start rematch schedules a completion.
-    bool completion_scheduled = false;
     /// Row in the SoA matcher columns while running (kNone otherwise).
     std::size_t col = kNone;
     /// Latest deadline-feasible start at the top frequency, cached at
@@ -307,12 +302,20 @@ class DatacenterSim {
   /// live state (task, processor, profiling window, scan slot or fault
   /// cursor). Checkpoint restore screens every saved event with it.
   bool event_in_range(const EventDesc& e) const;
-  /// Derive every cache from the primary state: a flat run's thermal model
-  /// with the ScanTherm order, the rank bits and Fair's busy-ordered list
-  /// from idle_flags_ and busy_time_s_, each running row's tables, and a
-  /// reset incremental cache. prepare() and checkpoint restore both end
-  /// their state setup here, so the two cannot drift apart.
+  /// Derive everything a checkpoint does not carry from the primary state:
+  /// the bookkeeping, a flat run's thermal model with the ScanTherm order,
+  /// the rank bits and Fair's busy-ordered list, each running row's tables,
+  /// and a reset incremental cache. prepare() and checkpoint restore both
+  /// end their state setup here, so the two cannot drift apart.
   void rebuild_derived();
+  /// The scans' reserved flags, which task holds each processor (throws
+  /// when two do, or one holds a failed processor), the idle pool, the
+  /// waiting width, the completed and failed counts, and the chain flags
+  /// (which events are pending).
+  void derive_bookkeeping();
+  /// Audit builds re-derive the bookkeeping at every epoch, checkpoint save
+  /// and finish(), and fail unless that changed nothing.
+  void audit_derived();
   void on_arrival(std::size_t idx);
   /// Try to start waiting tasks on idle processors (with backfill past
   /// voluntarily-waiting tasks; a *forced* task that cannot fit blocks the
@@ -388,11 +391,11 @@ class DatacenterSim {
   /// instant (schedule_pass hoists the supply query out of its task loop).
   bool wind_abundant_given(Watts wind) const;
   bool all_done() const {
-    return done_count_ + fault_.failed_tasks() == tasks_.size();
+    return done_count_ + fault_.counters().tasks_failed == tasks_.size();
   }
 
-  /// Append a task's SoA row at the end (start order), derive its tables
-  /// and invalidate the incremental cache.
+  /// Append a starting task's SoA row at the end (start order), derive its
+  /// tables and invalidate the incremental cache.
   void cols_append(std::size_t idx);
   /// Sum each level's power over the row's processors into the row, then
   /// derive its slowdown and best-level tables. Fixed while the task runs.
@@ -400,21 +403,10 @@ class DatacenterSim {
   /// Drop a task's SoA row (order-preserving shift; re-points the row
   /// handles of every shifted task) and invalidate the incremental cache.
   void cols_remove(std::size_t idx);
-  /// A task's run-list links as its row implies them: the tasks in the rows
-  /// before and after (kNone at either end, and both kNone off the rows).
-  std::pair<std::size_t, std::size_t> row_links(std::size_t row) const {
-    if (row == kNone) return {kNone, kNone};
-    return {row > 0 ? cols_.task[row - 1] : kNone,
-            row + 1 < cols_.count ? cols_.task[row + 1] : kNone};
-  }
   /// Move a processor into or out of the idle pool, keeping the flags, the
   /// rank bitset and Fair's busy-ordered list in step.
   void idle_insert(std::size_t p);
   void idle_remove(std::size_t p);
-  /// Eq-3 slowdown of a running task at its current level.
-  double level_slowdown(const SimTask& t) const {
-    return matcher_.slowdown(t.spec.gamma, t.level);
-  }
 
   const Knowledge* knowledge_;
   const HybridSupply* supply_;
@@ -430,15 +422,16 @@ class DatacenterSim {
   std::size_t waiting_cpus_ = 0;           ///< total width of waiting_
   std::vector<std::size_t> proc_running_;  ///< task idx or kNone
   std::vector<double> busy_time_s_;
-  /// Idle, non-reserved processors: flags + count, and the rank-indexed
-  /// idle bitset every placement rule picks from. Bit r (word r/64) set
-  /// means the processor at placement rank r is idle, so insert/remove is
-  /// one bit op and PlacementPolicy::choose pops picks with a ctz scan
-  /// (rank_of_proc_ caches the policy's rank table; under Ran the rank is
-  /// the processor id). The (busy time, id)-ordered list feeds Fair's
-  /// abundant-wind pick and is kept only there (maintain_idle_by_busy_).
-  /// Busy time is frozen while a processor sits idle, so its order is
-  /// maintained purely at insert/remove.
+  /// Idle processors (held by no task, reserved by no scan, not failed):
+  /// flags + count, and the rank-indexed idle bitset every placement rule
+  /// picks from. Bit r (word r/64) set means the processor at placement
+  /// rank r is idle, so insert/remove is one bit op and
+  /// PlacementPolicy::choose pops picks with a ctz scan (rank_of_proc_
+  /// caches the policy's rank table; under Ran the rank is the processor
+  /// id). The (busy time, id)-ordered list feeds Fair's abundant-wind pick
+  /// and is kept only there (maintain_idle_by_busy_). Busy time is frozen
+  /// while a processor sits idle, so its order is maintained purely at
+  /// insert/remove.
   std::vector<std::uint8_t> idle_flags_;
   std::size_t idle_count_ = 0;
   std::vector<std::uint64_t> idle_rank_bits_;
@@ -455,11 +448,12 @@ class DatacenterSim {
   /// The cluster never changes, so the table is built once, at
   /// construction.
   std::vector<double> stock_w_;
-  /// True while a self-rechaining epoch/sample event is pending. A drain
-  /// stops the chains (all_done); admit() restarts them at the next
+  /// True while a self-rechaining epoch/sample/thermal event is pending. A
+  /// drain stops the chains (all_done); admit() restarts them at the next
   /// boundary so a long-running service keeps re-evaluating the supply.
   bool epoch_chain_live_ = false;
   bool sample_chain_live_ = false;
+  bool thermal_chain_live_ = false;
 
   /// The running set, one row per task in start order (the first row is
   /// the longest-running task; see matcher_columns.hpp), plus the
@@ -519,27 +513,18 @@ void DatacenterSim::io(Io& io) {
   const std::size_t nprocs = knowledge_->procs();
   const std::size_t levels = knowledge_->levels();
   const SimConfig& cfg = config_;
-  const auto tasks_in = [this](TaskState state) {
-    return static_cast<std::size_t>(
-        std::count_if(tasks_.begin(), tasks_.end(),
-                      [state](const SimTask& t) { return t.state == state; }));
-  };
+  if constexpr (!Io::kLoading) audit_derived();
 
   // Identity block. The full construction config is the restoring caller's
   // responsibility; these catch the mismatches that would otherwise
-  // corrupt silently. The thermal and sleep knobs (format v2) shape event
-  // semantics -- COP curve, wake latencies -- and are all defaults when
-  // both subsystems are off.
+  // corrupt silently. The thermal and sleep knobs shape event semantics --
+  // COP curve, wake latencies -- and are all defaults when both subsystems
+  // are off.
   io.same(nprocs, "processor count");
   io.same(levels, "DVFS level count");
   io.same(policy_.rule(), "placement rule");
   io.same(cfg.seed, "seed");
   io.same(fault_.active(), "fault plan");
-  // Two retired identity bytes, written as the constants every run now
-  // has, keep v2 checkpoints byte-identical: a blob written on the old
-  // reference matcher path (1) or in the old rematch mode (0) is refused.
-  io.same(false, "matcher path");
-  io.same(true, "rematch mode");
   io.same(cfg.record_trace, "trace recording");
   io.same(cfg.record_timeline, "timeline recording");
   io.same(cfg.epoch_s, "epoch period");
@@ -562,7 +547,7 @@ void DatacenterSim::io(Io& io) {
   io.same(thermal_.fed_from_coordinator(), "thermal coordination mode");
 
   // Event queue, in the heap's raw vector order. A load stages it and
-  // reinstalls it last, once the state its payloads index is in place.
+  // reinstalls it once the state its payloads index is in place.
   double now = queue_.now();
   std::uint64_t next_seq = queue_.next_seq();
   std::size_t high_water = queue_.high_water();
@@ -581,11 +566,8 @@ void DatacenterSim::io(Io& io) {
     io(e.desc.t);
   });
 
-  // Tasks. `col` and `latest_start_s` are derived and not written. The
-  // run list is the rows' order: a save writes each task's run-list links
-  // from its row (row_links), and a load keeps them in `links` for the
-  // walk below.
-  std::vector<std::pair<std::size_t, std::size_t>> links;
+  // Tasks. Only a waking or running task holds processors, so only its
+  // list is written; `col` and `latest_start_s` are derived.
   io.vec(tasks_, [&](auto& t) {
     io(t.spec.id);
     io(t.spec.submit_s);
@@ -594,89 +576,62 @@ void DatacenterSim::io(Io& io) {
     io(t.spec.gamma);
     io(t.spec.deadline_s);
     io.in(t.spec.urgency, Urgency::kHigh, Urgency::kLow, "task urgency");
-    io.vec(t.procs, nprocs,
-           [&](auto& p) { io.index(p, nprocs, "task processor"); });
-    io(t.remaining_work_s);
-    io(t.last_update_s);
-    io.in(t.level, std::size_t{0}, levels - 1, "task level");
+    io.in(t.state, TaskState::kPending, TaskState::kWaking, "task state");
+    if (t.state == TaskState::kRunning || t.state == TaskState::kWaking) {
+      io.vec(t.procs, nprocs,
+             [&](auto& p) { io.index(p, nprocs, "task processor"); });
+      io.check(t.procs.size() == t.spec.cpus,
+               "task processor list disagrees with its width");
+    }
     io(t.start_s);
     io(t.version);
-    io(t.completion_scheduled);
-    auto [prev, next] = row_links(t.col);
-    io.index_or_none(prev, tasks_.size(), "run-list");
-    io.index_or_none(next, tasks_.size(), "run-list");
-    if constexpr (Io::kLoading) links.emplace_back(prev, next);
-    io.in(t.state, TaskState::kPending, TaskState::kWaking, "task state");
     io(t.retries);
   });
 
   io.vec(waiting_, tasks_.size(),
          [&](auto& i) { io.index(i, tasks_.size(), "waiting task"); });
+
+  // The running set: the matcher rows in start order, each with the
+  // remaining work and level it owns, and the one progress time they are
+  // integrated to. A load checks that the rows hold every running task
+  // once and nothing else; rebuild_derived() fills in their tables.
+  struct Row { std::size_t task; double remaining; std::size_t level; };
+  std::vector<Row> rows;
+  if constexpr (!Io::kLoading)
+    for (std::size_t r = 0; r < cols_.count; ++r)
+      rows.push_back({cols_.task[r], cols_.remaining[r], cols_.applied[r]});
+  if constexpr (Io::kLoading) cols_.reset(levels, nprocs);
+  io(cols_.progress_s);
+  io.vec(rows, nprocs, [&](auto& row) {
+    io.index(row.task, tasks_.size(), "row task");
+    io(row.remaining);
+    io.in(row.level, std::size_t{0}, levels - 1, "row level");
+    if constexpr (Io::kLoading) {
+      SimTask& t = tasks_[row.task];
+      io.check(t.state == TaskState::kRunning,
+               "a row holds a task that is not running");
+      io.check(t.col == kNone, "a task is in two rows");
+      t.col = cols_.append(row.task, row.remaining, t.spec.deadline_s);
+      cols_.level[t.col] = cols_.applied[t.col] = row.level;
+    }
+  });
   if constexpr (Io::kLoading) {
-    // waiting_ holds each waiting task exactly once, and nothing else.
+    // waiting_ holds each waiting task once, and the rows each running
+    // task once (checked as they load), and nothing else.
     std::vector<std::uint8_t> listed(tasks_.size(), 0);
-    for (const std::size_t i : waiting_) {
-      io.check(tasks_[i].state == TaskState::kWaiting && listed[i] == 0,
+    for (const std::size_t i : waiting_)
+      io.check(listed[i]++ == 0, "waiting list disagrees with the task states");
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+      const TaskState state = tasks_[i].state;
+      io.check((state == TaskState::kWaiting) == (listed[i] != 0),
                "waiting list disagrees with the task states");
-      listed[i] = 1;
+      io.check(state != TaskState::kRunning || tasks_[i].col != kNone,
+               "a running task is missing from the rows");
     }
-    io.check(waiting_.size() == tasks_in(TaskState::kWaiting),
-             "waiting list disagrees with the task states");
-  }
-  io.counter(waiting_cpus_, [this] {
-    std::size_t cpus = 0;
-    for (const std::size_t i : waiting_) cpus += tasks_[i].spec.cpus;
-    return cpus;
-  }, "waiting width");
-  io.fixed(proc_running_, nprocs, [&](auto& i) {
-    io.index_or_none(i, tasks_.size(), "running task");
-  });
-  io.fixed(busy_time_s_, nprocs, io);
-  io.fixed(idle_flags_, nprocs, [&](auto& f) {
-    io.in(f, std::uint8_t{0}, std::uint8_t{1}, "idle flag");
-  });
-  io.counter(idle_count_, [this] {
-    return static_cast<std::size_t>(
-        std::count(idle_flags_.begin(), idle_flags_.end(), 1));
-  }, "idle count");
-  std::size_t run_head = cols_.count > 0 ? cols_.task[0] : kNone;
-  std::size_t run_tail = cols_.count > 0 ? cols_.task[cols_.count - 1] : kNone;
-  std::size_t run_count = cols_.count;
-  std::vector<std::size_t> walk;
-  io.index_or_none(run_head, tasks_.size(), "run-list head");
-  io.index_or_none(run_tail, tasks_.size(), "run-list tail");
-  io.counter(run_count, [&] {
-    // Walk the list: bounded (a cycle is corrupt), running tasks only,
-    // links consistent in both directions.
-    std::size_t prev = kNone;
-    for (std::size_t idx = run_head; idx != kNone; idx = links[idx].second) {
-      io.check(walk.size() < tasks_.size(), "running list is cyclic");
-      io.check(tasks_[idx].state == TaskState::kRunning,
-               "run list holds a non-running task");
-      io.check(links[idx].first == prev, "run-list links disagree");
-      walk.push_back(idx);
-      prev = idx;
-    }
-    io.check(prev == run_tail, "run-list tail disagrees with the walk");
-    return walk.size();
-  }, "running count");
-  if constexpr (Io::kLoading) {
-    io.check(walk.size() == tasks_in(TaskState::kRunning),
-             "a running task is missing from the run list");
-    // The rows are the running set in walk order; rebuild_derived() fills
-    // in their tables. Every saved link must be one these rows write back.
-    cols_.reset(levels, nprocs);
-    for (const std::size_t idx : walk)
-      tasks_[idx].col = cols_.append(idx, tasks_[idx].remaining_work_s,
-                                     tasks_[idx].spec.deadline_s);
-    for (std::size_t i = 0; i < tasks_.size(); ++i)
-      io.check(row_links(tasks_[i].col) == links[i],
-               "run-list link the rows would not write back");
   }
 
+  io.fixed(busy_time_s_, nprocs, io);
   profiling_.io(io);
-  io(epoch_chain_live_);
-  io(sample_chain_live_);
 
   // Energy accounting. The meter and battery keep their accumulators
   // private: they cross through the accessors and restore_state().
@@ -705,8 +660,6 @@ void DatacenterSim::io(Io& io) {
   io(segment_wind_);
 
   // Run metrics.
-  io.counter(done_count_, [&] { return tasks_in(TaskState::kDone); },
-             "completed-task count");
   io(events_run_);
   io(rematch_count_);
   io(total_wait_s_);
@@ -722,10 +675,8 @@ void DatacenterSim::io(Io& io) {
   });
 
   fault_.io(io);
-  io.check(fault_.failed_tasks() == tasks_in(TaskState::kFailed),
-           "failed-task count does not match the state it counts");
-  // Thermal and sleep state (format v2) travel whether or not either
-  // subsystem is on, so the frame layout never depends on the config.
+  // Thermal and sleep state travel whether or not either subsystem is on,
+  // so the frame layout never depends on the config.
   thermal_.io(io);
   io(last_compute_);
   io(cooling_power_);
@@ -743,13 +694,12 @@ void DatacenterSim::io(Io& io) {
     battery_.restore_state(stored, delivered, absorbed);
     policy_.set_rng_state(rng);
     in_pass_ = false;
-    rebuild_derived();
-    // Events go back last: their payloads index the state restored above.
     // The heap layout is reinstalled verbatim, so the resumed pop order is
-    // the uninterrupted run's.
+    // the uninterrupted run's; the chain flags are derived from it.
     for (const SavedEvent& e : events)
       io.check(event_in_range(e.desc), "event payload out of range");
     queue_.restore(now, next_seq, high_water, events);
+    rebuild_derived();
   }
 }
 

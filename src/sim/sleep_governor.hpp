@@ -3,7 +3,8 @@
 // the idle-residency watts and joules, and the enter/wake counters, and it
 // decides what a processor does when it joins or leaves the idle pool and
 // when a timeout descent fires. The simulator core schedules the events
-// these answers call for and composes the residency watts into demand.
+// these answers call for and composes the residency watts into demand. How
+// many processors sleep is read off the idle processors' depths, not kept.
 #pragma once
 
 #include <algorithm>
@@ -26,7 +27,6 @@ class SleepGovernor {
     token_.assign(nprocs_, 0);
     idle_power_w_ = 0.0;
     idle_joules_ = 0.0;
-    sleeping_ = 0;
     enters_ = 0;
     wakes_ = 0;
   }
@@ -50,7 +50,6 @@ class SleepGovernor {
     std::size_t depth = 0;
     if (config_.policy == SleepPolicy::kImmediate) {
       depth = config_.states.size();
-      ++sleeping_;
       ++enters_;
     }
     depth_[p] = static_cast<std::uint8_t>(depth);
@@ -61,7 +60,6 @@ class SleepGovernor {
   /// moves on, which stales any descent pending from this idle stint.
   void on_claim(std::size_t p, double stock_w) {
     idle_power_w_ -= idle_w(p, stock_w);
-    if (depth_[p] > 0) --sleeping_;
     ++token_[p];
   }
   /// True when the timeout governor schedules a descent from `depth`.
@@ -78,7 +76,6 @@ class SleepGovernor {
     const std::size_t depth = depth_[p];
     idle_power_w_ += (frac(depth + 1) - frac(depth)) * stock_w;
     depth_[p] = static_cast<std::uint8_t>(depth + 1);
-    if (depth == 0) ++sleeping_;
     ++enters_;
     return depth + 1;
   }
@@ -91,7 +88,13 @@ class SleepGovernor {
   void count_wake() { ++wakes_; }
   void accrue(double dt) { idle_joules_ += idle_power_w() * dt; }
 
-  std::size_t sleeping() const { return sleeping_; }
+  /// Processors the `idle` flags name that sit deeper than active idle.
+  std::size_t sleeping(const std::vector<std::uint8_t>& idle) const {
+    std::size_t n = 0;
+    for (std::size_t p = 0; p < idle.size(); ++p)
+      if (idle[p] != 0 && depth_[p] > 0) ++n;
+    return n;
+  }
   std::size_t enters() const { return enters_; }
   std::size_t wakes() const { return wakes_; }
   double idle_joules() const { return idle_joules_; }
@@ -106,7 +109,6 @@ class SleepGovernor {
       io.in(depth, std::uint8_t{0}, ladder, "sleep depth");
     });
     io.fixed(token_, nprocs_, io);
-    io(sleeping_);
     io(enters_);
     io(wakes_);
   }
@@ -122,7 +124,6 @@ class SleepGovernor {
   /// history is deterministic; clamped where it feeds demand.
   double idle_power_w_ = 0.0;
   double idle_joules_ = 0.0;
-  std::size_t sleeping_ = 0;  ///< processors at depth > 0
   std::size_t enters_ = 0;    ///< C-state descents taken
   std::size_t wakes_ = 0;     ///< task starts delayed by a wake
 };

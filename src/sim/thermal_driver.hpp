@@ -7,7 +7,7 @@
 // Either way ThermalModel::solve is memoized on its exact inputs, so an
 // epoch that repeats the last one's rack watts and derate reuses it.
 // The driver also owns the CRAC operating point (COP and supply
-// temperature), the hottest inlet seen so far, and the kThermal chain flag.
+// temperature) and the hottest inlet seen so far.
 // Disabled, it builds no model and the core schedules no kThermal event,
 // so demand keeps the Eq-2 composition (ThermalOffIdentity pins this).
 #pragma once
@@ -31,7 +31,6 @@ class ThermalDriver {
   /// prepare(): an idle facility has no rack rise, so the CRAC starts at
   /// its warmest, most efficient supply.
   void reset() {
-    chain_live_ = false;
     cop_ = crac_cop(config_.max_supply_c);
     supply_c_ = config_.max_supply_c;
     peak_inlet_c_ = 0.0;
@@ -77,13 +76,10 @@ class ThermalDriver {
   double cop() const { return cop_; }
   double supply_c() const { return supply_c_; }
   double peak_inlet_c() const { return peak_inlet_c_; }
-  bool chain_live() const { return chain_live_; }
-  void set_chain_live(bool live) { chain_live_ = live; }
 
   /// This type's slice of the checkpoint (service/checkpoint.hpp).
   template <class Io>
   void io(Io& io) {
-    io(chain_live_);
     io(cop_);
     io(supply_c_);
     io(peak_inlet_c_);
@@ -104,7 +100,6 @@ class ThermalDriver {
   TopologyConfig topology_;
   bool fed_ = false;
   std::unique_ptr<ThermalModel> model_;  ///< flat runs only
-  bool chain_live_ = false;
   double cop_ = 0.0;
   double supply_c_ = 0.0;
   double peak_inlet_c_ = 0.0;

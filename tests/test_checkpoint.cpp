@@ -6,10 +6,10 @@
 //    through the sharded coordinator.
 //  * Randomized cut points: 50 seeds checkpoint at an arbitrary epoch of an
 //    arbitrary scheme's run and must still resume bit-identically.
-//  * Rejection: bad magic, version skew, kind mismatch, identity mismatch
-//    (including the constant matcher-path and rematch-mode bytes) and
-//    truncation at every prefix length raise CheckpointError -- never a
-//    crash, never a silently wrong simulator.
+//  * Rejection: bad magic, version skew (v2 golden blobs included), a
+//    checksum mismatch, kind mismatch, identity mismatch and truncation at
+//    every prefix length raise CheckpointError -- never a crash, never a
+//    silently wrong simulator.
 //  * Streamed admission: prepare({}) + admit() in submit order == one batch
 //    prepare(tasks) (the daemon's equivalence contract).
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "service/checkpoint.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
+#include "checkpoint_seal.hpp"
 #include "sim_identity.hpp"
 
 namespace iscope {
@@ -272,7 +274,7 @@ TEST(Checkpoint, ShardedFaultCursorsRewindOnRestore) {
   expect_identical(uninterrupted, sim.collect());
 }
 
-// --- format v2: thermal + sleep state across the checkpoint ---------------
+// --- thermal + sleep state across the checkpoint -------------------------
 
 TEST(Checkpoint, ThermalAndSleepAllSchemesMidRun) {
   // Pending kThermal/kSleepEnter/kWake events, per-processor C-state
@@ -459,7 +461,7 @@ TEST(Checkpoint, StreamedAdmissionMatchesBatch) {
   expect_identical(batch, sim.finish());
 }
 
-// --- golden v2 blobs: the format pinned across commits --------------------
+// --- golden blobs: the format pinned across commits -----------------------
 
 std::vector<std::uint8_t> golden_blob(const std::string& name) {
   const std::string path =
@@ -485,6 +487,19 @@ void expect_same_bytes(const std::vector<std::uint8_t>& got,
       << ", first difference at byte " << (diff.first - got.begin());
 }
 
+/// `blob` is refused, and the refusal names `reason`.
+template <class Sim>
+void expect_refused(Sim& sim, const std::vector<std::uint8_t>& blob,
+                    const std::string& reason) {
+  try {
+    restore_from_bytes(sim, blob.data(), blob.size());
+    ADD_FAILURE() << "restored";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
 /// Every subsystem the format carries is live at the golden cut: battery,
 /// an in-flight profiling scan, the fault stream with a degraded CRAC and
 /// armed mis-profile timers, thermal epochs, timeout sleep descents and a
@@ -503,57 +518,117 @@ SimConfig golden_config() {
   return cfg;
 }
 
+/// Result digests (sim_identity.hpp) of the two golden scenarios run to
+/// the end, taken on the v2 code before format v3 replaced it: a v3 blob
+/// must resume into the run the v2 blob did.
+constexpr const char* kSingleRunDigest = "3cc7b60a963464ed";
+constexpr const char* kShardedRunDigest = "d332d8fff803177c";
+
+/// The single-simulator golden scenario: ScanFair on 24 CPUs cut at
+/// t = 3400, inside the second profiling window.
+struct GoldenSingle {
+  Scenario sc{24, 45};
+  std::vector<Task> tasks = sc.make_tasks(40, 6, 55);
+  HybridSupply supply = sc.make_supply(65);
+  SimConfig cfg = golden_config();
+  Knowledge knowledge{&sc.cluster, scheme_knowledge(Scheme::kScanFair),
+                      &sc.db};
+
+  std::unique_ptr<DatacenterSim> make() const {
+    return std::make_unique<DatacenterSim>(
+        &knowledge, scheme_rule(Scheme::kScanFair), &supply, cfg);
+  }
+  std::unique_ptr<DatacenterSim> cut() const {
+    auto sim = make();
+    sim->prepare(tasks, spread_windows(24));
+    sim->step_until(3400.0);
+    return sim;
+  }
+};
+
+/// The same subsystems over two rack-aligned shards, cut after eight
+/// epoch-barrier rounds.
+struct GoldenSharded {
+  Scenario sc{24, 46};
+  std::vector<Task> tasks = sc.make_tasks(40, 3, 56);
+  HybridSupply supply = sc.make_supply(66);
+  SimConfig cfg = [] {
+    SimConfig c = golden_config();
+    c.topology.shards = 2;
+    return c;
+  }();
+
+  std::unique_ptr<ShardedSim> make() const {
+    return std::make_unique<ShardedSim>(sc.cluster, Scheme::kScanFair, &sc.db,
+                                        supply, cfg);
+  }
+  std::unique_ptr<ShardedSim> cut() const {
+    auto sim = make();
+    sim->prepare(tasks, spread_windows(24));
+    for (int round = 0; round < 8; ++round) sim->advance_round();
+    return sim;
+  }
+};
+
+TEST(GoldenCheckpoint, SingleSimulatorV3) {
+  // tests/data/checkpoint/v3_single.bin: GoldenSingle's cut.
+  const GoldenSingle g;
+  const std::vector<std::uint8_t> golden = golden_blob("v3_single.bin");
+  const auto sim1 = g.cut();
+  expect_same_bytes(checkpoint_bytes(*sim1), golden);
+
+  const auto sim2 = g.make();
+  sim2->prepare({}, {});
+  restore_from_bytes(*sim2, golden.data(), golden.size());
+  expect_same_bytes(checkpoint_bytes(*sim2), golden);
+
+  sim1->advance_before(kInf);
+  sim2->advance_before(kInf);
+  const SimResult resumed = sim2->finish();
+  EXPECT_EQ(digest_hex(result_digest(resumed)), kSingleRunDigest);
+  expect_identical(sim1->finish(), resumed);
+}
+
+TEST(GoldenCheckpoint, ShardedV3) {
+  // tests/data/checkpoint/v3_sharded.bin: GoldenSharded's cut.
+  const GoldenSharded g;
+  const std::vector<std::uint8_t> golden = golden_blob("v3_sharded.bin");
+  const auto sim1 = g.cut();
+  expect_same_bytes(checkpoint_bytes(*sim1), golden);
+
+  const auto sim2 = g.make();
+  sim2->prepare({}, {});
+  restore_from_bytes(*sim2, golden.data(), golden.size());
+  expect_same_bytes(checkpoint_bytes(*sim2), golden);
+
+  while (!sim1->drained()) sim1->advance_round();
+  while (!sim2->drained()) sim2->advance_round();
+  const SimResult resumed = sim2->collect();
+  EXPECT_EQ(digest_hex(result_digest(resumed)), kShardedRunDigest);
+  expect_identical(sim1->collect(), resumed);
+}
+
+// The v2 blobs, cut at the same points by the v2 writer, stay as fixtures:
+// this build speaks one format, and refuses an older file with the version
+// error before reading anything past it.
 TEST(GoldenCheckpoint, SingleSimulatorV2) {
-  // tests/data/checkpoint/v2_single.bin: ScanFair on 24 CPUs cut at
-  // t = 3400, inside the second profiling window.
-  const Scenario sc(24, 45);
-  const std::vector<Task> tasks = sc.make_tasks(40, 6, 55);
-  const HybridSupply supply = sc.make_supply(65);
-  const SimConfig cfg = golden_config();
-  const std::vector<ProfilingWindow> windows = spread_windows(24);
-  const std::vector<std::uint8_t> golden = golden_blob("v2_single.bin");
-
-  Knowledge k1(&sc.cluster, scheme_knowledge(Scheme::kScanFair), &sc.db);
-  DatacenterSim sim1(&k1, scheme_rule(Scheme::kScanFair), &supply, cfg);
-  sim1.prepare(tasks, windows);
-  sim1.step_until(3400.0);
-  expect_same_bytes(checkpoint_bytes(sim1), golden);
-
-  Knowledge k2(&sc.cluster, scheme_knowledge(Scheme::kScanFair), &sc.db);
-  DatacenterSim sim2(&k2, scheme_rule(Scheme::kScanFair), &supply, cfg);
-  sim2.prepare({}, {});
-  restore_from_bytes(sim2, golden.data(), golden.size());
-  expect_same_bytes(checkpoint_bytes(sim2), golden);
-
-  sim1.advance_before(kInf);
-  sim2.advance_before(kInf);
-  expect_identical(sim1.finish(), sim2.finish());
+  const GoldenSingle g;
+  const auto sim = g.make();
+  sim->prepare({}, {});
+  const std::vector<std::uint8_t> own = checkpoint_bytes(*sim);
+  expect_refused(*sim, golden_blob("v2_single.bin"),
+                 "format version 2 is not supported");
+  EXPECT_EQ(checkpoint_bytes(*sim), own);
 }
 
 TEST(GoldenCheckpoint, ShardedV2) {
-  // tests/data/checkpoint/v2_sharded.bin: the same subsystems over two
-  // rack-aligned shards, cut after eight epoch-barrier rounds.
-  const Scenario sc(24, 46);
-  const std::vector<Task> tasks = sc.make_tasks(40, 3, 56);
-  const HybridSupply supply = sc.make_supply(66);
-  SimConfig cfg = golden_config();
-  cfg.topology.shards = 2;
-  const std::vector<ProfilingWindow> windows = spread_windows(24);
-  const std::vector<std::uint8_t> golden = golden_blob("v2_sharded.bin");
-
-  ShardedSim sim1(sc.cluster, Scheme::kScanFair, &sc.db, supply, cfg);
-  sim1.prepare(tasks, windows);
-  for (int round = 0; round < 8; ++round) sim1.advance_round();
-  expect_same_bytes(checkpoint_bytes(sim1), golden);
-
-  ShardedSim sim2(sc.cluster, Scheme::kScanFair, &sc.db, supply, cfg);
-  sim2.prepare({}, {});
-  restore_from_bytes(sim2, golden.data(), golden.size());
-  expect_same_bytes(checkpoint_bytes(sim2), golden);
-
-  while (!sim1.drained()) sim1.advance_round();
-  while (!sim2.drained()) sim2.advance_round();
-  expect_identical(sim1.collect(), sim2.collect());
+  const GoldenSharded g;
+  const auto sim = g.make();
+  sim->prepare({}, {});
+  const std::vector<std::uint8_t> own = checkpoint_bytes(*sim);
+  expect_refused(*sim, golden_blob("v2_sharded.bin"),
+                 "format version 2 is not supported");
+  EXPECT_EQ(checkpoint_bytes(*sim), own);
 }
 
 // --- a restore needs a prepared simulator ---------------------------------
@@ -633,16 +708,16 @@ struct Rejection : ::testing::Test {
     return checkpoint_bytes(*sim);
   }
 
-  void expect_reject(const std::vector<std::uint8_t>& blob) {
+  void expect_reject(const std::vector<std::uint8_t>& blob,
+                     const std::string& reason = "") {
     Knowledge k2(&sc.cluster, scheme_knowledge(Scheme::kScanFair), &sc.db);
     DatacenterSim sim2(&k2, scheme_rule(Scheme::kScanFair), &supply, cfg);
     sim2.prepare({}, {});
-    EXPECT_THROW(restore_from_bytes(sim2, blob.data(), blob.size()),
-                 CheckpointError);
+    expect_refused(sim2, blob, reason);
   }
 
-  /// Same staging with the thermal + sleep subsystems live, so the v2
-  /// section carries real state.
+  /// Same staging with the thermal + sleep subsystems live, so their
+  /// sections carry real state.
   std::vector<std::uint8_t> make_thermal_blob() {
     cfg = base_config();
     cfg.topology.cpus_per_rack = 2;
@@ -669,19 +744,55 @@ struct Rejection : ::testing::Test {
 TEST_F(Rejection, BadMagic) {
   std::vector<std::uint8_t> blob = make_blob();
   blob[0] ^= 0xff;
-  expect_reject(blob);
+  expect_reject(blob, "bad magic");
 }
 
 TEST_F(Rejection, VersionSkew) {
   std::vector<std::uint8_t> blob = make_blob();
   blob[4] = static_cast<std::uint8_t>(kCheckpointVersion + 1);
-  expect_reject(blob);
+  expect_reject(blob, "format version 4 is not supported");
 }
 
 TEST_F(Rejection, KindMismatch) {
   std::vector<std::uint8_t> blob = make_blob();
   blob[8] = 1;  // claims a sharded body inside a single-sim envelope
-  expect_reject(blob);
+  reseal(blob);
+  expect_reject(blob, "simulator kind mismatch");
+}
+
+TEST_F(Rejection, ChecksumMismatch) {
+  // One flipped payload bit, or a torn write that kept only a prefix:
+  // refused before any field past the version is read.
+  const std::vector<std::uint8_t> blob = make_blob();
+  std::vector<std::uint8_t> flipped = blob;
+  flipped[flipped.size() / 2] ^= 0x10;
+  expect_reject(flipped, "checksum mismatch");
+  expect_reject(std::vector<std::uint8_t>(blob.begin(), blob.end() - 1),
+                "checksum mismatch");
+  expect_reject(std::vector<std::uint8_t>(blob.begin(), blob.begin() + 11),
+                "checksum mismatch");
+}
+
+TEST(CheckpointCrc, StandardCheckValueAndEveryTailLength) {
+  // The catalogued CRC-32 check value, then every length mod 8 against a
+  // bit-at-a-time reference, so both the 8-byte steps and the tail count.
+  const std::string check = "123456789";
+  EXPECT_EQ(checkpoint_crc32(
+                reinterpret_cast<const std::uint8_t*>(check.data()),
+                check.size()),
+            0xCBF43926u);
+  std::vector<std::uint8_t> bytes(40);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  for (std::size_t n = 0; n <= bytes.size(); ++n) {
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= bytes[i];
+      for (int bit = 0; bit < 8; ++bit)
+        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    EXPECT_EQ(checkpoint_crc32(bytes.data(), n), ~c) << n;
+  }
 }
 
 TEST_F(Rejection, IdentityMismatch) {
@@ -696,35 +807,19 @@ TEST_F(Rejection, IdentityMismatch) {
                CheckpointError);
 }
 
-TEST_F(Rejection, ConstantIdentityBytes) {
-  // Every run writes `matcher path` 0 and `rematch mode` 1. A blob with
-  // the other value -- written by a run on the reference matcher, or
-  // without incremental rematch -- must be refused. The bytes follow the
-  // envelope (magic u32, version u32, kind u8) and the identity fields
-  // before them: processor count u64, level count u64, placement rule
-  // u8, seed u64, fault plan b.
-  constexpr std::size_t kMatcherPath = 4 + 4 + 1 + 8 + 8 + 1 + 8 + 1;
-  constexpr std::size_t kRematchMode = kMatcherPath + 1;
-  const std::vector<std::uint8_t> blob = make_blob();
-  ASSERT_EQ(blob[kMatcherPath], 0);
-  ASSERT_EQ(blob[kRematchMode], 1);
-  std::vector<std::uint8_t> reference_path = blob;
-  reference_path[kMatcherPath] = 1;
-  expect_reject(reference_path);
-  std::vector<std::uint8_t> full_rematch = blob;
-  full_rematch[kRematchMode] = 0;
-  expect_reject(full_rematch);
-}
-
 TEST_F(Rejection, TruncationAtEveryPrefix) {
   const std::vector<std::uint8_t> blob = make_blob();
-  // Every strict prefix must reject cleanly. Stride keeps the quadratic
-  // restore cost bounded; the first 64 lengths are covered exhaustively.
+  // Every strict prefix must reject cleanly: as torn (the CRC refuses it)
+  // and re-sealed (the parser meets the end of the payload). Stride keeps
+  // the quadratic restore cost bounded; the first 64 lengths are covered
+  // exhaustively.
   for (std::size_t len = 0; len < blob.size();
        len += (len < 64 ? 1 : 97)) {
     SCOPED_TRACE("prefix " + std::to_string(len));
     std::vector<std::uint8_t> cut(blob.begin(),
                                   blob.begin() + static_cast<std::ptrdiff_t>(len));
+    expect_reject(cut);
+    reseal(cut);
     expect_reject(cut);
   }
 }
@@ -750,8 +845,8 @@ TEST_F(Rejection, ThermalConfigIdentityMismatch) {
 }
 
 TEST_F(Rejection, TruncatedThermalSectionAtEveryPrefix) {
-  // The v2 blob ends ...thermal/sleep state, RNG string; cutting anywhere
-  // inside the new sections must reject cleanly, never restore a sim with
+  // The blob ends ...thermal/sleep state, RNG string, CRC; cutting anywhere
+  // inside those sections must reject cleanly, never restore a sim with
   // half a C-state ladder.
   const std::vector<std::uint8_t> blob = make_thermal_blob();
   for (std::size_t len = 0; len < blob.size();
@@ -760,16 +855,20 @@ TEST_F(Rejection, TruncatedThermalSectionAtEveryPrefix) {
     std::vector<std::uint8_t> cut(
         blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(len));
     expect_reject(cut);
+    reseal(cut);
+    expect_reject(cut);
   }
   // And corrupt sleep depths (beyond the 3-rung ladder) are rejected even
-  // when the frame is well-formed: flip high bits over the tail of the
-  // blob until one lands on a depth byte -- every outcome must be a clean
-  // CheckpointError or a successful restore, never UB (the fuzz corpus
-  // pins the same property over random mutations).
+  // when the frame is well-formed and sealed: flip high bits over the tail
+  // of the payload, re-sealing each, until one lands on a depth byte --
+  // every outcome must be a clean CheckpointError or a successful restore,
+  // never UB (the fuzz corpus pins the same property over random
+  // mutations).
   std::size_t rejected = 0;
-  for (std::size_t i = blob.size() - 200; i < blob.size(); ++i) {
+  for (std::size_t i = blob.size() - 204; i < blob.size() - 4; ++i) {
     std::vector<std::uint8_t> mut = blob;
     mut[i] ^= 0x80;
+    reseal(mut);
     Knowledge k2(&sc.cluster, scheme_knowledge(Scheme::kScanFair), &sc.db);
     DatacenterSim sim2(&k2, scheme_rule(Scheme::kScanFair), &supply, cfg);
     sim2.prepare({}, {});

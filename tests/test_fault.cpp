@@ -605,6 +605,43 @@ TEST(FaultSim, RetryBudgetExhaustionAbandonsTask) {
   EXPECT_EQ(r.tasks_completed + r.faults.tasks_failed, 1u);
 }
 
+// A processor that fails while a profiling scan holds it stays out of
+// service when the scan ends, until its repair. An end of scan that put it
+// back in the idle pool would start the 8-wide task at its arrival on a
+// failed processor; audit builds refuse that idle pool first, at the epoch
+// between the scan's end and the arrival.
+TEST(FaultSim, CrashDuringScanKeepsTheProcessorOutUntilRepair) {
+  FaultWorld w;
+  SimConfig cfg;
+  cfg.record_timeline = true;
+  cfg.fault_plan = std::make_shared<const FaultPlan>(FaultPlan::scripted(
+      {{200.0, FaultKind::kCrash, 2}, {2000.0, FaultKind::kRepair, 2}}));
+  ProfilingWindow scan;
+  scan.start_s = 100.0;
+  scan.duration_s = 500.0;
+  scan.proc_ids = {2, 3};
+  Task t;
+  t.id = 1;
+  t.submit_s = 1300.0;
+  t.cpus = 8;
+  t.runtime_s = 1000.0;
+  t.deadline_s = 100000.0;
+  // Ran starts a task as soon as enough processors are idle.
+  Knowledge knowledge(&w.cluster, scheme_knowledge(Scheme::kScanRan), &w.db);
+  DatacenterSim sim(&knowledge, scheme_rule(Scheme::kScanRan),
+                    &utility_only(), cfg);
+  const SimResult r = sim.run({t}, {scan});
+  EXPECT_EQ(r.tasks_completed, 1u);
+  EXPECT_EQ(r.profiling_procs_scanned, 2u);
+  EXPECT_EQ(r.faults.cpu_failures, 1u);
+  EXPECT_EQ(count_kind(r, TimelineKind::kStart), 1u);
+  for (const TimelineEvent& e : r.timeline) {
+    if (e.kind == TimelineKind::kStart) {
+      EXPECT_EQ(e.time_s, 2000.0);
+    }
+  }
+}
+
 TEST(FaultSim, IdleCrashDoesNotTouchTasks) {
   FaultWorld w;
   // Crash a processor long after the single short task finished.

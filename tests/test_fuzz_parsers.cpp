@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "checkpoint_seal.hpp"
 #include "common/rng.hpp"
 #include "energy/supply_trace.hpp"
 #include "service/checkpoint.hpp"
@@ -303,34 +304,49 @@ TEST(FuzzCorpusService, HostileCheckpointsAreRejected) {
   host.sim().prepare({}, {});
   const std::vector<std::uint8_t> own = checkpoint_bytes(host.sim());
   // Each blob with the reason it must be refused for: the blob reaches the
-  // check it is named after, not an earlier one.
+  // check it is named after, not an earlier one. The blobs that carry a
+  // payload past the envelope are v3 blobs re-sealed (checkpoint_seal.hpp)
+  // after their edit, so the edit -- not the CRC -- is what is refused.
   const std::pair<const char*, const char*> corpus[] = {
       {"service_ckpt_badmagic.bin", "bad magic"},
-      // The test host's own v2 blob cut in half (3 947 of 7 894 bytes).
-      {"service_ckpt_truncated.bin", "read past end of buffer"},
-      // Format-v1 envelope: the v2 reader must refuse old blobs with a
-      // version error, never misparse them as v2.
+      // Format-v1 envelope: the reader must refuse old blobs with a version
+      // error, never misparse them.
       {"service_ckpt_v1_version.bin", "format version 1 is not supported"},
-      // The test host's own v2 blob cut at byte 76, inside the thermal/sleep
-      // identity section (in the supply ceiling, after the thermal mode
-      // byte at 55 and the red line and supply floor).
+      // The test host's own blob with one payload bit flipped (byte 3 798,
+      // bit 2) and the trailer left as written: refused before any field
+      // past the version is read.
+      {"service_ckpt_bitflip.bin", "checksum mismatch"},
+      // The test host's own payload cut in half (3 796 of 7 593 bytes,
+      // inside the placement RNG string) and re-sealed.
+      {"service_ckpt_truncated.bin", "read past end of buffer"},
+      // The test host's own payload cut at byte 74, inside the thermal/
+      // sleep identity section (in the supply ceiling at 70..77, after the
+      // thermal mode byte at 53 and the red line and supply floor), and
+      // re-sealed.
       {"service_ckpt_truncated_thermal.bin", "read past end of buffer"},
-      // Well-framed blobs with one duplicated counter off by one: each
-      // must disagree with the primary state it counts.
-      {"service_ckpt_idle_count.bin", "idle count does not match"},
-      {"service_ckpt_waiting_cpus.bin", "waiting width does not match"},
-      {"service_ckpt_done_count.bin", "completed-task count does not match"},
-      {"service_ckpt_failed_count.bin", "failed-task count does not match"},
-      // One done task's state rewritten, with the completed-task count
-      // lowered to match: a waiting task missing from the waiting list,
-      // and a running task missing from the run list.
+      // The rest come from the host's scheme run on make_tasks(0.3) up to
+      // t = 45 000 s (18 tasks done, tasks 20 and 21 running in rows 0 and
+      // 1, one waiting), edited and re-sealed. Task 1, done, rewritten as
+      // waiting: a waiting task missing from the waiting list.
       {"service_ckpt_done_as_waiting.bin", "waiting list disagrees"},
+      // Task 1 rewritten as running, with a processor list of its width
+      // (processors 0..width-1) inserted after its state byte: a running
+      // task missing from the rows.
       {"service_ckpt_done_as_running.bin",
-       "a running task is missing from the run list"},
-      // A done task whose next run-list link names task 0: the walk never
-      // reaches it, but the rows it rebuilds would not write it back.
-      {"service_ckpt_stray_link.bin",
-       "run-list link the rows would not write back"}};
+       "a running task is missing from the rows"},
+      // Row 0 names task 1, which is done.
+      {"service_ckpt_row_not_running.bin",
+       "a row holds a task that is not running"},
+      // Row 1 names row 0's task.
+      {"service_ckpt_task_in_two_rows.bin", "a task is in two rows"},
+      // Task 21's first processor rewritten as task 20's first: refused by
+      // the derivation of the processor->task map on load.
+      {"service_ckpt_proc_two_tasks.bin",
+       "a processor is held by two tasks"},
+      // The fault driver's failed flag of processor 13, which task 20
+      // holds, set to 1: refused by the same derivation.
+      {"service_ckpt_failed_proc_held.bin",
+       "a failed processor is held by a task"}};
   for (const auto& [name, reason] : corpus) {
     SCOPED_TRACE(name);
     const auto blob = slurp_bytes(data_path(name));
@@ -345,14 +361,25 @@ TEST(FuzzCorpusService, HostileCheckpointsAreRejected) {
     // simulator.
     EXPECT_EQ(checkpoint_bytes(host.sim()), own);
   }
-  // Both truncated blobs are strict prefixes of the host's own checkpoint,
+  // Both truncated blobs' payloads are strict prefixes of the host's own,
   // so every field before the cut passes its check.
   for (const char* name :
        {"service_ckpt_truncated.bin", "service_ckpt_truncated_thermal.bin"}) {
     SCOPED_TRACE(name);
     const auto blob = slurp_bytes(data_path(name));
     ASSERT_LT(blob.size(), own.size());
-    EXPECT_TRUE(std::equal(blob.begin(), blob.end(), own.begin()));
+    EXPECT_TRUE(std::equal(blob.begin(), blob.end() - 4, own.begin()));
+  }
+  // A torn write that kept a prefix of the host's own blob, unsealed.
+  const std::vector<std::uint8_t> torn(own.begin(),
+                                       own.begin() + own.size() / 2);
+  try {
+    restore_from_bytes(host.sim(), torn.data(), torn.size());
+    ADD_FAILURE() << "restored a torn prefix";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -579,26 +606,39 @@ TEST(FuzzMutationService, CheckpointRestoreNeverMisbehaves) {
   service::SimHost target(opt);
   const std::string base(blob.begin(), blob.end());
   Rng rng(0xf0225);
-  int restored = 0, rejected = 0;
-  for (int iter = 0; iter < 150; ++iter) {
-    std::string input = base;
-    const int rounds = static_cast<int>(rng.uniform_int(1, 3));
-    for (int m = 0; m < rounds; ++m) input = mutate(input, rng);
-    const std::vector<std::uint8_t> bytes(input.begin(), input.end());
-    // prepare() resets the sim wholesale, so a mutant an earlier attempt
-    // restored cannot leak state into the next one.
-    target.sim().prepare({}, {});
-    try {
-      restore_from_bytes(target.sim(), bytes.data(), bytes.size());
-      ++restored;
-    } catch (const CheckpointError&) {
-      ++rejected;
+  // Raw mutants meet the CRC trailer; re-sealed ones (the same mutation
+  // plus a trailer rewritten over it) carry hostile payloads past it into
+  // the parser and the load-time derivation.
+  for (const bool sealed : {false, true}) {
+    SCOPED_TRACE(sealed ? "re-sealed mutants" : "raw mutants");
+    int restored = 0, rejected = 0, past_checksum = 0;
+    for (int iter = 0; iter < 150; ++iter) {
+      std::string input = base;
+      const int rounds = static_cast<int>(rng.uniform_int(1, 3));
+      for (int m = 0; m < rounds; ++m) input = mutate(input, rng);
+      std::vector<std::uint8_t> bytes(input.begin(), input.end());
+      if (sealed) reseal(bytes);
+      // prepare() resets the sim wholesale, so a mutant an earlier attempt
+      // restored cannot leak state into the next one.
+      target.sim().prepare({}, {});
+      try {
+        restore_from_bytes(target.sim(), bytes.data(), bytes.size());
+        ++restored;
+      } catch (const CheckpointError& e) {
+        ++rejected;
+        if (std::string(e.what()).find("checksum mismatch") ==
+            std::string::npos)
+          ++past_checksum;
+      }
+    }
+    // Identity mutations (chunk duplication past the end, truncation at
+    // the exact boundary) restore; everything else must reject cleanly.
+    EXPECT_GT(restored + rejected, 0);
+    EXPECT_GT(rejected, 0);
+    if (sealed) {
+      EXPECT_GT(past_checksum, 0);
     }
   }
-  // Identity mutations (chunk duplication past the end, truncation at the
-  // exact boundary) restore; everything else must reject cleanly.
-  EXPECT_GT(restored + rejected, 0);
-  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

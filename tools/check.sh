@@ -191,13 +191,18 @@ stage_service() {
   # The daemon's three invariants (DESIGN.md Sec. 15): a restored checkpoint
   # replays bit-identically, the streamed decision path equals a batch run,
   # and the wire/checkpoint codecs reject hostile bytes as typed errors.
+  # Each run fails the stage itself: under `set -e` a command that fails
+  # on the left of `&&` neither exits the script nor fails the function.
   ./build-check/strict/tests/test_checkpoint > /dev/null \
-      && echo "service ok: checkpoint identity (resume bitwise, 5 schemes)"
+      || { echo "service: test_checkpoint failed" >&2; exit 1; }
+  echo "service ok: checkpoint identity (resume bitwise, 5 schemes), v3 golden blobs (GoldenCheckpoint.*V3 resume to digests pinned at v2; v2 blobs refused), CRC trailer (Rejection.ChecksumMismatch, CheckpointCrc.*)"
   ./build-check/strict/tests/test_service_e2e > /dev/null \
-      && echo "service ok: daemon e2e (streamed decisions == batch, SIGTERM resume, README ScanTherm --thermal --sleep-policy timeout line == run_scheme)"
+      || { echo "service: test_service_e2e failed" >&2; exit 1; }
+  echo "service ok: daemon e2e (streamed decisions == batch, SIGTERM resume, README ScanTherm --thermal --sleep-policy timeout line == run_scheme)"
   ./build-check/strict/tests/test_fuzz_parsers --gtest_filter='*Service*' \
       > /dev/null \
-      && echo "service ok: wire + checkpoint fuzz corpus"
+      || { echo "service: test_fuzz_parsers service suites failed" >&2; exit 1; }
+  echo "service ok: wire + checkpoint fuzz corpus (bit-flipped, torn and re-sealed hostile v3 blobs; re-sealed mutants reach the parser)"
 }
 
 stage_thermal() {
@@ -273,7 +278,8 @@ stage_asan() {
   cmake --build build-check/asan -j "$JOBS" --target $ASAN_TESTS
   for t in $ASAN_TESTS; do
     ASAN_OPTIONS=halt_on_error=1 "./build-check/asan/tests/$t" > /dev/null \
-        && echo "asan ok: $t"
+        || { echo "asan: $t failed" >&2; exit 1; }
+    echo "asan ok: $t"
   done
 }
 
@@ -293,11 +299,13 @@ stage_tsan() {
   TSAN_OPTIONS=halt_on_error=1 \
       ./build-check/tsan/tests/test_shard \
       --gtest_filter='ShardDeterminism.*' > /dev/null \
-      && echo "tsan ok: test_shard worker determinism (faulted shards included)"
+      || { echo "tsan: test_shard worker determinism failed" >&2; exit 1; }
+  echo "tsan ok: test_shard worker determinism (faulted shards included)"
   TSAN_OPTIONS=halt_on_error=1 \
   ISCOPE_SCALE=0.5 ISCOPE_PARALLEL=1 ISCOPE_SHARDS=4 ISCOPE_SHARD_WORKERS=4 \
       ./build-check/tsan/bench/bench_fig8_energy_cost > /dev/null \
-      && echo "tsan ok: bench_fig8_energy_cost sharded"
+      || { echo "tsan: bench_fig8_energy_cost sharded failed" >&2; exit 1; }
+  echo "tsan ok: bench_fig8_energy_cost sharded"
   # Same partition with the thermal/CRAC model and the timeout sleep
   # governor armed: the coordinator-resolved thermal step and the sleep
   # event chains must survive real thread interleaving (thermal stage's
@@ -306,19 +314,23 @@ stage_tsan() {
   ISCOPE_SCALE=0.5 ISCOPE_PARALLEL=1 ISCOPE_SHARDS=4 ISCOPE_SHARD_WORKERS=4 \
   ISCOPE_THERMAL=1 ISCOPE_SLEEP_POLICY=timeout \
       ./build-check/tsan/bench/bench_fig8_energy_cost > /dev/null \
-      && echo "tsan ok: bench_fig8_energy_cost sharded thermal+sleep"
+      || { echo "tsan: bench_fig8_energy_cost sharded thermal+sleep failed" >&2;
+           exit 1; }
+  echo "tsan ok: bench_fig8_energy_cost sharded thermal+sleep"
   # The pinned sharded-thermal rows at 1 and 4 workers: only shards with
   # work are dispatched, and the coordinator reads each shard's queue and
   # rack power between rounds.
   TSAN_OPTIONS=halt_on_error=1 \
       ./build-check/tsan/tests/test_thermal \
       --gtest_filter='ThermalDeterminism.*' > /dev/null \
-      && echo "tsan ok: test_thermal sharded determinism + pinned rows"
+      || { echo "tsan: test_thermal sharded determinism failed" >&2; exit 1; }
+  echo "tsan ok: test_thermal sharded determinism + pinned rows"
   # FaultSpec replay against the live daemon: the poll loop, the signal
   # flag, and the client interplay are raced-checked end to end.
   TSAN_OPTIONS=halt_on_error=1 \
       ./build-check/tsan/tests/test_service_chaos > /dev/null \
-      && echo "tsan ok: test_service_chaos daemon under fault storm"
+      || { echo "tsan: test_service_chaos failed" >&2; exit 1; }
+  echo "tsan ok: test_service_chaos daemon under fault storm"
   # build_cluster derives truth curves in chip ranges on hardware threads:
   # a 4 096-chip build against its serial oracle, and builds that throw
   # from the calling thread's range and from a later one.
@@ -326,7 +338,8 @@ stage_tsan() {
       ./build-check/tsan/tests/test_hardware \
       --gtest_filter='Cluster.ParallelBuildEqualsSerialReference:Cluster.UnreachableLevelThrowsFromAnyChipRange' \
       > /dev/null \
-      && echo "tsan ok: test_hardware threaded cluster build"
+      || { echo "tsan: test_hardware threaded cluster build failed" >&2; exit 1; }
+  echo "tsan ok: test_hardware threaded cluster build"
 }
 
 stage_coverage() {
