@@ -172,11 +172,10 @@ struct SoaFixture {
   }
 
   /// Mid-range wind budget: phase 2 is live (the budget binds) but
-  /// feasible, so full solves walk the greedy loop and incremental solves
-  /// land mid-trajectory -- the regime the per-epoch rematch lives in.
+  /// feasible, so solves walk the greedy loop part way -- the regime the
+  /// per-epoch rematch lives in.
   Watts binding_wind() {
-    IncrementalMatchState state;
-    const MatchResult top = matcher->match(cols, Watts{}, 0.0, state);
+    const MatchResult top = matcher->match(cols, Watts{}, 0.0);
     const std::size_t levels = cols.levels;
     Watts floor_compute;
     for (std::size_t r = 0; r < cols.count; ++r)
@@ -231,12 +230,9 @@ void BM_BestFromFill(benchmark::State& state) {
 }
 BENCHMARK(BM_BestFromFill)->Arg(64)->Arg(512);
 
-// Full solve vs incremental delta-rematch over the same wind-budget walk.
-// Arg is the per-epoch wind delta in percent of the binding budget: small
-// deltas re-position the cached trajectory cursor by a step or two, large
-// ones rewind/replay long stretches -- the replay must win in both
-// regimes, and its demand checksum must equal the full solve's (the two
-// benches' checksum counters show the replay exact at bench scope too).
+// One matcher call per epoch over a walk of wind budgets. Arg is the
+// per-epoch wind delta in percent of the binding budget; the demand
+// checksum pins the solve's output at bench scope.
 std::vector<Watts> wind_walk(Watts base, double delta_pct) {
   Rng rng(6);
   std::vector<Watts> winds;
@@ -249,16 +245,11 @@ void BM_RematchFull(benchmark::State& state) {
   SoaFixture fx(128);
   const std::vector<Watts> winds =
       wind_walk(fx.binding_wind(), static_cast<double>(state.range(0)));
-  IncrementalMatchState match_state;
   double checksum = 0.0;
   for (auto _ : state) {
     checksum = 0.0;
-    for (const Watts wind : winds) {
-      match_state.invalidate();  // forces the full solve
-      const MatchResult r =
-          fx.matcher->match(fx.cols, wind, 0.0, match_state);
-      checksum += r.demand.raw();
-    }
+    for (const Watts wind : winds)
+      checksum += fx.matcher->match(fx.cols, wind, 0.0).demand.raw();
     benchmark::DoNotOptimize(checksum);
   }
   state.counters["demand_checksum"] = checksum;
@@ -266,31 +257,6 @@ void BM_RematchFull(benchmark::State& state) {
                           static_cast<std::int64_t>(winds.size()));
 }
 BENCHMARK(BM_RematchFull)->Arg(1)->Arg(10)->Arg(50);
-
-void BM_RematchIncremental(benchmark::State& state) {
-  SoaFixture fx(128);
-  const std::vector<Watts> winds =
-      wind_walk(fx.binding_wind(), static_cast<double>(state.range(0)));
-  IncrementalMatchState match_state;
-  fx.matcher->match(fx.cols, winds.back(), 0.0, match_state);
-  std::int64_t fallbacks = 0;
-  double checksum = 0.0;
-  for (auto _ : state) {
-    checksum = 0.0;
-    for (const Watts wind : winds) {
-      const MatchResult r =
-          fx.matcher->match(fx.cols, wind, 0.0, match_state);
-      if (!r.replayed) ++fallbacks;
-      checksum += r.demand.raw();
-    }
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.counters["demand_checksum"] = checksum;
-  state.counters["full_solve_fallbacks"] = static_cast<double>(fallbacks);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(winds.size()));
-}
-BENCHMARK(BM_RematchIncremental)->Arg(1)->Arg(10)->Arg(50);
 
 void BM_FullSimulation(benchmark::State& state) {
   // End-to-end throughput of the datacenter simulator: one scheme over a

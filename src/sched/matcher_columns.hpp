@@ -20,9 +20,13 @@
 //    deadline floor f, precomputed by suffix scan (soa_kernels.hpp). The
 //    per-rematch "energy argmin over levels" collapses to one table read.
 //
-// All storage is reserved up front (`reset(levels, max_rows)`), and
-// append/remove only shift within reserved capacity, so steady-state
-// maintenance is allocation-free (tests/test_rematch_alloc.cpp).
+// Beside the rows sit the matcher's per-call outputs and scratch: the
+// deadline floors, the assigned levels and the phase-2 down-step heap.
+// PowerMatcher::match rewrites all three on every call, so nothing in them
+// outlives a call. All storage is reserved up front (`reset(levels,
+// max_rows)`), and append/remove only shift within reserved capacity, so
+// steady-state maintenance and matching are allocation-free
+// (tests/test_rematch_alloc.cpp).
 #pragma once
 
 #include <cstddef>
@@ -30,9 +34,18 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/quantity.hpp"
 #include "sched/soa_kernels.hpp"
 
 namespace iscope {
+
+/// One phase-2 candidate: step row `task` down to `to_level`, releasing
+/// `saving` of IT power.
+struct DownStep {
+  Watts saving;
+  std::size_t task;
+  std::size_t to_level;
+};
 
 struct MatcherColumns {
   std::size_t levels = 0;  ///< DVFS level count (row stride)
@@ -54,6 +67,10 @@ struct MatcherColumns {
   std::vector<double> power;           ///< IT power per level, raw watts
   std::vector<std::uint8_t> best_from; ///< energy-optimal level per floor
 
+  /// Matcher scratch: the phase-2 down-step heap. It holds at most one
+  /// entry per row, so the `max_rows` reservation covers every call.
+  std::vector<DownStep> heap;
+
   /// Reset to empty and reserve for `max_rows` rows so steady-state
   /// append/remove stays allocation-free. Keeps existing capacity.
   void reset(std::size_t level_count, std::size_t max_rows) {
@@ -68,6 +85,7 @@ struct MatcherColumns {
     for (auto* v : {&remaining, &deadline}) empty(*v, max_rows);
     for (auto* v : {&slowdown, &power}) empty(*v, max_rows * levels);
     empty(best_from, max_rows * levels);
+    empty(heap, max_rows);
   }
 
   /// Append a row at the end (start order), with no level applied. The

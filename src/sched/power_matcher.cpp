@@ -33,46 +33,30 @@ struct StepLess {
 // The vector driven by push_heap/pop_heap replicates std::priority_queue's
 // exact call sequence, so equal-saving pops come in the order a
 // priority_queue descent would produce.
-void push_down_step(const MatcherColumns& cols, std::size_t r,
-                    std::vector<DownStep>& heap) {
+void push_down_step(MatcherColumns& cols, std::size_t r) {
   const std::size_t l = cols.level[r];
   if (l == 0 || l <= cols.floor[r]) return;
   const double* power = cols.power_row(r);
-  heap.push_back(DownStep{Watts{power[l]} - Watts{power[l - 1]}, r, l - 1});
-  std::push_heap(heap.begin(), heap.end(), StepLess{});
+  cols.heap.push_back(
+      DownStep{Watts{power[l]} - Watts{power[l - 1]}, r, l - 1});
+  std::push_heap(cols.heap.begin(), cols.heap.end(), StepLess{});
 }
 
-// Phase 2's greedy descent from the deepest materialized state: pop the
-// largest saving, skip stale entries, apply and log the step, push the
-// row's next one -- until the demand fits under the wind or the heap runs
-// dry. The pop/push sequence never reads the wind, which is what makes
-// the log a replayable trajectory. Returns the compute it stopped at.
-Watts descend(MatcherColumns& cols, Watts wind_avail, double cooling_factor,
-              Watts compute, IncrementalMatchState& state) {
-  std::vector<DownStep>& heap = state.heap;
-  while (compute * cooling_factor > wind_avail && !heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), StepLess{});
-    const DownStep step = heap.back();
-    heap.pop_back();
-    // At most one live entry per row (re-pushed after applying), so a
-    // level mismatch marks a stale entry.
-    if (cols.level[step.task] != step.to_level + 1) continue;
-    cols.level[step.task] = step.to_level;
-    compute -= step.saving;
-    state.log.push_back(
-        IncrementalMatchState::AppliedStep{compute, step.task, step.to_level});
-    push_down_step(cols, step.task, heap);
-  }
-  state.cursor = state.log.size();
-  return compute;
+// IT power with every row at its deadline floor: phase 2's gate.
+Watts floor_compute(const MatcherColumns& cols) {
+  Watts sum;
+  for (std::size_t r = 0; r < cols.count; ++r)
+    sum += Watts{cols.power[r * cols.levels + cols.floor[r]]};
+  return sum;
 }
 
-// Full solve, caching the greedy trajectory in `state`. Phase 1 is one
-// floor scan plus one best_from read per row; sums stay in row order --
-// reordering them would change the rounding.
-Watts solve(MatcherColumns& cols, Watts wind_avail, double now_s,
-            double cooling_factor, IncrementalMatchState& state) {
-  state.invalidate();
+}  // namespace
+
+MatchResult PowerMatcher::match(MatcherColumns& cols, Watts wind_avail,
+                                double now_s) const {
+  ISCOPE_CHECK_ARG(wind_avail.raw() >= 0.0, "PowerMatcher: negative wind");
+  // Phase 1: one floor scan plus one best_from read per row. Sums stay in
+  // row order -- reordering them would change the rounding.
   const std::size_t levels = cols.levels;
   soa::floor_scan_rows(cols.slowdown.data(), levels, cols.remaining.data(),
                        cols.deadline.data(), now_s, cols.count,
@@ -83,113 +67,32 @@ Watts solve(MatcherColumns& cols, Watts wind_avail, double now_s,
     cols.level[r] = l;
     compute += Watts{cols.power[r * levels + l]};
   }
-  Watts floor_compute;
-  for (std::size_t r = 0; r < cols.count; ++r)
-    floor_compute += Watts{cols.power[r * levels + cols.floor[r]]};
-  state.valid = true;
-  state.compute0 = compute;
-  state.floor_compute = floor_compute;
-
-  // Stretching only pays when the budget is actually reachable: if even
-  // the all-floors demand exceeds the wind, slowing down just moves the
-  // same (utility-supplied) work later -- run the energy-optimal baseline
-  // instead and wait for wind. A gated-off phase 2 builds no heap at all.
-  state.heap_built =
-      wind_avail.raw() > 0.0 && wind_avail >= floor_compute * cooling_factor;
-  if (!state.heap_built) return compute;
-  for (std::size_t r = 0; r < cols.count; ++r)
-    push_down_step(cols, r, state.heap);
-  return descend(cols, wind_avail, cooling_factor, compute, state);
-}
-
-// Replay: re-position the cached trajectory's cursor for a new wind
-// budget. Returns false -- the caller must solve -- when the cache is
-// invalid, a deadline floor moved, or the budget needs steps past a
-// trajectory whose solve built no heap. On true, `compute` and cols.level
-// are bit-identical to what a full solve would produce.
-bool replay(MatcherColumns& cols, Watts wind_avail, double now_s,
-            double cooling_factor, IncrementalMatchState& state,
-            Watts& compute) {
-  if (!state.valid || cols.count == 0) return false;
-
-  // Frontier check: the cached trajectory was built on cols.floor.
-  // Progress shrinks remaining work and slack together, so floors are
-  // usually stable between supply epochs; any movement means phase 1
-  // itself would differ.
-  state.floor.resize(cols.count);
-  soa::floor_scan_rows(cols.slowdown.data(), cols.levels,
-                       cols.remaining.data(), cols.deadline.data(), now_s,
-                       cols.count, state.floor.data());
-  for (std::size_t r = 0; r < cols.count; ++r)
-    if (state.floor[r] != cols.floor[r]) return false;
-
-  // Where along the canonical trajectory does this budget stop? A fresh
-  // solve stops at the first state whose demand fits under the wind (or
-  // when the heap runs dry). compute is non-increasing along the log and
-  // rounding is monotone, so "fits" is monotone in the state index:
-  // binary search replaces the walk.
-  const std::vector<IncrementalMatchState::AppliedStep>& log = state.log;
-  std::size_t target = 0;
-  bool extend = false;
-  if (wind_avail.raw() > 0.0 &&
-      wind_avail >= state.floor_compute * cooling_factor &&
-      state.compute0 * cooling_factor > wind_avail) {
-    std::size_t lo = 0;
-    std::size_t hi = log.size();
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (log[mid].compute_after * cooling_factor <= wind_avail)
-        hi = mid;
-      else
-        lo = mid + 1;
-    }
-    if (lo < log.size()) {
-      target = lo + 1;
-    } else {
-      // Even the deepest materialized state is over budget: replay to
-      // the end, then keep descending from the preserved heap -- unless
-      // the caching solve never built one.
-      if (!state.heap_built) return false;
-      target = log.size();
-      extend = true;
-    }
-  }
-
-  // Re-position the cursor: undo in reverse order, redo in log order (a
-  // row stepped several times restores through the same intermediate
-  // levels a fresh solve would assign).
-  while (state.cursor > target) {
-    const IncrementalMatchState::AppliedStep& s = log[--state.cursor];
-    cols.level[s.task] = s.to_level + 1;
-  }
-  while (state.cursor < target) {
-    const IncrementalMatchState::AppliedStep& s = log[state.cursor++];
-    cols.level[s.task] = s.to_level;
-  }
-  compute = (target == 0) ? state.compute0 : log[target - 1].compute_after;
-  // The heap is the down-step heap as of state log.size() -- exactly what
-  // a fresh solve holds there, since the sequence up to any state is
-  // wind-independent. Descending appends the deeper states to the log.
-  if (extend)
-    compute = descend(cols, wind_avail, cooling_factor, compute, state);
-  return true;
-}
-
-}  // namespace
-
-MatchResult PowerMatcher::match(MatcherColumns& cols, Watts wind_avail,
-                                double now_s,
-                                IncrementalMatchState& state) const {
-  ISCOPE_CHECK_ARG(wind_avail.raw() >= 0.0, "PowerMatcher: negative wind");
   MatchResult result;
-  Watts compute;
-  result.replayed =
-      replay(cols, wind_avail, now_s, cooling_factor_, state, compute);
-  if (!result.replayed)
-    compute = solve(cols, wind_avail, now_s, cooling_factor_, state);
+  // Phase 2. Stretching only pays when the budget is actually reachable:
+  // if even the all-floors demand exceeds the wind, slowing down just
+  // moves the same (utility-supplied) work later -- run the
+  // energy-optimal baseline instead and wait for wind.
+  if (wind_avail.raw() > 0.0 &&
+      wind_avail >= floor_compute(cols) * cooling_factor_) {
+    // Pop the largest saving, apply it, push the row's next step, until
+    // the demand fits under the wind or no row can step down. The heap
+    // starts empty and holds one entry per row still above its floor, so
+    // every popped entry is live.
+    std::vector<DownStep>& heap = cols.heap;
+    heap.clear();
+    for (std::size_t r = 0; r < cols.count; ++r) push_down_step(cols, r);
+    while (compute * cooling_factor_ > wind_avail && !heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), StepLess{});
+      const DownStep step = heap.back();
+      heap.pop_back();
+      cols.level[step.task] = step.to_level;
+      compute -= step.saving;
+      ++result.steps;
+      push_down_step(cols, step.task);
+    }
+  }
   result.compute = compute;
   result.demand = compute * cooling_factor_;
-  result.steps = state.cursor;
   return result;
 }
 

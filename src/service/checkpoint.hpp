@@ -17,8 +17,9 @@
 // calls. Everything else -- which task holds each processor, the idle
 // pool, counts, flags, per-row tables -- is derived: restore ends in
 // DatacenterSim::rebuild_derived(), the routine prepare() also ends with.
-// The incremental-rematch cache starts invalid -- the forced full re-solve
-// is bit-identical to the replay it displaces.
+// The matcher keeps nothing between calls, so a resumed run's next
+// rematch solves exactly as the uninterrupted run's would. Every loaded
+// task spec passes validate_task, the rule prepare() and admit() apply.
 //
 // The restoring process must construct the simulator with the same
 // configuration (cluster, scheme, supply, seed, fault plan) it was

@@ -118,7 +118,6 @@ void DatacenterSim::cols_append(std::size_t idx) {
   SimTask& t = tasks_[idx];
   t.col = cols_.append(idx, t.spec.runtime_s, t.spec.deadline_s);
   derive_row(t.col);
-  inc_.invalidate();
 }
 
 void DatacenterSim::derive_row(std::size_t row) {
@@ -140,7 +139,6 @@ void DatacenterSim::cols_remove(std::size_t idx) {
   cols_.remove(row);
   t.col = kNone;
   for (std::size_t r = row; r < cols_.count; ++r) tasks_[cols_.task[r]].col = r;
-  inc_.invalidate();
 }
 
 void DatacenterSim::accrue_to_now() {
@@ -209,7 +207,7 @@ void DatacenterSim::rematch() {
   if (rush_mode_) {
     // A deadline-forced task is starving for processors: run everything
     // at the top level to free CPUs as soon as possible, whatever the
-    // wind. Levels are forced off the cached trajectory, so it dies.
+    // wind.
     const std::size_t top = cols_.levels - 1;
     Watts compute;
     for (std::size_t r = 0; r < cols_.count; ++r) {
@@ -218,9 +216,8 @@ void DatacenterSim::rematch() {
     }
     match.compute = compute;
     match.demand = compute * matcher_.cooling_factor();
-    inc_.invalidate();
   } else {
-    match = matcher_.match(cols_, wind, now, inc_);
+    match = matcher_.match(cols_, wind, now);
   }
   // Active profiling scans draw power (and cooling) like any other load.
   last_compute_ = match.compute;
@@ -1023,7 +1020,6 @@ void DatacenterSim::prepare(std::vector<Task> tasks,
 
 void DatacenterSim::rebuild_derived() {
   const std::size_t nprocs = knowledge_->procs();
-  const std::size_t levels = knowledge_->levels();
 
   // A flat run builds its thermal model once, here, and ScanTherm installs
   // its recirculation-aware order from it before the rank tables below are
@@ -1071,15 +1067,8 @@ void DatacenterSim::rebuild_derived() {
 
   // The rows are the running set in start order: prepare() empties them,
   // a restore refills them with the state they own. Each row's tables are
-  // derived here. The incremental cache starts invalid: the next rematch
-  // does a full solve, which is bit-identical to the replay it displaces.
-  // Reserving the trajectory log for every task stepping through every
-  // level keeps steady-state rematches allocation-free.
+  // derived here.
   for (std::size_t r = 0; r < cols_.count; ++r) derive_row(r);
-  inc_.invalidate();
-  inc_.log.reserve(nprocs * levels);
-  inc_.heap.reserve(nprocs);
-  inc_.floor.reserve(nprocs);
 }
 
 void DatacenterSim::derive_bookkeeping() {

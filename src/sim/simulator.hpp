@@ -38,11 +38,11 @@
 // sums and equal-saving tiebreaks depend for bit-reproducibility. The rows
 // own each running task's remaining work, progress time and level. A row's
 // per-level power is summed once, when the task starts, and is fixed while
-// it runs. PowerMatcher::match solves over the rows, replaying its cached
-// greedy trajectory when only the wind moved; every placement rule picks
-// off one rank-indexed idle bitset. The oracles this scheduler is tested
-// against live with the tests (tests/reference_scheduler.hpp), and
-// committed digests pin its results (tests/data/golden/).
+// it runs. PowerMatcher::match solves over the rows from scratch on every
+// call; every placement rule picks off one rank-indexed idle bitset. The
+// oracles this scheduler is tested against live with the tests
+// (tests/reference_scheduler.hpp), and committed digests pin its results
+// (tests/data/golden/).
 #pragma once
 
 #include <cstdint>
@@ -136,8 +136,8 @@ struct SimConfig {
 
 /// O(1) read-only view of the latest scheduling decision -- the service
 /// layer's bounded-latency DECIDE_NOW path. Everything here was already
-/// computed by the most recent (incremental) rematch; reading it touches no
-/// simulation state, so a query cannot perturb determinism.
+/// computed by the most recent rematch; reading it touches no simulation
+/// state, so a query cannot perturb determinism.
 struct DecisionSnapshot {
   double now_s = 0.0;
   Watts demand;                      ///< facility demand (IT + cooling)
@@ -304,9 +304,9 @@ class DatacenterSim {
   bool event_in_range(const EventDesc& e) const;
   /// Derive everything a checkpoint does not carry from the primary state:
   /// the bookkeeping, a flat run's thermal model with the ScanTherm order,
-  /// the rank bits and Fair's busy-ordered list, each running row's tables,
-  /// and a reset incremental cache. prepare() and checkpoint restore both
-  /// end their state setup here, so the two cannot drift apart.
+  /// the rank bits and Fair's busy-ordered list, and each running row's
+  /// tables. prepare() and checkpoint restore both end their state setup
+  /// here, so the two cannot drift apart.
   void rebuild_derived();
   /// The scans' reserved flags, which task holds each processor (throws
   /// when two do, or one holds a failed processor), the idle pool, the
@@ -394,14 +394,14 @@ class DatacenterSim {
     return done_count_ + fault_.counters().tasks_failed == tasks_.size();
   }
 
-  /// Append a starting task's SoA row at the end (start order), derive its
-  /// tables and invalidate the incremental cache.
+  /// Append a starting task's SoA row at the end (start order) and derive
+  /// its tables.
   void cols_append(std::size_t idx);
   /// Sum each level's power over the row's processors into the row, then
   /// derive its slowdown and best-level tables. Fixed while the task runs.
   void derive_row(std::size_t row);
   /// Drop a task's SoA row (order-preserving shift; re-points the row
-  /// handles of every shifted task) and invalidate the incremental cache.
+  /// handles of every shifted task).
   void cols_remove(std::size_t idx);
   /// Move a processor into or out of the idle pool, keeping the flags, the
   /// rank bitset and Fair's busy-ordered list in step.
@@ -456,10 +456,9 @@ class DatacenterSim {
   bool thermal_chain_live_ = false;
 
   /// The running set, one row per task in start order (the first row is
-  /// the longest-running task; see matcher_columns.hpp), plus the
-  /// matcher's cached greedy trajectory and solve buffers.
+  /// the longest-running task; see matcher_columns.hpp), with the
+  /// matcher's per-call outputs and scratch beside it.
   MatcherColumns cols_;
-  IncrementalMatchState inc_;
 
   std::vector<TimelineEvent> timeline_;
   Watts demand_;
@@ -567,15 +566,17 @@ void DatacenterSim::io(Io& io) {
   });
 
   // Tasks. Only a waking or running task holds processors, so only its
-  // list is written; `col` and `latest_start_s` are derived.
+  // list is written; `col` and `latest_start_s` are derived. A loaded spec
+  // must pass validate_task, the rule prepare() and admit() apply.
   io.vec(tasks_, [&](auto& t) {
     io(t.spec.id);
     io(t.spec.submit_s);
-    io.in(t.spec.cpus, std::size_t{1}, nprocs, "task width");
+    io(t.spec.cpus);
     io(t.spec.runtime_s);
     io(t.spec.gamma);
     io(t.spec.deadline_s);
     io.in(t.spec.urgency, Urgency::kHigh, Urgency::kLow, "task urgency");
+    if constexpr (Io::kLoading) validate_task(t.spec, nprocs);
     io.in(t.state, TaskState::kPending, TaskState::kWaking, "task state");
     if (t.state == TaskState::kRunning || t.state == TaskState::kWaking) {
       io.vec(t.procs, nprocs,

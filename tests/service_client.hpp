@@ -77,6 +77,7 @@ class ServeProcess {
   }
 
   void sigterm() const { ::kill(pid_, SIGTERM); }
+  void sigkill() const { ::kill(pid_, SIGKILL); }
 
   /// Reap the child and return its exit code (-1 on abnormal death).
   int wait_exit() {

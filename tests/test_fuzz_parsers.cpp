@@ -346,7 +346,13 @@ TEST(FuzzCorpusService, HostileCheckpointsAreRejected) {
       // The fault driver's failed flag of processor 13, which task 20
       // holds, set to 1: refused by the same derivation.
       {"service_ckpt_failed_proc_held.bin",
-       "a failed processor is held by a task"}};
+       "a failed processor is held by a task"},
+      // The same cut, unedited but for one double: the gamma of task 22
+      // (index 21, submitted at 45 097.7 s, still pending) set to a quiet
+      // NaN (blob bytes 2 990..2 997). Refused by validate_task, the rule a
+      // task meets at prepare() and admit(); restored, the run would throw
+      // when the task arrived.
+      {"service_ckpt_pending_gamma_nan.bin", "gamma must be in [0,1]"}};
   for (const auto& [name, reason] : corpus) {
     SCOPED_TRACE(name);
     const auto blob = slurp_bytes(data_path(name));

@@ -1,19 +1,19 @@
 // Scheduler-equivalence suite (DESIGN.md Sec. 9).
 //
-// The production rematch path (SoA columns, the cached greedy trajectory
-// PowerMatcher::match replays when only the wind moved, bitset placement)
-// must make the reference oracle's decisions (reference_scheduler.hpp: a
-// per-task matcher over ActiveTask views and vector placement) bit for
-// bit. The unit suites check that per call. Here each MatchEquivalence and
-// IncrementalIdentity draw -- all five schemes, with and without wind, a
-// battery, in-band profiling windows, active faults and two shards, on
-// randomized clusters and workloads -- runs once and must reproduce its
-// pinned result digest (sim_identity.hpp: every SimResult field, trace
-// sample and timeline event), taken from a simulator that ran both and
-// found them equal (tests/data/golden/equivalence_digests.txt).
+// The production rematch path (SoA columns, PowerMatcher::match's
+// one-call solve, bitset placement) must make the reference oracle's
+// decisions (reference_scheduler.hpp: a per-task matcher over ActiveTask
+// views and vector placement) bit for bit. The unit suites check that
+// per call. Here each MatchEquivalence and IncrementalIdentity draw --
+// all five schemes, with and without wind, a battery, in-band profiling
+// windows, active faults and two shards, on randomized clusters and
+// workloads -- runs once and must reproduce its pinned result digest
+// (sim_identity.hpp: every SimResult field, trace sample and timeline
+// event), taken from a simulator that ran both and found them equal
+// (tests/data/golden/equivalence_digests.txt).
 // GoldenResults.Matrix pins the full scenario product the same way, and
-// the matcher-scope property test walks random wind deltas against
-// from-scratch solves.
+// the matcher-scope property test walks random wind budgets on reused
+// rows against rows rebuilt from the same inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -177,9 +177,10 @@ void expect_pinned(const DrawRows& produced) {
 }
 
 // Each scenario below is written once and run on two draws, one under
-// MatchEquivalence and one under IncrementalIdentity. The simulator
-// replays the cached greedy trajectory whenever only the wind moved
-// (DESIGN.md Sec. 14).
+// MatchEquivalence and one under IncrementalIdentity. The second suite's
+// name, kept because its rows are pinned under it, dates from a matcher
+// cache that is gone: every rematch solves from scratch (DESIGN.md
+// Sec. 14).
 
 DrawRows all_schemes_utility_only(const Draw& d) {
   const Scenario s(16, d.cluster);
@@ -294,7 +295,7 @@ TEST(MatchEquivalence, WithProfilingWindows) {
 
 TEST(MatchEquivalence, FaultsActiveOptimizedMatchesReference) {
   // The pinned results hold while CPUs crash and tasks requeue --
-  // requeues invalidate the cached trajectory mid-flight.
+  // requeues remove rows mid-flight.
   expect_pinned(with_faults_active(Draw{51, 59, 71, 13}));
 }
 
@@ -303,9 +304,8 @@ TEST(IncrementalIdentity, AllSchemesWithWind) {
 }
 
 TEST(IncrementalIdentity, AllSchemesUtilityOnly) {
-  // No wind: phase 2 never fires and the cached trajectories stay empty,
-  // but the replay machinery still runs on every epoch -- it must be
-  // inert.
+  // No wind: phase 2's gate never opens, so every rematch is phase 1
+  // alone.
   expect_pinned(all_schemes_utility_only(Draw{121, 123, 0}));
 }
 
@@ -318,15 +318,15 @@ TEST(IncrementalIdentity, WithProfilingWindows) {
 }
 
 TEST(IncrementalIdentity, WithFaultsActive) {
-  // Crashes and requeues invalidate the cache mid-flight; the fallback
-  // full solves must leave no trace.
+  // Crashes and requeues remove rows mid-flight; the rows left behind
+  // must keep their start order.
   expect_pinned(with_faults_active(Draw{151, 153, 157, 19}));
 }
 
 TEST(MatchEquivalence, TwoShards) {
-  // Each shard owns its own MatcherColumns and IncrementalMatchState; the
-  // epoch-barrier wind reconciliation must see the per-shard demand the
-  // pinned results were reached with.
+  // Each shard owns its own MatcherColumns; the epoch-barrier wind
+  // reconciliation must see the per-shard demand the pinned results were
+  // reached with.
   const Draw d{161, 163, 167};
   const Scenario s(16, d.cluster);
   const auto tasks = s.make_tasks(40, d.tasks);
@@ -495,17 +495,18 @@ TEST(GoldenResults, Matrix) {
     ADD_FAILURE() << "extra row in " << path << ": " << row;
 }
 
-// ----------------------------------------------- 50-seed delta property
+// ----------------------------------------------- 50-seed reuse property
 //
-// Matcher-scope property test: whatever wind-budget walk an epoch
-// sequence throws at it, a `match` call that replays its cached trajectory
-// must reproduce the from-scratch solve (`match` with a fresh state)
-// exactly -- compute, demand, step count, and every per-row level, to the
-// bit. The walk also perturbs task progress and the clock between epochs;
-// when that moves a deadline floor the replay must be *refused* (the call
-// re-solves) rather than replay a stale trajectory.
+// Matcher-scope property test: `match` keeps nothing between calls. A walk
+// of calls on one set of rows -- random wind budgets, with task progress
+// and the clock moving between some of them, which moves deadline floors
+// -- must give at every call what the same call gives on rows rebuilt
+// from the same inputs: compute, demand, step count, and every per-row
+// level, to the bit. The fresh rows are rebuilt, not copied, so nothing
+// the reused rows carry from earlier calls (levels, floors, the down-step
+// heap) reaches them.
 
-TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
+TEST(MatchProperty, ReusedRowsEqualRebuiltRows) {
   ClusterConfig ccfg;
   ccfg.num_processors = 64;
   ccfg.seed = 5;
@@ -514,59 +515,53 @@ TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
   const PowerMatcher matcher(&knowledge, 1.4);
   const std::size_t levels = knowledge.levels();
 
-  std::size_t hits = 0;
-  std::size_t total = 0;
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     SCOPED_TRACE(seed);
     Rng rng(seed * 1000 + 17);
-    const auto rows =
-        static_cast<std::size_t>(rng.uniform_int(1, 40));
-    MatcherColumns cols;
-    cols.reset(levels, rows);
-    double now = 0.0;
-    std::size_t next_proc = 0;
+    const auto rows = static_cast<std::size_t>(rng.uniform_int(1, 40));
+    std::vector<double> remaining(rows);
+    std::vector<double> deadline(rows);
+    std::vector<double> gamma(rows);
     for (std::size_t r = 0; r < rows; ++r) {
-      const double remaining = rng.uniform(50.0, 5000.0);
-      const double deadline = remaining * rng.uniform(1.2, 12.0);
-      cols.append(r, remaining, deadline);
-      for (std::size_t l = 0; l < levels; ++l) {
-        Watts p;
-        for (int k = 0; k < 4; ++k)
-          p += knowledge.power((next_proc + static_cast<std::size_t>(k)) %
-                                   cluster.size(),
-                               l);
-        cols.power[r * levels + l] = p.raw();
-      }
-      next_proc += 4;
-      cols.fill_row(r, rng.uniform(0.3, 1.0), matcher.slowdown_ratio());
+      remaining[r] = rng.uniform(50.0, 5000.0);
+      deadline[r] = remaining[r] * rng.uniform(1.2, 12.0);
+      gamma[r] = rng.uniform(0.3, 1.0);
     }
+    // Row r sums the power of processors 4r .. 4r+3 (mod the cluster).
+    const auto build = [&] {
+      MatcherColumns cols;
+      cols.reset(levels, rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        cols.append(r, remaining[r], deadline[r]);
+        for (std::size_t l = 0; l < levels; ++l) {
+          Watts p;
+          for (std::size_t k = 0; k < 4; ++k)
+            p += knowledge.power((4 * r + k) % cluster.size(), l);
+          cols.power[r * levels + l] = p.raw();
+        }
+        cols.fill_row(r, gamma[r], matcher.slowdown_ratio());
+      }
+      return cols;
+    };
 
-    IncrementalMatchState inc;
-    // Zero-wind solve: phase 2 gated off, so the cache starts with an
-    // empty trajectory AND no heap -- the first fitting epoch must take
-    // the heap_built escape hatch and re-solve.
-    const MatchResult cached = matcher.match(cols, Watts{}, now, inc);
-    EXPECT_FALSE(cached.replayed);
-    const double top_demand = cached.demand.raw();
+    MatcherColumns cols = build();
+    double now = 0.0;
+    // No wind: phase 1 alone, whose demand scales the walk's budgets.
+    const double top_demand = matcher.match(cols, Watts{}, now).demand.raw();
 
     for (int step = 0; step < 40; ++step) {
-      // Occasionally let the tasks progress and the clock move: floors
-      // that survive keep the cache hot; floors that move must force a
-      // refusal, never a stale replay.
       if (rng.uniform(0.0, 1.0) < 0.25) {
         now += rng.uniform(0.0, 300.0);
-        for (std::size_t r = 0; r < rows; ++r)
-          cols.remaining[r] =
-              std::max(0.0, cols.remaining[r] - rng.uniform(0.0, 100.0));
+        for (std::size_t r = 0; r < rows; ++r) {
+          remaining[r] =
+              std::max(0.0, remaining[r] - rng.uniform(0.0, 100.0));
+          cols.remaining[r] = remaining[r];
+        }
       }
       const Watts wind{rng.uniform(0.0, 1.3 * top_demand)};
-      MatcherColumns fresh = cols;
-      IncrementalMatchState fresh_state;
-      const MatchResult full = matcher.match(fresh, wind, now, fresh_state);
-      EXPECT_FALSE(full.replayed);
-      const MatchResult out = matcher.match(cols, wind, now, inc);
-      ++total;
-      if (out.replayed) ++hits;
+      MatcherColumns fresh = build();
+      const MatchResult full = matcher.match(fresh, wind, now);
+      const MatchResult out = matcher.match(cols, wind, now);
       ASSERT_EQ(out.compute.raw(), full.compute.raw()) << "step " << step;
       ASSERT_EQ(out.demand.raw(), full.demand.raw()) << "step " << step;
       ASSERT_EQ(out.steps, full.steps) << "step " << step;
@@ -575,8 +570,6 @@ TEST(IncrementalProperty, RandomDeltaWalksAreExact) {
             << "step " << step << " row " << r;
     }
   }
-  // The walk must actually exercise the replay path, not just fall back.
-  EXPECT_GT(hits, total / 4);
 }
 
 // ----------------------------------------------- zero-fault identity

@@ -57,10 +57,9 @@ struct Fixture {
     return rows({task}).best_from_row(0)[floor];
   }
 
-  /// The production matcher with a fresh state, i.e. a full solve.
+  /// The production matcher.
   MatchResult match(MatcherColumns& cols, Watts wind, double now = 0.0) const {
-    IncrementalMatchState state;
-    return matcher.match(cols, wind, now, state);
+    return matcher.match(cols, wind, now);
   }
 
   /// `count` random tasks on random processor sets, with deadlines from
@@ -265,22 +264,19 @@ TEST(Match, Deterministic) {
 }
 
 TEST(Match, AgreesWithReferenceOnRandomRows) {
-  // One state per seed across a walk of wind budgets, so later calls
-  // replay the cached trajectory; every call must equal the reference
-  // oracle's independent solve bit for bit.
+  // One set of rows per seed across a walk of wind budgets, so later calls
+  // run on the outputs and scratch earlier calls left behind; every call
+  // must equal the reference oracle's independent solve bit for bit.
   Fixture f;
-  std::size_t replays = 0;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
     const std::vector<ActiveTask> tasks =
         f.random_tasks(rng, static_cast<std::size_t>(rng.uniform_int(1, 8)));
     MatcherColumns cols = f.rows(tasks);
-    IncrementalMatchState state;
     for (int call = 0; call < 10; ++call) {
       const Watts wind{rng.uniform(0.0, 600.0)};
-      const MatchResult r = f.matcher.match(cols, wind, 0.0, state);
-      replays += r.replayed ? 1 : 0;
+      const MatchResult r = f.matcher.match(cols, wind, 0.0);
       std::vector<ActiveTask> ref = tasks;
       const MatchResult want = f.reference.match(ref, wind, 0.0);
       ASSERT_EQ(r.compute.watts(), want.compute.watts()) << "call " << call;
@@ -290,7 +286,6 @@ TEST(Match, AgreesWithReferenceOnRandomRows) {
         ASSERT_EQ(cols.level[i], ref[i].level) << "call " << call;
     }
   }
-  EXPECT_GT(replays, 0u);
 }
 
 TEST(MatchKernels, FloorScanAndBestFromAgreeWithReference) {
@@ -334,9 +329,7 @@ TEST(Match, Validation) {
   EXPECT_THROW(PowerMatcher(nullptr, 1.4), InvalidArgument);
   EXPECT_THROW(PowerMatcher(&f.knowledge, 0.9), InvalidArgument);
   MatcherColumns cols = f.rows({f.task()});
-  IncrementalMatchState state;
-  EXPECT_THROW(f.matcher.match(cols, Watts{-1.0}, 0.0, state),
-               InvalidArgument);
+  EXPECT_THROW(f.matcher.match(cols, Watts{-1.0}, 0.0), InvalidArgument);
 }
 
 }  // namespace

@@ -84,8 +84,7 @@ TEST_P(MatcherWindProperty, DemandMonotoneInBudgetAndSafe) {
 
   const auto tasks = make_tasks();
   MatcherColumns cols = matcher_rows(knowledge, matcher, tasks);
-  IncrementalMatchState state;
-  const MatchResult r = matcher.match(cols, Watts{wind_w}, 0.0, state);
+  const MatchResult r = matcher.match(cols, Watts{wind_w}, 0.0);
 
   // Levels never violate deadline floors.
   for (std::size_t i = 0; i < tasks.size(); ++i)
@@ -93,9 +92,8 @@ TEST_P(MatcherWindProperty, DemandMonotoneInBudgetAndSafe) {
 
   // More wind never increases demand... (fitting relaxes monotonically)
   MatcherColumns cols_more = matcher_rows(knowledge, matcher, tasks);
-  IncrementalMatchState state_more;
-  const MatchResult more = matcher.match(
-      cols_more, Watts{wind_w * 2.0 + 10.0}, 0.0, state_more);
+  const MatchResult more =
+      matcher.match(cols_more, Watts{wind_w * 2.0 + 10.0}, 0.0);
   EXPECT_GE(more.demand.watts(), r.demand.watts() - 1e-9);
 
   // Demand equals the sum of the assigned task powers times cooling.

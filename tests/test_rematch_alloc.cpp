@@ -4,8 +4,8 @@
 // DatacenterSim::rematch_probe gates the counter so only allocations made
 // *inside* rematch() windows are charged. The simulator is run twice on
 // the same instance: the first run grows every reusable buffer (event
-// heap, SoA matcher columns, the cached trajectory and its solve buffers)
-// to its high-water mark, and the second run must then perform zero heap
+// heap, SoA matcher columns with the matcher's down-step heap) to its
+// high-water mark, and the second run must then perform zero heap
 // allocations across all of its rematches -- including the very first.
 #include <gtest/gtest.h>
 

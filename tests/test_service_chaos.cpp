@@ -1,5 +1,5 @@
-// Chaos suite: a live daemon under fault injection (PR 4's FaultSpec
-// replayed mid-stream) must degrade gracefully, not fall over:
+// Chaos suite: a live daemon under fault injection (a FaultSpec's crashes
+// and repairs landing mid-stream) must degrade gracefully, not fall over:
 //
 //  * the daemon stays responsive between fault storms (DECIDE_NOW answers
 //    while CPUs crash and repair under the stream);

@@ -13,6 +13,9 @@
 //  * SIGTERM checkpoints, a --resume daemon continues the decision stream
 //    exactly where the first left off (splice == batch) -- including
 //    admissions acknowledged but never ADVANCEd before the signal;
+//  * a SIGKILL that lands while a checkpoint is being written leaves the
+//    last complete checkpoint or the new one, and either resumes to the
+//    batch result;
 //  * CHECKPOINT frames snapshot the pending backlog too, and can only
 //    write the operator-configured --checkpoint target;
 //  * a fresh ADMIT after RESULT invalidates the cached summary;
@@ -357,6 +360,59 @@ TEST(ServiceE2E, SigtermPreservesPendingAdmissions) {
 
   expect_decisions_match(decisions, batch.timeline);
   expect_summary_matches(summary, batch);
+}
+
+TEST(ServiceE2E, SigkillDuringCheckpointResumesFromTheLastGoodFile) {
+  // A checkpoint at t1 completes; a second one, requested at t2, is cut
+  // by SIGKILL 0 us, 100 us or 1 ms after the request goes out -- before
+  // the daemon reads it, inside the temp-file write or fsync, or after the
+  // rename. The checkpoint file must then hold one of the two complete
+  // checkpoints, never a torn one: a --resume daemon comes up at t1 or
+  // t2, and drains to the batch result from either.
+  ServiceOptions opt = base_options("ckkill");
+  opt.checkpoint_path =
+      "/tmp/iscope_e2e_ckk_" + std::to_string(::getpid()) + ".bin";
+  SimHost twin(opt);
+  const std::vector<Task> tasks = make_workload(twin);
+  const SimResult batch = twin.sim().run(tasks);
+  const double t1 = 4000.0;
+  const double t2 = 20000.0;
+
+  for (const useconds_t delay_us : {0u, 100u, 1000u}) {
+    SCOPED_TRACE(delay_us);
+    {
+      ServeProcess proc(ISCOPE_SERVE_BIN, to_args(opt));
+      ASSERT_TRUE(proc.wait_ready());
+      Client client(opt.socket_path);
+      for (const Task& t : tasks)
+        ASSERT_EQ(client.admit(t).type, MsgType::kAdmitOk);
+      std::vector<TimelineEvent> decisions;
+      client.advance(t1, decisions);
+      ASSERT_EQ(client.checkpoint(), opt.checkpoint_path);
+      client.advance(t2, decisions);
+      client.send_frame(MsgType::kCheckpoint, encode_text(""));
+      if (delay_us > 0) ::usleep(delay_us);
+      proc.sigkill();
+      EXPECT_EQ(proc.wait_exit(), -1);
+    }
+
+    ServiceOptions opt2 = opt;
+    opt2.resume = true;
+    opt2.socket_path = socket_path("ckkill2");
+    ServeProcess proc2(ISCOPE_SERVE_BIN, to_args(opt2));
+    ASSERT_TRUE(proc2.wait_ready());
+    Client client2(opt2.socket_path);
+    const DecisionSnapshot resumed = client2.decide_now();
+    EXPECT_TRUE(resumed.now_s == t1 || resumed.now_s == t2) << resumed.now_s;
+    EXPECT_EQ(resumed.tasks_admitted, tasks.size());
+    std::vector<TimelineEvent> rest;
+    client2.drain(rest);
+    expect_summary_matches(client2.result(), batch);
+    client2.shutdown();
+    // A kill inside the write leaves the temp file behind.
+    std::remove(opt.checkpoint_path.c_str());
+    std::remove((opt.checkpoint_path + ".tmp").c_str());
+  }
 }
 
 TEST(ServiceE2E, CheckpointFramePathPolicy) {
