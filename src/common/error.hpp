@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace iscope {
 
@@ -38,11 +39,23 @@ class InternalError : public Error {
 };
 
 namespace detail {
+/// `file` (a __FILE__) from its last `src/` component on, or its last
+/// component when it has none: a check's message names the source file,
+/// not the directory the program was built in, which would otherwise
+/// reach clients through the daemon's ERR replies.
+inline std::string_view source_path(std::string_view file) {
+  if (const std::size_t at = file.rfind("/src/"); at != std::string_view::npos)
+    return file.substr(at + 1);
+  if (file.starts_with("src/")) return file;
+  return file.substr(file.rfind('/') + 1);  // npos + 1 == 0: no slash
+}
+
 [[noreturn]] inline void throw_check_failure(const char* kind, const char* expr,
                                              const char* file, int line,
                                              const std::string& msg) {
   std::ostringstream os;
-  os << kind << " failed: (" << expr << ") at " << file << ":" << line;
+  os << kind << " failed: (" << expr << ") at " << source_path(file) << ":"
+     << line;
   if (!msg.empty()) os << " -- " << msg;
   if (std::string(kind) == "ISCOPE_CHECK_ARG") throw InvalidArgument(os.str());
   throw InternalError(os.str());

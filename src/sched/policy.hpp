@@ -78,6 +78,15 @@ inline constexpr double kDeferForecastFraction = 0.3;
 /// demand by this factor.
 inline constexpr double kWindAbundanceHeadroom = 1.1;
 
+/// The widest task, and the largest slack, that a non-forced start can
+/// have under a placement rule at one moment (PlacementPolicy::start_bound).
+/// A waiting task that is not forced and lies outside it keeps waiting,
+/// whatever choose() would be asked, so a scheduling pass need not visit it.
+struct StartBound {
+  std::size_t cpus = 0;
+  double slack_s = std::numeric_limits<double>::infinity();
+};
+
 class PlacementPolicy {
  public:
   /// `efficient_pool_fraction`: the share of the cluster (by efficiency
@@ -88,48 +97,49 @@ class PlacementPolicy {
 
   PlacementRule rule() const { return rule_; }
 
-  /// True when every nullopt this policy returns for a non-forced task is
-  /// an efficient-pool rejection -- a predicate of the task width and the
-  /// idle *set* only, and monotone in the width (if width w is rejected,
-  /// any w' >= w is too, and stays rejected while the idle set can only
-  /// shrink). The scheduler uses this to memoize rejections within one
-  /// scheduling pass instead of re-sorting the idle set per waiting task.
-  /// Fair and Therm with wind also defer on supply conditions, which is
-  /// not width-monotone, so only Effi and the wind-less rules qualify.
-  bool pool_failures_monotone(bool has_wind) const {
-    return rule_ == PlacementRule::kEfficiency ||
-           ((rule_ == PlacementRule::kFair ||
-             rule_ == PlacementRule::kTherm) &&
-            !has_wind);
-  }
+  /// Start a scheduling pass. Ran's next draw snapshots the idle set, and
+  /// its draws until the next begin_pass() permute and consume that
+  /// snapshot; between the two calls the idle set may change only by the
+  /// picks choose() returns.
+  void begin_pass() { draw_live_ = false; }
 
   /// Choose `n` idle processors for a task into `out` and return true, or
   /// return false to keep the task waiting (Effi-style placements wait for
   /// the efficient pool unless forced, and Fair and Therm defer for wind).
-  /// The caller guarantees at least `n` processors are idle (Ran, handed
-  /// a shorter pool, keeps the task waiting) and hands the idle set over
-  /// in the forms the rules read:
+  /// A false return changes nothing. The caller guarantees at least `n`
+  /// processors are idle and hands the idle set over in the forms the
+  /// rules read:
   ///  * `idle_rank_bits` -- bit r (word r/64, bit r%64) set means the
   ///    processor at placement rank r is idle. Effi, Fair and Therm pop
-  ///    their best-rank-first pick off it with a ctz scan.
+  ///    their best-rank-first pick off it with a ctz scan. Ran draws by a
+  ///    partial Fisher-Yates over the idle set in processor-id order as
+  ///    the pass's first draw found it, minus the pass's earlier picks: a
+  ///    pick permutes that pool and leaves it, so later draws in the pass
+  ///    consume the RNG against the permuted remainder, whose layout is
+  ///    part of the result. The pool is virtual: its slots are read off a
+  ///    snapshot of the bitset, and the slots a swap moved are kept in an
+  ///    override table that the next pass's snapshot clears.
   ///  * `idle_by_busy` -- the idle set ordered by (busy time, id), read
   ///    only by Fair under abundant wind.
-  ///  * `random_pool` -- Ran's draws: the idle set in processor-id order
-  ///    as idle_in_order() read it at the start of the scheduling pass,
-  ///    minus the pass's earlier picks. A pick permutes the pool (partial
-  ///    Fisher-Yates) and leaves it, so later draws in the pass consume
-  ///    the RNG against that remainder; its layout is part of the result.
   bool choose(std::size_t n, const std::uint64_t* idle_rank_bits,
               const std::vector<std::size_t>& idle_by_busy,
-              std::vector<std::size_t>& random_pool,
               const PlacementContext& ctx, std::vector<std::size_t>& out);
 
-  /// The first `count` idle processors in placement order, read off
-  /// `idle_rank_bits` in O(words + count). Ran's placement order is the
-  /// processor id, so under Ran this is the sorted idle set a pass's
-  /// `random_pool` starts from.
-  void idle_in_order(std::size_t count, const std::uint64_t* idle_rank_bits,
-                     std::vector<std::size_t>& out) const;
+  /// The bound every non-forced start choose() can accept right now obeys
+  /// (`idle_count` processors idle, `ctx`'s has_wind, wind_abundant and
+  /// queue_pressure; `forecasting` when a forecaster sets forecast_mean):
+  ///  * Effi, and Fair and Therm without wind: as wide as the idle
+  ///    processors ranked inside the efficient pool, any slack;
+  ///  * Ran, and Fair and Therm with abundant wind, a backlog of at least
+  ///    kMaxDeferBacklog or a forecaster: as wide as the idle set, any
+  ///    slack (the forecast is per task, so it bounds nothing);
+  ///  * Fair and Therm otherwise: as wide as the idle set, slack at most
+  ///    kMinDeferSlackS.
+  /// Tight wherever no forecaster is attached: a task inside it that fits
+  /// is accepted.
+  StartBound start_bound(std::size_t idle_count,
+                         const std::uint64_t* idle_rank_bits,
+                         const PlacementContext& ctx, bool forecasting) const;
 
   /// Rank of a processor in the placement order (0 = placed first): the
   /// efficiency rank for Effi and Fair, the installed order for Therm, the
@@ -154,6 +164,15 @@ class PlacementPolicy {
                              bool forced, std::vector<std::size_t>& out) const;
   /// Fair's wind-scarce deferral predicate (Therm defers on it too).
   bool fair_defers(const PlacementContext& ctx) const;
+  /// Ran's pick: n draws of the pass's virtual partial Fisher-Yates.
+  bool draw_random(std::size_t n, const std::uint64_t* idle_rank_bits,
+                   std::vector<std::size_t>& out);
+  /// Slot `k` of the virtual draw pool: its override, or else the
+  /// processor at the k-th idle rank of the snapshot.
+  std::size_t draw_slot(std::size_t k) const;
+  bool draw_moved(std::size_t k) const {
+    return ((draw_moved_[k / 64] >> (k % 64)) & 1U) != 0;
+  }
 
   const Knowledge* knowledge_;  // non-owning
   PlacementRule rule_;
@@ -166,6 +185,27 @@ class PlacementPolicy {
   /// never reordered, so the copy cannot go stale).
   std::vector<std::size_t> order_;
   std::vector<std::size_t> rank_of_proc_;
+
+  /// --- Ran's virtual draw pool (sized at construction, Ran only) ---------
+  /// Slot k of the pass's pool is the k-th set bit of `draw_bits_`, the
+  /// idle bitset as the pass's first draw found it, unless a swap moved
+  /// another processor there: then bit k of `draw_moved_` is set and
+  /// `draw_swaps_[k]` holds it. The snapshot clears `draw_moved_`, so a new
+  /// pass starts with no override. `draw_prefix_[w]` counts the set bits
+  /// of the words before w. Slots below `draw_taken_` were picked this
+  /// pass.
+  bool draw_live_ = false;
+  std::size_t draw_taken_ = 0;
+  std::size_t draw_count_ = 0;  ///< idle processors in the snapshot
+  /// The pool's front slot (draw_taken_ during a draw, the i-th draw's
+  /// slot i) only moves forward: its snapshot processor is the lowest bit
+  /// of `draw_front_bits_`, what is left of word `draw_front_word_`.
+  std::size_t draw_front_word_ = 0;
+  std::uint64_t draw_front_bits_ = 0;
+  std::vector<std::uint64_t> draw_bits_;
+  std::vector<std::size_t> draw_prefix_;
+  std::vector<std::uint64_t> draw_moved_;
+  std::vector<std::uint32_t> draw_swaps_;
 };
 
 }  // namespace iscope

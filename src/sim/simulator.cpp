@@ -30,7 +30,7 @@ void SimConfig::validate() const {
   sleep.validate();
 }
 
-void (*DatacenterSim::rematch_probe)(bool) = nullptr;
+void (*DatacenterSim::alloc_probe)(bool) = nullptr;
 
 DatacenterSim::DatacenterSim(const Knowledge* knowledge, PlacementRule rule,
                              const HybridSupply* supply,
@@ -41,6 +41,7 @@ DatacenterSim::DatacenterSim(const Knowledge* knowledge, PlacementRule rule,
       config_(config),
       policy_(knowledge, rule, config.seed, config.efficient_pool_fraction),
       matcher_(knowledge, CoolingModel(config.cooling_cop).overhead_factor()),
+      waiting_(config.deadline_patience_s),
       extras_active_(config.thermal.enabled || config.sleep.enabled()),
       fault_(config.fault_plan, config.faults, config.fault_seed, *knowledge,
              forecaster),
@@ -63,11 +64,6 @@ DatacenterSim::DatacenterSim(const Knowledge* knowledge, PlacementRule rule,
 
 double DatacenterSim::fmax_ghz() const {
   return knowledge_->cluster().levels().freq_ghz.back();
-}
-
-bool DatacenterSim::wind_abundant_given(Watts wind) const {
-  if (wind.raw() <= 0.0) return false;
-  return wind > demand_ * kWindAbundanceHeadroom;
 }
 
 void DatacenterSim::idle_insert(std::size_t p) {
@@ -183,7 +179,7 @@ void DatacenterSim::accrue_to_now() {
 
 void DatacenterSim::rematch() {
   ISCOPE_SPAN_SIM("rematch", queue_.now());
-  if (rematch_probe != nullptr) rematch_probe(true);
+  if (alloc_probe != nullptr) alloc_probe(true);
   accrue_to_now();
   const double now = queue_.now();
   ++rematch_count_;
@@ -239,14 +235,13 @@ void DatacenterSim::rematch() {
     queue_.schedule(completion,
                     EventDesc{EventDesc::Kind::kCompletion, idx, version});
   }
-  if (rematch_probe != nullptr) rematch_probe(false);
+  if (alloc_probe != nullptr) alloc_probe(false);
 }
 
 void DatacenterSim::on_arrival(std::size_t idx) {
   SimTask& t = tasks_[idx];
   t.state = TaskState::kWaiting;
-  waiting_.push_back(idx);
-  waiting_cpus_ += t.spec.cpus;
+  waiting_.push(WaitingEntry{idx, t.spec.cpus, t.latest_start_s});
   log_event(TimelineKind::kArrival, t.spec.id,
             static_cast<double>(t.spec.cpus));
   // Wake up when deadline pressure forces this task onto whatever is idle.
@@ -261,91 +256,39 @@ void DatacenterSim::schedule_pass() {
   ISCOPE_SPAN_SIM("match", queue_.now());
   in_pass_ = true;
 
-  // Ran draws from the idle set in processor-id order, read once per pass:
-  // each pick permutes the pool and leaves it, and the pass's later draws
-  // consume the RNG against that remainder.
-  if (policy_.rule() == PlacementRule::kRandom)
-    policy_.idle_in_order(idle_count_, idle_rank_bits_.data(), random_pool_);
+  // The facility as the pass sees it: the idle views, the demand the last
+  // rematch decided, and start_task, which takes a pick out of the views
+  // and re-decides demand.
+  struct Host {
+    DatacenterSim& sim;
+    std::size_t idle_count() const { return sim.idle_count_; }
+    const std::uint64_t* idle_rank_bits() const {
+      return sim.idle_rank_bits_.data();
+    }
+    const std::vector<std::size_t>& idle_by_busy() const {
+      return sim.idle_by_busy_;
+    }
+    Watts demand() const { return sim.demand_; }
+    void start(std::size_t task, const std::vector<std::size_t>& procs) {
+      if (alloc_probe != nullptr) alloc_probe(false);
+      sim.start_task(task, procs);  // start_task copies; scratch reused
+      if (alloc_probe != nullptr) alloc_probe(true);
+    }
+  } host{*this};
 
   const double now = queue_.now();
-  const bool has_wind = supply_->has_wind();
-  // One supply lookup per pass: wind_available is a pure function of
-  // `now`, which is fixed for the whole pass (abundance is still
-  // re-evaluated per task as demand_ grows).
-  const Watts wind_now = supply_->wind_available(Seconds{now});
-  // Only Fair and Therm read the supply-side context fields (both defer
-  // on wind scarcity); skipping them for Ran and Effi is
-  // observable-behavior-free (forecast_mean is a pure function of its
-  // arguments -- see NoisyForecaster).
-  const bool want_supply_ctx = policy_.rule() == PlacementRule::kFair ||
-                               policy_.rule() == PlacementRule::kTherm;
-
-  PlacementContext ctx;
-  ctx.has_wind = has_wind;
-  ctx.queue_pressure = static_cast<double>(waiting_cpus_) /
-                       static_cast<double>(proc_running_.size());
-
-  // Two-pointer compaction: entries that stay waiting slide down over the
-  // started ones, preserving arrival order with no per-start erase.
-  //
-  // Pool-rejection memo: when the policy's only non-forced rejection is
-  // the efficient-pool check (see pool_failures_monotone), a rejection at
-  // width w implies rejection at every width >= w for the rest of the pass
-  // (the idle set only shrinks), so wider tasks skip the policy call --
-  // and its rank scan of the idle set -- entirely.
-  const bool memo_rejections = policy_.pool_failures_monotone(has_wind);
-  std::size_t rejected_width = kNone;  // kNone == no rejection yet
-  bool forced_blocked = false;
-  std::size_t read = 0;
-  std::size_t write = 0;
-  while (read < waiting_.size()) {
-    const std::size_t idx = waiting_[read];
-    SimTask& t = tasks_[idx];
-    const bool forced =
-        now >= t.latest_start_s - config_.deadline_patience_s;
-    if (t.spec.cpus > idle_count_) {
-      // A forced task that cannot fit reserves the freed CPUs: stop the
-      // pass so backfill cannot starve it, and rush the running work.
-      if (forced) {
-        forced_blocked = true;
-        break;
-      }
-      waiting_[write++] = idx;
-      ++read;
-      continue;
-    }
-    if (memo_rejections && !forced && t.spec.cpus >= rejected_width) {
-      waiting_[write++] = idx;  // known pool rejection; keep waiting
-      ++read;
-      continue;
-    }
-    ctx.forced = forced;
-    ctx.slack_s = t.latest_start_s - now;
-    if (want_supply_ctx) {
-      // Re-evaluate wind abundance as demand grows within the pass.
-      ctx.wind_abundant = wind_abundant_given(wind_now);
-      ctx.current_demand = demand_;
-      ctx.forecast_mean =
-          (fault_.forecaster() != nullptr && ctx.slack_s > 0.0)
-              ? fault_.forecaster()->forecast_mean(Seconds{now},
-                                                   Seconds{ctx.slack_s})
-              : Watts{std::numeric_limits<double>::infinity()};
-    }
-    if (!policy_.choose(t.spec.cpus, idle_rank_bits_.data(), idle_by_busy_,
-                        random_pool_, ctx, pick_scratch_)) {
-      if (memo_rejections && !forced)
-        rejected_width = std::min(rejected_width, t.spec.cpus);
-      waiting_[write++] = idx;  // voluntarily waiting; backfill continues
-      ++read;
-      continue;
-    }
-    ++read;
-    start_task(idx, pick_scratch_);  // start_task copies; scratch reused
-  }
-  // On a forced-blocked break the unvisited tail (including the blocked
-  // task itself) slides down unchanged.
-  while (read < waiting_.size()) waiting_[write++] = waiting_[read++];
-  waiting_.resize(write);
+  PassInputs in;
+  in.now_s = now;
+  in.has_wind = supply_->has_wind();
+  // One supply lookup per pass: wind_available is a pure function of `now`.
+  in.wind = supply_->wind_available(Seconds{now});
+  in.queue_pressure = static_cast<double>(waiting_.cpus()) /
+                      static_cast<double>(proc_running_.size());
+  in.forecaster = fault_.forecaster();
+  if (alloc_probe != nullptr) alloc_probe(true);
+  const bool forced_blocked =
+      placement_pass(waiting_, policy_, in, host, pick_scratch_);
+  if (alloc_probe != nullptr) alloc_probe(false);
   in_pass_ = false;
   if (forced_blocked != rush_mode_) {
     rush_mode_ = forced_blocked;
@@ -370,7 +313,6 @@ void DatacenterSim::start_task(std::size_t idx, std::vector<std::size_t> procs) 
     if (sleep_.active()) wake_s = std::max(wake_s, sleep_.wake_s(p));
     idle_remove(p);
   }
-  waiting_cpus_ -= t.spec.cpus;
   if (wake_s > 0.0) {
     // Park the task until the slowest processor finishes waking. Demand
     // still moves now -- the gang left the idle pool -- but compute power
@@ -573,8 +515,7 @@ void DatacenterSim::requeue_task(std::size_t idx) {
   ++t.retries;
   ++fault_.counters().task_requeues;
   t.state = TaskState::kWaiting;
-  waiting_.push_back(idx);
-  waiting_cpus_ += t.spec.cpus;
+  waiting_.push(WaitingEntry{idx, t.spec.cpus, t.latest_start_s});
   log_event(TimelineKind::kTaskRequeue, t.spec.id,
             static_cast<double>(t.retries));
   // Same deadline-pressure wakeup an arrival gets (likely already due).
@@ -1034,6 +975,12 @@ void DatacenterSim::rebuild_derived() {
   const double fmax = fmax_ghz();
   for (SimTask& t : tasks_)
     t.latest_start_s = t.spec.latest_start_s(fmax, fmax);
+  // The waiting index carries each task's width and latest start beside
+  // its place in arrival order; its min-tree is built from them here.
+  waiting_.rederive([this](WaitingEntry& e) {
+    e.cpus = tasks_[e.task].spec.cpus;
+    e.latest_start_s = tasks_[e.task].latest_start_s;
+  });
 
   derive_bookkeeping();
 
@@ -1062,8 +1009,6 @@ void DatacenterSim::rebuild_derived() {
   // reservations are the true high-water marks.
   pick_scratch_.clear();
   pick_scratch_.reserve(nprocs);
-  random_pool_.clear();
-  random_pool_.reserve(nprocs);
 
   // The rows are the running set in start order: prepare() empties them,
   // a restore refills them with the state they own. Each row's tables are
@@ -1096,8 +1041,6 @@ void DatacenterSim::derive_bookkeeping() {
                      !fault_.failed(p);
     if (idle_flags_[p] != 0) ++idle_count_;
   }
-  waiting_cpus_ = 0;
-  for (const std::size_t i : waiting_) waiting_cpus_ += tasks_[i].spec.cpus;
   epoch_chain_live_ = queue_.holds(EventDesc::Kind::kEpoch);
   sample_chain_live_ = queue_.holds(EventDesc::Kind::kSample);
   thermal_chain_live_ = queue_.holds(EventDesc::Kind::kThermal);
@@ -1108,7 +1051,7 @@ void DatacenterSim::audit_derived() {
   if (!prepared_) return;
   const auto kept = [this] {
     return std::make_tuple(profiling_.reserved_flags(), proc_running_,
-                           idle_flags_, idle_count_, waiting_cpus_, done_count_,
+                           idle_flags_, idle_count_, done_count_,
                            fault_.counters().tasks_failed, epoch_chain_live_,
                            sample_chain_live_, thermal_chain_live_);
   };
@@ -1116,6 +1059,19 @@ void DatacenterSim::audit_derived() {
   derive_bookkeeping();
   ISCOPE_AUDIT_CHECK(kept() == before,
                      "kept bookkeeping differs from its derivation");
+  // The waiting index: its live count, width sum and min-tree against a
+  // rebuild, and each entry against its task.
+  ISCOPE_AUDIT_CHECK(waiting_.consistent(),
+                     "waiting index differs from its rebuild");
+  for (std::size_t slot = 0; slot < waiting_.slots(); ++slot) {
+    if (!waiting_.live(slot)) continue;
+    const WaitingEntry& e = waiting_.entry(slot);
+    const SimTask& t = tasks_[e.task];
+    ISCOPE_AUDIT_CHECK(t.state == TaskState::kWaiting &&
+                           e.cpus == t.spec.cpus &&
+                           e.latest_start_s == t.latest_start_s,
+                       "waiting entry differs from its task");
+  }
 #endif
 }
 

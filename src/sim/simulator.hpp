@@ -39,8 +39,10 @@
 // own each running task's remaining work, progress time and level. A row's
 // per-level power is summed once, when the task starts, and is fixed while
 // it runs. PowerMatcher::match solves over the rows from scratch on every
-// call; every placement rule picks off one rank-indexed idle bitset. The
-// oracles this scheduler is tested against live with the tests
+// call; every placement rule picks off one rank-indexed idle bitset, and a
+// scheduling pass visits only the waiting tasks that are forced or inside
+// the rule's start bound (sched/waiting_queue.hpp). The oracles this
+// scheduler is tested against live with the tests
 // (tests/reference_scheduler.hpp), and committed digests pin its results
 // (tests/data/golden/).
 #pragma once
@@ -65,6 +67,7 @@
 #include "sched/policy.hpp"
 #include "sched/power_matcher.hpp"
 #include "sched/scheme.hpp"
+#include "sched/waiting_queue.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault_driver.hpp"
 #include "sim/metrics.hpp"
@@ -258,11 +261,13 @@ class DatacenterSim {
   template <class Io>
   void io(Io& io);
 
-  /// Test-only hook: when set, called with `true` on entry to every
-  /// rematch() and `false` on exit. tests/test_rematch_alloc.cpp counts
-  /// heap allocations in between to assert the steady-state hot path is
-  /// allocation-free. Null in production.
-  static void (*rematch_probe)(bool entering);
+  /// Test-only hook: when set, called with `true` on entering a stretch
+  /// that makes no heap allocation at steady state and `false` on leaving
+  /// it. The stretches are every rematch() and every scheduling pass less
+  /// its task starts (a start allocates the task's processor list); a
+  /// start's own rematch nests inside the pass. tests/test_rematch_alloc.cpp
+  /// counts heap allocations inside them. Null in production.
+  static void (*alloc_probe)(bool entering);
 
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
@@ -319,7 +324,8 @@ class DatacenterSim {
   void on_arrival(std::size_t idx);
   /// Try to start waiting tasks on idle processors (with backfill past
   /// voluntarily-waiting tasks; a *forced* task that cannot fit blocks the
-  /// pass so freed CPUs accumulate for it).
+  /// pass so freed CPUs accumulate for it). The pass is placement_pass()
+  /// (sched/waiting_queue.hpp), hosted on this facility.
   void schedule_pass();
   void start_task(std::size_t idx, std::vector<std::size_t> procs);
   /// Second half of start_task: the task begins running on its (already
@@ -387,9 +393,6 @@ class DatacenterSim {
   void publish_run_telemetry(std::size_t events);
   void log_event(TimelineKind kind, std::int64_t task_id, double value);
   double fmax_ghz() const;
-  /// Fair's abundance test against a wind value already looked up for this
-  /// instant (schedule_pass hoists the supply query out of its task loop).
-  bool wind_abundant_given(Watts wind) const;
   bool all_done() const {
     return done_count_ + fault_.counters().tasks_failed == tasks_.size();
   }
@@ -418,8 +421,10 @@ class DatacenterSim {
   EnergyMeter meter_;
   BatteryBank battery_;
   std::vector<SimTask> tasks_;
-  std::vector<std::size_t> waiting_;       ///< task indices, arrival order
-  std::size_t waiting_cpus_ = 0;           ///< total width of waiting_
+  /// Waiting tasks in arrival order, with each one's width and latest
+  /// start, indexed for the scheduling pass (sched/waiting_queue.hpp).
+  /// The checkpoint writes only the task order; the rest is derived.
+  WaitingQueue waiting_;
   std::vector<std::size_t> proc_running_;  ///< task idx or kNone
   std::vector<double> busy_time_s_;
   /// Idle processors (held by no task, reserved by no scan, not failed):
@@ -438,10 +443,6 @@ class DatacenterSim {
   std::vector<std::size_t> rank_of_proc_;
   std::vector<std::size_t> idle_by_busy_;
   bool maintain_idle_by_busy_ = false;
-  /// Ran's draw pool for the current scheduling pass: the idle set in
-  /// processor-id order, read off the bitset once per pass (see
-  /// PlacementPolicy::choose).
-  std::vector<std::size_t> random_pool_;
   std::vector<std::size_t> pick_scratch_;  ///< choose() output buffer
   /// Stock power per processor (top DVFS level at nominal Vdd), raw watts:
   /// what a chip under scan draws, and the base of its idle residency.
@@ -589,8 +590,13 @@ void DatacenterSim::io(Io& io) {
     io(t.retries);
   });
 
-  io.vec(waiting_, tasks_.size(),
+  // The waiting tasks in arrival order; a load leaves their widths and
+  // latest starts, and the index over them, to rebuild_derived().
+  std::vector<std::size_t> waiting;
+  if constexpr (!Io::kLoading) waiting = waiting_.tasks();
+  io.vec(waiting, tasks_.size(),
          [&](auto& i) { io.index(i, tasks_.size(), "waiting task"); });
+  if constexpr (Io::kLoading) waiting_.assign(waiting);
 
   // The running set: the matcher rows in start order, each with the
   // remaining work and level it owns, and the one progress time they are
@@ -617,10 +623,10 @@ void DatacenterSim::io(Io& io) {
     }
   });
   if constexpr (Io::kLoading) {
-    // waiting_ holds each waiting task once, and the rows each running
-    // task once (checked as they load), and nothing else.
+    // The waiting list holds each waiting task once, and the rows each
+    // running task once (checked as they load), and nothing else.
     std::vector<std::uint8_t> listed(tasks_.size(), 0);
-    for (const std::size_t i : waiting_)
+    for (const std::size_t i : waiting)
       io.check(listed[i]++ == 0, "waiting list disagrees with the task states");
     for (std::size_t i = 0; i < tasks_.size(); ++i) {
       const TaskState state = tasks_[i].state;

@@ -8,21 +8,26 @@
 //    placement rank for Effi, Fair and Therm, partial_sort by (busy time,
 //    id) for Fair under abundant wind, and partial Fisher-Yates for Ran
 //    with a caller-supplied Rng.
+//  * ReferencePass is one scheduling pass the linear way: it offers every
+//    waiting task, in arrival order, to ReferencePlacement.
 //
-// Neither shares code with the production scheduler (PowerMatcher::match
-// over SoA rows with its cached greedy trajectory, PlacementPolicy::choose
-// over the rank-indexed idle bitset), so the unit suites hold the
-// production kernels to these oracles bit for bit. At simulation scope,
-// tests/data/golden/ pins the results both used to reach.
+// None shares code with the production scheduler (PowerMatcher::match
+// over SoA rows, PlacementPolicy::choose over the rank-indexed idle bitset
+// with Ran's virtual draw pool, placement_pass over the indexed
+// WaitingQueue), so the unit suites hold the production kernels to these
+// oracles bit for bit. At simulation scope, tests/data/golden/ pins the
+// results both used to reach.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <queue>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "energy/forecast.hpp"
 #include "sched/knowledge.hpp"
 #include "sched/policy.hpp"
 #include "sched/power_matcher.hpp"
@@ -210,6 +215,84 @@ struct ReferencePlacement {
         kDeferForecastFraction * std::max(ctx.current_demand, Watts{1.0});
     return !ctx.forced && ctx.slack_s > kMinDeferSlackS &&
            ctx.queue_pressure < kMaxDeferBacklog && forecast_promises_wind;
+  }
+};
+
+/// A waiting task as the reference pass reads it.
+struct ReferenceWaiting {
+  std::size_t task = 0;
+  std::size_t cpus = 0;
+  double latest_start_s = 0.0;
+};
+
+/// One scheduling pass the linear way, as the simulator ran it before its
+/// waiting queue was indexed: every waiting task in arrival order. A
+/// forced task (now >= latest start - patience) that does not fit the
+/// idle set blocks the pass; a task that does not fit otherwise keeps
+/// waiting; every other task is offered to the placement, with wind
+/// abundance re-tested against the demand after each start. Holds the
+/// pass's fixed inputs.
+struct ReferencePass {
+  const ReferencePlacement& placement;
+  double now_s = 0.0;
+  double patience_s = 0.0;
+  bool has_wind = false;
+  Watts wind;
+  double queue_pressure = 0.0;
+  const WindForecaster* forecaster = nullptr;
+
+  struct Start {
+    std::size_t task;
+    std::vector<std::size_t> procs;
+    bool operator==(const Start&) const = default;
+  };
+
+  /// Run the pass: started tasks leave `waiting` and their processors
+  /// leave `idle` (Ran's pool: it is sorted first, and its remainder stays
+  /// permuted), in `started`'s order. `demand(k)` is the facility demand
+  /// after k starts. Returns true when a forced task blocked the pass.
+  template <class Demand>
+  bool run(std::vector<ReferenceWaiting>& waiting,
+           std::vector<std::size_t>& idle, const std::vector<double>& busy,
+           Rng& rng, Demand demand, std::vector<Start>& started) const {
+    std::sort(idle.begin(), idle.end());
+    std::vector<ReferenceWaiting> kept;
+    bool blocked = false;
+    std::size_t i = 0;
+    for (; i < waiting.size(); ++i) {
+      const ReferenceWaiting& w = waiting[i];
+      PlacementContext ctx;
+      ctx.has_wind = has_wind;
+      ctx.queue_pressure = queue_pressure;
+      ctx.forced = now_s >= w.latest_start_s - patience_s;
+      if (w.cpus > idle.size()) {
+        if (ctx.forced) {
+          blocked = true;
+          break;
+        }
+        kept.push_back(w);
+        continue;
+      }
+      ctx.slack_s = w.latest_start_s - now_s;
+      ctx.current_demand = demand(started.size());
+      ctx.wind_abundant = wind.raw() > 0.0 &&
+                          wind.raw() > ctx.current_demand.raw() *
+                                           kWindAbundanceHeadroom;
+      if (forecaster != nullptr && ctx.slack_s > 0.0)
+        ctx.forecast_mean =
+            forecaster->forecast_mean(Seconds{now_s}, Seconds{ctx.slack_s});
+      const auto pick = placement.choose(w.cpus, idle, ctx, busy, rng);
+      if (!pick.has_value()) {
+        kept.push_back(w);
+        continue;
+      }
+      idle.erase(idle.begin(), idle.begin() + static_cast<std::ptrdiff_t>(w.cpus));
+      started.push_back(Start{w.task, *pick});
+    }
+    kept.insert(kept.end(), waiting.begin() + static_cast<std::ptrdiff_t>(i),
+                waiting.end());
+    waiting = std::move(kept);
+    return blocked;
   }
 };
 

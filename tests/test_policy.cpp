@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -16,16 +18,16 @@
 namespace iscope {
 namespace {
 
-/// The idle set in the three forms PlacementPolicy::choose reads, kept the
+/// The idle set in the two forms PlacementPolicy::choose reads, kept the
 /// way the simulator keeps them: the rank-indexed bitset and the
-/// (busy time, id)-ordered list follow the idle set, and Ran's pool is
-/// read off the bitset when the pass starts.
+/// (busy time, id)-ordered list follow the idle set. Building the views
+/// starts a scheduling pass, so Ran's draws run against the idle set as
+/// it is now.
 struct IdleViews {
   std::vector<std::uint64_t> rank_bits;
   std::vector<std::size_t> by_busy;
-  std::vector<std::size_t> random_pool;
 
-  IdleViews(const PlacementPolicy& policy, std::size_t procs,
+  IdleViews(PlacementPolicy& policy, std::size_t procs,
             const std::vector<std::size_t>& idle,
             const std::vector<double>& busy)
       : rank_bits((procs + 63) / 64, 0), by_busy(idle) {
@@ -38,7 +40,7 @@ struct IdleViews {
                 if (busy[a] != busy[b]) return busy[a] < busy[b];
                 return a < b;
               });
-    policy.idle_in_order(idle.size(), rank_bits.data(), random_pool);
+    policy.begin_pass();
   }
 
   /// The production pick. A started task's processors leave the idle set.
@@ -46,7 +48,7 @@ struct IdleViews {
                                                  std::size_t n,
                                                  const PlacementContext& ctx) {
     std::vector<std::size_t> out;
-    if (!policy.choose(n, rank_bits.data(), by_busy, random_pool, ctx, out))
+    if (!policy.choose(n, rank_bits.data(), by_busy, ctx, out))
       return std::nullopt;
     for (const std::size_t p : out) {
       const std::size_t r = policy.placement_rank(p);
@@ -246,9 +248,11 @@ TEST(FairPolicy, AbundantStartsEvenUnforced) {
 
 TEST(Policy, ChosenAreFirstNOfIdle) {
   // The simulator hands a pick straight to the task and drops it from the
-  // idle set: it must be n distinct idle processors, and Ran's picks are
-  // exactly what leaves its draw pool (the pass's later draws see the
-  // rest).
+  // idle set: it must be n distinct idle processors. A second pick in the
+  // same pass as wide as the rest takes exactly the rest, so under Ran the
+  // picks are what leaves the draw pool and the pass's later draws see
+  // the remainder. Ran's pool starts as the idle set in ascending id
+  // order: both picks are the vector partial Fisher-Yates over it.
   Fixture f;
   for (const PlacementRule rule :
        {PlacementRule::kRandom, PlacementRule::kEfficiency,
@@ -257,19 +261,30 @@ TEST(Policy, ChosenAreFirstNOfIdle) {
     PlacementPolicy p(&f.knowledge, rule, 13);
     const std::vector<std::size_t> idle = {1, 2, 3, 5, 8, 13, 17, 19};
     IdleViews views(p, f.cluster.size(), idle, f.busy);
-    const std::vector<std::size_t> pool = views.random_pool;
-    auto pick = views.choose(p, 4, f.ctx(true, true, true));
+    const PlacementContext ctx = f.ctx(true, true, true);
+    auto pick = views.choose(p, 4, ctx);
     ASSERT_TRUE(pick.has_value());
     const std::set<std::size_t> uniq(pick->begin(), pick->end());
     EXPECT_EQ(uniq.size(), 4u);
     for (const std::size_t id : *pick)
       EXPECT_TRUE(std::binary_search(idle.begin(), idle.end(), id)) << id;
+    auto rest = views.choose(p, idle.size() - 4, ctx);
+    ASSERT_TRUE(rest.has_value());
+    std::multiset<std::size_t> both(rest->begin(), rest->end());
+    both.insert(pick->begin(), pick->end());
+    EXPECT_EQ(both, std::multiset<std::size_t>(idle.begin(), idle.end()));
     if (rule == PlacementRule::kRandom) {
-      EXPECT_EQ(pool, idle);  // the pass starts from the sorted idle set
-      std::multiset<std::size_t> rest(views.random_pool.begin(),
-                                      views.random_pool.end());
-      rest.insert(pick->begin(), pick->end());
-      EXPECT_EQ(rest, std::multiset<std::size_t>(pool.begin(), pool.end()));
+      ReferencePlacement oracle{rule, std::vector<std::size_t>(f.cluster.size()),
+                                0};
+      std::iota(oracle.rank_of_proc.begin(), oracle.rank_of_proc.end(),
+                std::size_t{0});
+      Rng oracle_rng(13);
+      std::vector<std::size_t> pool = idle;
+      EXPECT_EQ(*pick, *oracle.choose(4, pool, ctx, f.busy, oracle_rng));
+      pool.erase(pool.begin(), pool.begin() + 4);
+      EXPECT_EQ(*rest,
+                *oracle.choose(pool.size(), pool, ctx, f.busy, oracle_rng));
+      EXPECT_EQ(p.rng_state(), oracle_rng.save_state());
     }
   }
 }
@@ -336,9 +351,6 @@ TEST(Policy, MatchesReferenceOnRandomPasses) {
     for (int pass = 0; pass < 3; ++pass) {
       IdleViews views(policy, n, idle, busy);
       std::vector<std::size_t> scratch = idle;  // ascending ids
-      if (rule == PlacementRule::kRandom) {
-        ASSERT_EQ(views.random_pool, scratch);
-      }
       const auto tries = rng.uniform_int(1, 6);
       for (std::int64_t k = 0; k < tries && !scratch.empty(); ++k) {
         const auto avail = static_cast<std::int64_t>(scratch.size());
@@ -370,6 +382,20 @@ TEST(Policy, MatchesReferenceOnRandomPasses) {
         scratch.erase(scratch.begin(),
                       scratch.begin() + static_cast<std::ptrdiff_t>(width));
       }
+      if (rule == PlacementRule::kRandom && !scratch.empty()) {
+        // The permuted remainder the pass leaves: on copies, a task as wide
+        // as the rest takes it in the oracle's order.
+        PlacementPolicy rest_policy = policy;
+        IdleViews rest_views = views;
+        Rng rest_rng = oracle_rng;
+        std::vector<std::size_t> rest = scratch;
+        const PlacementContext any;
+        const auto got = rest_views.choose(rest_policy, rest.size(), any);
+        ASSERT_TRUE(got.has_value());
+        ASSERT_EQ(*got, *oracle.choose(rest.size(), rest, any, busy, rest_rng))
+            << "pass " << pass << " remainder";
+        ASSERT_EQ(rest_policy.rng_state(), rest_rng.save_state());
+      }
       if (rule == PlacementRule::kRandom) {
         ASSERT_EQ(policy.rng_state(), oracle_rng.save_state())
             << "pass " << pass;
@@ -390,6 +416,143 @@ TEST(Policy, MatchesReferenceOnRandomPasses) {
   }
   EXPECT_GT(picks, 500u);
   EXPECT_GT(waits, 100u);
+}
+
+TEST(RandomPolicy, TaskAsWideAsTheIdleSetDrawsTheOraclePermutation) {
+  // The widest draw there is: a pass's first task takes every idle
+  // processor, so the whole virtual pool is permuted and read back,
+  // overridden slot by overridden slot. It must be the vector partial
+  // Fisher-Yates, on clusters that end in full and in partial words.
+  Rng rng(7);
+  for (const std::size_t n : {20u, 64u, 65u, 130u}) {
+    SCOPED_TRACE("procs " + std::to_string(n));
+    ClusterConfig cfg;
+    cfg.num_processors = n;
+    cfg.seed = 3 + n;
+    const Cluster cluster = build_cluster(cfg);
+    const Knowledge knowledge(&cluster, KnowledgeSource::kBin);
+    for (int draw = 0; draw < 4; ++draw) {
+      const auto seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
+      PlacementPolicy policy(&knowledge, PlacementRule::kRandom, seed);
+      ReferencePlacement oracle{PlacementRule::kRandom,
+                                std::vector<std::size_t>(n), 0};
+      std::iota(oracle.rank_of_proc.begin(), oracle.rank_of_proc.end(),
+                std::size_t{0});
+      Rng oracle_rng(seed);
+      std::vector<std::size_t> idle;
+      for (std::size_t p = 0; p < n; ++p)
+        if (draw == 0 || rng.uniform(0.0, 1.0) < 0.6) idle.push_back(p);
+      const std::vector<double> busy(n, 0.0);
+      IdleViews views(policy, n, idle, busy);
+      const PlacementContext ctx;
+      const auto got = views.choose(policy, idle.size(), ctx);
+      std::vector<std::size_t> pool = idle;
+      const auto want = oracle.choose(idle.size(), pool, ctx, busy, oracle_rng);
+      ASSERT_TRUE(got.has_value());
+      ASSERT_EQ(*got, *want);
+      EXPECT_EQ(policy.rng_state(), oracle_rng.save_state());
+      // Nothing is left to draw in this pass.
+      EXPECT_FALSE(views.choose(policy, 1, ctx).has_value());
+    }
+  }
+}
+
+TEST(Policy, StartBoundIsTheWidestNonForcedStart) {
+  // start_bound against the vector oracle on random idle sets and
+  // contexts: every non-forced start the oracle accepts lies inside the
+  // bound (a pass that skips the tasks outside it skips no start), and
+  // without a forecaster every task inside the bound that fits is
+  // accepted (the bound is tight, so the pass visits no task that only
+  // waits). Slack and width probes sit on the bound's edges: kMinDeferSlackS
+  // itself and the next double up, and the efficient pool's last rank.
+  constexpr std::array<std::size_t, 4> kSizes = {20, 64, 65, 130};
+  std::vector<Cluster> clusters;
+  for (const std::size_t n : kSizes) {
+    ClusterConfig cfg;
+    cfg.num_processors = n;
+    cfg.seed = 3 + n;
+    clusters.push_back(build_cluster(cfg));
+  }
+  const double s = kMinDeferSlackS;
+  const std::array<double, 7> slacks = {
+      -60.0, 0.0, s / 2, std::nextafter(s, 0.0), s,
+      std::nextafter(s, 2 * s), 3 * s};
+  Rng rng(1404);
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  for (std::size_t draw = 0; draw < 400; ++draw) {
+    SCOPED_TRACE("draw " + std::to_string(draw));
+    const Cluster& cluster = clusters[draw % kSizes.size()];
+    const std::size_t n = cluster.size();
+    const Knowledge knowledge(&cluster, KnowledgeSource::kBin);
+    const auto rule = static_cast<PlacementRule>(rng.uniform_int(0, 3));
+    const double fraction = rng.uniform(0.05, 1.0);
+    PlacementPolicy policy(&knowledge, rule, 5, fraction);
+    std::vector<std::size_t> order = knowledge.efficiency_order();
+    if (rule == PlacementRule::kTherm) {
+      rng.shuffle(order);
+      policy.override_order(order);
+    }
+    const auto pool_limit =
+        static_cast<std::size_t>(fraction * static_cast<double>(n));
+    ReferencePlacement oracle{rule, std::vector<std::size_t>(n), pool_limit};
+    for (std::size_t r = 0; r < n; ++r) oracle.rank_of_proc[order[r]] = r;
+
+    // Idle sets often end right at the pool's edge: the rank just inside
+    // or just outside it idle, the other busy.
+    std::vector<std::size_t> idle;
+    const double idle_share = rng.uniform(0.0, 1.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      const bool edge = r + 1 == pool_limit || r == pool_limit;
+      if (edge ? rng.uniform(0.0, 1.0) < 0.5
+               : rng.uniform(0.0, 1.0) < idle_share)
+        idle.push_back(order[r]);
+    }
+    std::sort(idle.begin(), idle.end());
+    const std::vector<double> busy(n, 0.0);
+    IdleViews views(policy, n, idle, busy);
+
+    PlacementContext ctx;
+    ctx.has_wind = rng.uniform(0.0, 1.0) < 0.7;
+    ctx.wind_abundant = rng.uniform(0.0, 1.0) < 0.3;
+    ctx.queue_pressure = rng.uniform(0.0, 1.0) < 0.2
+                             ? kMaxDeferBacklog
+                             : rng.uniform(0.0, 2.0 * kMaxDeferBacklog);
+    ctx.current_demand = Watts{rng.uniform(0.0, 2000.0)};
+    const bool forecasting = rng.uniform(0.0, 1.0) < 0.3;
+    const StartBound bound = policy.start_bound(
+        idle.size(), views.rank_bits.data(), ctx, forecasting);
+    ASSERT_LE(bound.cpus, idle.size());
+
+    for (std::size_t width = 1; width <= idle.size(); ++width) {
+      for (const double slack : slacks) {
+        ctx.slack_s = slack;
+        ctx.forecast_mean = forecasting
+                                ? Watts{rng.uniform(0.0, 1000.0)}
+                                : Watts{std::numeric_limits<double>::infinity()};
+        std::vector<std::size_t> scratch = idle;
+        Rng draws(1);
+        const bool starts =
+            oracle.choose(width, scratch, ctx, busy, draws).has_value();
+        const bool inside = width <= bound.cpus && slack <= bound.slack_s;
+        if (starts) {
+          ++accepted;
+          ASSERT_TRUE(inside) << "width " << width << " slack " << slack
+                              << " outside bound " << bound.cpus << "/"
+                              << bound.slack_s;
+        } else {
+          ++refused;
+          if (!forecasting) {
+            ASSERT_FALSE(inside) << "width " << width << " slack " << slack
+                                 << " inside bound " << bound.cpus << "/"
+                                 << bound.slack_s << " but refused";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 10000u);
+  EXPECT_GT(refused, 10000u);
 }
 
 TEST(Policy, Validation) {

@@ -1,12 +1,16 @@
-// Zero-allocation guarantee for the rematch hot path (DESIGN.md Sec. 9).
+// Zero-allocation guarantee for the rematch and scheduling-pass hot paths
+// (DESIGN.md Sec. 9).
 //
 // Global operator new/delete are overridden to count heap allocations, and
-// DatacenterSim::rematch_probe gates the counter so only allocations made
-// *inside* rematch() windows are charged. The simulator is run twice on
-// the same instance: the first run grows every reusable buffer (event
-// heap, SoA matcher columns with the matcher's down-step heap) to its
-// high-water mark, and the second run must then perform zero heap
-// allocations across all of its rematches -- including the very first.
+// DatacenterSim::alloc_probe gates the counter so only allocations made
+// *inside* rematch() and scheduling passes are charged (less each task
+// start, which allocates the task's processor list; the start's own
+// rematch nests inside the pass and is charged). The simulator is run
+// twice on the same instance: the first run grows every reusable buffer
+// (event heap, SoA matcher columns with the matcher's down-step heap, the
+// waiting queue's slots and min-tree) to its high-water mark, and the
+// second run must then perform zero heap allocations across all of its
+// rematches and passes -- including the very first.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -61,10 +65,12 @@ namespace iscope {
 namespace {
 
 bool g_armed = false;
+int g_depth = 0;  // the probe's stretches nest
 
-void rematch_window_probe(bool entering) {
+void hot_path_probe(bool entering) {
   if (!g_armed) return;
-  g_counting.store(entering, std::memory_order_relaxed);
+  g_depth += entering ? 1 : -1;
+  g_counting.store(g_depth > 0, std::memory_order_relaxed);
 }
 
 std::vector<Task> make_tasks(std::size_t count, std::size_t max_width,
@@ -88,7 +94,11 @@ std::vector<Task> make_tasks(std::size_t count, std::size_t max_width,
   return tasks;
 }
 
-TEST(RematchAlloc, SteadyStateRematchIsAllocationFree) {
+/// Run `rule` twice on one simulator over a 16-CPU scanned cluster with a
+/// wind trace that crosses demand; return the allocations the second run
+/// made inside the probe's stretches.
+std::size_t second_run_allocs(PlacementRule rule, std::size_t task_count,
+                              std::size_t max_width) {
   const std::size_t n = 16;
   ClusterConfig ccfg;
   ccfg.num_processors = n;
@@ -102,9 +112,10 @@ TEST(RematchAlloc, SteadyStateRematchIsAllocationFree) {
     std::iota(all.begin(), all.end(), 0);
     scanner.scan_domain(all, 0.0, rng, db);
   }
-  const auto tasks = make_tasks(50, n / 2, 77);
+  const auto tasks = make_tasks(task_count, max_width, 77);
 
-  // Wind level that crosses demand so phase-2 down-stepping runs too.
+  // Wind level that crosses demand so phase-2 down-stepping runs too, and
+  // Fair and Therm both defer and start.
   Rng wind_rng(13);
   std::vector<double> watts;
   for (std::size_t i = 0; i < 200; ++i)
@@ -115,26 +126,45 @@ TEST(RematchAlloc, SteadyStateRematchIsAllocationFree) {
   cfg.battery = BatteryConfig::make(/*capacity_kwh=*/1.0, /*power_kw=*/0.5);
   const Knowledge knowledge(&cluster, scheme_knowledge(Scheme::kScanEffi),
                             &db);
-  DatacenterSim sim(&knowledge, scheme_rule(Scheme::kScanEffi), &supply, cfg);
+  DatacenterSim sim(&knowledge, rule, &supply, cfg);
 
   // Warm-up run: every reusable buffer reaches its high-water mark.
   const SimResult warm = sim.run(tasks);
-  ASSERT_EQ(warm.tasks_completed, tasks.size());
-  ASSERT_GT(warm.dvfs_rematch_count, 0u);
+  EXPECT_EQ(warm.tasks_completed, tasks.size());
+  EXPECT_GT(warm.dvfs_rematch_count, 0u);
 
-  // Counted run: no rematch may touch the heap.
-  DatacenterSim::rematch_probe = &rematch_window_probe;
+  // Counted run: no rematch or pass may touch the heap.
+  DatacenterSim::alloc_probe = &hot_path_probe;
   g_armed = true;
+  g_depth = 0;
   g_allocs.store(0, std::memory_order_relaxed);
   const SimResult counted = sim.run(tasks);
   g_armed = false;
   g_counting.store(false, std::memory_order_relaxed);
-  DatacenterSim::rematch_probe = nullptr;
+  DatacenterSim::alloc_probe = nullptr;
 
+  EXPECT_EQ(g_depth, 0);
   EXPECT_EQ(counted.tasks_completed, tasks.size());
   EXPECT_EQ(counted.dvfs_rematch_count, warm.dvfs_rematch_count);
-  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u)
-      << "heap allocations inside rematch() on a warmed simulator";
+  return g_allocs.load(std::memory_order_relaxed);
+}
+
+TEST(RematchAlloc, SteadyStateRematchIsAllocationFree) {
+  EXPECT_EQ(second_run_allocs(PlacementRule::kEfficiency, 50, 8), 0u)
+      << "heap allocations inside rematch() or a pass on a warmed simulator";
+}
+
+TEST(PassAlloc, SteadyStatePassesAreAllocationFree) {
+  // Every rule's pass over a queue up to a few hundred tasks deep: the
+  // waiting queue grows, compacts and shrinks its tree, and Ran's draws
+  // permute their override table, all within the first run's capacities.
+  for (const PlacementRule rule :
+       {PlacementRule::kRandom, PlacementRule::kEfficiency,
+        PlacementRule::kFair, PlacementRule::kTherm}) {
+    SCOPED_TRACE(placement_rule_name(rule));
+    EXPECT_EQ(second_run_allocs(rule, 400, 12), 0u)
+        << "heap allocations inside a pass on a warmed simulator";
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -86,6 +87,28 @@ TEST(TaskUtils, ValidateCatchesBadTasks) {
   bad = ok;
   bad[0].gamma = 1.5;
   EXPECT_THROW(validate_tasks(bad), InvalidArgument);
+}
+
+TEST(TaskUtils, CheckFailureNamesTheSourceFromSrc) {
+  // A failed check names its source file from src/ on, never the build's
+  // own directory: the daemon sends these messages to its clients.
+  Task t = make_task();
+  t.gamma = std::nan("");
+  try {
+    validate_task(t, 8);
+    FAIL() << "a NaN gamma passed validate_task";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    const std::size_t at = what.find("src/workload/task.cpp:");
+    ASSERT_NE(at, std::string::npos) << what;
+    EXPECT_EQ(what.rfind('/', at), std::string::npos) << what;
+  }
+  EXPECT_EQ(detail::source_path("/build/tree/src/sched/policy.cpp"),
+            "src/sched/policy.cpp");
+  EXPECT_EQ(detail::source_path("src/sim/simulator.cpp"),
+            "src/sim/simulator.cpp");
+  EXPECT_EQ(detail::source_path("/elsewhere/main.cpp"), "main.cpp");
+  EXPECT_EQ(detail::source_path("main.cpp"), "main.cpp");
 }
 
 TEST(TaskUtils, SortBySubmitStable) {
