@@ -4,10 +4,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
-#include <utility>
+#include <string>
 
 #include "common/serial.hpp"
 #include "sim/sharded.hpp"
@@ -16,11 +15,6 @@
 namespace iscope {
 
 namespace {
-
-/// Hard element-count ceiling for every vector header in a checkpoint.
-/// Generous (a simulation this large would not fit a checkpoint anyway)
-/// but finite: a corrupt count fails in Reader::count, never in a resize.
-constexpr std::size_t kMaxElems = std::size_t{1} << 28;
 
 /// Slicing-by-8 CRC-32 tables: row 0 is the byte-wise table of polynomial
 /// 0xEDB88320 (reflected); row k carries row 0 over k more zero bytes.
@@ -44,148 +38,6 @@ std::uint32_t load_le32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[2]) << 16 |
          static_cast<std::uint32_t>(p[3]) << 24;
 }
-
-[[noreturn]] void reject(const std::string& what) {
-  throw CheckpointError("checkpoint: " + what);
-}
-
-// An io() member (DatacenterSim, ShardedSim and the simulator's drivers)
-// calls the adapter once per field, in wire order:
-//   io(v)                     plain field
-//   io.same(v, what)          identity: written, only compared on load
-//   io.in(v, lo, hi, what)    loaded value must lie in [lo, hi]
-//   io.index(v, limit, what)  index below `limit`
-//   io.vec(v, cap, each)      length-prefixed; loaded length <= cap
-//   io.vec(v, each)           the same, capped at kMaxElems
-//   io.fixed(v, n, each)      exactly n elements, length not written
-//   io.check(ok, what)        a load fails unless `ok` (writes nothing)
-// Integral fields travel as u64, bytes and enums as u8, bools as b, and
-// doubles and quantities (watts, joules, seconds) as f64.
-
-/// Writer adapter: every call emits its field.
-class Save {
- public:
-  static constexpr bool kLoading = false;
-  explicit Save(serial::Writer& w) : w_(w) {}
-
-  template <class T>
-  void operator()(const T& v) {
-    if constexpr (std::is_same_v<T, bool>) {
-      w_.b(v);
-    } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, std::uint8_t>) {
-      static_assert(sizeof(T) == 1, "enums travel as one byte");
-      w_.u8(static_cast<std::uint8_t>(v));
-    } else if constexpr (std::is_same_v<T, double>) {
-      w_.f64(v);
-    } else if constexpr (std::is_same_v<T, std::int64_t>) {
-      w_.i64(v);
-    } else if constexpr (std::is_same_v<T, std::string>) {
-      w_.str(v);
-    } else if constexpr (std::is_unsigned_v<T>) {
-      w_.u64(v);
-    } else if constexpr (std::is_same_v<T, Watts>) {
-      w_.f64(v.watts());
-    } else if constexpr (std::is_same_v<T, Joules>) {
-      w_.f64(v.joules());
-    } else {
-      static_assert(std::is_same_v<T, Seconds>, "no wire encoding for T");
-      w_.f64(v.seconds());
-    }
-  }
-  template <class T>
-  void same(const T& v, const char*) {
-    (*this)(v);
-  }
-  template <class T>
-  void in(const T& v, T, T, const char*) {
-    (*this)(v);
-  }
-  void index(std::size_t v, std::size_t, const char*) { w_.u64(v); }
-  template <class V, class Each>
-  void vec(const V& v, std::size_t, Each&& each) {
-    w_.u64(v.size());
-    for (const auto& e : v) each(e);
-  }
-  template <class V, class Each>
-  void vec(const V& v, Each&& each) {
-    vec(v, kMaxElems, each);
-  }
-  template <class V, class Each>
-  void fixed(const V& v, std::size_t, Each&& each) {
-    for (const auto& e : v) each(e);
-  }
-  void check(bool, const char*) {}
-
- private:
-  serial::Writer& w_;
-};
-
-/// Reader adapter: every call reads its field and applies its check.
-class Load {
- public:
-  static constexpr bool kLoading = true;
-  explicit Load(serial::Reader& r) : r_(r) {}
-
-  template <class T>
-  void operator()(T& v) {
-    if constexpr (std::is_same_v<T, bool>) {
-      v = r_.b();
-    } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, std::uint8_t>) {
-      v = static_cast<T>(r_.u8());
-    } else if constexpr (std::is_same_v<T, double>) {
-      v = r_.f64();
-    } else if constexpr (std::is_same_v<T, std::int64_t>) {
-      v = r_.i64();
-    } else if constexpr (std::is_same_v<T, std::string>) {
-      v = r_.str();
-    } else if constexpr (std::is_unsigned_v<T>) {
-      v = static_cast<T>(r_.u64());
-    } else {
-      v = T{r_.f64()};  // a dimensioned quantity
-    }
-  }
-  template <class T>
-  void same(const T& v, const char* what) {
-    T got{};
-    (*this)(got);
-    if (got != v)
-      reject(std::string("identity mismatch -- the restoring simulator was "
-                         "built with a different ") +
-             what);
-  }
-  template <class T>
-  void in(T& v, T lo, T hi, const char* what) {
-    (*this)(v);
-    if (v < lo || v > hi) reject(std::string(what) + " out of range");
-  }
-  void index(std::size_t& v, std::size_t limit, const char* what) {
-    (*this)(v);
-    if (v >= limit) reject(std::string(what) + " index out of range");
-  }
-  template <class V, class Each>
-  void vec(V& v, std::size_t cap, Each&& each) {
-    // Every element takes at least one byte, so the unread payload bounds
-    // the length before anything is allocated.
-    v.clear();
-    v.resize(r_.count(std::min(cap, r_.remaining())));
-    for (auto& e : v) each(e);
-  }
-  template <class V, class Each>
-  void vec(V& v, Each&& each) {
-    vec(v, kMaxElems, each);
-  }
-  template <class V, class Each>
-  void fixed(V& v, std::size_t n, Each&& each) {
-    v.assign(n, typename V::value_type{});
-    for (auto& e : v) each(e);
-  }
-  void check(bool ok, const char* what) {
-    if (!ok) reject(what);
-  }
-
- private:
-  serial::Reader& r_;
-};
 
 }  // namespace
 
@@ -218,7 +70,7 @@ std::vector<std::uint8_t> envelope(const Sim& sim, std::uint8_t kind) {
   w.u32(kCheckpointMagic);
   w.u32(kCheckpointVersion);
   w.u8(kind);
-  Save io(w);
+  serial::Save io(w);
   // One io() member serves both directions, so it is not const; the Save
   // adapter only reads (cereal's convention for output archives).
   const_cast<Sim&>(sim).io(io);
@@ -248,7 +100,7 @@ void load_envelope(Sim& sim, const std::uint8_t* data, std::size_t size,
     if (body.u8() != kind)
       throw CheckpointError(
           "checkpoint: simulator kind mismatch (single vs sharded)");
-    Load io(body);
+    serial::Load<CheckpointError> io(body, "checkpoint: ");
     sim.io(io);
     body.expect_done();
   } catch (const CheckpointError&) {

@@ -10,11 +10,13 @@
 // The codec names no simulator field. Each type that owns checkpointed
 // state lists its fields once, in its one `template <class Io> void io(Io&)`
 // (ShardedSim, DatacenterSim, and the simulator's four subsystem drivers,
-// each called at its place in the wire order), which a writer adapter runs
-// to save and a reader adapter runs to load; the reader's checks --
-// identity comparisons, index and enum ranges, count caps, the waiting
-// list and the rows against the task states -- are arguments of the same
-// calls. Everything else -- which task holds each processor, the idle
+// each called at its place in the wire order), which serial.hpp's Save
+// adapter runs to save and its Load<CheckpointError> to load; the reader's
+// checks -- identity comparisons, index and enum ranges, finite times,
+// count caps, the waiting list and the rows against the task states --
+// are arguments of the same calls. The task spec and the timeline event
+// are listed once for this format and the wire (task_fields,
+// timeline_fields). Everything else -- which task holds each processor, the idle
 // pool, counts, flags, per-row tables -- is derived: restore ends in
 // DatacenterSim::rebuild_derived(), the routine prepare() also ends with.
 // The matcher keeps nothing between calls, so a resumed run's next

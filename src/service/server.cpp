@@ -229,18 +229,8 @@ void ServiceServer::handle_frame(Conn& c, const Frame& f) {
         send(c, MsgType::kBusy);
         return;
       }
-      if (t.cpus > host_.context().cluster().size()) {
-        send_err(c, "admit: task wider than the cluster");
-        return;
-      }
-      if (t.submit_s < sim.now_s()) {
-        send_err(c, "admit: submit time behind the simulation clock");
-        return;
-      }
-      if (t.deadline_s <= t.submit_s) {
-        send_err(c, "admit: deadline must be after submit");
-        return;
-      }
+      // An inadmissible task throws InvalidArgument, answered with ERR.
+      sim.check_admissible(t);
       pending_.push_back(std::move(t));
       result_cached_ = false;  // new work: the next RESULT must re-finish()
       send(c, MsgType::kAdmitOk, encode_u64(pending_.size() - 1));

@@ -1,20 +1,123 @@
 #include "service/wire.hpp"
 
-#include <cmath>
-#include <cstring>
+#include <concepts>
+#include <string>
+#include <type_traits>
 
 namespace iscope::service {
 
 namespace {
 
-double finite(double v, const char* what) {
-  if (!std::isfinite(v))
-    throw ParseError(std::string("wire: non-finite ") + what);
-  return v;
+// Each payload type's one field list: serial::Save runs it to encode the
+// payload and serial::Load<ParseError> to parse it, so every refusal sits
+// beside its field. `P` is the payload type, const when encoding. The task
+// spec and the timeline event are the checkpoint's lists (task_fields,
+// timeline_fields).
+template <class P, class T>
+concept Payload = std::same_as<std::remove_const_t<P>, T>;
+
+/// HELLO: the client's protocol version.
+template <class Io, Payload<std::uint32_t> P>
+void fields(Io& io, P& version) {
+  io(version);
 }
 
-serial::Reader whole(const std::vector<std::uint8_t>& payload) {
-  return serial::Reader(payload.data(), payload.size());
+/// ADMIT. Only non-finite times and a bad urgency are refused here; the
+/// daemon applies the admission rule (DatacenterSim::check_admissible).
+template <class Io, Payload<Task> P>
+void fields(Io& io, P& task) {
+  task_fields(io, task);
+}
+
+/// ADVANCE: the one bare-double payload, the slice's end.
+template <class Io, Payload<double> P>
+void fields(Io& io, P& t_limit) {
+  io.finite(t_limit, "advance limit");
+  io.check(t_limit >= 0.0, "advance limit must be >= 0");
+}
+
+/// ADMIT_OK: the queue position.
+template <class Io, Payload<std::uint64_t> P>
+void fields(Io& io, P& v) {
+  io(v);
+}
+
+/// CHECKPOINT, CHECKPOINT_OK, METRICS_TEXT and ERR: one string.
+template <class Io, Payload<std::string> P>
+void fields(Io& io, P& text) {
+  io.text(text, kMaxFrameBody);
+}
+
+template <class Io, Payload<HelloOk> P>
+void fields(Io& io, P& h) {
+  io(h.version);
+  io.text(h.scheme, 256);
+  io(h.procs);
+  io(h.seed);
+}
+
+/// DECISION.
+template <class Io, Payload<TimelineEvent> P>
+void fields(Io& io, P& e) {
+  timeline_fields(io, e);
+}
+
+template <class Io, Payload<AdvanceDone> P>
+void fields(Io& io, P& d) {
+  io.finite(d.now_s, "clock");
+  io(d.events_run);
+}
+
+template <class Io, Payload<DecisionSnapshot> P>
+void fields(Io& io, P& s) {
+  io.finite(s.now_s, "snapshot clock");
+  io.finite(s.demand, "snapshot demand");
+  io(s.tasks_admitted);
+  io(s.tasks_completed);
+  io(s.tasks_failed);
+  io(s.waiting);
+  io(s.running);
+  io(s.idle_procs);
+  io(s.events_processed);
+  io(s.rematches);
+  io(s.rush_mode);
+}
+
+template <class Io, Payload<ResultSummary> P>
+void fields(Io& io, P& r) {
+  io.finite(r.wind_j, "wind energy");
+  io.finite(r.utility_j, "utility energy");
+  io.finite(r.curtailed_j, "curtailed energy");
+  io.finite(r.battery_delivered_j, "battery delivered energy");
+  io.finite(r.battery_losses_j, "battery losses");
+  io.finite(r.cost_usd, "cost");
+  io(r.tasks_completed);
+  io(r.deadline_misses);
+  io.finite(r.mean_wait_s, "mean wait");
+  io.finite(r.makespan_s, "makespan");
+  io(r.events_processed);
+  io(r.rematches);
+  io(r.task_requeues);
+  io(r.tasks_failed);
+}
+
+template <class T>
+std::vector<std::uint8_t> encode(const T& v) {
+  serial::Writer w;
+  serial::Save io(w);
+  fields(io, v);
+  return w.take();
+}
+
+/// Reads the whole payload: trailing bytes are refused too.
+template <class T>
+T parse(const std::vector<std::uint8_t>& payload) {
+  serial::Reader r(payload.data(), payload.size());
+  serial::Load<ParseError> io(r, "wire: ");
+  T v{};
+  fields(io, v);
+  r.expect_done();
+  return v;
 }
 
 }  // namespace
@@ -59,229 +162,74 @@ bool FrameReader::next(Frame& out) {
   return true;
 }
 
-std::vector<std::uint8_t> encode_hello() {
-  serial::Writer w;
-  w.u32(kProtoVersion);
-  return w.take();
-}
+std::vector<std::uint8_t> encode_hello() { return encode(kProtoVersion); }
 
 void parse_hello(const std::vector<std::uint8_t>& payload) {
-  serial::Reader r = whole(payload);
-  const std::uint32_t version = r.u32();
-  r.expect_done();
+  const std::uint32_t version = parse<std::uint32_t>(payload);
   if (version != kProtoVersion)
     throw ParseError("wire: unsupported protocol version " +
                      std::to_string(version));
 }
 
 std::vector<std::uint8_t> encode_admit(const Task& task) {
-  serial::Writer w;
-  w.i64(task.id);
-  w.f64(task.submit_s);
-  w.u64(task.cpus);
-  w.f64(task.runtime_s);
-  w.f64(task.gamma);
-  w.f64(task.deadline_s);
-  w.u8(static_cast<std::uint8_t>(task.urgency));
-  return w.take();
+  return encode(task);
 }
-
 Task parse_admit(const std::vector<std::uint8_t>& payload) {
-  serial::Reader r = whole(payload);
-  Task t;
-  t.id = r.i64();
-  t.submit_s = finite(r.f64(), "submit time");
-  t.cpus = static_cast<std::size_t>(r.u64());
-  t.runtime_s = finite(r.f64(), "runtime");
-  t.gamma = finite(r.f64(), "gamma");
-  t.deadline_s = finite(r.f64(), "deadline");
-  const std::uint8_t urgency = r.u8();
-  if (urgency > static_cast<std::uint8_t>(Urgency::kLow))
-    throw ParseError("wire: bad task urgency");
-  t.urgency = static_cast<Urgency>(urgency);
-  r.expect_done();
-  // Semantic validation (width vs cluster, deadline > submit, clock order)
-  // happens in the server against the live simulator; here only the
-  // representable-task invariants hold.
-  if (t.cpus == 0) throw ParseError("wire: task width must be positive");
-  if (t.runtime_s <= 0.0) throw ParseError("wire: runtime must be positive");
-  if (t.gamma < 0.0 || t.gamma > 1.0)
-    throw ParseError("wire: gamma must be in [0,1]");
-  return t;
+  return parse<Task>(payload);
 }
 
 std::vector<std::uint8_t> encode_advance(double t_limit_s) {
-  serial::Writer w;
-  w.f64(t_limit_s);
-  return w.take();
+  return encode(t_limit_s);
 }
-
 double parse_advance(const std::vector<std::uint8_t>& payload) {
-  serial::Reader r = whole(payload);
-  const double t = r.f64();
-  r.expect_done();
-  finite(t, "advance limit");
-  if (t < 0.0) throw ParseError("wire: advance limit must be >= 0");
-  return t;
+  return parse<double>(payload);
 }
 
 std::vector<std::uint8_t> encode_hello_ok(const HelloOk& h) {
-  serial::Writer w;
-  w.u32(h.version);
-  w.str(h.scheme);
-  w.u64(h.procs);
-  w.u64(h.seed);
-  return w.take();
+  return encode(h);
 }
-
 HelloOk parse_hello_ok(const std::vector<std::uint8_t>& payload) {
-  serial::Reader r = whole(payload);
-  HelloOk h;
-  h.version = r.u32();
-  h.scheme = r.str(256);
-  h.procs = r.u64();
-  h.seed = r.u64();
-  r.expect_done();
-  return h;
+  return parse<HelloOk>(payload);
 }
 
-std::vector<std::uint8_t> encode_u64(std::uint64_t v) {
-  serial::Writer w;
-  w.u64(v);
-  return w.take();
-}
-
+std::vector<std::uint8_t> encode_u64(std::uint64_t v) { return encode(v); }
 std::uint64_t parse_u64(const std::vector<std::uint8_t>& payload) {
-  serial::Reader r = whole(payload);
-  const std::uint64_t v = r.u64();
-  r.expect_done();
-  return v;
+  return parse<std::uint64_t>(payload);
 }
 
 std::vector<std::uint8_t> encode_text(const std::string& text) {
-  serial::Writer w;
-  w.str(text);
-  return w.take();
+  return encode(text);
 }
-
 std::string parse_text(const std::vector<std::uint8_t>& payload) {
-  serial::Reader r = whole(payload);
-  std::string s = r.str(kMaxFrameBody);
-  r.expect_done();
-  return s;
+  return parse<std::string>(payload);
 }
 
 std::vector<std::uint8_t> encode_decision(const TimelineEvent& e) {
-  serial::Writer w;
-  w.f64(e.time_s);
-  w.u8(static_cast<std::uint8_t>(e.kind));
-  w.i64(e.task_id);
-  w.f64(e.value);
-  return w.take();
+  return encode(e);
 }
-
 TimelineEvent parse_decision(const std::vector<std::uint8_t>& payload) {
-  serial::Reader r = whole(payload);
-  TimelineEvent e;
-  e.time_s = r.f64();
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(TimelineKind::kTaskWaking))
-    throw ParseError("wire: bad timeline kind");
-  e.kind = static_cast<TimelineKind>(kind);
-  e.task_id = r.i64();
-  e.value = r.f64();
-  r.expect_done();
-  return e;
+  return parse<TimelineEvent>(payload);
 }
 
 std::vector<std::uint8_t> encode_advance_done(const AdvanceDone& d) {
-  serial::Writer w;
-  w.f64(d.now_s);
-  w.u64(d.events_run);
-  return w.take();
+  return encode(d);
 }
-
 AdvanceDone parse_advance_done(const std::vector<std::uint8_t>& payload) {
-  serial::Reader r = whole(payload);
-  AdvanceDone d;
-  d.now_s = r.f64();
-  d.events_run = r.u64();
-  r.expect_done();
-  return d;
+  return parse<AdvanceDone>(payload);
 }
 
 std::vector<std::uint8_t> encode_snapshot(const DecisionSnapshot& s) {
-  serial::Writer w;
-  w.f64(s.now_s);
-  w.f64(s.demand.watts());
-  w.u64(s.tasks_admitted);
-  w.u64(s.tasks_completed);
-  w.u64(s.tasks_failed);
-  w.u64(s.waiting);
-  w.u64(s.running);
-  w.u64(s.idle_procs);
-  w.u64(s.events_processed);
-  w.u64(s.rematches);
-  w.b(s.rush_mode);
-  return w.take();
+  return encode(s);
 }
-
 DecisionSnapshot parse_snapshot(const std::vector<std::uint8_t>& payload) {
-  serial::Reader r = whole(payload);
-  DecisionSnapshot s;
-  s.now_s = r.f64();
-  s.demand = Watts{r.f64()};
-  s.tasks_admitted = static_cast<std::size_t>(r.u64());
-  s.tasks_completed = static_cast<std::size_t>(r.u64());
-  s.tasks_failed = static_cast<std::size_t>(r.u64());
-  s.waiting = static_cast<std::size_t>(r.u64());
-  s.running = static_cast<std::size_t>(r.u64());
-  s.idle_procs = static_cast<std::size_t>(r.u64());
-  s.events_processed = static_cast<std::size_t>(r.u64());
-  s.rematches = static_cast<std::size_t>(r.u64());
-  s.rush_mode = r.b();
-  r.expect_done();
-  return s;
+  return parse<DecisionSnapshot>(payload);
 }
 
-std::vector<std::uint8_t> encode_result_summary(const ResultSummary& res) {
-  serial::Writer w;
-  w.f64(res.wind_j);
-  w.f64(res.utility_j);
-  w.f64(res.curtailed_j);
-  w.f64(res.battery_delivered_j);
-  w.f64(res.battery_losses_j);
-  w.f64(res.cost_usd);
-  w.u64(res.tasks_completed);
-  w.u64(res.deadline_misses);
-  w.f64(res.mean_wait_s);
-  w.f64(res.makespan_s);
-  w.u64(res.events_processed);
-  w.u64(res.rematches);
-  w.u64(res.task_requeues);
-  w.u64(res.tasks_failed);
-  return w.take();
+std::vector<std::uint8_t> encode_result_summary(const ResultSummary& r) {
+  return encode(r);
 }
-
 ResultSummary parse_result_summary(const std::vector<std::uint8_t>& payload) {
-  serial::Reader r = whole(payload);
-  ResultSummary res;
-  res.wind_j = r.f64();
-  res.utility_j = r.f64();
-  res.curtailed_j = r.f64();
-  res.battery_delivered_j = r.f64();
-  res.battery_losses_j = r.f64();
-  res.cost_usd = r.f64();
-  res.tasks_completed = r.u64();
-  res.deadline_misses = r.u64();
-  res.mean_wait_s = r.f64();
-  res.makespan_s = r.f64();
-  res.events_processed = r.u64();
-  res.rematches = r.u64();
-  res.task_requeues = r.u64();
-  res.tasks_failed = r.u64();
-  r.expect_done();
-  return res;
+  return parse<ResultSummary>(payload);
 }
 
 }  // namespace iscope::service

@@ -8,10 +8,14 @@
 //              buffer.
 //
 // Payloads are serial.hpp-encoded (fixed little-endian, bit-exact
-// doubles). Every parse_* function consumes the whole payload and throws
-// iscope::ParseError on truncation, trailing bytes, out-of-range enums, or
-// non-finite numbers where the protocol requires finite ones -- a hostile
-// or corrupted peer can produce errors, never UB or over-reads
+// doubles). Each payload type has one field list (wire.cpp), which
+// serial::Save runs to encode it and serial::Load<ParseError> to parse it;
+// the task spec and the timeline event are the checkpoint's own lists
+// (task_fields, timeline_fields). Every parse_* function consumes the
+// whole payload and throws iscope::ParseError on truncation, trailing
+// bytes, out-of-range enums, or a non-finite number (any double but a
+// task's gamma, which the admission rule checks) -- a hostile or
+// corrupted peer can produce errors, never UB or over-reads
 // (tests/test_fuzz_parsers.cpp mutates these paths).
 #pragma once
 
@@ -113,7 +117,8 @@ struct AdvanceDone {
 };
 
 // --- payload codecs -------------------------------------------------------
-// parse_* throws iscope::ParseError on any malformed payload.
+// parse_* throws iscope::ParseError on any malformed payload. parse_admit
+// decodes only: the daemon admits by DatacenterSim::check_admissible.
 
 std::vector<std::uint8_t> encode_hello();
 void parse_hello(const std::vector<std::uint8_t>& payload);

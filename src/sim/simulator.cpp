@@ -1075,10 +1075,14 @@ void DatacenterSim::audit_derived() {
 #endif
 }
 
-std::size_t DatacenterSim::admit(Task task) {
+void DatacenterSim::check_admissible(const Task& task) const {
   validate_task(task, knowledge_->procs());
   ISCOPE_CHECK_ARG(task.submit_s >= queue_.now(),
                    "DatacenterSim: admission behind the simulation clock");
+}
+
+std::size_t DatacenterSim::admit(Task task) {
+  check_admissible(task);
   const std::size_t i = tasks_.size();
   const double fmax = fmax_ghz();
   SimTask st;

@@ -226,6 +226,10 @@ class DatacenterSim {
   /// tie class -- see EventQueue::schedule -- so late scheduling cannot
   /// reorder same-time ties).
   std::size_t admit(Task task);
+  /// The rule admit() applies, without admitting: validate_task for this
+  /// simulator's processors, and a submit time not behind the clock.
+  /// Throws InvalidArgument.
+  void check_admissible(const Task& task) const;
   /// Simulation clock.
   double now_s() const { return queue_.now(); }
   /// Events processed since prepare().
@@ -570,13 +574,7 @@ void DatacenterSim::io(Io& io) {
   // list is written; `col` and `latest_start_s` are derived. A loaded spec
   // must pass validate_task, the rule prepare() and admit() apply.
   io.vec(tasks_, [&](auto& t) {
-    io(t.spec.id);
-    io(t.spec.submit_s);
-    io(t.spec.cpus);
-    io(t.spec.runtime_s);
-    io(t.spec.gamma);
-    io(t.spec.deadline_s);
-    io.in(t.spec.urgency, Urgency::kHigh, Urgency::kLow, "task urgency");
+    task_fields(io, t.spec);
     if constexpr (Io::kLoading) validate_task(t.spec, nprocs);
     io.in(t.state, TaskState::kPending, TaskState::kWaking, "task state");
     if (t.state == TaskState::kRunning || t.state == TaskState::kWaking) {
@@ -673,13 +671,7 @@ void DatacenterSim::io(Io& io) {
   io(miss_count_);
   io(makespan_s_);
   io(rush_mode_);
-  io.vec(timeline_, [&](auto& e) {
-    io(e.time_s);
-    io.in(e.kind, TimelineKind::kArrival, TimelineKind::kTaskWaking,
-          "timeline kind");
-    io(e.task_id);
-    io(e.value);
-  });
+  io.vec(timeline_, [&](auto& e) { timeline_fields(io, e); });
 
   fault_.io(io);
   // Thermal and sleep state travel whether or not either subsystem is on,

@@ -39,6 +39,18 @@ struct TimelineEvent {
   double value = 0.0;         ///< kind-specific (width, wait, count...)
 };
 
+/// The event's fields in wire order, for a serial.hpp adapter (`T` is
+/// TimelineEvent, or const TimelineEvent when a writer runs it): the
+/// checkpoint's timeline and the daemon's DECISION payload are this list.
+template <class Io, class T>
+void timeline_fields(Io& io, T& e) {
+  io.finite(e.time_s, "event time");
+  io.in(e.kind, TimelineKind::kArrival, TimelineKind::kTaskWaking,
+        "timeline kind");
+  io(e.task_id);
+  io.finite(e.value, "event value");
+}
+
 /// Write events as CSV: time_s,kind,task_id,value.
 void save_timeline_csv(const std::string& path,
                        const std::vector<TimelineEvent>& events);

@@ -278,6 +278,8 @@ std::string format_json_safe_number(double v) {
   return buf;
 }
 
+}  // namespace
+
 std::string json_escape(const std::string& s) {
   std::string out = "\"";
   for (const char c : s) {
@@ -294,8 +296,6 @@ std::string json_escape(const std::string& s) {
   }
   return out + "\"";
 }
-
-}  // namespace
 
 std::string to_prometheus(const Snapshot& snap) {
   std::string out;

@@ -6,12 +6,12 @@
 //
 // Concurrency model (the reason every slot is a std::atomic):
 //
-//  * Slots are std::atomic<...> accessed with relaxed ordering. In
-//    single-writer use (the simulator's event loop, one sink thread) the
-//    cheap `inc`/`set`/`observe` calls compile to a plain load+add+store --
-//    no read-modify-write, no lock prefix, indistinguishable from a plain
-//    uint64_t/double slot. Metrics updated from ThreadPool workers must use
-//    the `*_concurrent` variants, which pay for a real atomic RMW.
+//  * Slots are std::atomic<...> accessed with relaxed ordering, and every
+//    update is safe from any thread: `set` is a plain store, and counts,
+//    gauge sums and peaks, and observations go through the `*_concurrent`
+//    calls (a relaxed read-modify-write, a CAS loop for doubles). The
+//    simulator publishes its run totals with them once per run, from
+//    whichever sweep worker ran it, and only while telemetry is enabled.
 //  * Family and cell *creation* takes a mutex (cold path: instrument sites
 //    cache the returned references, which stay valid for the registry's
 //    lifetime -- cells are never deleted, reset() only zeroes them).
@@ -36,11 +36,6 @@ namespace iscope::telemetry {
 /// Monotone event count.
 class Counter {
  public:
-  /// Single-writer increment: plain load+add+store, no RMW.
-  void inc(std::uint64_t n = 1) {
-    v_.store(v_.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
-  }
   /// Increment shared with other threads (ThreadPool workers).
   void inc_concurrent(std::uint64_t n = 1) {
     v_.fetch_add(n, std::memory_order_relaxed);
@@ -57,11 +52,6 @@ class Gauge {
  public:
   /// A plain store is already safe from any thread.
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  /// Single-writer add / max-tracking (no RMW).
-  void add(double d) { set(value() + d); }
-  void set_max(double v) {
-    if (v > value()) set(v);
-  }
   /// Shared add (CAS loop) for ThreadPool-side gauges.
   void add_concurrent(double d) {
     double cur = v_.load(std::memory_order_relaxed);
@@ -105,13 +95,6 @@ class Histogram {
  public:
   explicit Histogram(const HistogramBuckets* buckets);
 
-  /// Single-writer observation.
-  void observe(double value) {
-    std::atomic<std::uint64_t>& s = slot(value);
-    s.store(s.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-    count_.inc();
-    sum_.add(value);
-  }
   /// Observation shared with other threads.
   void observe_concurrent(double value) {
     slot(value).fetch_add(1, std::memory_order_relaxed);
@@ -276,6 +259,9 @@ class Registry {
 std::string to_prometheus(const Snapshot& snap);
 /// Render a snapshot as a JSON document.
 std::string to_json(const Snapshot& snap);
+/// `s` as a quoted JSON string (`"` and `\` escaped, control bytes as
+/// \u00XX): the one escaper of the registry, trace and sample-log writers.
+std::string json_escape(const std::string& s);
 
 /// Value of a counter/gauge cell in a snapshot; histogram families return
 /// the cell's sum. Returns `fallback` when family or cell is absent.

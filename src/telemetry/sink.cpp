@@ -20,23 +20,6 @@ std::string format_double(double v) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out + "\"";
-}
-
 /// CSV-quote only when needed (labels are typically bare scheme names).
 std::string csv_field(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) return s;

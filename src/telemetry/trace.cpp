@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "telemetry/registry.hpp"
+
 namespace iscope::telemetry {
 
 namespace {
@@ -115,24 +117,6 @@ std::uint64_t TraceLog::total_dropped() const {
 
 namespace {
 
-std::string json_escape(const char* s) {
-  std::string out = "\"";
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out + "\"";
-}
-
 std::string us(double nanoseconds) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3f", nanoseconds * 1e-3);
@@ -151,7 +135,7 @@ std::string TraceLog::to_chrome_json() const {
     // Chrome metadata record naming the synthetic thread row.
     out += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
            tid + ", \"args\": {\"name\": " +
-           json_escape(r->thread_name().c_str()) + "}}";
+           json_escape(r->thread_name()) + "}}";
     for (const SpanEvent& e : r->events()) {
       char sim[32];
       std::snprintf(sim, sizeof sim, "%.6f", e.sim_s);

@@ -1,6 +1,7 @@
 #include "workload/task.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 
@@ -23,6 +24,11 @@ double Task::latest_start_s(double f_ghz, double fmax_ghz) const {
 }
 
 void validate_task(const Task& t, std::size_t max_cpus) {
+  // An infinite deadline or runtime would schedule the task's wakeup or
+  // completion at +inf, which no slice of a run ever reaches.
+  ISCOPE_CHECK_ARG(std::isfinite(t.submit_s) && std::isfinite(t.runtime_s) &&
+                       std::isfinite(t.deadline_s),
+                   "task: submit, runtime and deadline must be finite");
   ISCOPE_CHECK_ARG(t.runtime_s > 0.0, "task: runtime must be > 0");
   ISCOPE_CHECK_ARG(t.cpus > 0, "task: must request at least one CPU");
   ISCOPE_CHECK_ARG(t.cpus <= max_cpus, "task: wider than the cluster");

@@ -42,9 +42,24 @@ struct Task {
   double latest_start_s(double f_ghz, double fmax_ghz) const;
 };
 
-/// Sanity-check one task for a cluster of `max_cpus` processors: positive
-/// runtime, width in [1, max_cpus], non-negative submit time, deadline
-/// after submission, gamma in [0,1]. Throws InvalidArgument.
+/// The spec's fields in wire order, for a serial.hpp adapter (`T` is Task,
+/// or const Task when a writer runs it): the checkpoint's task list and
+/// the daemon's ADMIT payload are this one list. A load refuses non-finite
+/// times and a bad urgency here; every other rule is validate_task's.
+template <class Io, class T>
+void task_fields(Io& io, T& t) {
+  io(t.id);
+  io.finite(t.submit_s, "submit time");
+  io(t.cpus);
+  io.finite(t.runtime_s, "runtime");
+  io(t.gamma);
+  io.finite(t.deadline_s, "deadline");
+  io.in(t.urgency, Urgency::kHigh, Urgency::kLow, "task urgency");
+}
+
+/// Sanity-check one task for a cluster of `max_cpus` processors: finite
+/// times, positive runtime, width in [1, max_cpus], non-negative submit
+/// time, deadline after submission, gamma in [0,1]. Throws InvalidArgument.
 void validate_task(const Task& t, std::size_t max_cpus);
 
 /// validate_task over a task list; submit order is not required.

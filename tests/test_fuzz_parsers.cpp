@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -294,6 +295,182 @@ TEST(FuzzCorpusService, OversizeAndZeroHeadersThrowBeforeBuffering) {
     service::Frame f;
     EXPECT_THROW(reader.next(f), ParseError);
   }
+}
+
+// ----------------------------------------------- wire payload codecs
+
+/// `what` of the ParseError `parse` throws, or "" when it returns.
+template <class Parse>
+std::string refusal(Parse&& parse) {
+  try {
+    parse();
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(WireCodec, EveryPayloadRoundTrips) {
+  using namespace service;
+  EXPECT_EQ(encode_hello().size(), 4u);  // u32 version
+  parse_hello(encode_hello());
+  EXPECT_EQ(parse_advance(encode_advance(5000.25)), 5000.25);
+  EXPECT_EQ(parse_u64(encode_u64(17)), 17u);
+  EXPECT_EQ(parse_text(encode_text("iscope_sim_events_total 9")),
+            "iscope_sim_events_total 9");
+
+  HelloOk h;
+  h.version = kProtoVersion;
+  h.scheme = "ScanTherm";
+  h.procs = 480;
+  h.seed = 11;
+  const std::vector<std::uint8_t> hello_ok = encode_hello_ok(h);
+  // u32 version, length-prefixed scheme, u64 procs, u64 seed.
+  EXPECT_EQ(hello_ok.size(), 4u + 8u + h.scheme.size() + 8u + 8u);
+  const HelloOk h2 = parse_hello_ok(hello_ok);
+  EXPECT_EQ(h2.version, h.version);
+  EXPECT_EQ(h2.scheme, h.scheme);
+  EXPECT_EQ(h2.procs, h.procs);
+  EXPECT_EQ(h2.seed, h.seed);
+
+  const TimelineEvent e{812.5, TimelineKind::kTaskWaking, 33, 0.004};
+  const TimelineEvent e2 = parse_decision(encode_decision(e));
+  EXPECT_EQ(e2.time_s, e.time_s);
+  EXPECT_EQ(e2.kind, e.kind);
+  EXPECT_EQ(e2.task_id, e.task_id);
+  EXPECT_EQ(e2.value, e.value);
+
+  const AdvanceDone d = parse_advance_done(encode_advance_done({4000.5, 123}));
+  EXPECT_EQ(d.now_s, 4000.5);
+  EXPECT_EQ(d.events_run, 123u);
+
+  DecisionSnapshot s;
+  s.now_s = 99.5;
+  s.demand = Watts{1234.5};
+  s.tasks_admitted = 1;
+  s.tasks_completed = 2;
+  s.tasks_failed = 3;
+  s.waiting = 4;
+  s.running = 5;
+  s.idle_procs = 6;
+  s.events_processed = 7;
+  s.rematches = 8;
+  s.rush_mode = true;
+  const DecisionSnapshot s2 = parse_snapshot(encode_snapshot(s));
+  EXPECT_EQ(s2.now_s, s.now_s);
+  EXPECT_EQ(s2.demand, s.demand);
+  EXPECT_EQ(s2.tasks_admitted, s.tasks_admitted);
+  EXPECT_EQ(s2.tasks_completed, s.tasks_completed);
+  EXPECT_EQ(s2.tasks_failed, s.tasks_failed);
+  EXPECT_EQ(s2.waiting, s.waiting);
+  EXPECT_EQ(s2.running, s.running);
+  EXPECT_EQ(s2.idle_procs, s.idle_procs);
+  EXPECT_EQ(s2.events_processed, s.events_processed);
+  EXPECT_EQ(s2.rematches, s.rematches);
+  EXPECT_EQ(s2.rush_mode, s.rush_mode);
+
+  ResultSummary r;
+  r.wind_j = 1.0;
+  r.utility_j = 2.0;
+  r.curtailed_j = 3.0;
+  r.battery_delivered_j = 4.0;
+  r.battery_losses_j = 5.0;
+  r.cost_usd = 6.0;
+  r.tasks_completed = 7;
+  r.deadline_misses = 8;
+  r.mean_wait_s = 9.0;
+  r.makespan_s = 10.0;
+  r.events_processed = 11;
+  r.rematches = 12;
+  r.task_requeues = 13;
+  r.tasks_failed = 14;
+  const ResultSummary r2 = parse_result_summary(encode_result_summary(r));
+  EXPECT_EQ(r2.wind_j, r.wind_j);
+  EXPECT_EQ(r2.utility_j, r.utility_j);
+  EXPECT_EQ(r2.curtailed_j, r.curtailed_j);
+  EXPECT_EQ(r2.battery_delivered_j, r.battery_delivered_j);
+  EXPECT_EQ(r2.battery_losses_j, r.battery_losses_j);
+  EXPECT_EQ(r2.cost_usd, r.cost_usd);
+  EXPECT_EQ(r2.tasks_completed, r.tasks_completed);
+  EXPECT_EQ(r2.deadline_misses, r.deadline_misses);
+  EXPECT_EQ(r2.mean_wait_s, r.mean_wait_s);
+  EXPECT_EQ(r2.makespan_s, r.makespan_s);
+  EXPECT_EQ(r2.events_processed, r.events_processed);
+  EXPECT_EQ(r2.rematches, r.rematches);
+  EXPECT_EQ(r2.task_requeues, r.task_requeues);
+  EXPECT_EQ(r2.tasks_failed, r.tasks_failed);
+}
+
+TEST(WireCodec, ReplyDecodersRefuseNonFiniteNumbers) {
+  using namespace service;
+  const double inf = std::numeric_limits<double>::infinity();
+  TimelineEvent e;
+  e.time_s = std::nan("");
+  EXPECT_THROW(parse_decision(encode_decision(e)), ParseError);
+  e.time_s = 1.0;
+  e.value = -inf;
+  EXPECT_THROW(parse_decision(encode_decision(e)), ParseError);
+  DecisionSnapshot s;
+  s.now_s = -inf;
+  EXPECT_THROW(parse_snapshot(encode_snapshot(s)), ParseError);
+  s.now_s = 0.0;
+  s.demand = Watts{std::nan("")};
+  EXPECT_THROW(parse_snapshot(encode_snapshot(s)), ParseError);
+  EXPECT_THROW(parse_advance_done(encode_advance_done({inf, 1})), ParseError);
+  ResultSummary r;
+  r.cost_usd = inf;
+  EXPECT_EQ(refusal([&] { parse_result_summary(encode_result_summary(r)); }),
+            "wire: non-finite cost");
+}
+
+TEST(WireCodec, DecodersRefuseWhatTheProtocolForbids) {
+  using namespace service;
+  serial::Writer v2;
+  v2.u32(kProtoVersion + 1);
+  EXPECT_EQ(refusal([&] { parse_hello(v2.take()); }),
+            "wire: unsupported protocol version " +
+                std::to_string(kProtoVersion + 1));
+  EXPECT_EQ(refusal([] { parse_advance(encode_advance(-1.0)); }),
+            "wire: advance limit must be >= 0");
+  EXPECT_EQ(refusal([] {
+              parse_advance(
+                  encode_advance(std::numeric_limits<double>::infinity()));
+            }),
+            "wire: non-finite advance limit");
+  HelloOk h;
+  h.scheme.assign(257, 'x');
+  EXPECT_EQ(refusal([&] { parse_hello_ok(encode_hello_ok(h)); }),
+            "serial: string length exceeds cap");
+  std::vector<std::uint8_t> admit = encode_admit(corpus_task());
+  admit.back() = 2;  // the urgency byte
+  EXPECT_EQ(refusal([&] { parse_admit(admit); }),
+            "wire: task urgency out of range");
+  std::vector<std::uint8_t> decision = encode_decision(TimelineEvent{});
+  decision[8] = 0xff;  // the kind byte, after the f64 time
+  EXPECT_EQ(refusal([&] { parse_decision(decision); }),
+            "wire: timeline kind out of range");
+  std::vector<std::uint8_t> long_u64 = encode_u64(1);
+  long_u64.push_back(0);
+  EXPECT_EQ(refusal([&] { parse_u64(long_u64); }),
+            "serial: trailing bytes after payload");
+
+  // ADMIT refuses non-finite times; the admission rule itself (width,
+  // runtime, gamma, deadline, clock) is the daemon's, against its
+  // simulator (DatacenterSim::check_admissible).
+  for (double Task::*field :
+       {&Task::submit_s, &Task::runtime_s, &Task::deadline_s}) {
+    Task t = corpus_task();
+    t.*field = std::nan("");
+    EXPECT_NE(refusal([&] { parse_admit(encode_admit(t)); }), "");
+  }
+  Task odd = corpus_task();
+  odd.cpus = 0;
+  odd.runtime_s = -1.0;
+  odd.gamma = std::nan("");
+  const Task back = parse_admit(encode_admit(odd));
+  EXPECT_EQ(back.cpus, 0u);
+  EXPECT_EQ(back.runtime_s, -1.0);
+  EXPECT_TRUE(std::isnan(back.gamma));
 }
 
 TEST(FuzzCorpusService, HostileCheckpointsAreRejected) {

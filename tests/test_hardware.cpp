@@ -15,7 +15,6 @@
 #include "core/experiment.hpp"
 #include "hardware/aging.hpp"
 #include "hardware/cluster.hpp"
-#include "hardware/dvfs.hpp"
 #include "sim_identity.hpp"
 
 namespace iscope {
@@ -26,42 +25,6 @@ ClusterConfig small_config(std::size_t n = 32, std::uint64_t seed = 1) {
   cfg.num_processors = n;
   cfg.seed = seed;
   return cfg;
-}
-
-// ------------------------------------------------------------------ DVFS
-
-TEST(Dvfs, StartsGated) {
-  const FreqLevels levels = FreqLevels::paper_default();
-  DvfsState s(&levels);
-  EXPECT_FALSE(s.is_on());
-  EXPECT_DOUBLE_EQ(s.freq().gigahertz(), 0.0);
-  EXPECT_THROW(s.level(), InvalidArgument);
-}
-
-TEST(Dvfs, PowerOnOffCycle) {
-  const FreqLevels levels = FreqLevels::paper_default();
-  DvfsState s(&levels);
-  s.power_on(2);
-  EXPECT_TRUE(s.is_on());
-  EXPECT_EQ(s.level(), 2u);
-  EXPECT_DOUBLE_EQ(s.freq().gigahertz(), levels.freq_ghz[2]);
-  s.set_level(4);
-  EXPECT_EQ(s.level(), 4u);
-  s.power_off();
-  EXPECT_FALSE(s.is_on());
-  EXPECT_DOUBLE_EQ(s.freq().gigahertz(), 0.0);
-}
-
-TEST(Dvfs, Validation) {
-  const FreqLevels levels = FreqLevels::paper_default();
-  EXPECT_THROW(DvfsState(nullptr), InvalidArgument);
-  DvfsState s(&levels);
-  EXPECT_THROW(s.power_on(99), InvalidArgument);
-  EXPECT_THROW(s.set_level(0), InvalidArgument);  // gated
-  s.power_on(0);
-  EXPECT_THROW(s.set_level(99), InvalidArgument);
-  EXPECT_EQ(s.num_levels(), 5u);
-  EXPECT_EQ(s.top_level(), 4u);
 }
 
 // ---------------------------------------------------------------- Cluster

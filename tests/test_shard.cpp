@@ -11,6 +11,7 @@
 //  * Partition: tasks land exactly once, always on a shard they fit.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -442,6 +443,18 @@ TEST(Partition, ThrowsWhenATaskFitsNoShard) {
   tasks[0].runtime_s = 1.0;
   tasks[0].deadline_s = 1.0;
   EXPECT_THROW(partition_tasks(tasks, topo), InvalidArgument);
+}
+
+TEST(Partition, PrepareRefusesAnInfiniteDeadline) {
+  // The task's deadline-pressure wakeup would sit at +inf, past every
+  // barrier, so its shard would never drain and run() would never end.
+  const Scenario sc(16, 3);
+  const HybridSupply supply = sc.make_supply(5);
+  ShardedSim sim(sc.cluster, Scheme::kScanEffi, &sc.db, supply,
+                 sc.base_config(2));
+  std::vector<Task> tasks = sc.make_tasks(4, 4, 11);
+  tasks[1].deadline_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(sim.prepare(tasks, {}), InvalidArgument);
 }
 
 TEST(Partition, WindowsSplitToLocalIds) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -119,6 +121,27 @@ TEST(Simulator, ImpossibleDeadlineCountsMiss) {
   const SimResult r = f.run(Scheme::kBinRan, tasks);
   EXPECT_EQ(r.tasks_completed, 2u);
   EXPECT_GE(r.deadline_misses, 1u);
+}
+
+TEST(Simulator, CheckAdmissibleIsTheRuleAdmitApplies) {
+  Fixture fx;
+  const HybridSupply supply;
+  Knowledge k(&fx.cluster, scheme_knowledge(Scheme::kScanEffi), &fx.db);
+  DatacenterSim sim(&k, scheme_rule(Scheme::kScanEffi), &supply, SimConfig{});
+  sim.prepare({}, {});
+  sim.admit(simple_task(1, 0.0, 2, 100.0));
+  sim.step_until(50.0);
+  std::vector<Task> bad(4, simple_task(2, 60.0, 2, 100.0));
+  bad[0].cpus = 9;          // wider than the 8 processors
+  bad[1].submit_s = 40.0;   // behind the clock
+  bad[2].gamma = std::nan("");
+  bad[3].deadline_s = std::numeric_limits<double>::infinity();
+  for (const Task& t : bad) {
+    EXPECT_THROW(sim.check_admissible(t), InvalidArgument);
+    EXPECT_THROW(sim.admit(t), InvalidArgument);
+  }
+  EXPECT_EQ(sim.decision_snapshot().tasks_admitted, 1u);
+  EXPECT_NO_THROW(sim.check_admissible(simple_task(3, 50.0, 8, 100.0)));
 }
 
 TEST(Simulator, WiderThanClusterThrows) {

@@ -38,8 +38,8 @@ class TelemetryTest : public ::testing::Test {
 TEST(TelemetryCounter, SingleWriterAndConcurrentIncrements) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
-  c.inc();
-  c.inc(41);
+  c.inc_concurrent();
+  c.inc_concurrent(41);
   EXPECT_EQ(c.value(), 42u);
   c.inc_concurrent();
   c.inc_concurrent(7);
@@ -52,11 +52,11 @@ TEST(TelemetryGauge, SetAddAndMaxVariants) {
   Gauge g;
   g.set(3.5);
   EXPECT_DOUBLE_EQ(g.value(), 3.5);
-  g.add(1.5);
+  g.add_concurrent(1.5);
   EXPECT_DOUBLE_EQ(g.value(), 5.0);
-  g.set_max(4.0);  // below current: no-op
+  g.set_max_concurrent(4.0);  // below current: no-op
   EXPECT_DOUBLE_EQ(g.value(), 5.0);
-  g.set_max(6.0);
+  g.set_max_concurrent(6.0);
   EXPECT_DOUBLE_EQ(g.value(), 6.0);
   g.add_concurrent(-2.0);
   EXPECT_DOUBLE_EQ(g.value(), 4.0);
@@ -95,9 +95,9 @@ TEST(TelemetryHistogram, ObserveFillsBucketsSumAndCount) {
   const HistogramBuckets buckets =
       HistogramBuckets::log_linear(1.0, 1000.0, 3);
   Histogram h(&buckets);
-  h.observe(2.0);     // bucket 0 (le 4)
-  h.observe(4.0);     // bucket 0 (on the bound)
-  h.observe(50.0);    // bucket 4 (le 70)
+  h.observe_concurrent(2.0);   // bucket 0 (le 4)
+  h.observe_concurrent(4.0);   // bucket 0 (on the bound)
+  h.observe_concurrent(50.0);  // bucket 4 (le 70)
   h.observe_concurrent(5000.0);  // +Inf bucket
   EXPECT_EQ(h.count(), 4u);
   EXPECT_DOUBLE_EQ(h.sum(), 2.0 + 4.0 + 50.0 + 5000.0);
@@ -118,7 +118,7 @@ TEST(TelemetryFamily, CellsDedupAndLabelArityIsChecked) {
   Counter& c = fam.with({"BinRan"});
   EXPECT_EQ(&a, &b);  // dedup: stable cell per label tuple
   EXPECT_NE(&a, &c);
-  a.inc(3);
+  a.inc_concurrent(3);
   EXPECT_EQ(b.value(), 3u);
 
   EXPECT_THROW(fam.with({}), InvalidArgument);
@@ -151,14 +151,14 @@ TEST(TelemetryRegistry, SnapshotRendersPrometheusAndJson) {
   Registry reg;
   reg.counter("iscope_events_total", "processed events", {"run"})
       .with({"ScanEffi"})
-      .inc(123);
+      .inc_concurrent(123);
   reg.gauge("iscope_depth", "queue depth").get().set(7.5);
   Histogram& h =
       reg.histogram("iscope_wait_seconds", "queue wait",
                     HistogramBuckets::log_linear(1.0, 1000.0, 3))
           .get();
-  h.observe(2.0);
-  h.observe(5000.0);
+  h.observe_concurrent(2.0);
+  h.observe_concurrent(5000.0);
 
   const Snapshot snap = reg.snapshot();
   ASSERT_EQ(snap.size(), 3u);
@@ -190,10 +190,10 @@ TEST(TelemetryRegistry, SnapshotRendersPrometheusAndJson) {
 TEST(TelemetryRegistry, ResetZeroesCellsButKeepsReferences) {
   Registry reg;
   Counter& c = reg.counter("iscope_keep_total", "help").get();
-  c.inc(9);
+  c.inc_concurrent(9);
   reg.reset();
   EXPECT_EQ(c.value(), 0u);  // cached reference survives reset
-  c.inc(2);
+  c.inc_concurrent(2);
   EXPECT_DOUBLE_EQ(snapshot_value(reg.snapshot(), "iscope_keep_total"), 2.0);
 }
 
@@ -371,7 +371,10 @@ TEST_F(TelemetryTest, SampleLogRoundTripsThroughCsvAndJson) {
 
 TEST_F(TelemetryTest, WriteRunReportDropsTheFullBundle) {
   set_enabled(true);
-  Registry::global().counter("iscope_report_total", "help").get().inc(5);
+  Registry::global()
+      .counter("iscope_report_total", "help")
+      .get()
+      .inc_concurrent(5);
   {
     ISCOPE_SPAN("report_span");
   }
@@ -400,7 +403,7 @@ TEST_F(TelemetryTest, WriteRunReportDropsTheFullBundle) {
 TEST_F(TelemetryTest, ResetGlobalTelemetryZeroesEverything) {
   set_enabled(true);
   Counter& c = Registry::global().counter("iscope_reset_total", "help").get();
-  c.inc(4);
+  c.inc_concurrent(4);
   {
     ISCOPE_SPAN("reset_span");
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -87,6 +88,17 @@ TEST(TaskUtils, ValidateCatchesBadTasks) {
   bad = ok;
   bad[0].gamma = 1.5;
   EXPECT_THROW(validate_tasks(bad), InvalidArgument);
+  // Non-finite times: an infinite deadline or runtime would put the
+  // task's wakeup or its completion at +inf, which no run reaches.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double Task::*field :
+       {&Task::submit_s, &Task::runtime_s, &Task::deadline_s}) {
+    for (const double v : {inf, -inf, std::nan("")}) {
+      bad = ok;
+      bad[0].*field = v;
+      EXPECT_THROW(validate_tasks(bad), InvalidArgument) << v;
+    }
+  }
 }
 
 TEST(TaskUtils, CheckFailureNamesTheSourceFromSrc) {
